@@ -4,13 +4,11 @@ from affsch.rootsys import (
     Coweight,
     CorootVector,
     FiniteRootSystem,
-    SubSystem,
     build_root_system,
     dominance_leq,
     dominant_rep,
     pairing,
     short_dominant_coroot,
-    sub_system,
     two_rho_pairing,
 )
 from affsch.twist import (

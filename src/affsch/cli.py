@@ -30,7 +30,12 @@ from affsch.loopalg import (
     root_lines_at_degree,
 )
 from affsch.rootsys import Coweight, two_rho_pairing
-from affsch.schubert import certificate, minimal_degenerations, smooth_locus_report
+from affsch.schubert import (
+    certificate,
+    dominant_below,
+    minimal_degenerations,
+    smooth_locus_report,
+)
 from affsch.twist import cartan_sigma_dim, sigma_affine_to_relative, twisted_datum
 from affsch.verify import SUITES, run_suite, vector_rows
 
@@ -164,17 +169,12 @@ def _cmd_poset(args) -> int:
     if any(v < 0 for v in mu_vec):
         raise ValueError("--mu must be dominant: all entries nonnegative")
     mu = Coweight(system, mu_vec)
+    strata = dominant_below(mu)
     edges = minimal_degenerations(mu)
-    strata = sorted(
-        {edge.mu.pairings for edge in edges}
-        | {edge.lam.pairings for edge in edges}
-        | {mu.pairings},
-        key=lambda p: (-sum(h * v for h, v in zip(system.two_rho_coefficients, p)), p),
-    )
     result = {
         "datum": _describe_datum(datum),
         "mu": list(mu_vec),
-        "strata": [list(p) for p in strata],
+        "strata": [list(lam.pairings) for lam in strata],
         "edges": [
             {
                 "upper": list(edge.mu.pairings),
@@ -189,8 +189,8 @@ def _cmd_poset(args) -> int:
         _emit_json("poset", _request_fields(args), result)
     else:
         print(f"strata below mu = {tuple(mu_vec)} in {system.label}: {len(strata)}")
-        for p in strata:
-            print(f"  {tuple(p)}  dim {sum(h * v for h, v in zip(system.two_rho_coefficients, p))}")
+        for lam in strata:
+            print(f"  {lam.pairings}  dim {two_rho_pairing(lam)}")
         print(f"covering edges: {len(edges)}")
         for row in result["edges"]:
             print(
@@ -338,7 +338,6 @@ def _emit_json(command: str, request: dict, result: dict) -> None:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    default_jobs = int(os.environ.get("AFFSCH_JOBS", "1"))
     parser = argparse.ArgumentParser(
         prog="affsch",
         description="Exact smoothness analysis for orbit closures in twisted affine Grassmannians.",
@@ -364,7 +363,8 @@ def build_parser() -> argparse.ArgumentParser:
     verify.add_argument("--max-pairing", dest="max_pairing", type=int, default=14)
     verify.add_argument("--window", type=int, default=4)
     verify.add_argument("--seed", type=int, default=0)
-    verify.add_argument("--jobs", type=int, default=default_jobs)
+    # argparse runs type=int on this string default too: a bad AFFSCH_JOBS exits 2
+    verify.add_argument("--jobs", type=int, default=os.environ.get("AFFSCH_JOBS", "1"))
     verify.add_argument("--json", action="store_true")
     verify.set_defaults(func=_cmd_verify)
 

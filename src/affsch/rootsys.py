@@ -414,21 +414,6 @@ class CorootVector:
         )
 
 
-@dataclass(frozen=True)
-class SubSystem:
-    """Root subsystem generated by a subset of the simple roots."""
-
-    system: FiniteRootSystem
-    embedding: IntVec
-
-    def ambient_components(self) -> tuple[tuple[str, IntVec], ...]:
-        """Component decomposition with node orders rewritten in ambient indices."""
-        return tuple(
-            (label, tuple(self.embedding[k] for k in order))
-            for label, order in self.system.components
-        )
-
-
 def pairing(nu: Coweight, root_index: int) -> int:
     """<nu, alpha> for the root at root_index in nu.system.roots."""
     return nu.pairing_with_root(nu.system.roots[root_index])
@@ -506,19 +491,6 @@ def difference_coroot(lam: Coweight, mu: Coweight) -> CorootVector | None:
 def two_rho_pairing(mu: Coweight) -> int:
     """<mu, 2rho>, the dimension pairing against the sum of the positive roots."""
     return sum(h * p for h, p in zip(mu.system.two_rho_coefficients, mu.pairings))
-
-
-def sub_system(system: FiniteRootSystem, simple_subset: tuple[int, ...]) -> SubSystem:
-    """Root subsystem generated by the given simple-root indices."""
-    idx = tuple(sorted(set(simple_subset)))
-    if not idx:
-        raise ValueError("empty simple subset")
-    if idx[0] < 0 or idx[-1] >= system.rank:
-        raise ValueError("simple index out of range")
-    sub_cartan = tuple(tuple(system.cartan[i][j] for j in idx) for i in idx)
-    comps = recognize_components(sub_cartan)
-    label = "+".join(lbl for lbl, _ in comps)
-    return SubSystem(FiniteRootSystem(sub_cartan, label=label), idx)
 
 
 def short_dominant_coroot(system: FiniteRootSystem) -> CorootVector:

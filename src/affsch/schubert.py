@@ -26,8 +26,8 @@ from affsch.rootsys import (
     Root,
     _dominant_rep_raw,
     build_root_system,
+    recognize_components,
     short_dominant_coroot,
-    sub_system,
     two_rho_pairing,
 )
 from affsch.twist import ABSOLUTELY_SPECIAL, TwistedDatum, cartan_sigma_dim
@@ -126,33 +126,51 @@ def _require_dominant_pair(lam: Coweight, mu: Coweight) -> None:
 # -- poset enumeration -------------------------------------------------------
 
 
+def _stratum_key(system: FiniteRootSystem, p: IntVec) -> tuple[int, IntVec]:
+    """Stratum order: larger <lam,2rho> first, ties by pairing vector."""
+    return -sum(h * x for h, x in zip(system.two_rho_coefficients, p)), p
+
+
+@lru_cache(maxsize=None)
+def _positive_coroots(system: FiniteRootSystem) -> tuple[tuple[IntVec, IntVec], ...]:
+    """(pairings, coefficients) of beta^vee for every positive root beta."""
+    return tuple(
+        (_coroot_step(system, beta), system.coroot_coefficients(beta))
+        for beta in system.positive_roots
+    )
+
+
+def _dominant_steps(system: FiniteRootSystem, p: IntVec) -> list[tuple[IntVec, IntVec]]:
+    """(p - beta^vee, coefficients of beta^vee) for each dominant step from p."""
+    steps = []
+    for step, coeffs in _positive_coroots(system):
+        q = tuple(x - s for x, s in zip(p, step))
+        if all(x >= 0 for x in q):
+            steps.append((q, coeffs))
+    return steps
+
+
 def _below_with_gaps(mu: Coweight) -> list[tuple[Coweight, IntVec]]:
     """Dominant lam <= mu, paired with the coroot coefficients of mu - lam.
 
-    Search space: 0 <= c with sum(c) <= <mu,2rho>/2, sound because each
-    simple coroot pairs to 2 with 2rho and <lam,2rho> stays nonnegative.
+    Stembridge (The partial order of dominant weights, Adv. Math. 136, 1998):
+    for dominant lam < nu there is a positive root beta with nu - beta^vee
+    dominant and lam <= nu - beta^vee.  So a walk from mu over dominant steps
+    nu -> nu - beta^vee reaches every stratum, and every cover of nu is such a
+    step, one whose coroot coefficients are minimal among them (_covers).
     """
     system = mu.system
-    rank = system.rank
-    cols = system.columns
-    budget = two_rho_pairing(mu) // 2
-    found: list[tuple[Coweight, IntVec]] = []
-    c = [0] * rank
-
-    def descend(j: int, remaining: int, p: IntVec) -> None:
-        if j == rank:
-            if all(x >= 0 for x in p):
-                found.append((Coweight(system, p), tuple(c)))
-            return
-        col = cols[j]
-        for cj in range(remaining + 1):
-            c[j] = cj
-            descend(j + 1, remaining - cj, tuple(x - cj * y for x, y in zip(p, col)))
-        c[j] = 0
-
-    descend(0, budget, mu.pairings)
-    found.sort(key=lambda pair: (-two_rho_pairing(pair[0]), pair[0].pairings))
-    return found
+    gaps = {mu.pairings: (0,) * system.rank}
+    queue = [mu.pairings]
+    for p in queue:  # the queue grows while it is walked: breadth first
+        for q, coeffs in _dominant_steps(system, p):
+            if q not in gaps:
+                gaps[q] = tuple(a + b for a, b in zip(gaps[p], coeffs))
+                queue.append(q)
+    return [
+        (Coweight(system, p), gaps[p])
+        for p in sorted(gaps, key=lambda p: _stratum_key(system, p))
+    ]
 
 
 def dominant_below(mu: Coweight) -> list[Coweight]:
@@ -165,30 +183,35 @@ def _componentwise_lt(a: IntVec, b: IntVec) -> bool:
     return a != b and all(x <= y for x, y in zip(a, b))
 
 
+def _covers(system: FiniteRootSystem, p: IntVec) -> list[tuple[Coweight, IntVec]]:
+    """Covers of the dominant p, each with the coefficients of p - cover; stratum order.
+
+    A dominant step is a cover unless another one drops by componentwise less:
+    that step's target lies strictly between p and this one's.
+    """
+    steps = _dominant_steps(system, p)
+    covers = [
+        (q, coeffs)
+        for q, coeffs in steps
+        if not any(_componentwise_lt(other, coeffs) for _, other in steps)
+    ]
+    covers.sort(key=lambda step: _stratum_key(system, step[0]))
+    return [(Coweight(system, q), coeffs) for q, coeffs in covers]
+
+
 def minimal_degenerations(mu: Coweight) -> list[DegenerationEdge]:
     """Every covering pair of the dominance order on dominant_below(mu)."""
     _require_dominant_pair(mu, mu)
     system = mu.system
-    pairs = _below_with_gaps(mu)
     edges: list[DegenerationEdge] = []
-    for upper, cu in pairs:
-        under = [
-            (lower, tuple(a - b for a, b in zip(cl, cu)))
-            for lower, cl in pairs
-            if _componentwise_lt(cu, cl)
-        ]
-        gaps = [gap for _, gap in under]
-        for lower, gap in under:
-            if any(_componentwise_lt(other, gap) for other in gaps if any(other)):
-                continue
+    for upper, _ in _below_with_gaps(mu):
+        for lower, gap in _covers(system, upper.pairings):
             support = tuple(i for i, x in enumerate(gap) if x)
             case = _classify(upper, lower, gap)
             edges.append(
                 DegenerationEdge(upper, lower, CorootVector(system, gap), support, case)
             )
-    edges.sort(
-        key=lambda e: (-two_rho_pairing(e.mu), e.mu.pairings, e.lam.pairings)
-    )
+    edges.sort(key=lambda e: (-two_rho_pairing(e.mu), e.mu.pairings, e.lam.pairings))
     return edges
 
 
@@ -200,6 +223,17 @@ def _canonical_sdc(label: str) -> IntVec:
     return short_dominant_coroot(build_root_system(label)).coefficients
 
 
+def _support_components(
+    system: FiniteRootSystem, support: IntVec
+) -> tuple[tuple[str, IntVec], ...]:
+    """Irreducible components of the simple roots in support, in ambient indices."""
+    sub_cartan = tuple(tuple(system.cartan[i][j] for j in support) for i in support)
+    return tuple(
+        (label, tuple(support[k] for k in order))
+        for label, order in recognize_components(sub_cartan)
+    )
+
+
 def _classify(mu: Coweight, lam: Coweight, gap: IntVec) -> int:
     """Match a covering pair against the five minimal-degeneration shapes.
 
@@ -207,9 +241,8 @@ def _classify(mu: Coweight, lam: Coweight, gap: IntVec) -> int:
     one: a rank-one support with lam vanishing on it belongs to the orbit
     pattern, not the simple-root pattern.
     """
-    system = mu.system
     support = tuple(i for i, x in enumerate(gap) if x)
-    components = sub_system(system, support).ambient_components()
+    components = _support_components(mu.system, support)
     if len(components) == 1:
         label, order = components[0]
         sdc = _canonical_sdc(label)
@@ -344,13 +377,7 @@ def smooth_locus_report(mu: Coweight, datum: TwistedDatum) -> SmoothLocusReport:
         raise ValueError("mu must live in the datum's folded root system")
     _require_dominant_pair(mu, mu)
     pairs = _below_with_gaps(mu)
-    nonzero = [(lam, gap) for lam, gap in pairs if any(gap)]
-    gaps = [gap for _, gap in nonzero]
-    covers = [
-        (lam, gap)
-        for lam, gap in nonzero
-        if not any(_componentwise_lt(other, gap) for other in gaps)
-    ]
+    covers = _covers(mu.system, mu.pairings)
     certificates = {lam: certificate(mu, lam, datum) for lam, _ in covers}
     strata: list[StratumReport] = []
     for lam, gap in pairs:

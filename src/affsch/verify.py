@@ -289,7 +289,7 @@ def _suite_edge_sweep(kind: str, max_rank: int, max_pairing: int, jobs: int) -> 
     else:
         bad = [row for row in rows if row["root_bound"] < row["dim"]]
     return SuiteResult(
-        kind if kind != "stembridge" else "stembridge",
+        kind,
         not bad,
         None,
         len(rows),

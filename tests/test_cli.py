@@ -170,3 +170,12 @@ def test_jobs_default_comes_from_environment(monkeypatch):
     parser = build_parser()
     args = parser.parse_args(["verify", "--suite", "sl2-factorization"])
     assert args.jobs == 1
+
+
+def test_malformed_jobs_environment_exits_two(capsys, monkeypatch):
+    # the parser rejects the value before any suite or worker starts
+    monkeypatch.setenv("AFFSCH_JOBS", "abc")
+    code, out, err = run(capsys, "verify", "--suite", "stembridge")
+    assert code == 2
+    assert out == ""
+    assert "error:" in err and "'abc'" in err

@@ -10,6 +10,7 @@ from affsch.rootsys import (
     two_rho_pairing,
 )
 from affsch.schubert import (
+    _below_with_gaps,
     certificate,
     classify_degeneration,
     dominant_below,
@@ -21,6 +22,7 @@ from affsch.schubert import (
     smooth_locus_report,
 )
 from affsch.twist import twisted_datum
+from affsch.verify import SWEEP_TYPES
 
 
 def cw(label: str, pairings) -> Coweight:
@@ -33,9 +35,10 @@ def cw(label: str, pairings) -> Coweight:
 def box_scan_below(mu: Coweight) -> set:
     """Dominant strata below mu, found by scanning a box of pairing vectors.
 
-    Deliberately a different search space from the library's coroot-coefficient
-    simplex: for dominant lam <= mu, <lam,alpha_i> is one summand of
-    <lam,2rho> <= <mu,2rho>, so each pairing entry is bounded by <mu,2rho>.
+    Deliberately a different search space from the coroot-coefficient simplex
+    below and from the library's step walk: for dominant lam <= mu,
+    <lam,alpha_i> is one summand of <lam,2rho> <= <mu,2rho>, so each pairing
+    entry is bounded by <mu,2rho>.
     """
     system = mu.system
     bound = two_rho_pairing(mu)
@@ -51,6 +54,69 @@ def box_scan_below(mu: Coweight) -> set:
             scan(prefix + [v])
 
     scan([])
+    return out
+
+
+def simplex_scan_below(mu: Coweight) -> list:
+    """(lam, coroot coefficients of mu - lam) for dominant lam <= mu, in stratum order.
+
+    Scans every coefficient vector c >= 0 with sum(c) <= <mu,2rho>/2, sound
+    because each simple coroot pairs to 2 with 2rho and <lam,2rho> stays
+    nonnegative.  Exponential in the rank; the library walks Stembridge steps.
+    """
+    system = mu.system
+    rank = system.rank
+    cols = system.columns
+    budget = two_rho_pairing(mu) // 2
+    found = []
+    c = [0] * rank
+
+    def descend(j, remaining, p):
+        if j == rank:
+            if all(x >= 0 for x in p):
+                found.append((Coweight(system, p), tuple(c)))
+            return
+        col = cols[j]
+        for cj in range(remaining + 1):
+            c[j] = cj
+            descend(j + 1, remaining - cj, tuple(x - cj * y for x, y in zip(p, col)))
+        c[j] = 0
+
+    descend(0, budget, mu.pairings)
+    found.sort(key=lambda pair: (-two_rho_pairing(pair[0]), pair[0].pairings))
+    return found
+
+
+def _strictly_below(a, b) -> bool:
+    return a != b and all(x <= y for x, y in zip(a, b))
+
+
+def gap_covers(pairs) -> set:
+    """Covering pairs among (lam, gap) rows: gap order with nothing strictly between."""
+    return {
+        (upper, lower)
+        for upper, cu in pairs
+        for lower, cl in pairs
+        if _strictly_below(cu, cl)
+        and not any(
+            _strictly_below(cu, cm) and _strictly_below(cm, cl) for _, cm in pairs
+        )
+    }
+
+
+def dominant_up_to(system, bound: int) -> list:
+    """Every dominant pairing vector p with <p,2rho> <= bound, in or off the coroot lattice."""
+    h = system.two_rho_coefficients
+    out = []
+
+    def rec(prefix, total):
+        if len(prefix) == system.rank:
+            out.append(tuple(prefix))
+            return
+        for v in range((bound - total) // h[len(prefix)] + 1):
+            rec(prefix + [v], total + v * h[len(prefix)])
+
+    rec([], 0)
     return out
 
 
@@ -126,9 +192,47 @@ def test_dominant_below_vs_box_scan(label, p):
     assert set(dominant_below(mu)) == box_scan_below(mu)
 
 
+TWISTED_LABELS = ("2A2", "2A3", "2A4", "2A5", "2D4", "2D5", "3D4", "2E6")
+# Every dominant mu with <mu,2rho> up to this: 970 tops, over a hundred for
+# A2-A4 but only 3-4 for F4 and E6, where the simplex oracle grows too fast
+# (in rank and pairing) to go further within a few seconds.
+DIFFERENTIAL_PAIRING = 28
+
+
+@pytest.mark.parametrize(
+    "label", SWEEP_TYPES + ("F4", "B5", "D5", "E6") + TWISTED_LABELS
+)
+def test_below_with_gaps_vs_simplex_scan(label):
+    if label[0].isdigit():
+        system = twisted_datum(label).echelonnage
+    else:
+        system = build_root_system(label)
+    for p in dominant_up_to(system, DIFFERENTIAL_PAIRING):
+        mu = Coweight(system, p)
+        pairs = simplex_scan_below(mu)
+        # same strata, same gaps, same order
+        assert _below_with_gaps(mu) == pairs, p
+        edges = minimal_degenerations(mu)
+        assert {(e.mu, e.lam) for e in edges} == gap_covers(pairs), p
+
+
 @pytest.mark.parametrize(
     "label,p",
-    [("A2", (2, 2)), ("C2", (2, 1)), ("G2", (1, 1)), ("A1", (6,)), ("B3", (1, 1, 0))],
+    [
+        ("A2", (2, 2)),
+        ("C2", (2, 1)),
+        ("G2", (1, 1)),
+        ("A1", (6,)),
+        ("B3", (1, 1, 0)),
+        ("A3", (1, 0, 1)),
+        ("A4", (1, 0, 0, 1)),
+        ("B2", (1, 1)),
+        ("B4", (1, 0, 0, 0)),
+        ("C3", (1, 0, 1)),
+        ("C4", (1, 0, 0, 0)),
+        ("D4", (1, 0, 1, 0)),
+        ("G2", (2, 1)),
+    ],
 )
 def test_minimal_degenerations_vs_brute_covers(label, p):
     mu = cw(label, p)
@@ -351,6 +455,16 @@ def test_smooth_locus_reports():
 
     trivial = smooth_locus_report(Coweight(a1.echelonnage, (0,)), a1)
     assert len(trivial.strata) == 1 and trivial.strata[0].status == "smooth"
+
+
+def test_smooth_locus_via_is_first_singular_cover_in_stratum_order():
+    datum = twisted_datum("A2")
+    report = smooth_locus_report(Coweight(datum.echelonnage, (2, 2)), datum)
+    deep = next(s for s in report.strata if s.lam.pairings == (1, 1))
+    assert deep.mechanism == "openness-propagation"
+    # (0,3) and (3,0) both cover (2,2) at equal dimension; stratum order puts
+    # (0,3) first, while the positive-root order would reach (3,0) first
+    assert deep.via.pairings == (0, 3)
 
 
 def test_smooth_locus_c2_case3():
