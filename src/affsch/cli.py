@@ -17,7 +17,6 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import asdict
 
 from affsch import __version__
 from affsch.loopalg import (
@@ -30,13 +29,13 @@ from affsch.loopalg import (
     root_lines_at_degree,
 )
 from affsch.rootsys import Coweight, two_rho_pairing
-from affsch.schubert import (
-    certificate,
-    dominant_below,
-    minimal_degenerations,
-    smooth_locus_report,
+from affsch.schubert import certificate, minimal_degenerations, smooth_locus_report
+from affsch.twist import (
+    affine_roots_negative_at_vertex,
+    cartan_sigma_dim,
+    sigma_affine_to_relative,
+    twisted_datum,
 )
-from affsch.twist import cartan_sigma_dim, sigma_affine_to_relative, twisted_datum
 from affsch.verify import SUITES, run_suite, vector_rows
 
 SCHEMA_VERSION = 1
@@ -162,6 +161,17 @@ def _cmd_analyze(args) -> int:
 # -- poset ---------------------------------------------------------------------
 
 
+def _poset_strata(mu: Coweight, edges) -> list[Coweight]:
+    """dominant_below(mu), read off the covering edges of minimal_degenerations(mu).
+
+    Every stratum but the lowest is the upper end of a cover, and the edges
+    come in stratum order of their upper ends, mu first.
+    """
+    uppers = list(dict.fromkeys(edge.mu.pairings for edge in edges)) or [mu.pairings]
+    lowest = {edge.lam.pairings for edge in edges}.difference(uppers)
+    return [Coweight(mu.system, p) for p in uppers + sorted(lowest)]
+
+
 def _cmd_poset(args) -> int:
     datum = twisted_datum(args.type)
     system = datum.echelonnage
@@ -169,8 +179,8 @@ def _cmd_poset(args) -> int:
     if any(v < 0 for v in mu_vec):
         raise ValueError("--mu must be dominant: all entries nonnegative")
     mu = Coweight(system, mu_vec)
-    strata = dominant_below(mu)
     edges = minimal_degenerations(mu)
+    strata = _poset_strata(mu, edges)
     result = {
         "datum": _describe_datum(datum),
         "mu": list(mu_vec),
@@ -212,11 +222,9 @@ def _cmd_verify(args) -> int:
         seed=args.seed,
         jobs=args.jobs,
     )
-    result = asdict(outcome)
-    result["instances"] = list(result["instances"])
-    result["counterexamples"] = list(result["counterexamples"])
     if args.json:
-        _emit_json("verify", _request_fields(args), result)
+        # json writes the tuples of a SuiteResult as arrays, so no copy is needed
+        _emit_json("verify", _request_fields(args), vars(outcome))
     else:
         status = "PASS" if outcome.passed else "FAIL"
         print(f"suite {outcome.suite}: {status} ({outcome.instances_checked} instances)")
@@ -257,12 +265,12 @@ def _cmd_loopcheck(args) -> int:
             )
         degrees.append({"degree": n, "lines": len(lines), "vectors": vectors})
     directions = []
-    for root in datum.echelonnage.roots:
+    for root, level in affine_roots_negative_at_vertex(datum, 1):
         try:
-            vec = cartan_direction(datum, (root, -1))
+            vec = cartan_direction(datum, (root, level))
         except ValueError:
             continue
-        directions.append({"root": list(root), "level": -1, "terms": vector_rows(vec)})
+        directions.append({"root": list(root), "level": level, "terms": vector_rows(vec)})
     result = {
         "datum": _describe_datum(datum),
         "window": window,
@@ -337,6 +345,17 @@ def _emit_json(command: str, request: dict, result: dict) -> None:
     print(json.dumps(_document(command, request, result), indent=2, sort_keys=True))
 
 
+def _jobs(text: str) -> int:
+    """--jobs and AFFSCH_JOBS: a worker count of at least 1."""
+    try:
+        value = int(text)
+    except ValueError:
+        value = 0
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"expected an integer of at least 1, got {text!r}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="affsch",
@@ -363,8 +382,8 @@ def build_parser() -> argparse.ArgumentParser:
     verify.add_argument("--max-pairing", dest="max_pairing", type=int, default=14)
     verify.add_argument("--window", type=int, default=4)
     verify.add_argument("--seed", type=int, default=0)
-    # argparse runs type=int on this string default too: a bad AFFSCH_JOBS exits 2
-    verify.add_argument("--jobs", type=int, default=os.environ.get("AFFSCH_JOBS", "1"))
+    # argparse runs the type on this string default too: a bad AFFSCH_JOBS exits 2
+    verify.add_argument("--jobs", type=_jobs, default=os.environ.get("AFFSCH_JOBS", "1"))
     verify.add_argument("--json", action="store_true")
     verify.set_defaults(func=_cmd_verify)
 

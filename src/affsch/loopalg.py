@@ -22,11 +22,14 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
-from affsch.rootsys import FiniteRootSystem, IntVec, Root, build_root_system
+from affsch.rootsys import FiniteRootSystem, IntVec, Root, _gauss_jordan, build_root_system
 from affsch.twist import (
     RelativeAffineRoot,
     TwistedDatum,
+    _act,
+    _cycle,
     level_set,
+    relative_to_sigma_level,
     sigma_affine_to_relative,
 )
 
@@ -71,8 +74,11 @@ class CycScalar:
             return CycScalar.of(e, 0, 1)
         return CycScalar.of(e, -1, -1)  # zeta^2 for e = 3
 
+    def __bool__(self) -> bool:
+        return bool(self.a) or bool(self.b)
+
     def is_zero(self) -> bool:
-        return self.a == 0 and self.b == 0
+        return not self
 
     def _check(self, other: "CycScalar") -> None:
         if self.e != other.e:
@@ -97,7 +103,7 @@ class CycScalar:
         return CycScalar(3, a * c - b * d, a * d + b * c - b * d)
 
     def inverse(self) -> "CycScalar":
-        if self.is_zero():
+        if not self:
             raise ZeroDivisionError("inverting zero cyclotomic scalar")
         if self.e != 3:
             return CycScalar(self.e, 1 / self.a, Fraction(0))
@@ -106,6 +112,11 @@ class CycScalar:
 
     def __truediv__(self, other: "CycScalar") -> "CycScalar":
         return self * other.inverse()
+
+    def __rtruediv__(self, other: Rational) -> "CycScalar":
+        """r / x for rational r, so that 1 / x inverts as it does for a Fraction."""
+        inv = self.inverse()
+        return inv if other == 1 else inv.scale(other)
 
     def scale(self, r: Rational) -> "CycScalar":
         r = Fraction(r)
@@ -248,12 +259,6 @@ class Sigma0Map:
         self._signs = self._extend()
         self.order = self._verify()
 
-    def _act_root(self, m: Root) -> Root:
-        out = [0] * len(m)
-        for i, mi in enumerate(m):
-            out[self.perm[i]] = mi
-        return tuple(out)
-
     def _extend(self) -> dict[Root, int]:
         system = self.algebra.system
         cart = system.cartan
@@ -277,9 +282,7 @@ class Sigma0Map:
                 n_old = self.algebra.n_constant(delta, alpha)
                 if n_old == 0:
                     continue
-                n_new = self.algebra.n_constant(
-                    self._act_root(delta), self._act_root(alpha)
-                )
+                n_new = self.algebra.n_constant(_act(self.perm, delta), _act(self.perm, alpha))
                 signs[gamma] = signs[delta] * n_new // n_old
                 break
             else:
@@ -306,24 +309,18 @@ class Sigma0Map:
                 right = {k: v for k, v in right.items() if v}
                 if left != right:
                     raise AssertionError("sigma0 extension breaks a bracket")
+        # sigma0 permutes the symbols: _extend rejects a perm that is not a
+        # diagram automorphism, so every cycle closes
         order = 1
         for sym in symbols:
-            c, s, steps = 1, sym, 0
-            while True:
-                ci, s = self.image_symbol(s)
-                c *= ci
-                steps += 1
-                if s == sym:
-                    break
-                if steps > 6:
-                    raise AssertionError("sigma0 orbit failed to close")
-            if c != 1:
-                steps *= 2  # sign closes only after a second pass
-            order = math.lcm(order, steps)
+            cycle = _cycle(lambda s: self.image_symbol(s)[1], sym)
+            sign = math.prod(self.image_symbol(s)[0] for s in cycle)
+            # a sign that does not close needs a second pass
+            order = math.lcm(order, len(cycle) if sign == 1 else 2 * len(cycle))
         return order
 
     def image(self, gamma: Root) -> tuple[int, Root]:
-        return self._signs[gamma], self._act_root(gamma)
+        return self._signs[gamma], _act(self.perm, gamma)
 
     def image_symbol(self, sym: Symbol) -> tuple[int, Symbol]:
         if sym[0] == "H":
@@ -357,7 +354,7 @@ class LoopVector:
             key = (sym, n)
             acc[key] = acc[key] + c if key in acc else c
         terms = tuple(
-            (sym, n, c) for (sym, n), c in sorted(acc.items()) if not c.is_zero()
+            (sym, n, c) for (sym, n), c in sorted(acc.items()) if c
         )
         return LoopVector(algebra, e, terms)
 
@@ -433,21 +430,6 @@ def sigma_action(datum: TwistedDatum, v: LoopVector) -> LoopVector:
     return LoopVector.make(v.algebra, e, items)
 
 
-def _validate_relative(rel: RelativeAffineRoot) -> None:
-    d = len(rel.orbit)
-    if rel.case == "case1":
-        if (rel.m * d).denominator != 1:
-            raise ValueError("level outside the (1/d)Z progression")
-    elif rel.case == "case2a":
-        if d != 2 or (rel.m * 2).denominator != 1:
-            raise ValueError("level outside the (1/2)Z progression")
-    elif rel.case == "case2b":
-        if d != 1 or (rel.m - Fraction(1, 2)).denominator != 1:
-            raise ValueError("level outside the 1/2 + Z progression")
-    else:
-        raise ValueError(f"unknown case {rel.case!r}")
-
-
 def make_e_a(datum: TwistedDatum, rel: RelativeAffineRoot) -> LoopVector:
     """The invariant vector spanning the root line of a relative affine root.
 
@@ -456,7 +438,7 @@ def make_e_a(datum: TwistedDatum, rel: RelativeAffineRoot) -> LoopVector:
     specializes to the orbit sum, the two-term pair, and the single fixed
     vector respectively.  The result is checked to be sigma-fixed.
     """
-    _validate_relative(rel)
+    relative_to_sigma_level(datum, rel)  # ValueError off the correspondence
     ctx = loop_context(datum)
     e = datum.e
     n = rel.u_degree(e)
@@ -532,24 +514,7 @@ def cartan_direction(datum: TwistedDatum, a) -> LoopVector:
 def _rank(rows: list[list[CycScalar]]) -> int:
     if not rows:
         return 0
-    rows = [row[:] for row in rows]
-    cols = len(rows[0])
-    rank = 0
-    for col in range(cols):
-        pivot = next(
-            (r for r in range(rank, len(rows)) if not rows[r][col].is_zero()), None
-        )
-        if pivot is None:
-            continue
-        rows[rank], rows[pivot] = rows[pivot], rows[rank]
-        inv = rows[rank][col].inverse()
-        rows[rank] = [x * inv for x in rows[rank]]
-        for r in range(len(rows)):
-            if r != rank and not rows[r][col].is_zero():
-                f = rows[r][col]
-                rows[r] = [x - f * y for x, y in zip(rows[r], rows[rank])]
-        rank += 1
-    return rank
+    return len(_gauss_jordan([row[:] for row in rows], len(rows[0])))
 
 
 @dataclass(frozen=True)
@@ -581,15 +546,9 @@ def root_lines_at_degree(datum: TwistedDatum, n: int) -> tuple[tuple[Root, int],
     m = Fraction(n, datum.e)
     for root in datum.echelonnage.roots:
         for prog in level_set(datum, root):
-            if (m - prog.offset) % prog.step != 0:
-                continue
-            if prog.case == "case1":
-                k = int(m * prog.orbit_size)
-            elif prog.case == "case2a":
-                k = int(m * 4)
-            else:
-                k = int(m * 2)
-            out.append((root, k))
+            k = prog.sigma_level(m)
+            if k is not None:
+                out.append((root, k))
     return tuple(sorted(out))
 
 
@@ -651,7 +610,7 @@ class LaurentMatrix:
             value = CycScalar.of(self.e, value)
         cell = self.entries.setdefault((i, j), {})
         cell[n] = cell[n] + value if n in cell else value
-        if cell[n].is_zero():
+        if not cell[n]:
             del cell[n]
             if not cell:
                 del self.entries[(i, j)]
@@ -703,7 +662,7 @@ class LaurentMatrix:
         for i in range(self.size):
             for n, v in self.entries.get((i, i), {}).items():
                 acc[n] = acc[n] + v if n in acc else v
-        return {n: v for n, v in acc.items() if not v.is_zero()}
+        return {n: v for n, v in acc.items() if v}
 
     def min_exponent(self) -> int:
         exps = [n for cell in self.entries.values() for n in cell]
@@ -798,7 +757,7 @@ def verify_sl2_factorization(k: int, x) -> bool:
         for n2, v2 in c.items():
             key = n1 + n2
             det_terms[key] = det_terms.get(key, CycScalar.of(1, 0)) - v1 * v2
-    det_terms = {n: v for n, v in det_terms.items() if not v.is_zero()}
+    det_terms = {n: v for n, v in det_terms.items() if v}
     if det_terms != {0: CycScalar.of(1, 1)}:
         return False
     return opposite @ translation @ plus_part == left

@@ -12,6 +12,7 @@ coefficients c has pairing vector cartan . c.
 
 from __future__ import annotations
 
+import math
 import re
 from dataclasses import dataclass
 from fractions import Fraction
@@ -157,28 +158,30 @@ def _root_closure(cartan: Matrix) -> tuple[Root, ...]:
     return tuple(sorted(pos, key=lambda m: (sum(m), m)))
 
 
-def _inverse_and_det(cartan: Matrix) -> tuple[list[list[Fraction]], Fraction]:
-    n = len(cartan)
-    aug = [
-        [Fraction(cartan[i][j]) for j in range(n)] + [Fraction(1 if i == k else 0) for k in range(n)]
-        for i in range(n)
-    ]
-    det = Fraction(1)
-    for col in range(n):
-        piv = next((r for r in range(col, n) if aug[r][col] != 0), None)
+def _gauss_jordan(rows: list[list], ncols: int) -> list:
+    """Reduce rows in place to reduced row-echelon form on their first ncols columns.
+
+    Works over any exact field whose elements have a truth value and a
+    reciprocal 1 / x (Fraction, loopalg.CycScalar).  Each pivot row is scaled
+    by one inverse and cleared out of every other row.  Returns the pivots in
+    the order found, before scaling; their number is the rank.
+    """
+    pivots = []
+    for col in range(ncols):
+        rank = len(pivots)
+        piv = next((r for r in range(rank, len(rows)) if rows[r][col]), None)
         if piv is None:
-            raise ValueError("singular Cartan matrix")
-        if piv != col:
-            aug[col], aug[piv] = aug[piv], aug[col]
-            det = -det
-        det *= aug[col][col]
-        scale = 1 / aug[col][col]
-        aug[col] = [x * scale for x in aug[col]]
-        for r in range(n):
-            if r != col and aug[r][col] != 0:
-                f = aug[r][col]
-                aug[r] = [x - f * y for x, y in zip(aug[r], aug[col])]
-    return [row[n:] for row in aug], det
+            continue
+        rows[rank], rows[piv] = rows[piv], rows[rank]
+        pivot = rows[rank][col]
+        pivots.append(pivot)
+        inv = 1 / pivot
+        rows[rank] = [x * inv for x in rows[rank]]
+        for r in range(len(rows)):
+            if r != rank and rows[r][col]:
+                f = rows[r][col]
+                rows[r] = [x - f * y for x, y in zip(rows[r], rows[rank])]
+    return pivots
 
 
 class FiniteRootSystem:
@@ -214,6 +217,26 @@ class FiniteRootSystem:
             for j in range(rank):
                 if self.bilinear[i][j] != self.bilinear[j][i]:
                     raise ValueError("length function is inconsistent with the Cartan matrix")
+        # Sylvester's criterion, before the reflection closure, which never
+        # ends on a non-finite type.  The leading minors of cartan are those of
+        # the symmetric bilinear = cartan . diag(half_norms) up to positive
+        # factors, and the k-th is the product of the first k pivots unless a
+        # row swap came first.  Elimination keeps the off-diagonal entries
+        # nonpositive while the pivots are positive, so a swap brings in a
+        # negative pivot: rank many positive pivots is the criterion.
+        aug = [
+            [Fraction(x) for x in row] + [Fraction(int(i == k)) for k in range(rank)]
+            for i, row in enumerate(cartan)
+        ]
+        pivots = _gauss_jordan(aug, rank)
+        if len(pivots) < rank or any(p <= 0 for p in pivots):
+            raise ValueError("Cartan matrix is not positive definite")
+        det = math.prod(pivots)
+        adj = [[x * det for x in row[rank:]] for row in aug]
+        if any(x.denominator != 1 for row in adj for x in row):
+            raise AssertionError("adjugate must be integral")
+        self.det = int(det)
+        self.adjugate = tuple(tuple(int(x) for x in row) for row in adj)
         self.positive_roots = _root_closure(cartan)
         negatives = tuple(tuple(-c for c in m) for m in self.positive_roots)
         self.roots = self.positive_roots + negatives
@@ -221,20 +244,6 @@ class FiniteRootSystem:
         self.two_rho_coefficients = tuple(
             sum(m[i] for m in self.positive_roots) for i in range(rank)
         )
-        inv, det = _inverse_and_det(cartan)
-        if det <= 0 or det.denominator != 1:
-            raise ValueError("Cartan matrix is not positive definite")
-        self.det = int(det)
-        adj = []
-        for row in inv:
-            adj_row = []
-            for x in row:
-                y = x * det
-                if y.denominator != 1:
-                    raise AssertionError("adjugate must be integral")
-                adj_row.append(int(y))
-            adj.append(tuple(adj_row))
-        self.adjugate = tuple(adj)
         self.columns = tuple(tuple(cartan[j][i] for j in range(rank)) for i in range(rank))
         self.norms = tuple(self.root_norm2(m) for m in self.roots)
         self.components = recognize_components(cartan)
@@ -247,9 +256,13 @@ class FiniteRootSystem:
     def is_irreducible(self) -> bool:
         return len(self.components) == 1
 
+    def form(self, a: Root, b: Root) -> int:
+        """The invariant bilinear form (a, b) on root coefficients; short roots have (a, a) = 2."""
+        bil = self.bilinear
+        return sum(ai * bj * bil[i][j] for i, ai in enumerate(a) if ai for j, bj in enumerate(b) if bj)
+
     def root_norm2(self, m: Root) -> int:
-        b = self.bilinear
-        return sum(mi * mj * b[i][j] for i, mi in enumerate(m) if mi for j, mj in enumerate(m) if mj)
+        return self.form(m, m)
 
     def root_half_norm(self, m: Root) -> int:
         n2 = self.root_norm2(m)

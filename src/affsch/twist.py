@@ -19,10 +19,11 @@ Only the doubled orbits of A_{2n} with the flip produce cases 2a/2b.
 
 from __future__ import annotations
 
+import math
 import re
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, partial
 
 from affsch.rootsys import (
     Coweight,
@@ -50,6 +51,12 @@ class LevelProgression:
     offset: Fraction
     step: Fraction
     orbit_size: int
+
+    def sigma_level(self, m: Fraction) -> int | None:
+        """The Sigma-level at relative level m, or None when m is off the progression."""
+        if (m - self.offset) % self.step:
+            return None
+        return int(m * _sigma_scale(self.case, self.orbit_size))
 
 
 @dataclass(frozen=True)
@@ -103,20 +110,24 @@ def default_sigma0(letter: str, rank: int, e: int) -> IntVec:
     raise ValueError(f"no default diagram automorphism of order {e} for {letter}{rank}")
 
 
+def _cycle(step, x) -> tuple:
+    """The cycle through x of the permutation step (a function), sorted."""
+    cycle = [x]
+    while (y := step(cycle[-1])) != x:
+        cycle.append(y)
+    return tuple(sorted(cycle))
+
+
+def _cycles(perm: IntVec) -> list[IntVec]:
+    """The cycles of a permutation of the simple indices, by smallest member."""
+    return sorted({_cycle(perm.__getitem__, i) for i in range(len(perm))})
+
+
 def _act(perm: IntVec, m: Root) -> Root:
     out = [0] * len(m)
     for i, mi in enumerate(m):
         out[perm[i]] = mi
     return tuple(out)
-
-
-def _orbit(perm: IntVec, m: Root) -> tuple[Root, ...]:
-    orb = [m]
-    cur = _act(perm, m)
-    while cur != m:
-        orb.append(cur)
-        cur = _act(perm, cur)
-    return tuple(sorted(orb))
 
 
 def _vec_add(a: Root, b: Root) -> Root:
@@ -166,22 +177,8 @@ class TwistedDatum:
     def _build_sigma(self) -> None:
         absolute, perm = self.absolute, self.sigma0
         rank = absolute.rank
-        seen: set[int] = set()
-        simple_orbits: list[tuple[int, ...]] = []
-        for i in range(rank):
-            if i in seen:
-                continue
-            orb = [i]
-            j = perm[i]
-            while j != i:
-                orb.append(j)
-                j = perm[j]
-            seen.update(orb)
-            simple_orbits.append(tuple(sorted(orb)))
-        simple_orbits.sort()
-
         basis: list[Root] = []
-        for orb in simple_orbits:
+        for orb in _cycles(perm):
             v = [0] * rank
             for i in orb:
                 v[i] = 1
@@ -197,19 +194,8 @@ class TwistedDatum:
             )
             return
 
-        bil = absolute.bilinear
-
-        def form(a: Root, b: Root) -> int:
-            return sum(
-                ai * bj * bil[i][j]
-                for i, ai in enumerate(a)
-                if ai
-                for j, bj in enumerate(b)
-                if bj
-            )
-
         n = len(basis)
-        gram = [[form(basis[k], basis[l]) for l in range(n)] for k in range(n)]
+        gram = [[absolute.form(basis[k], basis[l]) for l in range(n)] for k in range(n)]
         cart = []
         for k in range(n):
             row = []
@@ -232,7 +218,7 @@ class TwistedDatum:
         for m in absolute.positive_roots:
             if m in done:
                 continue
-            orb = _orbit(perm, m)
+            orb = _cycle(partial(_act, perm), m)
             done.update(orb)
             orbits.append(orb)
 
@@ -260,15 +246,8 @@ class TwistedDatum:
             else:
                 raise AssertionError("orbit sum matches no folded root")
 
-        bil = absolute.bilinear
-
         def orthogonal(orb: tuple[Root, ...]) -> bool:
-            return all(
-                sum(ai * bj * bil[i][j] for i, ai in enumerate(a) if ai for j, bj in enumerate(b) if bj) == 0
-                for a in orb
-                for b in orb
-                if a < b
-            )
+            return all(absolute.form(a, b) == 0 for a in orb for b in orb if a < b)
 
         meta: dict[Root, _OrbitData] = {}
         for root in sigma.positive_roots:
@@ -344,14 +323,7 @@ def build_twisted(
         for j in range(rank):
             if cart[sigma0[i]][sigma0[j]] != cart[i][j]:
                 raise ValueError("sigma0 does not preserve the Cartan matrix")
-    order = 1
-    cur = sigma0
-    ident = tuple(range(rank))
-    while cur != ident:
-        cur = tuple(sigma0[c] for c in cur)
-        order += 1
-        if order > 3:
-            break
+    order = math.lcm(*(len(cycle) for cycle in _cycles(sigma0)))
     if order != e:
         raise ValueError(f"sigma0 has order {order}, expected {e}")
     label = f"{e if e > 1 else ''}{absolute_type}"
@@ -365,15 +337,32 @@ def twisted_datum(label: str) -> TwistedDatum:
     return build_twisted(f"{letter}{rank}", e)
 
 
+def _sigma_scale(case: str, d: int) -> int:
+    """Sigma-levels per unit of relative level over an orbit of size d.
+
+    d in case 1; 2d over a multipliable root, so 4 in case 2a and 2 in case 2b.
+    """
+    return d if case == "case1" else 2 * d
+
+
+@lru_cache(maxsize=16)  # keys: a case name and an orbit size of at most 3
+def _progression(case: str, d: int) -> LevelProgression:
+    """The admissible relative levels of a case whose orbit has d members."""
+    if case == "case1":
+        return LevelProgression(case, Fraction(0), Fraction(1, d), d)
+    if case == "case2a":
+        return LevelProgression(case, Fraction(0), Fraction(1, 2), 2)
+    if case == "case2b":
+        return LevelProgression(case, Fraction(1, 2), Fraction(1), 1)
+    raise ValueError(f"unknown case {case!r}")
+
+
 def level_set(datum: TwistedDatum, sigma_root: Root) -> tuple[LevelProgression, ...]:
     """Admissible relative levels over a root of Sigma."""
     data = datum.orbit_data(sigma_root)
     if not data.multipliable:
-        return (LevelProgression("case1", Fraction(0), Fraction(1, data.d), data.d),)
-    return (
-        LevelProgression("case2a", Fraction(0), Fraction(1, 2), 2),
-        LevelProgression("case2b", Fraction(1, 2), Fraction(1), 1),
-    )
+        return (_progression("case1", data.d),)
+    return _progression("case2a", 2), _progression("case2b", 1)
 
 
 def sigma_affine_to_relative(datum: TwistedDatum, a: AffineRoot) -> RelativeAffineRoot:
@@ -381,23 +370,30 @@ def sigma_affine_to_relative(datum: TwistedDatum, a: AffineRoot) -> RelativeAffi
     sigma_root, k = a
     data = datum.orbit_data(sigma_root)
     if not data.multipliable:
-        return RelativeAffineRoot("case1", data.orbit, Fraction(k, data.d), sigma_root, k)
-    if k % 2:
-        return RelativeAffineRoot("case2b", data.divisible_orbit, Fraction(k, 2), sigma_root, k)
-    return RelativeAffineRoot("case2a", data.orbit, Fraction(k, 4), sigma_root, k)
+        case, orbit = "case1", data.orbit
+    elif k % 2:
+        case, orbit = "case2b", data.divisible_orbit
+    else:
+        case, orbit = "case2a", data.orbit
+    return RelativeAffineRoot(case, orbit, Fraction(k, _sigma_scale(case, len(orbit))), sigma_root, k)
 
 
 def relative_to_sigma_level(datum: TwistedDatum, rel: RelativeAffineRoot) -> int:
-    """Inverse direction of the level correspondence."""
-    if rel.case == "case1":
-        k = rel.m * len(rel.orbit)
-    elif rel.case == "case2a":
-        k = rel.m * 4
-    else:
-        k = rel.m * 2
-    if k.denominator != 1:
-        raise ValueError("relative level is not admissible")
-    return int(k)
+    """Inverse direction of the level correspondence.
+
+    Raises ValueError for an unknown case, an orbit whose size does not fit
+    the case or divide e, or a relative level off the case's progression.
+    """
+    d = len(rel.orbit)
+    if d == 0 or datum.e % d:
+        raise ValueError(f"an orbit of {d} roots does not divide the order {datum.e}")
+    prog = _progression(rel.case, d)
+    if d != prog.orbit_size:
+        raise ValueError(f"{rel.case} needs an orbit of {prog.orbit_size} roots, not {d}")
+    k = prog.sigma_level(rel.m)
+    if k is None:
+        raise ValueError(f"level {rel.m} is outside the {rel.case} progression")
+    return k
 
 
 def translate_affine_root(a: AffineRoot, lam: Coweight) -> AffineRoot:
@@ -413,22 +409,7 @@ def cartan_sigma_dim(datum: TwistedDatum, m: int) -> int:
     full set of L-th roots of unity, so it meets zeta^m exactly when
     e divides m*L.
     """
-    e, perm = datum.e, datum.sigma0
-    seen: set[int] = set()
-    dim = 0
-    for i in range(datum.absolute.rank):
-        if i in seen:
-            continue
-        length = 1
-        j = perm[i]
-        seen.add(i)
-        while j != i:
-            seen.add(j)
-            j = perm[j]
-            length += 1
-        if (m * length) % e == 0:
-            dim += 1
-    return dim
+    return sum(1 for cycle in _cycles(datum.sigma0) if (m * len(cycle)) % datum.e == 0)
 
 
 def affine_roots_negative_at_vertex(

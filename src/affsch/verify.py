@@ -8,6 +8,7 @@ and enough metadata to reproduce the run byte for byte.
 
 from __future__ import annotations
 
+import os
 import random
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
@@ -140,10 +141,11 @@ def _mu_edge_rows(task) -> list[dict]:
 
 
 def _map_tasks(fn, tasks, jobs: int):
-    if jobs <= 1 or len(tasks) < 4:
+    workers = min(jobs, os.cpu_count() or 1)
+    if workers <= 1 or len(tasks) < 4:
         return [fn(t) for t in tasks]
-    with ProcessPoolExecutor(max_workers=jobs) as pool:
-        return list(pool.map(fn, tasks, chunksize=max(1, len(tasks) // (4 * jobs))))
+    with ProcessPoolExecutor(max_workers=workers) as pool:
+        return list(pool.map(fn, tasks, chunksize=max(1, len(tasks) // (4 * workers))))
 
 
 def _canonical(rows: list[dict]) -> tuple[dict, ...]:

@@ -1,12 +1,18 @@
 """End-to-end CLI checks: exit codes, JSON schema, determinism, content."""
 
 import json
+import os
+from itertools import product
 from pathlib import Path
 
 import jsonschema
 import pytest
 
-from affsch.cli import build_parser, main
+from affsch import verify
+from affsch.cli import _poset_strata, build_parser, main
+from affsch.rootsys import Coweight
+from affsch.schubert import dominant_below, minimal_degenerations
+from affsch.twist import twisted_datum
 
 SCHEMA = json.loads(
     (Path(__file__).resolve().parents[1] / "src/affsch/schema/report.schema.json").read_text()
@@ -82,6 +88,8 @@ def test_usage_errors_exit_two(capsys):
         ["loopcheck", "--type", "B3"],
         ["loopcheck", "--type", "3D4", "--window", "9"],
         ["verify", "--suite", "no-such-suite"],
+        ["verify", "--suite", "stembridge", "--jobs", "0"],
+        ["verify", "--suite", "stembridge", "--jobs", "-3"],
         ["analyze"],
     ):
         code, _, err = run(capsys, *argv)
@@ -174,8 +182,51 @@ def test_jobs_default_comes_from_environment(monkeypatch):
 
 def test_malformed_jobs_environment_exits_two(capsys, monkeypatch):
     # the parser rejects the value before any suite or worker starts
-    monkeypatch.setenv("AFFSCH_JOBS", "abc")
-    code, out, err = run(capsys, "verify", "--suite", "stembridge")
-    assert code == 2
-    assert out == ""
-    assert "error:" in err and "'abc'" in err
+    for value in ("abc", "0", "-2"):
+        monkeypatch.setenv("AFFSCH_JOBS", value)
+        code, out, err = run(capsys, "verify", "--suite", "stembridge")
+        assert code == 2
+        assert out == ""
+        assert "error:" in err and f"'{value}'" in err
+
+
+def test_jobs_pool_size_is_clamped_to_cpu_count(capsys, monkeypatch):
+    sizes = []
+
+    class RecordingPool:
+        """Stands in for ProcessPoolExecutor: records max_workers, starts no worker."""
+
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, tasks, chunksize=1):
+            return map(fn, tasks)
+
+    monkeypatch.setattr(verify, "ProcessPoolExecutor", RecordingPool)
+    monkeypatch.setattr(os, "cpu_count", lambda: 3)
+    argv = ("verify", "--suite", "stembridge", "--max-rank", "2", "--max-pairing", "6")
+    code, doc = run_json(capsys, *argv, "--jobs", "100000", "--json")
+    assert code == 0 and sizes == [3]
+    assert doc["request"]["jobs"] == 100000  # the request is echoed as given
+    _, serial = run_json(capsys, *argv, "--jobs", "1", "--json")
+    assert sizes == [3] and doc["result"] == serial["result"]
+    code, doc = run_json(capsys, *argv, "--jobs", "2", "--json")
+    assert code == 0 and sizes == [3, 2]
+
+
+POSET_GRID = [("A1", 4), ("A2", 3), ("A3", 2), ("B2", 3), ("B3", 2), ("C3", 2), ("G2", 3),
+              ("D4", 1), ("F4", 1), ("2A2", 5), ("2A5", 2), ("2D5", 1), ("3D4", 3), ("2E6", 1)]
+
+
+@pytest.mark.parametrize("label,top", POSET_GRID, ids=[label for label, _ in POSET_GRID])
+def test_poset_strata_from_edges_match_dominant_below(label, top):
+    system = twisted_datum(label).echelonnage
+    for p in product(range(top + 1), repeat=system.rank):
+        mu = Coweight(system, p)
+        assert _poset_strata(mu, minimal_degenerations(mu)) == dominant_below(mu), p

@@ -1,0 +1,57 @@
+"""Committed benchmark documents: a Tier-1 guard on byte-identical output.
+
+perfbench/digests.json holds the sha256 of the stdout document of every
+request the benchmark can draw.  This test serves a cheap cross-section of
+them through cli.main (one request per closures slot, every loopcheck with
+--window at most 1, and the six verify suites with their default flags) and
+compares each digest.  It only reads the files under perfbench/.
+"""
+
+import contextlib
+import hashlib
+import importlib.util
+import io
+import json
+import sys
+from pathlib import Path
+
+from affsch.cli import main
+from affsch.verify import SUITES
+
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+
+
+def _load_workloads():
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", PERFBENCH / "workloads.py")
+    module = importlib.util.module_from_spec(spec)
+    dont_write = sys.dont_write_bytecode
+    sys.dont_write_bytecode = True  # leave perfbench/ untouched
+    try:
+        spec.loader.exec_module(module)
+    finally:
+        sys.dont_write_bytecode = dont_write
+    return module
+
+
+def test_documents_match_committed_digests():
+    workloads = _load_workloads()
+    digests = json.loads((PERFBENCH / "digests.json").read_text())
+    slots = workloads.closure_slots()
+    requests = [workloads.closure_request(cmd, label, mus[0]) for cmd, label, mus in slots]
+    loopchecks = [
+        argv
+        for argv in workloads.loop_requests(None)
+        if argv[0] == "loopcheck" and int(argv[argv.index("--window") + 1]) <= 1
+    ]
+    assert len(loopchecks) == 2 * len(workloads.LOOP_TYPES)
+    requests += loopchecks
+    requests += [("verify", "--suite", suite, "--jobs", "1", "--json") for suite in SUITES]
+    mismatches = []
+    for argv in requests:
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            code = main(list(argv))
+        digest = hashlib.sha256(out.getvalue().encode()).hexdigest()
+        if code != 0 or digest != digests[" ".join(argv)]:
+            mismatches.append(" ".join(argv))
+    assert mismatches == []

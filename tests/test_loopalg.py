@@ -27,6 +27,7 @@ from affsch.loopalg import (
     verify_invariant_basis,
     verify_sl2_factorization,
 )
+from affsch.loopalg import _rank
 from affsch.twist import RelativeAffineRoot, sigma_affine_to_relative, twisted_datum
 
 
@@ -56,6 +57,40 @@ def test_cyc_scalar_field_axioms():
     a, b = cyc(3, 2, 1), cyc(3, -1, 4)
     assert (a / b) * b == a
     assert a.scale(Fraction(1, 2)) + a.scale(Fraction(1, 2)) == a
+
+
+def test_cyc_scalar_truth_value_and_reciprocal():
+    zeta = CycScalar.zeta_power(3, 1)
+    assert not cyc(3, 0) and not cyc(2, 0) and zeta and cyc(3, 0, -1)
+    for x in (zeta, cyc(3, 2, -3), cyc(2, Fraction(3, 4)), cyc(1, -5)):
+        assert 1 / x == x.inverse()
+        assert (1 / x) * x == cyc(x.e, 1)
+        assert Fraction(2, 3) / x == x.inverse().scale(Fraction(2, 3))
+    with pytest.raises(ZeroDivisionError):
+        1 / cyc(3, 0)
+
+
+def test_rank_is_exact_over_cyclotomic_scalars():
+    z = CycScalar.zeta_power(3, 1)
+    one, zero = cyc(3, 1), cyc(3, 0)
+    cases = [
+        ([], 0),
+        ([[zero, zero], [zero, zero]], 0),
+        # a zero leading entry forces a row swap
+        ([[zero, one, z], [one, z, zero], [one, z + one, z]], 2),
+        ([[zero, one], [one, zero]], 2),
+        # rank one over Q(zeta) only: the second row is zeta times the first
+        ([[one, z], [z, z * z]], 1),
+        # 1 + zeta + zeta^2 = 0 makes the third row the negated sum of the others
+        ([[one, zero, z], [zero, z, one], [-one, -z, -z - one]], 2),
+        # the leading minor 1 - zeta^3 vanishes; 1 - zeta^2 does not
+        ([[one, z, zero], [z * z, one, z], [zero, zero, one]], 2),
+        ([[one, z, zero], [z, one, z], [zero, zero, one]], 3),
+    ]
+    for rows, expected in cases:
+        before = [row[:] for row in rows]
+        assert _rank(rows) == expected, rows
+        assert rows == before  # the input is left as it was
 
 
 def test_cyc_scalar_low_orders_fold():

@@ -6,7 +6,9 @@ brute-force enumeration of coroot combinations for the dominance order.
 """
 
 import random
-from itertools import product
+import signal
+from contextlib import contextmanager
+from itertools import permutations, product
 
 import pytest
 
@@ -305,6 +307,96 @@ def test_malformed_labels_and_matrices():
         FiniteRootSystem(((2, 1), (1, 2)))
     with pytest.raises(ValueError):
         FiniteRootSystem(((2, -1), (0, 2)))
+
+
+@contextmanager
+def time_limit(seconds: float):
+    """Raise TimeoutError in the test instead of hanging past the limit."""
+
+    def expire(signum, frame):
+        raise TimeoutError(f"still running after {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.setitimer(signal.ITIMER_REAL, seconds)
+    try:
+        yield
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+def _blocks(*blocks):
+    n = sum(len(b) for b in blocks)
+    out = [[0] * n for _ in range(n)]
+    at = 0
+    for b in blocks:
+        for i, row in enumerate(b):
+            out[at + i][at : at + len(b)] = row
+        at += len(b)
+    return tuple(tuple(row) for row in out)
+
+
+@pytest.mark.parametrize(
+    "cartan",
+    [
+        ((2, -2), (-2, 2)),  # affine A1
+        ((2, -1, -1), (-1, 2, -1), (-1, -1, 2)),  # affine A2
+        _blocks(((2, -3), (-3, 2)), ((2, -3), (-3, 2))),  # hyperbolic, det 25
+        _blocks(((2, -1), (-1, 2)), ((2, -2), (-2, 2))),  # A2 + affine A1
+    ],
+    ids=["affine-A1", "affine-A2", "two-hyperbolic-blocks", "A2-plus-affine-A1"],
+)
+def test_non_finite_cartan_matrix_is_rejected_before_the_closure(cartan):
+    with time_limit(2.0), pytest.raises(ValueError, match="positive definite"):
+        FiniteRootSystem(cartan)
+
+
+def _det(m) -> int:
+    """Leibniz expansion: an oracle that shares no code with the elimination."""
+    n = len(m)
+    total = 0
+    for perm in permutations(range(n)):
+        inversions = sum(perm[i] > perm[j] for i in range(n) for j in range(i + 1, n))
+        term = -1 if inversions % 2 else 1
+        for i in range(n):
+            term *= m[i][perm[i]]
+        total += term
+    return total
+
+
+def test_positive_definite_check_matches_leading_minors():
+    # symmetric Cartan-shaped matrices: every 3x3 one with off-diagonal
+    # entries in {0,-1,-2,-3}, and every 4x4 one with entries in {0,-1};
+    # several have a zero leading minor followed by a nonzero entry below it
+    shapes = [(3, (0, -1, -2, -3)), (4, (0, -1))]
+    accepted = rejected = 0
+    with time_limit(10.0):
+        for n, values in shapes:
+            pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+            for entries in product(values, repeat=len(pairs)):
+                m = [[2 if i == j else 0 for j in range(n)] for i in range(n)]
+                for (i, j), v in zip(pairs, entries):
+                    m[i][j] = m[j][i] = v
+                definite = all(_det([row[:k] for row in m[:k]]) > 0 for k in range(1, n + 1))
+                if definite:
+                    assert FiniteRootSystem(m).det == _det(m)
+                    accepted += 1
+                else:
+                    with pytest.raises(ValueError):
+                        FiniteRootSystem(m)
+                    rejected += 1
+    assert accepted and rejected
+
+
+def test_adjugate_times_cartan_is_det_identity():
+    for label in sorted(ROOT_COUNTS):  # every label cartan_matrix supports
+        system = build_root_system(label)
+        a, adj, n = system.cartan, system.adjugate, system.rank
+        assert system.det > 0, label
+        for i in range(n):
+            for j in range(n):
+                entry = sum(adj[i][k] * a[k][j] for k in range(n))
+                assert entry == (system.det if i == j else 0), label
 
 
 def test_coweight_validation():

@@ -8,6 +8,7 @@ from affsch.rootsys import Coweight, build_root_system
 from affsch.twist import (
     ABSOLUTELY_SPECIAL,
     OTHER_SPECIAL,
+    RelativeAffineRoot,
     affine_roots_negative_at_vertex,
     build_twisted,
     cartan_sigma_dim,
@@ -172,6 +173,29 @@ def test_correspondence_round_trip():
                 if rel.case == "case2a":
                     assert k % 2 == 0
                 rel.u_degree(datum.e)
+
+
+def test_relative_to_sigma_level_rejects_inadmissible_input():
+    a2 = twisted_datum("2A2")
+    pair = sigma_affine_to_relative(a2, ((1,), 2)).orbit
+    fixed = sigma_affine_to_relative(a2, ((1,), 1)).orbit
+    bad = [
+        RelativeAffineRoot("case2a", pair, Fraction(1, 4), (1,), 1),  # off (1/2)Z
+        RelativeAffineRoot("case2b", fixed, Fraction(1), (1,), 2),  # off 1/2 + Z
+        RelativeAffineRoot("case9", fixed, Fraction(1, 2), (1,), 1),  # unknown case
+        RelativeAffineRoot("case2a", fixed, Fraction(1, 2), (1,), 2),  # pair case, one root
+        RelativeAffineRoot("case2b", pair, Fraction(1, 2), (1,), 1),  # fixed case, two roots
+        RelativeAffineRoot("case1", (), Fraction(0), (1,), 0),  # empty orbit
+    ]
+    for rel in bad:
+        with pytest.raises(ValueError):
+            relative_to_sigma_level(a2, rel)
+    # a three-root orbit does not divide the order of the flip
+    d4 = twisted_datum("3D4")
+    triple = sigma_affine_to_relative(d4, ((0, 1), -1)).orbit
+    with pytest.raises(ValueError):
+        relative_to_sigma_level(a2, RelativeAffineRoot("case1", triple, Fraction(1), (1,), 3))
+    assert relative_to_sigma_level(d4, sigma_affine_to_relative(d4, ((0, 1), -1))) == -1
 
 
 def test_degree_counts():
