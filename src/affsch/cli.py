@@ -8,7 +8,7 @@ Subcommands:
 
 Output is text by default, JSON with --json; identical inputs give
 byte-identical JSON (randomized sweeps take --seed, echoed in the output).
-Exit codes: 0 success, 1 failed property sweep, 2 usage error.
+Exit codes: 0 success, 1 failed property sweep, 2 usage error or empty sweep.
 """
 
 from __future__ import annotations
@@ -222,6 +222,8 @@ def _cmd_verify(args) -> int:
         seed=args.seed,
         jobs=args.jobs,
     )
+    if not outcome.instances_checked:
+        raise ValueError(f"suite {args.suite} has no instance to check within these bounds")
     if args.json:
         # json writes the tuples of a SuiteResult as arrays, so no copy is needed
         _emit_json("verify", _request_fields(args), vars(outcome))
@@ -247,8 +249,6 @@ def _cmd_loopcheck(args) -> int:
     datum = twisted_datum(args.type)
     loop_context(datum)  # raises for types without a symbolic model
     window = args.window
-    if not 0 <= window <= 8:
-        raise ValueError("--window must be between 0 and 8")
     degrees = []
     for n in range(-window, window + 1):
         lines = root_lines_at_degree(datum, n)
@@ -345,15 +345,20 @@ def _emit_json(command: str, request: dict, result: dict) -> None:
     print(json.dumps(_document(command, request, result), indent=2, sort_keys=True))
 
 
-def _jobs(text: str) -> int:
-    """--jobs and AFFSCH_JOBS: a worker count of at least 1."""
-    try:
-        value = int(text)
-    except ValueError:
-        value = 0
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"expected an integer of at least 1, got {text!r}")
-    return value
+def _bounded(low: int, high: int | None = None):
+    """An argparse type: an integer of at least low, and of at most high if given."""
+    span = f"of at least {low}" if high is None else f"from {low} to {high}"
+
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            value = low - 1
+        if value < low or (high is not None and value > high):
+            raise argparse.ArgumentTypeError(f"expected an integer {span}, got {text!r}")
+        return value
+
+    return parse
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -380,16 +385,22 @@ def build_parser() -> argparse.ArgumentParser:
     verify.add_argument("--suite", required=True, choices=SUITES)
     verify.add_argument("--max-rank", dest="max_rank", type=int, default=4)
     verify.add_argument("--max-pairing", dest="max_pairing", type=int, default=14)
-    verify.add_argument("--window", type=int, default=4)
+    verify.add_argument(
+        "--window",
+        type=_bounded(0, 8),
+        default=4,
+        help="0 to 8; loop-basis checks u-degrees -window..window, cartan-direction "
+        "depths 1..max(1, min(window, 6)), sl2-factorization windings 1..max(3, min(window, 5))",
+    )
     verify.add_argument("--seed", type=int, default=0)
     # argparse runs the type on this string default too: a bad AFFSCH_JOBS exits 2
-    verify.add_argument("--jobs", type=_jobs, default=os.environ.get("AFFSCH_JOBS", "1"))
+    verify.add_argument("--jobs", type=_bounded(1), default=os.environ.get("AFFSCH_JOBS", "1"))
     verify.add_argument("--json", action="store_true")
     verify.set_defaults(func=_cmd_verify)
 
     loopcheck = sub.add_parser("loopcheck", help="symbolic loop-algebra inventory")
     loopcheck.add_argument("--type", required=True)
-    loopcheck.add_argument("--window", type=int, default=2)
+    loopcheck.add_argument("--window", type=_bounded(0, 8), default=2, help="0 to 8")
     loopcheck.add_argument("--json", action="store_true")
     loopcheck.set_defaults(func=_cmd_loopcheck)
     return parser

@@ -20,14 +20,15 @@ import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, partial
 
 from affsch.rootsys import FiniteRootSystem, IntVec, Root, _gauss_jordan, build_root_system
 from affsch.twist import (
     RelativeAffineRoot,
     TwistedDatum,
     _act,
-    _cycle,
+    _cycles,
+    _eigenspace_dim,
     level_set,
     relative_to_sigma_level,
     sigma_affine_to_relative,
@@ -251,13 +252,22 @@ class Sigma0Map:
 
     Simple generators are pinned with c = +1; other signs are forced by the
     bracket recursion and verified to give an automorphism of the stated order.
+    cycles holds the (length, sign product) of each cycle on the roots; the H
+    symbols follow the simple roots, whose signs are +1, so order comes from them.
     """
 
     def __init__(self, algebra: ChevalleyAlgebra, perm: IntVec) -> None:
         self.algebra = algebra
         self.perm = perm
         self._signs = self._extend()
-        self.order = self._verify()
+        self._verify()
+        # _extend rejected any perm that is not a diagram automorphism: cycles close
+        self.cycles = tuple(
+            (len(cycle), math.prod(self._signs[r] for r in cycle))
+            for cycle in _cycles(partial(_act, perm), algebra.system.roots)
+        )
+        # a cycle whose signs multiply to -1 closes after a second pass
+        self.order = math.lcm(*(n if c == 1 else 2 * n for n, c in self.cycles))
 
     def _extend(self) -> dict[Root, int]:
         system = self.algebra.system
@@ -291,7 +301,7 @@ class Sigma0Map:
             signs[tuple(-g for g in gamma)] = signs[gamma]
         return signs
 
-    def _verify(self) -> int:
+    def _verify(self) -> None:
         # the extension must respect every bracket, else the orientation lies
         symbols = self.algebra.symbols
         for x in symbols:
@@ -309,15 +319,6 @@ class Sigma0Map:
                 right = {k: v for k, v in right.items() if v}
                 if left != right:
                     raise AssertionError("sigma0 extension breaks a bracket")
-        # sigma0 permutes the symbols: _extend rejects a perm that is not a
-        # diagram automorphism, so every cycle closes
-        order = 1
-        for sym in symbols:
-            cycle = _cycle(lambda s: self.image_symbol(s)[1], sym)
-            sign = math.prod(self.image_symbol(s)[0] for s in cycle)
-            # a sign that does not close needs a second pass
-            order = math.lcm(order, len(cycle) if sign == 1 else 2 * len(cycle))
-        return order
 
     def image(self, gamma: Root) -> tuple[int, Root]:
         return self._signs[gamma], _act(self.perm, gamma)
@@ -555,9 +556,11 @@ def root_lines_at_degree(datum: TwistedDatum, n: int) -> tuple[tuple[Root, int],
 def verify_invariant_basis(datum: TwistedDatum, degree_window: int) -> InvariantBasisReport:
     """Check the sigma-fixed dimension against the root-line inventory.
 
-    Per u-degree: exact rank of (sigma - id) on the span of the X symbols
-    gives the fixed dimension; the progressions predict how many root lines
-    land there; the stacked e_a vectors must be independent and fill it.
+    Per u-degree n: the signed cycles of sigma0 count the fixed space of
+    zeta^n sigma0 on the span of the X symbols (its zeta^-n eigenspace, as
+    large as the zeta^n one since the signs are +-1); the progressions predict
+    how many root lines land there; the stacked e_a vectors must be
+    independent and fill it.
     """
     if not 0 <= degree_window <= 8:
         raise ValueError("degree window must be between 0 and 8")
@@ -565,24 +568,16 @@ def verify_invariant_basis(datum: TwistedDatum, degree_window: int) -> Invariant
     e = datum.e
     roots = ctx.algebra.system.roots
     index = {r: i for i, r in enumerate(roots)}
-    size = len(roots)
     zero = CycScalar.of(e, 0)
-    one = CycScalar.of(e, 1)
     lines = []
     for n in range(-degree_window, degree_window + 1):
-        zn = CycScalar.zeta_power(e, n)
-        mat = [[zero] * size for _ in range(size)]
-        for r in roots:
-            sign, img = ctx.sigma0.image(r)
-            mat[index[img]][index[r]] = mat[index[img]][index[r]] + zn.scale(sign)
-            mat[index[r]][index[r]] = mat[index[r]][index[r]] - one
-        fixed_dim = size - _rank(mat)
+        fixed_dim = _eigenspace_dim(ctx.sigma0.cycles, e, n)
         labels = root_lines_at_degree(datum, n)
         stacked = []
         for root, k in labels:
             rel = sigma_affine_to_relative(datum, (root, k))
             vec = make_e_a(datum, rel)
-            row = [zero] * size
+            row = [zero] * len(roots)
             for sym, deg, c in vec.terms:
                 if deg != n or sym[0] != "X":
                     raise AssertionError("root-line vector strayed from its degree")

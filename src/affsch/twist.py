@@ -110,17 +110,28 @@ def default_sigma0(letter: str, rank: int, e: int) -> IntVec:
     raise ValueError(f"no default diagram automorphism of order {e} for {letter}{rank}")
 
 
-def _cycle(step, x) -> tuple:
-    """The cycle through x of the permutation step (a function), sorted."""
-    cycle = [x]
-    while (y := step(cycle[-1])) != x:
-        cycle.append(y)
-    return tuple(sorted(cycle))
+def _cycles(step, items) -> list[tuple]:
+    """The cycles through items of the permutation step, each walked once and sorted."""
+    cycles: list[tuple] = []
+    seen: set = set()
+    for x in items:
+        if x not in seen:
+            cycle = [x]
+            while (y := step(cycle[-1])) != x:
+                cycle.append(y)
+            seen.update(cycle)
+            cycles.append(tuple(sorted(cycle)))
+    return cycles
 
 
-def _cycles(perm: IntVec) -> list[IntVec]:
-    """The cycles of a permutation of the simple indices, by smallest member."""
-    return sorted({_cycle(perm.__getitem__, i) for i in range(len(perm))})
+def _eigenspace_dim(cycles, e: int, m: int) -> int:
+    """Dimension of the zeta^m eigenspace of a signed permutation, from its cycles.
+
+    cycles holds (length L, sign product c) pairs.  A cycle's eigenvalues are
+    the L roots of x^L = c, each once, so it adds a line exactly when
+    zeta^(mL) = c: when 2mL is 0 (c = 1) or e (c = -1) modulo 2e.
+    """
+    return sum(1 for length, c in cycles if (2 * m * length - (0 if c == 1 else e)) % (2 * e) == 0)
 
 
 def _act(perm: IntVec, m: Root) -> Root:
@@ -178,7 +189,7 @@ class TwistedDatum:
         absolute, perm = self.absolute, self.sigma0
         rank = absolute.rank
         basis: list[Root] = []
-        for orb in _cycles(perm):
+        for orb in _cycles(perm.__getitem__, range(rank)):
             v = [0] * rank
             for i in orb:
                 v[i] = 1
@@ -213,14 +224,7 @@ class TwistedDatum:
         absolute, perm = self.absolute, self.sigma0
         sigma = self.echelonnage
 
-        orbits: list[tuple[Root, ...]] = []
-        done: set[Root] = set()
-        for m in absolute.positive_roots:
-            if m in done:
-                continue
-            orb = _cycle(partial(_act, perm), m)
-            done.update(orb)
-            orbits.append(orb)
+        orbits = _cycles(partial(_act, perm), absolute.positive_roots)
 
         def abs_vec(root: Root) -> Root:
             acc = (0,) * absolute.rank
@@ -323,7 +327,7 @@ def build_twisted(
         for j in range(rank):
             if cart[sigma0[i]][sigma0[j]] != cart[i][j]:
                 raise ValueError("sigma0 does not preserve the Cartan matrix")
-    order = math.lcm(*(len(cycle) for cycle in _cycles(sigma0)))
+    order = math.lcm(*(len(cycle) for cycle in _cycles(sigma0.__getitem__, range(rank))))
     if order != e:
         raise ValueError(f"sigma0 has order {order}, expected {e}")
     label = f"{e if e > 1 else ''}{absolute_type}"
@@ -405,11 +409,10 @@ def translate_affine_root(a: AffineRoot, lam: Coweight) -> AffineRoot:
 def cartan_sigma_dim(datum: TwistedDatum, m: int) -> int:
     """Dimension of the zeta^m eigenspace of sigma0 on the Cartan subalgebra.
 
-    sigma0 permutes the simple coroots; a cycle of length L contributes the
-    full set of L-th roots of unity, so it meets zeta^m exactly when
-    e divides m*L.
+    sigma0 permutes the simple coroots without signs.
     """
-    return sum(1 for cycle in _cycles(datum.sigma0) if (m * len(cycle)) % datum.e == 0)
+    cycles = _cycles(datum.sigma0.__getitem__, range(len(datum.sigma0)))
+    return _eigenspace_dim([(len(cycle), 1) for cycle in cycles], datum.e, m)
 
 
 def affine_roots_negative_at_vertex(

@@ -198,7 +198,6 @@ def run_suite(
 
 
 def _suite_loop_basis(window: int) -> SuiteResult:
-    window = min(window, 8)
     rows, bad = [], []
     for label in LOOP_LABELS:
         report = verify_invariant_basis(twisted_datum(label), window)

@@ -90,10 +90,16 @@ def test_usage_errors_exit_two(capsys):
         ["verify", "--suite", "no-such-suite"],
         ["verify", "--suite", "stembridge", "--jobs", "0"],
         ["verify", "--suite", "stembridge", "--jobs", "-3"],
+        ["verify", "--suite", "loop-basis", "--window", "9"],
+        ["verify", "--suite", "loop-basis", "--window", "100"],
+        ["verify", "--suite", "cartan-direction", "--window", "-1"],
+        # sweeps whose bounds leave nothing to check
+        ["verify", "--suite", "stembridge", "--max-pairing", "-3"],
+        ["verify", "--suite", "k-symmetry", "--max-rank", "0"],
         ["analyze"],
     ):
-        code, _, err = run(capsys, *argv)
-        assert code == 2, (argv, err)
+        code, out, err = run(capsys, *argv)
+        assert code == 2 and out == "" and "error:" in err, (argv, err)
 
 
 def test_poset_carries_case_tags(capsys):

@@ -3,8 +3,9 @@
 perfbench/digests.json holds the sha256 of the stdout document of every
 request the benchmark can draw.  This test serves a cheap cross-section of
 them through cli.main (one request per closures slot, every loopcheck with
---window at most 1, and the six verify suites with their default flags) and
-compares each digest.  It only reads the files under perfbench/.
+--window at most 1, the loop-basis suite at every window, and the six verify
+suites with their default flags) and compares each digest.  It only reads the
+files under perfbench/.
 """
 
 import contextlib
@@ -45,9 +46,12 @@ def test_documents_match_committed_digests():
     ]
     assert len(loopchecks) == 2 * len(workloads.LOOP_TYPES)
     requests += loopchecks
+    loop_basis = [argv for argv in workloads.loop_requests(None) if argv[2] == "loop-basis"]
+    assert len(loop_basis) == len(workloads.LOOP_WINDOWS)
+    requests += loop_basis
     requests += [("verify", "--suite", suite, "--jobs", "1", "--json") for suite in SUITES]
     mismatches = []
-    for argv in requests:
+    for argv in dict.fromkeys(requests):  # the default loop-basis request comes twice
         out = io.StringIO()
         with contextlib.redirect_stdout(out):
             code = main(list(argv))

@@ -28,7 +28,15 @@ from affsch.loopalg import (
     verify_sl2_factorization,
 )
 from affsch.loopalg import _rank
-from affsch.twist import RelativeAffineRoot, sigma_affine_to_relative, twisted_datum
+from affsch.twist import (
+    RelativeAffineRoot,
+    _eigenspace_dim,
+    cartan_sigma_dim,
+    sigma_affine_to_relative,
+    twisted_datum,
+)
+
+LOOP_TYPES = ("A1", "2A2", "2A3", "2A4", "2A5", "2D4", "2D5", "3D4", "2E6")
 
 
 def cyc(e, a, b=0):
@@ -40,6 +48,24 @@ def lmat(e, size, triples):
     for i, j, n, v in triples:
         m.add_term(i, j, n, v)
     return m
+
+
+def dense_fixed_dim(ctx, n, kind="X"):
+    """Fixed dimension of zeta^n sigma0 on the span of one kind of basis symbol.
+
+    The oracle for the cycle rule: the exact rank of the dense matrix
+    zeta^n sigma0 - id over Q(zeta), one row and column per symbol.
+    """
+    e = ctx.datum.e
+    symbols = [sym for sym in ctx.algebra.symbols if sym[0] == kind]
+    index = {sym: i for i, sym in enumerate(symbols)}
+    zero, one, zn = cyc(e, 0), cyc(e, 1), CycScalar.zeta_power(e, n)
+    mat = [[zero] * len(symbols) for _ in symbols]
+    for sym in symbols:
+        sign, img = ctx.sigma0.image_symbol(sym)
+        mat[index[img]][index[sym]] = mat[index[img]][index[sym]] + zn.scale(sign)
+        mat[index[sym]][index[sym]] = mat[index[sym]][index[sym]] - one
+    return len(symbols) - _rank(mat)
 
 
 # -- scalars -------------------------------------------------------------------
@@ -111,7 +137,8 @@ def test_cyc_scalar_low_orders_fold():
 
 
 def test_build_chevalley_checks_jacobi_on_build():
-    # exhaustive Jacobi for these sizes happens inside the constructor
+    # Jacobi runs inside the constructor: on every triple up to 30 roots, on a
+    # seeded sample of 500 triples for E6
     for label in ("A1", "A2", "A3", "A4", "D4", "E6"):
         algebra = build_chevalley(label)
         assert build_chevalley(label) is algebra
@@ -415,6 +442,18 @@ def test_invariant_basis_split_type_counts_all_roots():
     assert report.ok
     for line in report.lines:
         assert line.fixed_dim == 2
+
+
+@pytest.mark.parametrize("label", LOOP_TYPES)
+def test_eigenspace_rule_matches_dense_fixed_dim(label):
+    datum = twisted_datum(label)
+    ctx = loop_context(datum)
+    e = datum.e
+    assert sum(length for length, _ in ctx.sigma0.cycles) == len(ctx.algebra.system.roots)
+    for n in sorted(set(range(-2 * e, 2 * e + 1)) | {-8, 8}):
+        assert _eigenspace_dim(ctx.sigma0.cycles, e, n) == dense_fixed_dim(ctx, n), n
+        # the zeta^n eigenspace on the Cartan part is the fixed space of zeta^-n sigma0
+        assert cartan_sigma_dim(datum, n) == dense_fixed_dim(ctx, -n, "H"), n
 
 
 def test_invariant_basis_window_bounds():
