@@ -8,7 +8,8 @@ Subcommands:
 
 Output is text by default, JSON with --json; identical inputs give
 byte-identical JSON (randomized sweeps take --seed, echoed in the output).
-Exit codes: 0 success, 1 failed property sweep, 2 usage error or empty sweep.
+Exit codes: 0 success, 1 failed property sweep, 2 usage error or empty sweep,
+3 internal invariant failure (AssertionError or RuntimeError; nothing on stdout).
 """
 
 from __future__ import annotations
@@ -417,6 +418,9 @@ def main(argv=None) -> int:
     except (ValueError, KeyError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except (AssertionError, RuntimeError) as exc:
+        print(f"internal error: {exc}", file=sys.stderr)
+        return 3
 
 
 if __name__ == "__main__":

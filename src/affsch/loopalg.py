@@ -17,18 +17,19 @@ all computed term by term with no floating point anywhere.
 from __future__ import annotations
 
 import math
-import random
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache, partial
 
-from affsch.rootsys import FiniteRootSystem, IntVec, Root, _gauss_jordan, build_root_system
+from affsch.rootsys import FiniteRootSystem, IntVec, Root, build_root_system
 from affsch.twist import (
     RelativeAffineRoot,
     TwistedDatum,
     _act,
+    _cycle_order,
     _cycles,
     _eigenspace_dim,
+    _vec_add,
     level_set,
     relative_to_sigma_level,
     sigma_affine_to_relative,
@@ -213,21 +214,34 @@ class ChevalleyAlgebra:
         n = self.n_constant(g, d)
         return [(n, ("X", tuple(a + b for a, b in zip(g, d))))] if n else []
 
+    def _jacobi_triples(self) -> list[tuple[Root, Root, Root]]:
+        """Root triples, in root order, whose Jacobi sum can be nonzero.
+
+        [[X_a, X_b], X_c] vanishes unless a + b is zero, or a root with a + b + c
+        zero or a root; a triple needs a check only when one of its pairs passes.
+        """
+        roots = self.system.roots
+        live = self._roots | {(0,) * self.system.rank}
+        triples = set()
+        for i, a in enumerate(roots):
+            for j in range(i + 1, len(roots)):
+                s = _vec_add(a, roots[j])
+                if s in live:
+                    triples.update(
+                        tuple(sorted((i, j, k)))
+                        for k, c in enumerate(roots)
+                        if k != i and k != j and (s not in self._roots or _vec_add(s, c) in live)
+                    )
+        return [(roots[i], roots[j], roots[k]) for i, j, k in sorted(triples)]
+
     def _verify(self) -> None:
         roots = self.system.roots
         for g in roots:
             for d in roots:
                 if self.n_constant(g, d) != -self.n_constant(d, g):
                     raise AssertionError("antisymmetry failure in structure constants")
-        if len(roots) <= 30:
-            triples = [(g, d, m) for g in roots for d in roots for m in roots]
-        else:
-            rng = random.Random(0)
-            triples = [
-                (rng.choice(roots), rng.choice(roots), rng.choice(roots))
-                for _ in range(500)
-            ]
-        for g, d, m in triples:
+        # with the bracket antisymmetric the Jacobi sum is alternating: one order per triple
+        for g, d, m in self._jacobi_triples():
             acc: dict[Symbol, int] = {}
             for a, b, c in ((g, d, m), (d, m, g), (m, g, d)):
                 for n1, s1 in self.bracket_symbols(("X", a), ("X", b)):
@@ -266,8 +280,7 @@ class Sigma0Map:
             (len(cycle), math.prod(self._signs[r] for r in cycle))
             for cycle in _cycles(partial(_act, perm), algebra.system.roots)
         )
-        # a cycle whose signs multiply to -1 closes after a second pass
-        self.order = math.lcm(*(n if c == 1 else 2 * n for n, c in self.cycles))
+        self.order = _cycle_order(self.cycles)
 
     def _extend(self) -> dict[Root, int]:
         system = self.algebra.system
@@ -512,12 +525,6 @@ def cartan_direction(datum: TwistedDatum, a) -> LoopVector:
 # -- invariant-basis verification ----------------------------------------------
 
 
-def _rank(rows: list[list[CycScalar]]) -> int:
-    if not rows:
-        return 0
-    return len(_gauss_jordan([row[:] for row in rows], len(rows[0])))
-
-
 @dataclass(frozen=True)
 class DegreeLine:
     degree: int
@@ -559,31 +566,29 @@ def verify_invariant_basis(datum: TwistedDatum, degree_window: int) -> Invariant
     Per u-degree n: the signed cycles of sigma0 count the fixed space of
     zeta^n sigma0 on the span of the X symbols (its zeta^-n eigenspace, as
     large as the zeta^n one since the signs are +-1); the progressions predict
-    how many root lines land there; the stacked e_a vectors must be
-    independent and fill it.
+    how many root lines land there; the e_a vectors must be independent and
+    fill it.  Root lines at one degree come from distinct sigma0 orbits, so
+    vector_rank counts the e_a with a nonempty support disjoint from those
+    before: never above their rank, and equal to it for disjoint supports.
     """
     if not 0 <= degree_window <= 8:
         raise ValueError("degree window must be between 0 and 8")
     ctx = loop_context(datum)
-    e = datum.e
-    roots = ctx.algebra.system.roots
-    index = {r: i for i, r in enumerate(roots)}
-    zero = CycScalar.of(e, 0)
     lines = []
     for n in range(-degree_window, degree_window + 1):
-        fixed_dim = _eigenspace_dim(ctx.sigma0.cycles, e, n)
+        fixed_dim = _eigenspace_dim(ctx.sigma0.cycles, datum.e, n)
         labels = root_lines_at_degree(datum, n)
-        stacked = []
+        seen: set[Root] = set()
+        rank = 0
         for root, k in labels:
-            rel = sigma_affine_to_relative(datum, (root, k))
-            vec = make_e_a(datum, rel)
-            row = [zero] * len(roots)
-            for sym, deg, c in vec.terms:
-                if deg != n or sym[0] != "X":
-                    raise AssertionError("root-line vector strayed from its degree")
-                row[index[sym[1]]] = c
-            stacked.append(row)
-        lines.append(DegreeLine(n, fixed_dim, len(labels), _rank(stacked)))
+            vec = make_e_a(datum, sigma_affine_to_relative(datum, (root, k)))
+            if any(deg != n or sym[0] != "X" for sym, deg, _ in vec.terms):
+                raise AssertionError("root-line vector strayed from its degree")
+            support = {sym[1] for sym, _, _ in vec.terms}
+            if support and seen.isdisjoint(support):
+                rank += 1
+            seen |= support
+        lines.append(DegreeLine(n, fixed_dim, len(labels), rank))
     return InvariantBasisReport(datum.label, degree_window, tuple(lines))
 
 
@@ -728,31 +733,17 @@ def verify_sl2_factorization(k: int, x) -> bool:
     if x == 0:
         raise ValueError("the zero curve value stays at the base point")
 
-    def mat(triples):
-        m = LaurentMatrix(1, 2)
-        for i, j, n, v in triples:
-            m.add_term(i, j, n, v)
-        return m
-
-    left = mat([(0, 0, 0, 1), (0, 1, -k, x), (1, 1, 0, 1)])
-    opposite = mat([(0, 0, 0, 1), (1, 0, k, 1 / x), (1, 1, 0, 1)])
-    translation = mat([(0, 0, -k, 1), (1, 1, k, 1)])
-    plus_part = mat([(0, 0, k, 1), (0, 1, 0, x), (1, 0, 0, -1 / x)])
+    left = LaurentMatrix(1, 2, {(0, 0, 0): 1, (0, 1, -k): x, (1, 1, 0): 1})
+    opposite = LaurentMatrix(1, 2, {(0, 0, 0): 1, (1, 0, k): 1 / x, (1, 1, 0): 1})
+    translation = LaurentMatrix(1, 2, {(0, 0, -k): 1, (1, 1, k): 1})
+    plus_part = LaurentMatrix(1, 2, {(0, 0, k): 1, (0, 1, 0): x, (1, 0, 0): -1 / x})
     if plus_part.min_exponent() < 0:
         return False
-    # 2x2 determinant, assembled entry by entry
-    a, b = plus_part.entry(0, 0), plus_part.entry(0, 1)
-    c, d = plus_part.entry(1, 0), plus_part.entry(1, 1)
-    det_terms: dict[int, CycScalar] = {}
-    for n1, v1 in a.items():
-        for n2, v2 in d.items():
-            key = n1 + n2
-            det_terms[key] = det_terms.get(key, CycScalar.of(1, 0)) + v1 * v2
-    for n1, v1 in b.items():
-        for n2, v2 in c.items():
-            key = n1 + n2
-            det_terms[key] = det_terms.get(key, CycScalar.of(1, 0)) - v1 * v2
-    det_terms = {n: v for n, v in det_terms.items() if v}
-    if det_terms != {0: CycScalar.of(1, 1)}:
+
+    def cell(i, j):
+        return LaurentMatrix(1, 1, {(0, 0, n): v for n, v in plus_part.entry(i, j).items()})
+
+    det = cell(0, 0) @ cell(1, 1) + (cell(0, 1) @ cell(1, 0)).scale(-1)
+    if det != LaurentMatrix.identity(1, 1):
         return False
     return opposite @ translation @ plus_part == left

@@ -161,10 +161,10 @@ def _root_closure(cartan: Matrix) -> tuple[Root, ...]:
 def _gauss_jordan(rows: list[list], ncols: int) -> list:
     """Reduce rows in place to reduced row-echelon form on their first ncols columns.
 
-    Works over any exact field whose elements have a truth value and a
-    reciprocal 1 / x (Fraction, loopalg.CycScalar).  Each pivot row is scaled
-    by one inverse and cleared out of every other row.  Returns the pivots in
-    the order found, before scaling; their number is the rank.
+    Works over any exact field with a truth value and a reciprocal 1 / x:
+    Fraction here, loopalg.CycScalar only in the rank oracle of the tests.  Each
+    pivot row is scaled by one inverse and cleared out of every other row.
+    Returns the pivots in the order found, before scaling; their number is the rank.
     """
     pivots = []
     for col in range(ncols):

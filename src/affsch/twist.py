@@ -124,6 +124,11 @@ def _cycles(step, items) -> list[tuple]:
     return cycles
 
 
+def _cycle_order(cycles) -> int:
+    """Order of a signed permutation from its (length L, sign product c) cycles: lcm of L or 2L."""
+    return math.lcm(*(length if c == 1 else 2 * length for length, c in cycles))
+
+
 def _eigenspace_dim(cycles, e: int, m: int) -> int:
     """Dimension of the zeta^m eigenspace of a signed permutation, from its cycles.
 
@@ -327,7 +332,7 @@ def build_twisted(
         for j in range(rank):
             if cart[sigma0[i]][sigma0[j]] != cart[i][j]:
                 raise ValueError("sigma0 does not preserve the Cartan matrix")
-    order = math.lcm(*(len(cycle) for cycle in _cycles(sigma0.__getitem__, range(rank))))
+    order = _cycle_order((len(cycle), 1) for cycle in _cycles(sigma0.__getitem__, range(rank)))
     if order != e:
         raise ValueError(f"sigma0 has order {order}, expected {e}")
     label = f"{e if e > 1 else ''}{absolute_type}"

@@ -102,6 +102,28 @@ def test_usage_errors_exit_two(capsys):
         assert code == 2 and out == "" and "error:" in err, (argv, err)
 
 
+@pytest.mark.parametrize("error", [AssertionError, RuntimeError])
+def test_internal_failures_exit_three(capsys, monkeypatch, error):
+    def broken(*args):
+        raise error("invariant broken on purpose")
+
+    monkeypatch.setattr("affsch.cli.smooth_locus_report", broken)
+    for flags in ([], ["--json"]):
+        code, out, err = run(capsys, "analyze", "--type", "A1", "--mu", "2", *flags)
+        assert (code, out, err) == (3, "", "internal error: invariant broken on purpose\n")
+    # raised inside a suite, not a counterexample
+    monkeypatch.setattr(verify, "verify_sl2_factorization", broken)
+    code, out, err = run(capsys, "verify", "--suite", "sl2-factorization")
+    assert (code, out, err) == (3, "", "internal error: invariant broken on purpose\n")
+
+
+def test_failing_suite_still_exits_one(capsys, monkeypatch):
+    monkeypatch.setattr(verify, "verify_sl2_factorization", lambda k, x: False)
+    code, out, err = run(capsys, "verify", "--suite", "sl2-factorization")
+    assert code == 1 and err == ""
+    assert out.startswith("suite sl2-factorization: FAIL") and "counterexample" in out
+
+
 def test_poset_carries_case_tags(capsys):
     code, doc = run_json(capsys, "poset", "--type", "C2", "--mu", "1,1", "--json")
     assert code == 0

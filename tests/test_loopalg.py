@@ -6,9 +6,11 @@ reproduce honest 2x2 and 3x3 Laurent-matrix arithmetic entry for entry.
 """
 
 from fractions import Fraction
+from itertools import combinations, permutations
 
 import pytest
 
+from affsch import loopalg
 from affsch.loopalg import (
     ChevalleyAlgebra,
     CycScalar,
@@ -22,12 +24,13 @@ from affsch.loopalg import (
     make_e_a,
     matrix_realization,
     realize,
+    root_lines_at_degree,
     sigma0_automorphism,
     sigma_action,
     verify_invariant_basis,
     verify_sl2_factorization,
 )
-from affsch.loopalg import _rank
+from affsch.rootsys import _gauss_jordan
 from affsch.twist import (
     RelativeAffineRoot,
     _eigenspace_dim,
@@ -35,6 +38,7 @@ from affsch.twist import (
     sigma_affine_to_relative,
     twisted_datum,
 )
+from affsch.verify import run_suite
 
 LOOP_TYPES = ("A1", "2A2", "2A3", "2A4", "2A5", "2D4", "2D5", "3D4", "2E6")
 
@@ -48,6 +52,13 @@ def lmat(e, size, triples):
     for i, j, n, v in triples:
         m.add_term(i, j, n, v)
     return m
+
+
+def _rank(rows):
+    """Exact rank over Q(zeta) by elimination: the oracle for the support count."""
+    if not rows:
+        return 0
+    return len(_gauss_jordan([row[:] for row in rows], len(rows[0])))
 
 
 def dense_fixed_dim(ctx, n, kind="X"):
@@ -137,14 +148,56 @@ def test_cyc_scalar_low_orders_fold():
 
 
 def test_build_chevalley_checks_jacobi_on_build():
-    # Jacobi runs inside the constructor: on every triple up to 30 roots, on a
-    # seeded sample of 500 triples for E6
-    for label in ("A1", "A2", "A3", "A4", "D4", "E6"):
+    # Jacobi runs inside the constructor, on every triple of roots whose
+    # double brackets can be nonzero, for every type
+    for label in ("A1", "A2", "A3", "A4", "A5", "D4", "D5", "E6"):
         algebra = build_chevalley(label)
         assert build_chevalley(label) is algebra
     for label in ("B2", "C3", "G2", "B3"):
         with pytest.raises(ValueError):
             build_chevalley(label)
+
+
+class FlippedPairAlgebra(ChevalleyAlgebra):
+    """Structure constants with one antisymmetric pair negated: N stays antisymmetric."""
+
+    def __init__(self, label, g, d):
+        self.flipped = {(g, d), (d, g)}
+        super().__init__(build_chevalley(label).system, label[0])
+
+    def n_constant(self, g, d):
+        n = super().n_constant(g, d)
+        return -n if (g, d) in self.flipped else n
+
+
+@pytest.mark.parametrize(
+    "label,g,d",
+    [
+        ("E6", (0, 1, 0, 0, 0, 0), (1, 1, 2, 3, 2, 1)),
+        ("D5", (0, 1, 1, 0, 0), (1, 1, 1, 1, 1)),
+    ],
+)
+def test_jacobi_check_catches_one_flipped_pair(label, g, d):
+    # a 500-triple sample of D5 or E6 misses both pairs; the exhaustive check must not
+    assert build_chevalley(label).n_constant(g, d) != 0
+    with pytest.raises(AssertionError, match="Jacobi failure"):
+        FlippedPairAlgebra(label, g, d)
+
+
+@pytest.mark.parametrize("label", ["A4", "D4"])
+def test_jacobi_triples_skip_only_vanishing_double_brackets(label):
+    algebra = build_chevalley(label)
+    checked = algebra._jacobi_triples()
+    all_triples = list(combinations(algebra.system.roots, 3))
+    skipped = set(all_triples).difference(checked)
+    # every sorted triple is checked once, in root order, or skipped
+    assert checked == [t for t in all_triples if t not in skipped]
+    assert skipped
+    for triple in skipped:
+        for a, b, c in permutations(triple):
+            for n1, s1 in algebra.bracket_symbols(("X", a), ("X", b)):
+                for n2, _ in algebra.bracket_symbols(s1, ("X", c)):
+                    assert n1 * n2 == 0, (a, b, c)
 
 
 def test_structure_constants_a2():
@@ -211,6 +264,21 @@ def test_sigma0_rejects_non_automorphism():
     algebra = build_chevalley("A3")
     with pytest.raises(ValueError):
         sigma0_automorphism(algebra, (1, 0, 2))
+
+
+@pytest.mark.parametrize("label", LOOP_TYPES)
+def test_sigma0_order_is_the_first_signed_return(label):
+    # brute force: apply image_symbol until every symbol is back with sign +1
+    sigma = loop_context(twisted_datum(label)).sigma0
+    start = [(1, sym) for sym in sigma.algebra.symbols]
+    state = start
+    for k in range(1, 13):
+        state = [(sign * c, img) for sign, sym in state for c, img in [sigma.image_symbol(sym)]]
+        if state == start:
+            break
+    else:
+        pytest.fail("sigma0 does not return within 12 steps")
+    assert sigma.order == k
 
 
 def test_loop_context_is_cached_and_order_checked():
@@ -454,6 +522,41 @@ def test_eigenspace_rule_matches_dense_fixed_dim(label):
         assert _eigenspace_dim(ctx.sigma0.cycles, e, n) == dense_fixed_dim(ctx, n), n
         # the zeta^n eigenspace on the Cartan part is the fixed space of zeta^-n sigma0
         assert cartan_sigma_dim(datum, n) == dense_fixed_dim(ctx, -n, "H"), n
+
+
+@pytest.mark.parametrize("label", LOOP_TYPES)
+def test_root_line_rank_from_supports_matches_elimination(label):
+    datum = twisted_datum(label)
+    roots = loop_context(datum).algebra.system.roots
+    index = {r: i for i, r in enumerate(roots)}
+    for line in verify_invariant_basis(datum, 8).lines:
+        rows, seen = [], set()
+        for root, k in root_lines_at_degree(datum, line.degree):
+            vec = make_e_a(datum, sigma_affine_to_relative(datum, (root, k)))
+            support = {sym[1] for sym, _, _ in vec.terms}
+            # nonempty and pairwise disjoint supports
+            assert support and seen.isdisjoint(support), (line.degree, root, k)
+            seen |= support
+            row = [cyc(datum.e, 0)] * len(roots)
+            for sym, _, c in vec.terms:
+                row[index[sym[1]]] = c
+            rows.append(row)
+        assert _rank(rows) == line.vector_rank == line.progression_count, line.degree
+
+
+def test_root_line_rank_deficit_fails_the_report(monkeypatch):
+    # every root line at a degree gets that degree's first vector: rank 1, not the count
+    real, first = loopalg.make_e_a, {}
+
+    def repeated(datum, rel):
+        vec = real(datum, rel)
+        return first.setdefault((datum.label, vec.terms[0][1]), vec)
+
+    monkeypatch.setattr(loopalg, "make_e_a", repeated)
+    report = verify_invariant_basis(twisted_datum("3D4"), 2)
+    assert [line.vector_rank for line in report.lines] == [1] * 5
+    assert not report.ok
+    assert not run_suite("loop-basis", window=1).passed
 
 
 def test_invariant_basis_window_bounds():

@@ -9,6 +9,7 @@ from affsch.twist import (
     ABSOLUTELY_SPECIAL,
     OTHER_SPECIAL,
     RelativeAffineRoot,
+    _cycle_order,
     affine_roots_negative_at_vertex,
     build_twisted,
     cartan_sigma_dim,
@@ -289,6 +290,16 @@ def test_sigma0_validation():
     datum = build_twisted("D4", 3, (2, 1, 3, 0))
     assert datum.echelonnage.label == "G2"
     assert default_sigma0("D", 4, 3) == (2, 1, 3, 0)
+
+
+def test_cycle_order_doubles_cycles_with_sign_minus_one():
+    # a fixed symbol sent to its negative returns after two steps
+    assert _cycle_order([(1, -1)]) == 2
+    assert _cycle_order([(1, 1)]) == 1
+    assert _cycle_order([(3, 1), (1, -1)]) == 6
+    assert _cycle_order([(3, 1), (1, 1)]) == 3
+    assert _cycle_order([(2, 1), (1, -1)]) == 2
+    assert _cycle_order([(2, -1), (3, 1)]) == 12
 
 
 def test_vertex_tags():
