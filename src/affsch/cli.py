@@ -21,6 +21,7 @@ import sys
 
 from affsch import __version__
 from affsch.loopalg import (
+    LoopVector,
     ad_exp,
     cartan_direction,
     loop_context,
@@ -300,8 +301,6 @@ def _loopcheck_special(datum) -> dict:
     special: dict = {}
     if datum.label == "A1":
         ctx = loop_context(datum)
-        from affsch.loopalg import LoopVector
-
         x = LoopVector.make(ctx.algebra, 1, [(("X", (-1,)), -1, 1)])
         y = LoopVector.make(ctx.algebra, 1, [(("X", (1,)), 0, 1)])
         special["sl2_expansion"] = vector_rows(ad_exp(x, y))

@@ -47,20 +47,20 @@ class CycScalar:
     """a + b*zeta with rational a, b; zeta a primitive e-th root of unity.
 
     For e <= 2 the zeta part is folded away (zeta = 1 or -1), so b == 0.
-    For e == 3 products reduce through zeta^2 = -1 - zeta.
+    For e == 3 products reduce through zeta^2 = -1 - zeta.  Coefficients stay
+    int until a division makes a Fraction; only inverse divides.
     """
 
     e: int
-    a: Fraction
-    b: Fraction
+    a: Rational
+    b: Rational
 
     @staticmethod
     def of(e: int, a: Rational, b: Rational = 0) -> "CycScalar":
-        a, b = Fraction(a), Fraction(b)
         if e == 1:
-            a, b = a + b, Fraction(0)
+            a, b = a + b, 0
         elif e == 2:
-            a, b = a - b, Fraction(0)
+            a, b = a - b, 0
         elif e != 3:
             raise ValueError("cyclotomic order must be 1, 2, or 3")
         return CycScalar(e, a, b)
@@ -101,15 +101,16 @@ class CycScalar:
         self._check(other)
         a, b, c, d = self.a, self.b, other.a, other.b
         if self.e != 3:
-            return CycScalar(self.e, a * c, Fraction(0))
+            return CycScalar(self.e, a * c, 0)
         return CycScalar(3, a * c - b * d, a * d + b * c - b * d)
 
     def inverse(self) -> "CycScalar":
+        # through Fraction: 1 / int would be a float
         if not self:
             raise ZeroDivisionError("inverting zero cyclotomic scalar")
         if self.e != 3:
-            return CycScalar(self.e, 1 / self.a, Fraction(0))
-        norm = self.a * self.a - self.a * self.b + self.b * self.b
+            return CycScalar(self.e, Fraction(1) / self.a, 0)
+        norm = Fraction(self.a * self.a - self.a * self.b + self.b * self.b)
         return CycScalar(3, (self.a - self.b) / norm, -self.b / norm)
 
     def __truediv__(self, other: "CycScalar") -> "CycScalar":
@@ -121,7 +122,6 @@ class CycScalar:
         return inv if other == 1 else inv.scale(other)
 
     def scale(self, r: Rational) -> "CycScalar":
-        r = Fraction(r)
         return CycScalar(self.e, self.a * r, self.b * r)
 
 
@@ -428,7 +428,7 @@ class TwistedLoopAlgebra:
             raise AssertionError("pinned automorphism order differs from the twist order")
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=16)  # keyed by datum identity; holds the nine named loop types
 def loop_context(datum: TwistedDatum) -> TwistedLoopAlgebra:
     return TwistedLoopAlgebra(datum)
 
@@ -447,26 +447,37 @@ def sigma_action(datum: TwistedDatum, v: LoopVector) -> LoopVector:
 def make_e_a(datum: TwistedDatum, rel: RelativeAffineRoot) -> LoopVector:
     """The invariant vector spanning the root line of a relative affine root.
 
-    Uniform over the three cases: with n = e*m and representative alpha',
-    e_a = sum over i = 1..d of zeta^(i n) sigma0^i(X_{alpha'}) u^n, which
+    Uniform over the three cases: with n = e*m, d orbit members and
+    representative alpha', e_a = sum over i = 1..d of
+    t_i = zeta^(i n) sigma0^i(X_{alpha'}) u^n = zeta^(i n) c_i X_{sigma0^i alpha'} u^n,
+    with c_i the sign product of the first i steps of the walk.  This
     specializes to the orbit sum, the two-term pair, and the single fixed
-    vector respectively.  The result is checked to be sigma-fixed.
+    vector respectively.
+
+    The result is checked to be sigma-fixed by its closing scalar.  sigma
+    applies sigma0 and multiplies by zeta^n, so it sends t_i to t_(i+1) and
+    the sum telescopes: sigma(e_a) - e_a = t_(d+1) - t_1.  That vanishes
+    exactly when t_(d+1) and t_1 sit on one symbol, i.e. the walk is back at
+    X_{alpha'} after d steps, where t_(d+1) = zeta^(d n) c_d t_1, and the
+    closing scalar zeta^(d n) c_d is 1: the eigenspace rule for one cycle of
+    length d and sign c_d at degree n.
     """
     relative_to_sigma_level(datum, rel)  # ValueError off the correspondence
     ctx = loop_context(datum)
     e = datum.e
     n = rel.u_degree(e)
-    items = []
-    sym: Symbol = ("X", rel.orbit[-1])
-    sign = 1
-    for i in range(1, len(rel.orbit) + 1):
+    d = len(rel.orbit)
+    start: Symbol = ("X", rel.orbit[-1])
+    sym, sign, items = start, 1, []
+    for i in range(1, d + 1):
         ci, sym = ctx.sigma0.image_symbol(sym)
         sign *= ci
         items.append((sym, n, CycScalar.zeta_power(e, i * n).scale(sign)))
-    vector = LoopVector.make(ctx.algebra, e, items)
-    if sigma_action(datum, vector) != vector:
-        raise AssertionError("constructed root-line vector is not sigma-fixed")
-    return vector
+    if sym != start:
+        raise AssertionError("root-line orbit walk did not return to its start")
+    if not _eigenspace_dim(((d, sign),), e, n):
+        raise AssertionError("closing scalar of a root-line vector is not 1: not sigma-fixed")
+    return LoopVector.make(ctx.algebra, e, items)
 
 
 def ad_exp(x: LoopVector, y: LoopVector) -> LoopVector:
@@ -492,6 +503,7 @@ def cartan_component(v: LoopVector) -> LoopVector:
     )
 
 
+@lru_cache(maxsize=512)  # every loopcheck window and loop suite ask for 262 inputs
 def cartan_direction(datum: TwistedDatum, a) -> LoopVector:
     """Cartan-valued tangent vector conjugated out of a negative root line.
 
@@ -499,7 +511,8 @@ def cartan_direction(datum: TwistedDatum, a) -> LoopVector:
     one step shallower (b = -beta - m - 1/d), h = exp(e_b), and the result is
     the Cartan component of Ad(h) e_a: nonzero and sigma-invariant, by
     construction of the correspondence.  Even levels over a multipliable root
-    have no such recipe and are rejected.
+    have no such recipe and are rejected.  Results are memoised (a LoopVector
+    is immutable); rejections are not, so they raise on every call.
     """
     beta, level = a
     if level >= 0:

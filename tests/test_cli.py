@@ -14,6 +14,9 @@ from affsch.rootsys import Coweight
 from affsch.schubert import dominant_below, minimal_degenerations
 from affsch.twist import twisted_datum
 
+LOOP_TYPES = ("A1", "2A2", "2A3", "2A4", "2A5", "2D4", "2D5", "3D4", "2E6")
+LOOP_SUITES = ("loop-basis", "cartan-direction", "sl2-factorization")
+
 SCHEMA = json.loads(
     (Path(__file__).resolve().parents[1] / "src/affsch/schema/report.schema.json").read_text()
 )
@@ -195,6 +198,31 @@ def test_loopcheck_reports(capsys):
         ("H", -1, "-1"),
         ("X", -2, "-1"),
     }
+
+
+def _coeff_strings(node):
+    if isinstance(node, dict):
+        for key, value in node.items():
+            if key == "coeff" or key == "su3_diagonal_at_degree_minus_one":
+                yield from value if isinstance(value, list) else [value]
+            else:
+                yield from _coeff_strings(value)
+    elif isinstance(node, list):
+        for value in node:
+            yield from _coeff_strings(value)
+
+
+def test_loop_documents_print_exact_coefficients(capsys):
+    # a float coefficient would print as "0.5" or "1e-05"
+    requests = [("loopcheck", "--type", label, "--window", "8", "--json") for label in LOOP_TYPES]
+    requests += [("verify", "--suite", suite, "--window", "8", "--json") for suite in LOOP_SUITES]
+    strings = []
+    for argv in requests:
+        code, doc = run_json(capsys, *argv)
+        assert code == 0, argv
+        strings += list(_coeff_strings(doc))
+    assert len(strings) > 2000 and "-1/2" in strings
+    assert [text for text in strings if "." in text or "e" in text] == []
 
 
 def test_jobs_default_comes_from_environment(monkeypatch):

@@ -34,11 +34,13 @@ from affsch.rootsys import _gauss_jordan
 from affsch.twist import (
     RelativeAffineRoot,
     _eigenspace_dim,
+    affine_roots_negative_at_vertex,
+    build_twisted,
     cartan_sigma_dim,
     sigma_affine_to_relative,
     twisted_datum,
 )
-from affsch.verify import run_suite
+from affsch.verify import DIRECTION_LABELS, run_suite
 
 LOOP_TYPES = ("A1", "2A2", "2A3", "2A4", "2A5", "2D4", "2D5", "3D4", "2E6")
 
@@ -77,6 +79,52 @@ def dense_fixed_dim(ctx, n, kind="X"):
         mat[index[img]][index[sym]] = mat[index[img]][index[sym]] + zn.scale(sign)
         mat[index[sym]][index[sym]] = mat[index[sym]][index[sym]] - one
     return len(symbols) - _rank(mat)
+
+
+def window_inventory(label, window=8):
+    """(datum, rel) of every root line at u-degrees -window..window."""
+    datum = twisted_datum(label)
+    return [
+        (datum, sigma_affine_to_relative(datum, (root, k)))
+        for n in range(-window, window + 1)
+        for root, k in root_lines_at_degree(datum, n)
+    ]
+
+
+def walk_vector(datum, rel):
+    """e_a by its definition, through whatever sigma0.image_symbol is in place."""
+    ctx = loop_context(datum)
+    n = rel.u_degree(datum.e)
+    sym, sign, items = ("X", rel.orbit[-1]), 1, []
+    for i in range(1, len(rel.orbit) + 1):
+        c, sym = ctx.sigma0.image_symbol(sym)
+        sign *= c
+        items.append((sym, n, CycScalar.zeta_power(datum.e, i * n).scale(sign)))
+    return LoopVector.make(ctx.algebra, datum.e, items)
+
+
+def direction_inventory():
+    """(datum, a) of every Cartan direction the loop requests ask for, rejections left out.
+
+    The cartan-direction suite goes to depth 6 over DIRECTION_LABELS; loopcheck
+    asks for level -1 on every loop type.
+    """
+    out = []
+    for label in LOOP_TYPES:
+        datum = twisted_datum(label)
+        depth = 6 if label in DIRECTION_LABELS else 1
+        for a in affine_roots_negative_at_vertex(datum, depth):
+            if sigma_affine_to_relative(datum, a).case != "case2a":
+                out.append((datum, a))
+    return out
+
+
+@pytest.fixture
+def fresh_directions():
+    """Tests that patch loop internals must not read or leave memoised Cartan directions."""
+    cartan_direction.cache_clear()
+    yield
+    cartan_direction.cache_clear()
 
 
 # -- scalars -------------------------------------------------------------------
@@ -288,6 +336,21 @@ def test_loop_context_is_cached_and_order_checked():
     assert ctx.sigma0.order == datum.e == 3
 
 
+def test_loop_context_cache_is_bounded():
+    maxsize = loop_context.cache_info().maxsize
+    assert maxsize is not None and maxsize >= len(LOOP_TYPES)
+    loop_context.cache_clear()
+    contexts = [loop_context(twisted_datum(label)) for label in LOOP_TYPES]
+    assert all(loop_context(twisted_datum(label)) is ctx for label, ctx in zip(LOOP_TYPES, contexts))
+    # keyed by datum identity: data built directly must not pile up
+    data = [build_twisted("A1", 1) for _ in range(maxsize + 1)]
+    first = loop_context(data[0])
+    for datum in data[1:]:
+        loop_context(datum)
+    assert loop_context.cache_info().currsize == maxsize
+    assert loop_context(data[0]) is not first
+
+
 # -- loop vectors and invariant lines -------------------------------------------
 
 
@@ -345,6 +408,74 @@ def test_make_e_a_rejects_levels_off_the_progression():
     bad = RelativeAffineRoot("case1", ((0, 1, 0),), Fraction(1, 2), (1, 0), 0)
     with pytest.raises(ValueError):
         make_e_a(datum, bad)
+
+
+def test_closing_check_agrees_with_the_sigma_action_oracle():
+    total = 0
+    for label in LOOP_TYPES:
+        for datum, rel in window_inventory(label):
+            vec = make_e_a(datum, rel)  # the closing check accepted it
+            assert sigma_action(datum, vec) == vec, (label, rel)
+            assert vec == walk_vector(datum, rel)
+            total += 1
+    assert total == 1932
+
+
+@pytest.mark.parametrize(
+    "label,a",
+    [
+        ("A1", ((1,), -2)),
+        ("2A2", ((1,), -1)),  # one term on the doubled root, whose sign is -1
+        ("2A2", ((1,), 2)),  # the two-term pair
+        ("3D4", ((0, 1), -1)),  # the three-term orbit sum
+        ("2E6", ((0, 0, 1, 1), -3)),
+    ],
+)
+def test_flipped_closing_sign_fails_the_check_and_the_oracle(monkeypatch, fresh_directions, label, a):
+    datum = twisted_datum(label)
+    rel = sigma_affine_to_relative(datum, a)
+    sigma0 = loop_context(datum).sigma0
+    start, real = ("X", rel.orbit[-1]), sigma0.image_symbol
+
+    def flipped(sym):
+        # the step of the walk that closes it gets the opposite sign
+        c, img = real(sym)
+        return (-c if img == start else c), img
+
+    monkeypatch.setattr(sigma0, "image_symbol", flipped)
+    with pytest.raises(AssertionError, match="closing scalar"):
+        make_e_a(datum, rel)
+    mutated = walk_vector(datum, rel)
+    assert sigma_action(datum, mutated) != mutated
+
+
+def test_closing_check_rejects_misread_orbits():
+    # 3D4 moves X_(1,0,0,0): a one-member orbit does not return to its start
+    datum = twisted_datum("3D4")
+    rel = RelativeAffineRoot("case1", ((1, 0, 0, 0),), Fraction(0), (0, 1), 0)
+    with pytest.raises(AssertionError, match="did not return"):
+        make_e_a(datum, rel)
+    vec = walk_vector(datum, rel)
+    assert sigma_action(datum, vec) != vec
+    # 2A2 fixes X_(1,1) with sign -1: at an even degree its closing scalar is -1
+    datum = twisted_datum("2A2")
+    rel = RelativeAffineRoot("case1", ((1, 1),), Fraction(0), (1,), 0)
+    with pytest.raises(AssertionError, match="closing scalar"):
+        make_e_a(datum, rel)
+    vec = walk_vector(datum, rel)
+    assert sigma_action(datum, vec) != vec
+
+
+def test_inventory_coefficients_are_ints_or_fractions():
+    def coeffs(vectors):
+        return [x for vec in vectors for _, _, c in vec.terms for x in (c.a, c.b)]
+
+    lines = [make_e_a(datum, rel) for label in LOOP_TYPES for datum, rel in window_inventory(label)]
+    directions = [cartan_direction(datum, a) for datum, a in direction_inventory()]
+    # signs and zeta powers stay ints; ad_exp divides by n!, which makes Fractions
+    assert all(type(x) is int for x in coeffs(lines))
+    assert all(type(x) in (int, Fraction) for x in coeffs(directions))
+    assert any(type(x) is Fraction for x in coeffs(directions))
 
 
 def test_sigma_action_has_the_advertised_order():
@@ -483,6 +614,27 @@ def test_cartan_direction_rejections():
         cartan_direction(datum, ((1,), 1))
 
 
+def test_cartan_direction_cache_holds_the_loop_inventory(fresh_directions):
+    inventory = direction_inventory()
+    assert len(set(inventory)) == len(inventory) == 262
+    first = [cartan_direction(datum, a) for datum, a in inventory]
+    info = cartan_direction.cache_info()
+    assert info.maxsize is not None and info.maxsize >= len(inventory)
+    assert info.misses == info.currsize == len(inventory)
+    # a second pass is served whole from the cache, the same objects
+    again = [cartan_direction(datum, a) for datum, a in inventory]
+    assert all(x is y for x, y in zip(first, again))
+    assert cartan_direction.cache_info().hits == len(inventory)
+
+
+def test_cartan_direction_rejections_are_not_memoised(fresh_directions):
+    datum = twisted_datum("2A2")
+    for _ in range(2):
+        with pytest.raises(ValueError, match="even levels over a multipliable root"):
+            cartan_direction(datum, ((1,), -2))
+    assert cartan_direction.cache_info().currsize == 0
+
+
 # -- graded dimension audit -------------------------------------------------------
 
 
@@ -544,7 +696,7 @@ def test_root_line_rank_from_supports_matches_elimination(label):
         assert _rank(rows) == line.vector_rank == line.progression_count, line.degree
 
 
-def test_root_line_rank_deficit_fails_the_report(monkeypatch):
+def test_root_line_rank_deficit_fails_the_report(monkeypatch, fresh_directions):
     # every root line at a degree gets that degree's first vector: rank 1, not the count
     real, first = loopalg.make_e_a, {}
 
