@@ -5,7 +5,6 @@ from affsch.rootsys import (
     CorootVector,
     FiniteRootSystem,
     build_root_system,
-    dominance_leq,
     dominant_rep,
     pairing,
     short_dominant_coroot,
@@ -23,22 +22,20 @@ from affsch.twist import (
     level_set,
     relative_to_sigma_level,
     sigma_affine_to_relative,
-    translate_affine_root,
     twisted_datum,
 )
 from affsch.schubert import (
     DegenerationEdge,
+    DominancePoset,
     KVector,
     SmoothLocusReport,
     SmoothnessCertificate,
     StratumReport,
     certificate,
-    classify_degeneration,
     dominant_below,
     k_alpha,
     k_vector,
     minimal_degenerations,
-    root_curve_target,
     root_tangent_bound,
     smooth_locus_report,
 )

@@ -8,14 +8,16 @@ Subcommands:
 
 Output is text by default, JSON with --json; identical inputs give
 byte-identical JSON (randomized sweeps take --seed, echoed in the output).
-Exit codes: 0 success, 1 failed property sweep, 2 usage error or empty sweep,
-3 internal invariant failure (AssertionError or RuntimeError; nothing on stdout).
+Exit codes: 0 success, 1 failed property sweep, 2 usage error, empty sweep or
+oversized closure, 3 internal invariant failure (AssertionError or
+RuntimeError; nothing on stdout).
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 
@@ -31,7 +33,12 @@ from affsch.loopalg import (
     root_lines_at_degree,
 )
 from affsch.rootsys import Coweight, two_rho_pairing
-from affsch.schubert import certificate, minimal_degenerations, smooth_locus_report
+from affsch.schubert import (
+    DominancePoset,
+    certificate,
+    minimal_degenerations,
+    smooth_locus_report,
+)
 from affsch.twist import (
     affine_roots_negative_at_vertex,
     cartan_sigma_dim,
@@ -41,6 +48,13 @@ from affsch.twist import (
 from affsch.verify import SUITES, run_suite, vector_rows
 
 SCHEMA_VERSION = 1
+# analyze and poset refuse a mu with more dominant p at <p,2rho> <= <mu,2rho>
+# (an upper bound on its strata): 533 for 2E6 2,2,2,2, 2,062 for 2E6 3,3,3,3
+# and 4,116 for A4 at <mu,2rho> = 76.  The largest closures it admits take a
+# few seconds.
+MAX_DOMINANT = 10_000
+# verify refuses a larger --max-pairing; at 40 the edge sweeps take seconds.
+MAX_PAIRING = 40
 
 
 def _document(command: str, request: dict, result: dict) -> dict:
@@ -61,6 +75,38 @@ def _parse_vector(text: str, rank: int, name: str) -> tuple[int, ...]:
     if len(values) != rank:
         raise ValueError(f"{name} must have {rank} entries for this type, got {len(values)}")
     return values
+
+
+def _dominant_count(two_rho: tuple[int, ...], bound: int) -> int:
+    """How many dominant p have <p,2rho> <= bound: a coin-change count.
+
+    Every p with each h_i p_i <= bound / rank is counted, so when that box
+    alone passes MAX_DOMINANT its size is returned without counting the rest:
+    the count below then runs over at most a few thousand totals.
+    """
+    box = math.prod(bound // (len(two_rho) * h) + 1 for h in two_rho)
+    if box > MAX_DOMINANT:
+        return box
+    ways = [1] + [0] * bound
+    for h in two_rho:
+        for total in range(h, bound + 1):
+            ways[total] += ways[total - h]
+    return sum(ways)
+
+
+def _closure_top(datum, text: str) -> Coweight:
+    """The dominant mu of --mu, refused when its closure is too large to list."""
+    system = datum.echelonnage
+    mu = Coweight(system, _parse_vector(text, system.rank, "--mu"))
+    if not mu.is_dominant():
+        raise ValueError("--mu must be dominant: all entries nonnegative")
+    dim = two_rho_pairing(mu)
+    if _dominant_count(system.two_rho_coefficients, dim) > MAX_DOMINANT:
+        raise ValueError(
+            f"--mu is too large: more than {MAX_DOMINANT} dominant coweights "
+            f"lie at or below its dimension {dim}"
+        )
+    return mu
 
 
 def _describe_datum(datum) -> dict:
@@ -94,11 +140,9 @@ def _certificate_dict(cert) -> dict:
 def _cmd_analyze(args) -> int:
     datum = twisted_datum(args.type)
     system = datum.echelonnage
-    mu_vec = _parse_vector(args.mu, system.rank, "--mu")
-    if any(v < 0 for v in mu_vec):
-        raise ValueError("--mu must be dominant: all entries nonnegative")
-    mu = Coweight(system, mu_vec)
-    report = smooth_locus_report(mu, datum)
+    mu = _closure_top(datum, args.mu)
+    poset = DominancePoset(system)
+    report = smooth_locus_report(mu, datum, poset)
     strata = []
     for stratum in report.strata:
         strata.append(
@@ -116,10 +160,10 @@ def _cmd_analyze(args) -> int:
     focus = None
     if args.lam is not None:
         lam = Coweight(system, _parse_vector(args.lam, system.rank, "--lambda"))
-        focus = _certificate_dict(certificate(mu, lam, datum))
+        focus = _certificate_dict(certificate(mu, lam, datum, poset))
     result = {
         "datum": _describe_datum(datum),
-        "mu": list(mu_vec),
+        "mu": list(mu.pairings),
         "dimension": two_rho_pairing(mu),
         "strata": strata,
         "focus": focus,
@@ -135,7 +179,7 @@ def _cmd_analyze(args) -> int:
         rel = d["relative"]
         norms = ",".join(str(n) for n in rel["simple_half_norms"])
         print(f"relative system {rel['label']} (rank {rel['rank']}, half-norms {norms})")
-        print(f"mu = {tuple(mu_vec)}, dimension {result['dimension']}")
+        print(f"mu = {mu.pairings}, dimension {result['dimension']}")
         print("strata:")
         for row in strata:
             line = (
@@ -177,15 +221,12 @@ def _poset_strata(mu: Coweight, edges) -> list[Coweight]:
 def _cmd_poset(args) -> int:
     datum = twisted_datum(args.type)
     system = datum.echelonnage
-    mu_vec = _parse_vector(args.mu, system.rank, "--mu")
-    if any(v < 0 for v in mu_vec):
-        raise ValueError("--mu must be dominant: all entries nonnegative")
-    mu = Coweight(system, mu_vec)
+    mu = _closure_top(datum, args.mu)
     edges = minimal_degenerations(mu)
     strata = _poset_strata(mu, edges)
     result = {
         "datum": _describe_datum(datum),
-        "mu": list(mu_vec),
+        "mu": list(mu.pairings),
         "strata": [list(lam.pairings) for lam in strata],
         "edges": [
             {
@@ -200,7 +241,7 @@ def _cmd_poset(args) -> int:
     if args.json:
         _emit_json("poset", _request_fields(args), result)
     else:
-        print(f"strata below mu = {tuple(mu_vec)} in {system.label}: {len(strata)}")
+        print(f"strata below mu = {mu.pairings} in {system.label}: {len(strata)}")
         for lam in strata:
             print(f"  {lam.pairings}  dim {two_rho_pairing(lam)}")
         print(f"covering edges: {len(edges)}")
@@ -370,21 +411,34 @@ def build_parser() -> argparse.ArgumentParser:
 
     analyze = sub.add_parser("analyze", help="stratum-by-stratum smoothness report")
     analyze.add_argument("--type", required=True, help="twisted type label, e.g. 3D4, 2A3, C2")
-    analyze.add_argument("--mu", required=True, help="dominant coweight, comma-separated pairings")
+    analyze.add_argument(
+        "--mu",
+        required=True,
+        help="dominant coweight, comma-separated pairings; refused when more than "
+        f"{MAX_DOMINANT:,} dominant coweights lie at or below its <mu,2rho>",
+    )
     analyze.add_argument("--lambda", dest="lam", default=None, help="focus stratum")
     analyze.add_argument("--json", action="store_true")
     analyze.set_defaults(func=_cmd_analyze)
 
     poset = sub.add_parser("poset", help="dominant strata and labelled covering edges")
     poset.add_argument("--type", required=True)
-    poset.add_argument("--mu", required=True)
+    poset.add_argument(
+        "--mu", required=True, help=f"as for analyze, with the same {MAX_DOMINANT:,} limit"
+    )
     poset.add_argument("--json", action="store_true")
     poset.set_defaults(func=_cmd_poset)
 
     verify = sub.add_parser("verify", help="run a named property sweep")
     verify.add_argument("--suite", required=True, choices=SUITES)
     verify.add_argument("--max-rank", dest="max_rank", type=int, default=4)
-    verify.add_argument("--max-pairing", dest="max_pairing", type=int, default=14)
+    verify.add_argument(
+        "--max-pairing",
+        dest="max_pairing",
+        type=_bounded(0, MAX_PAIRING),
+        default=14,
+        help=f"0 to {MAX_PAIRING}; the sweeps range over dominant mu with <mu,2rho> at most this",
+    )
     verify.add_argument(
         "--window",
         type=_bounded(0, 8),

@@ -455,52 +455,6 @@ def dominant_rep(nu: Coweight) -> Coweight:
     return Coweight(nu.system, _dominant_rep_raw(nu.pairings, nu.system.columns))
 
 
-def reflect_coweight(nu: Coweight, i: int) -> Coweight:
-    pi = nu.pairings[i]
-    col = nu.system.columns[i]
-    return Coweight(nu.system, tuple(p - pi * c for p, c in zip(nu.pairings, col)))
-
-
-def weyl_orbit(nu: Coweight) -> frozenset[IntVec]:
-    """All pairing vectors in the Weyl orbit of nu (exponential in rank; test-sized inputs only)."""
-    columns = nu.system.columns
-    rank = nu.system.rank
-    seen = {nu.pairings}
-    frontier = [nu.pairings]
-    while frontier:
-        nxt = []
-        for p in frontier:
-            for i in range(rank):
-                pi = p[i]
-                if pi == 0:
-                    continue
-                col = columns[i]
-                q = tuple(pj - pi * cj for pj, cj in zip(p, col))
-                if q not in seen:
-                    seen.add(q)
-                    nxt.append(q)
-        frontier = nxt
-    return frozenset(seen)
-
-
-def dominance_leq(lam: Coweight, mu: Coweight) -> bool:
-    """lam <= mu: mu - lam a nonnegative integer combination of simple coroots."""
-    if lam.system is not mu.system:
-        raise ValueError("coweights live on different systems")
-    dp = tuple(m - l for l, m in zip(lam.pairings, mu.pairings))
-    c = lam.system.lattice_coefficients(dp)
-    return c is not None and all(x >= 0 for x in c)
-
-
-def difference_coroot(lam: Coweight, mu: Coweight) -> CorootVector | None:
-    """mu - lam as a coroot vector, or None when it is outside the coroot lattice."""
-    if lam.system is not mu.system:
-        raise ValueError("coweights live on different systems")
-    dp = tuple(m - l for l, m in zip(lam.pairings, mu.pairings))
-    c = lam.system.lattice_coefficients(dp)
-    return None if c is None else CorootVector(lam.system, c)
-
-
 def two_rho_pairing(mu: Coweight) -> int:
     """<mu, 2rho>, the dimension pairing against the sum of the positive roots."""
     return sum(h * p for h, p in zip(mu.system.two_rho_coefficients, mu.pairings))

@@ -11,12 +11,21 @@ over all roots (both signs) it bounds the tangent space at the lam stratum
 from below.  Adding one Cartan direction when some k over a negative root is
 positive yields the singularity certificate: the closure is singular along
 the lam stratum whenever the total strictly exceeds <mu, 2rho>.
+
+None of this depends on the closure top mu beyond its down-set, so one
+DominancePoset per root system memoises it: the dominant Stembridge steps
+and covers of every point it meets, the down-set with gaps of every top it
+is asked for, the classified covering edges of every upper end, and the
+dominant representatives its k_alpha walks land on.  A poset lives for one
+call: one analyze or poset closure, or one type of one verify sweep.  Every
+public function here takes an optional poset and builds a fresh one without.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from operator import sub
 
 from affsch.rootsys import (
     Coweight,
@@ -94,26 +103,155 @@ class SmoothLocusReport:
     strata: tuple[StratumReport, ...]
 
 
-# -- cached primitives on raw pairing tuples --------------------------------
+# -- coroot tables, one per root system --------------------------------------
 
 
-@lru_cache(maxsize=None)
-def _coroot_step(system: FiniteRootSystem, root: Root) -> IntVec:
-    return CorootVector(system, system.coroot_coefficients(root)).pairings
+@lru_cache(maxsize=32)
+def _positive_coroots(system: FiniteRootSystem) -> tuple[tuple[IntVec, IntVec], ...]:
+    """(pairings, coefficients) of beta^vee for every positive root beta."""
+    return tuple(
+        (system.coroot_pairings(beta), system.coroot_coefficients(beta))
+        for beta in system.positive_roots
+    )
 
 
-@lru_cache(maxsize=None)
-def _dom_raw(system: FiniteRootSystem, p: IntVec) -> IntVec:
-    return _dominant_rep_raw(p, system.columns)
+@lru_cache(maxsize=32)
+def _coroot_pairings(system: FiniteRootSystem) -> dict[Root, IntVec]:
+    """Pairing vector of alpha^vee for every root alpha."""
+    return {alpha: system.coroot_pairings(alpha) for alpha in system.roots}
 
 
-@lru_cache(maxsize=None)
-def _gap_raw(system: FiniteRootSystem, lp: IntVec, mp: IntVec) -> IntVec | None:
-    """Coroot coefficients of mu - lam if lam <= mu in dominance, else None."""
-    c = system.lattice_coefficients(tuple(m - l for l, m in zip(lp, mp)))
-    if c is None or any(x < 0 for x in c):
-        return None
-    return c
+def _stratum_key(system: FiniteRootSystem, p: IntVec) -> tuple[int, IntVec]:
+    """Stratum order: larger <lam,2rho> first, ties by pairing vector."""
+    return -sum(h * x for h, x in zip(system.two_rho_coefficients, p)), p
+
+
+def _componentwise_lt(a: IntVec, b: IntVec) -> bool:
+    return a != b and all(x <= y for x, y in zip(a, b))
+
+
+# -- the memoised poset -------------------------------------------------------
+
+
+class DominancePoset:
+    """The dominance order on the dominant coweights of one root system, memoised.
+
+    Stembridge (The partial order of dominant weights, Adv. Math. 136, 1998):
+    for dominant lam < nu there is a positive root beta with nu - beta^vee
+    dominant and lam <= nu - beta^vee.  So a walk from mu over dominant steps
+    nu -> nu - beta^vee reaches every stratum below mu, and every cover of nu
+    is such a step, one whose coroot coefficients are minimal among them.
+
+    Points are raw pairing vectors.  Steps, covers and classified edges
+    depend only on their upper end, so every top above a point shares them.
+    """
+
+    def __init__(self, system: FiniteRootSystem) -> None:
+        self.system = system
+        self._steps: dict[IntVec, list[tuple[IntVec, IntVec]]] = {}
+        self._covers: dict[IntVec, list[tuple[IntVec, IntVec]]] = {}
+        self._below: dict[IntVec, dict[IntVec, IntVec]] = {}
+        self._edges: dict[IntVec, tuple[DegenerationEdge, ...]] = {}
+        self._dom: dict[IntVec, IntVec] = {}
+
+    def steps(self, p: IntVec) -> list[tuple[IntVec, IntVec]]:
+        """(p - beta^vee, coefficients of beta^vee) for each dominant step from p."""
+        steps = self._steps.get(p)
+        if steps is None:
+            steps = self._steps[p] = []
+            for step, coeffs in _positive_coroots(self.system):
+                q = tuple(map(sub, p, step))
+                if min(q) >= 0:
+                    steps.append((q, coeffs))
+        return steps
+
+    def covers(self, p: IntVec) -> list[tuple[IntVec, IntVec]]:
+        """Covers of p, each with the coefficients of p - cover; stratum order.
+
+        A dominant step is a cover unless another one drops by componentwise
+        less: that step's target lies strictly between p and this one's.
+        """
+        covers = self._covers.get(p)
+        if covers is None:
+            steps = self.steps(p)
+            covers = [
+                (q, coeffs)
+                for q, coeffs in steps
+                if not any(_componentwise_lt(other, coeffs) for _, other in steps)
+            ]
+            covers.sort(key=lambda step: _stratum_key(self.system, step[0]))
+            self._covers[p] = covers
+        return covers
+
+    def below(self, mu: IntVec) -> dict[IntVec, IntVec]:
+        """Each dominant lam <= mu, mapped to the coroot coefficients of mu - lam.
+
+        The keys come in stratum order.  Only the coset of mu is reached, so
+        membership is the dominance test for any dominant lam in that coset.
+        """
+        below = self._below.get(mu)
+        if below is None:
+            gaps = {mu: (0,) * self.system.rank}
+            queue = [mu]
+            for p in queue:  # the queue grows while it is walked: breadth first
+                for q, coeffs in self.steps(p):
+                    if q not in gaps:
+                        gaps[q] = tuple(a + b for a, b in zip(gaps[p], coeffs))
+                        queue.append(q)
+            queue.sort(key=lambda p: _stratum_key(self.system, p))
+            below = self._below[mu] = {p: gaps[p] for p in queue}
+        return below
+
+    def edges(self, p: IntVec) -> tuple[DegenerationEdge, ...]:
+        """The classified covering edges with upper end p, ordered by lower end."""
+        edges = self._edges.get(p)
+        if edges is None:
+            system = self.system
+            upper = Coweight(system, p)
+            found = []
+            for q, gap in sorted(self.covers(p)):
+                lower = Coweight(system, q)
+                support = tuple(i for i, x in enumerate(gap) if x)
+                case = _classify(upper, lower, gap)
+                found.append(
+                    DegenerationEdge(upper, lower, CorootVector(system, gap), support, case)
+                )
+            edges = self._edges[p] = tuple(found)
+        return edges
+
+    def k_counts(self, lam: IntVec, mu: IntVec, roots) -> list[int]:
+        """k_alpha(lam, mu) for each alpha in roots, each by its own walk.
+
+        k_alpha is the largest k with dom(lam - k alpha^vee) in the down-set
+        of mu.  Every candidate lies in lam's coset, which is mu's, so
+        down-set membership is the dominance test: no lattice solve.  The
+        admissible set is an initial interval of the integers, so the first
+        failure ends a walk; the cap turns any broken monotonicity into a
+        loud error instead of a wrong answer.
+        """
+        below = self.below(mu)
+        table = _coroot_pairings(self.system)
+        cap = sum(h * x for h, x in zip(self.system.two_rho_coefficients, mu)) + 1
+        dom = self._dom
+        counts = []
+        for alpha in roots:
+            step = table.get(alpha)
+            if step is None:
+                raise ValueError(f"{alpha} is not a root of {self.system.label}")
+            cand = lam
+            k = 0
+            while True:
+                cand = tuple(map(sub, cand, step))
+                rep = dom.get(cand)
+                if rep is None:
+                    rep = dom[cand] = _dominant_rep_raw(cand, self.system.columns)
+                if rep not in below:
+                    break
+                k += 1
+                if k > cap:
+                    raise RuntimeError("root-curve count exceeded the dimension cap")
+            counts.append(k)
+        return counts
 
 
 def _require_dominant_pair(lam: Coweight, mu: Coweight) -> None:
@@ -123,102 +261,46 @@ def _require_dominant_pair(lam: Coweight, mu: Coweight) -> None:
         raise ValueError("both coweights must be dominant")
 
 
+def _poset_for(mu: Coweight, poset: DominancePoset | None) -> DominancePoset:
+    if poset is None:
+        return DominancePoset(mu.system)
+    if poset.system is not mu.system:
+        raise ValueError("the poset belongs to a different root system")
+    return poset
+
+
+def _pair_poset(lam: Coweight, mu: Coweight, poset: DominancePoset | None) -> DominancePoset:
+    """The poset to use for the dominant pair lam <= mu; refuses any other pair."""
+    _require_dominant_pair(lam, mu)
+    poset = _poset_for(mu, poset)
+    if lam.pairings not in poset.below(mu.pairings):
+        raise ValueError("lam must lie below mu in the dominance order")
+    return poset
+
+
 # -- poset enumeration -------------------------------------------------------
 
 
-def _stratum_key(system: FiniteRootSystem, p: IntVec) -> tuple[int, IntVec]:
-    """Stratum order: larger <lam,2rho> first, ties by pairing vector."""
-    return -sum(h * x for h, x in zip(system.two_rho_coefficients, p)), p
-
-
-@lru_cache(maxsize=None)
-def _positive_coroots(system: FiniteRootSystem) -> tuple[tuple[IntVec, IntVec], ...]:
-    """(pairings, coefficients) of beta^vee for every positive root beta."""
-    return tuple(
-        (_coroot_step(system, beta), system.coroot_coefficients(beta))
-        for beta in system.positive_roots
-    )
-
-
-def _dominant_steps(system: FiniteRootSystem, p: IntVec) -> list[tuple[IntVec, IntVec]]:
-    """(p - beta^vee, coefficients of beta^vee) for each dominant step from p."""
-    steps = []
-    for step, coeffs in _positive_coroots(system):
-        q = tuple(x - s for x, s in zip(p, step))
-        if all(x >= 0 for x in q):
-            steps.append((q, coeffs))
-    return steps
-
-
-def _below_with_gaps(mu: Coweight) -> list[tuple[Coweight, IntVec]]:
-    """Dominant lam <= mu, paired with the coroot coefficients of mu - lam.
-
-    Stembridge (The partial order of dominant weights, Adv. Math. 136, 1998):
-    for dominant lam < nu there is a positive root beta with nu - beta^vee
-    dominant and lam <= nu - beta^vee.  So a walk from mu over dominant steps
-    nu -> nu - beta^vee reaches every stratum, and every cover of nu is such a
-    step, one whose coroot coefficients are minimal among them (_covers).
-    """
-    system = mu.system
-    gaps = {mu.pairings: (0,) * system.rank}
-    queue = [mu.pairings]
-    for p in queue:  # the queue grows while it is walked: breadth first
-        for q, coeffs in _dominant_steps(system, p):
-            if q not in gaps:
-                gaps[q] = tuple(a + b for a, b in zip(gaps[p], coeffs))
-                queue.append(q)
-    return [
-        (Coweight(system, p), gaps[p])
-        for p in sorted(gaps, key=lambda p: _stratum_key(system, p))
-    ]
-
-
-def dominant_below(mu: Coweight) -> list[Coweight]:
+def dominant_below(mu: Coweight, poset: DominancePoset | None = None) -> list[Coweight]:
     """All dominant lam with lam <= mu and mu - lam in the coroot lattice."""
     _require_dominant_pair(mu, mu)
-    return [lam for lam, _ in _below_with_gaps(mu)]
+    system = mu.system
+    return [Coweight(system, p) for p in _poset_for(mu, poset).below(mu.pairings)]
 
 
-def _componentwise_lt(a: IntVec, b: IntVec) -> bool:
-    return a != b and all(x <= y for x, y in zip(a, b))
-
-
-def _covers(system: FiniteRootSystem, p: IntVec) -> list[tuple[Coweight, IntVec]]:
-    """Covers of the dominant p, each with the coefficients of p - cover; stratum order.
-
-    A dominant step is a cover unless another one drops by componentwise less:
-    that step's target lies strictly between p and this one's.
-    """
-    steps = _dominant_steps(system, p)
-    covers = [
-        (q, coeffs)
-        for q, coeffs in steps
-        if not any(_componentwise_lt(other, coeffs) for _, other in steps)
-    ]
-    covers.sort(key=lambda step: _stratum_key(system, step[0]))
-    return [(Coweight(system, q), coeffs) for q, coeffs in covers]
-
-
-def minimal_degenerations(mu: Coweight) -> list[DegenerationEdge]:
+def minimal_degenerations(
+    mu: Coweight, poset: DominancePoset | None = None
+) -> list[DegenerationEdge]:
     """Every covering pair of the dominance order on dominant_below(mu)."""
     _require_dominant_pair(mu, mu)
-    system = mu.system
-    edges: list[DegenerationEdge] = []
-    for upper, _ in _below_with_gaps(mu):
-        for lower, gap in _covers(system, upper.pairings):
-            support = tuple(i for i, x in enumerate(gap) if x)
-            case = _classify(upper, lower, gap)
-            edges.append(
-                DegenerationEdge(upper, lower, CorootVector(system, gap), support, case)
-            )
-    edges.sort(key=lambda e: (-two_rho_pairing(e.mu), e.mu.pairings, e.lam.pairings))
-    return edges
+    poset = _poset_for(mu, poset)
+    return [edge for p in poset.below(mu.pairings) for edge in poset.edges(p)]
 
 
 # -- degeneration classification ---------------------------------------------
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=64)
 def _canonical_sdc(label: str) -> IntVec:
     return short_dominant_coroot(build_root_system(label)).coefficients
 
@@ -271,69 +353,38 @@ def _classify(mu: Coweight, lam: Coweight, gap: IntVec) -> int:
     )
 
 
-def classify_degeneration(edge: DegenerationEdge) -> int:
-    """Recompute the case tag 1..5 of a covering pair from its endpoints."""
-    return _classify(edge.mu, edge.lam, edge.diff.coefficients)
-
-
 # -- root-curve counts --------------------------------------------------------
 
 
-def k_alpha(lam: Coweight, mu: Coweight, alpha: Root) -> int:
-    """Largest k with dominant_rep(lam - k * coroot(alpha)) <= mu.
-
-    The admissible set is an initial interval of the integers, so the first
-    failure ends the search; the cap turns any broken monotonicity into a
-    loud error instead of a wrong answer.
-    """
-    _require_dominant_pair(lam, mu)
-    system = lam.system
-    if _gap_raw(system, lam.pairings, mu.pairings) is None:
-        raise ValueError("lam must lie below mu in the dominance order")
-    step = _coroot_step(system, alpha)
-    cap = two_rho_pairing(mu) + 1
-    mp = mu.pairings
-    k = 0
-    while True:
-        cand = tuple(p - (k + 1) * s for p, s in zip(lam.pairings, step))
-        if _gap_raw(system, _dom_raw(system, cand), mp) is None:
-            return k
-        k += 1
-        if k > cap:
-            raise RuntimeError("root-curve count exceeded the dimension cap")
+def k_alpha(
+    lam: Coweight, mu: Coweight, alpha: Root, poset: DominancePoset | None = None
+) -> int:
+    """Largest k with dominant_rep(lam - k * coroot(alpha)) <= mu."""
+    return _pair_poset(lam, mu, poset).k_counts(lam.pairings, mu.pairings, (alpha,))[0]
 
 
-def k_vector(lam: Coweight, mu: Coweight) -> KVector:
-    system = lam.system
-    return KVector(
-        system, tuple((root, k_alpha(lam, mu, root)) for root in system.roots)
-    )
+def k_vector(lam: Coweight, mu: Coweight, poset: DominancePoset | None = None) -> KVector:
+    """k_alpha for every root, each by its own walk."""
+    roots = lam.system.roots
+    counts = _pair_poset(lam, mu, poset).k_counts(lam.pairings, mu.pairings, roots)
+    return KVector(lam.system, tuple(zip(roots, counts)))
 
 
-def root_tangent_bound(lam: Coweight, mu: Coweight) -> int:
+def root_tangent_bound(
+    lam: Coweight, mu: Coweight, poset: DominancePoset | None = None
+) -> int:
     """Sum of k_alpha over all roots: a lower bound for the tangent dimension."""
-    return k_vector(lam, mu).total
-
-
-def root_curve_target(
-    lam: Coweight, alpha: Root, k: int, mu: Coweight | None = None
-) -> Coweight:
-    """Stratum label reached by the alpha root curve at winding k."""
-    if k < 1:
-        raise ValueError("winding number k must be at least 1")
-    if mu is not None and k > k_alpha(lam, mu, alpha):
-        raise ValueError("k exceeds the root-curve count for this pair")
-    system = lam.system
-    step = _coroot_step(system, alpha)
-    cand = tuple(p - k * s for p, s in zip(lam.pairings, step))
-    return Coweight(system, _dom_raw(system, cand))
+    return k_vector(lam, mu, poset).total
 
 
 # -- certificates -------------------------------------------------------------
 
 
 def certificate(
-    mu: Coweight, lam: Coweight, datum: TwistedDatum
+    mu: Coweight,
+    lam: Coweight,
+    datum: TwistedDatum,
+    poset: DominancePoset | None = None,
 ) -> SmoothnessCertificate:
     """Singularity certificate for the lam stratum inside the mu closure."""
     if datum.vertex != ABSOLUTELY_SPECIAL:
@@ -343,9 +394,7 @@ def certificate(
     _require_dominant_pair(lam, mu)
     if lam == mu:
         raise ValueError("need a strict degeneration, got lam == mu")
-    if _gap_raw(mu.system, lam.pairings, mu.pairings) is None:
-        raise ValueError("lam must lie below mu in the dominance order")
-    kv = k_vector(lam, mu)
+    kv = k_vector(lam, mu, poset)
     dim = two_rho_pairing(mu)
     root_bound = kv.total
     negative_direction = any(
@@ -363,7 +412,9 @@ def certificate(
     return SmoothnessCertificate(mu, lam, dim, root_bound, cartan_extra, verdict)
 
 
-def smooth_locus_report(mu: Coweight, datum: TwistedDatum) -> SmoothLocusReport:
+def smooth_locus_report(
+    mu: Coweight, datum: TwistedDatum, poset: DominancePoset | None = None
+) -> SmoothLocusReport:
     """Status of every stratum of the mu closure.
 
     The top stratum is the open orbit.  Each cover gets a direct certificate.
@@ -376,11 +427,13 @@ def smooth_locus_report(mu: Coweight, datum: TwistedDatum) -> SmoothLocusReport:
     if mu.system is not datum.echelonnage:
         raise ValueError("mu must live in the datum's folded root system")
     _require_dominant_pair(mu, mu)
-    pairs = _below_with_gaps(mu)
-    covers = _covers(mu.system, mu.pairings)
-    certificates = {lam: certificate(mu, lam, datum) for lam, _ in covers}
+    system = mu.system
+    poset = _poset_for(mu, poset)
+    covers = [(Coweight(system, q), gap) for q, gap in poset.covers(mu.pairings)]
+    certificates = {lam: certificate(mu, lam, datum, poset) for lam, _ in covers}
     strata: list[StratumReport] = []
-    for lam, gap in pairs:
+    for p, gap in poset.below(mu.pairings).items():
+        lam = Coweight(system, p)
         if not any(gap):
             strata.append(StratumReport(lam, "smooth", "open-orbit"))
         elif lam in certificates:

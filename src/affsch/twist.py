@@ -405,12 +405,6 @@ def relative_to_sigma_level(datum: TwistedDatum, rel: RelativeAffineRoot) -> int
     return k
 
 
-def translate_affine_root(a: AffineRoot, lam: Coweight) -> AffineRoot:
-    """Conjugating by the translation t^lam shifts the level by <lam, root>."""
-    sigma_root, k = a
-    return (sigma_root, k + lam.pairing_with_root(sigma_root))
-
-
 def cartan_sigma_dim(datum: TwistedDatum, m: int) -> int:
     """Dimension of the zeta^m eigenspace of sigma0 on the Cartan subalgebra.
 

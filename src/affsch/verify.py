@@ -21,8 +21,8 @@ from affsch.loopalg import (
 )
 from affsch.rootsys import Coweight, IntVec, build_root_system, two_rho_pairing
 from affsch.schubert import (
-    dominant_below,
-    k_alpha,
+    DominancePoset,
+    k_vector,
     minimal_degenerations,
     root_tangent_bound,
 )
@@ -76,43 +76,40 @@ def sweep_coweights(system, max_pairing: int) -> list[Coweight]:
     return out
 
 
-def _cover_pairs(label: str, max_pairing: int) -> list[tuple[IntVec, IntVec]]:
-    system = build_root_system(label)
-    pairs = []
-    for mu in sweep_coweights(system, max_pairing):
-        for edge in minimal_degenerations(mu):
-            pairs.append((edge.mu.pairings, edge.lam.pairings))
-    return pairs
+def _cover_pairs(poset: DominancePoset, mus: list[Coweight]) -> list[tuple[IntVec, IntVec]]:
+    return [
+        (edge.mu.pairings, edge.lam.pairings)
+        for mu in mus
+        for edge in minimal_degenerations(mu, poset)
+    ]
 
 
-def _random_pairs(label: str, max_pairing: int, seed: int, count: int):
-    """Seeded dominant pairs lam <= mu, not necessarily covers."""
-    system = build_root_system(label)
-    mus = [m for m in sweep_coweights(system, max_pairing) if any(m.pairings)]
-    rng = random.Random(f"{seed}:{label}")  # string seeding is process-stable
+def _random_pairs(poset: DominancePoset, mus: list[Coweight], seed: int, count: int):
+    """Seeded dominant pairs lam <= mu, not necessarily covers, drawn from mus."""
+    mus = [m for m in mus if any(m.pairings)]
+    rng = random.Random(f"{seed}:{poset.system.label}")  # string seeding is process-stable
     out = []
     for _ in range(count if mus else 0):
         mu = rng.choice(mus)
-        lam = rng.choice(dominant_below(mu))
-        out.append((mu.pairings, lam.pairings))
+        lam = rng.choice(list(poset.below(mu.pairings)))
+        out.append((mu.pairings, lam))
     return out
 
 
-def _check_k_symmetry(task) -> list[dict]:
-    label, mu_p, lam_p = task
-    system = build_root_system(label)
-    mu = Coweight(system, mu_p)
+def _check_k_symmetry(poset: DominancePoset, mu_p: IntVec, lam_p: IntVec) -> list[dict]:
+    """k(alpha) = k(-alpha) + <lam, alpha>, with both counts walked independently."""
+    system = poset.system
     lam = Coweight(system, lam_p)
+    kv = k_vector(lam, Coweight(system, mu_p), poset)
     bad = []
     for root in system.positive_roots:
-        neg = tuple(-c for c in root)
-        plus = k_alpha(lam, mu, root)
-        minus = k_alpha(lam, mu, neg)
+        plus = kv[root]
+        minus = kv[tuple(-c for c in root)]
         step = lam.pairing_with_root(root)
         if plus != minus + step:
             bad.append(
                 {
-                    "type": label,
+                    "type": system.label,
                     "mu": list(mu_p),
                     "lambda": list(lam_p),
                     "root": list(root),
@@ -124,20 +121,40 @@ def _check_k_symmetry(task) -> list[dict]:
     return bad
 
 
-def _mu_edge_rows(task) -> list[dict]:
-    label, mu_p, kind = task
-    system = build_root_system(label)
-    mu = Coweight(system, mu_p)
+def _k_symmetry_rows(task) -> tuple[list[dict], list[dict]]:
+    """One type of the k-symmetry sweep: an instance row per distinct pair, and the failures."""
+    label, max_pairing, seed = task
+    poset = DominancePoset(build_root_system(label))
+    mus = sweep_coweights(poset.system, max_pairing)
+    pairs = dict.fromkeys(_cover_pairs(poset, mus) + _random_pairs(poset, mus, seed, 25))
+    instances = [{"type": label, "mu": list(mu_p), "lambda": list(lam_p)} for mu_p, lam_p in pairs]
+    failures = [row for mu_p, lam_p in pairs for row in _check_k_symmetry(poset, mu_p, lam_p)]
+    return instances, failures
+
+
+def _mu_edge_rows(poset: DominancePoset, mu: Coweight, kind: str) -> list[dict]:
+    label = poset.system.label
     rows = []
-    for edge in minimal_degenerations(mu):
-        row = {"type": label, "mu": list(mu_p), "lambda": list(edge.lam.pairings)}
+    for edge in minimal_degenerations(mu, poset):
+        row = {"type": label, "mu": list(mu.pairings), "lambda": list(edge.lam.pairings)}
         if kind == "stembridge":
             row["case"] = edge.stembridge_case
         else:
             row["dim"] = two_rho_pairing(mu)
-            row["root_bound"] = root_tangent_bound(edge.lam, mu)
+            row["root_bound"] = root_tangent_bound(edge.lam, mu, poset)
         rows.append(row)
     return rows
+
+
+def _edge_rows(task) -> list[dict]:
+    """One type of an edge sweep: the rows of every top in its box."""
+    label, max_pairing, kind = task
+    poset = DominancePoset(build_root_system(label))
+    return [
+        row
+        for mu in sweep_coweights(poset.system, max_pairing)
+        for row in _mu_edge_rows(poset, mu, kind)
+    ]
 
 
 def _map_tasks(fn, tasks, jobs: int):
@@ -243,39 +260,26 @@ def _suite_cartan_direction(window: int) -> SuiteResult:
 
 
 def _suite_k_symmetry(max_rank: int, max_pairing: int, seed: int, jobs: int) -> SuiteResult:
-    tasks = []
-    for label in sweep_type_labels(max_rank):
-        seen = set()
-        for mu_p, lam_p in _cover_pairs(label, max_pairing) + _random_pairs(
-            label, max_pairing, seed, 25
-        ):
-            key = (mu_p, lam_p)
-            if key not in seen:
-                seen.add(key)
-                tasks.append((label, mu_p, lam_p))
-    failures = [row for rows in _map_tasks(_check_k_symmetry, tasks, jobs) for row in rows]
-    instances = [
-        {"type": label, "mu": list(mu_p), "lambda": list(lam_p)}
-        for label, mu_p, lam_p in tasks
-    ]
+    # one task per type: each worker builds that type's poset, none is pickled
+    tasks = [(label, max_pairing, seed) for label in sweep_type_labels(max_rank)]
+    instances, failures = [], []
+    for rows, bad in _map_tasks(_k_symmetry_rows, tasks, jobs):
+        instances += rows
+        failures += bad
     return SuiteResult(
         "k-symmetry",
         not failures,
         seed,
-        len(tasks),
+        len(instances),
         _canonical(instances),
         _canonical(failures),
     )
 
 
 def _suite_edge_sweep(kind: str, max_rank: int, max_pairing: int, jobs: int) -> SuiteResult:
-    tasks = []
-    for label in sweep_type_labels(max_rank):
-        system = build_root_system(label)
-        for mu in sweep_coweights(system, max_pairing):
-            tasks.append((label, mu.pairings, kind))
+    tasks = [(label, max_pairing, kind) for label in sweep_type_labels(max_rank)]
     rows, bad = [], []
-    for chunk in _map_tasks(_mu_edge_rows, tasks, jobs):
+    for chunk in _map_tasks(_edge_rows, tasks, jobs):
         rows.extend(chunk)
     details: dict = {}
     if kind == "stembridge":

@@ -1,0 +1,82 @@
+"""Slow, definition-level oracles shared by the tests.
+
+None of these has a caller in the package: each restates a fact the library
+computes another way (the dominance order by a lattice solve, dominant
+representatives by a Weyl-orbit scan, root-curve targets and case tags from
+a pair's endpoints), so the tests can check the fast paths against them.
+"""
+
+from __future__ import annotations
+
+from affsch.rootsys import Coweight, CorootVector, IntVec, Root, dominant_rep
+from affsch.schubert import DegenerationEdge, _classify, k_alpha
+
+AffineRoot = tuple[Root, int]
+
+
+def reflect_coweight(nu: Coweight, i: int) -> Coweight:
+    pi = nu.pairings[i]
+    col = nu.system.columns[i]
+    return Coweight(nu.system, tuple(p - pi * c for p, c in zip(nu.pairings, col)))
+
+
+def weyl_orbit(nu: Coweight) -> frozenset[IntVec]:
+    """All pairing vectors in the Weyl orbit of nu (exponential in rank; test-sized inputs only)."""
+    columns = nu.system.columns
+    rank = nu.system.rank
+    seen = {nu.pairings}
+    frontier = [nu.pairings]
+    while frontier:
+        nxt = []
+        for p in frontier:
+            for i in range(rank):
+                pi = p[i]
+                if pi == 0:
+                    continue
+                col = columns[i]
+                q = tuple(pj - pi * cj for pj, cj in zip(p, col))
+                if q not in seen:
+                    seen.add(q)
+                    nxt.append(q)
+        frontier = nxt
+    return frozenset(seen)
+
+
+def difference_coroot(lam: Coweight, mu: Coweight) -> CorootVector | None:
+    """mu - lam as a coroot vector, or None when it is outside the coroot lattice."""
+    if lam.system is not mu.system:
+        raise ValueError("coweights live on different systems")
+    dp = tuple(m - l for l, m in zip(lam.pairings, mu.pairings))
+    c = lam.system.lattice_coefficients(dp)
+    return None if c is None else CorootVector(lam.system, c)
+
+
+def dominance_leq(lam: Coweight, mu: Coweight) -> bool:
+    """lam <= mu: mu - lam a nonnegative integer combination of simple coroots."""
+    diff = difference_coroot(lam, mu)
+    return diff is not None and all(x >= 0 for x in diff.coefficients)
+
+
+def root_curve_target(
+    lam: Coweight, alpha: Root, k: int, mu: Coweight | None = None
+) -> Coweight:
+    """Stratum label reached by the alpha root curve at winding k."""
+    if k < 1:
+        raise ValueError("winding number k must be at least 1")
+    if mu is not None and k > k_alpha(lam, mu, alpha):
+        raise ValueError("k exceeds the root-curve count for this pair")
+    step = lam.system.coroot_pairings(alpha)
+    cand = tuple(p - k * s for p, s in zip(lam.pairings, step))
+    return dominant_rep(Coweight(lam.system, cand))
+
+
+def classify_degeneration(edge: DegenerationEdge) -> int:
+    """Recompute the case tag 1..5 of a covering pair from its endpoints alone."""
+    gap = difference_coroot(edge.lam, edge.mu)
+    return _classify(edge.mu, edge.lam, gap.coefficients)
+
+
+def translate_affine_root(a: AffineRoot, lam: Coweight) -> AffineRoot:
+    """Conjugating by the translation t^lam shifts the level by <lam, root>."""
+    sigma_root, k = a
+    return (sigma_root, k + lam.pairing_with_root(sigma_root))

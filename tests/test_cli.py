@@ -2,6 +2,8 @@
 
 import json
 import os
+import pickle
+import time
 from itertools import product
 from pathlib import Path
 
@@ -9,7 +11,7 @@ import jsonschema
 import pytest
 
 from affsch import verify
-from affsch.cli import _poset_strata, build_parser, main
+from affsch.cli import MAX_DOMINANT, _dominant_count, _poset_strata, build_parser, main
 from affsch.rootsys import Coweight
 from affsch.schubert import dominant_below, minimal_degenerations
 from affsch.twist import twisted_datum
@@ -98,6 +100,7 @@ def test_usage_errors_exit_two(capsys):
         ["verify", "--suite", "cartan-direction", "--window", "-1"],
         # sweeps whose bounds leave nothing to check
         ["verify", "--suite", "stembridge", "--max-pairing", "-3"],
+        ["verify", "--suite", "stembridge", "--max-pairing", "41"],
         ["verify", "--suite", "k-symmetry", "--max-rank", "0"],
         ["analyze"],
     ):
@@ -274,6 +277,73 @@ def test_jobs_pool_size_is_clamped_to_cpu_count(capsys, monkeypatch):
     assert sizes == [3] and doc["result"] == serial["result"]
     code, doc = run_json(capsys, *argv, "--jobs", "2", "--json")
     assert code == 0 and sizes == [3, 2]
+
+
+def test_oversized_closures_exit_two_at_once(capsys):
+    for command in ("analyze", "poset"):
+        for label in ("2E6", "A4"):
+            start = time.perf_counter()
+            code, out, err = run(capsys, command, "--type", label, "--mu", "1000,1000,1000,1000")
+            assert time.perf_counter() - start < 1.0
+            assert code == 2 and out == "" and "error: --mu is too large" in err
+
+
+def test_closure_size_count():
+    # dominant p with <p,2rho> <= <mu,2rho>, 2rho = (16,30,42,22) on 2E6's relative F4
+    f4 = twisted_datum("2E6").echelonnage.two_rho_coefficients
+    assert _dominant_count(f4, 220) == 533  # 2E6 2,2,2,2
+    assert _dominant_count(f4, 330) == 2062  # 2E6 3,3,3,3
+    assert _dominant_count((1,), 7) == 8
+    assert _dominant_count((2, 2), 4) == 6  # (0,0) (1,0) (0,1) (2,0) (1,1) (0,2)
+    # past the limit the count may stop early, but it still passes the limit
+    assert _dominant_count(f4, 20_000) > MAX_DOMINANT
+    assert _dominant_count((4, 6, 6, 4), 10**12) > MAX_DOMINANT
+
+
+SCHUBERT_SUITES = ("stembridge", "mindeg-inequality", "k-symmetry")
+
+
+@pytest.mark.parametrize("suite", SCHUBERT_SUITES)
+def test_pool_tasks_pickle_small_and_match_serial(capsys, monkeypatch, suite):
+    sizes = []
+
+    class RecordingPool:
+        """Stands in for ProcessPoolExecutor: runs each task after a pickle round trip."""
+
+        def __init__(self, max_workers):
+            pass
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, tasks, chunksize=1):
+            fn = pickle.loads(pickle.dumps(fn))
+            out = []
+            for task in tasks:
+                blob = pickle.dumps(task)
+                sizes.append(len(blob))
+                out.append(pickle.loads(pickle.dumps(fn(pickle.loads(blob)))))
+            return out
+
+    monkeypatch.setattr(verify, "ProcessPoolExecutor", RecordingPool)
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    argv = ("verify", "--suite", suite, "--seed", "3", "--json")
+    code, pooled = run_json(capsys, *argv, "--jobs", "2")
+    assert code == 0 and len(sizes) == len(verify.SWEEP_TYPES)
+    assert max(sizes) < 1024  # a task names its work; no poset rides along
+    _, serial = run_json(capsys, *argv, "--jobs", "1")
+    assert pooled["result"] == serial["result"]
+
+
+@pytest.mark.parametrize("suite", SCHUBERT_SUITES)
+def test_jobs_two_matches_jobs_one(capsys, suite):
+    argv = ("verify", "--suite", suite, "--max-rank", "2", "--max-pairing", "8", "--json")
+    _, serial = run_json(capsys, *argv, "--jobs", "1")
+    _, pooled = run_json(capsys, *argv, "--jobs", "2")
+    assert pooled["result"] == serial["result"]
 
 
 POSET_GRID = [("A1", 4), ("A2", 3), ("A3", 2), ("B2", 3), ("B3", 2), ("C3", 2), ("G2", 3),

@@ -16,18 +16,15 @@ from affsch.rootsys import (
     Coweight,
     build_root_system,
     cartan_matrix,
-    dominance_leq,
     dominant_rep,
-    difference_coroot,
     pairing,
     recognize_components,
-    reflect_coweight,
     short_dominant_coroot,
     two_rho_pairing,
-    weyl_orbit,
     FiniteRootSystem,
 )
 from affsch.schubert import _support_components
+from oracles import difference_coroot, dominance_leq, reflect_coweight, weyl_orbit
 
 ROOT_COUNTS = {
     **{f"A{n}": n * (n + 1) for n in range(1, 9)},

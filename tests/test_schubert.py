@@ -1,28 +1,28 @@
 """Dominance strata, covers, classification, k counts, certificates."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from affsch.rootsys import (
     Coweight,
     build_root_system,
-    dominance_leq,
     dominant_rep,
     two_rho_pairing,
 )
 from affsch.schubert import (
-    _below_with_gaps,
+    DominancePoset,
     certificate,
-    classify_degeneration,
     dominant_below,
     k_alpha,
     k_vector,
     minimal_degenerations,
-    root_curve_target,
     root_tangent_bound,
     smooth_locus_report,
 )
 from affsch.twist import twisted_datum
-from affsch.verify import SWEEP_TYPES
+from affsch.verify import SWEEP_TYPES, sweep_coweights
+from oracles import classify_degeneration, dominance_leq, root_curve_target
 
 
 def cw(label: str, pairings) -> Coweight:
@@ -211,9 +211,89 @@ def test_below_with_gaps_vs_simplex_scan(label):
         mu = Coweight(system, p)
         pairs = simplex_scan_below(mu)
         # same strata, same gaps, same order
-        assert _below_with_gaps(mu) == pairs, p
+        below = DominancePoset(system).below(p)
+        assert [(Coweight(system, q), gap) for q, gap in below.items()] == pairs, p
         edges = minimal_degenerations(mu)
         assert {(e.mu, e.lam) for e in edges} == gap_covers(pairs), p
+
+
+REUSE_PAIRING = 14  # the default --max-pairing of the verify sweeps
+
+
+def _edge_order(edge):
+    return (-two_rho_pairing(edge.mu), edge.mu.pairings, edge.lam.pairings)
+
+
+@pytest.mark.parametrize("label", SWEEP_TYPES)
+def test_shared_poset_matches_fresh_posets_and_oracles(label):
+    """One poset across a sweep box answers as a fresh poset per mu and the oracles do."""
+    system = build_root_system(label)
+    shared = DominancePoset(system)
+    covers = set()
+    for mu in sweep_coweights(system, REUSE_PAIRING):
+        pairs = simplex_scan_below(mu)
+        below = shared.below(mu.pairings)
+        assert [(Coweight(system, q), gap) for q, gap in below.items()] == pairs, mu
+        assert dominant_below(mu, shared) == dominant_below(mu) == [lam for lam, _ in pairs]
+        edges = minimal_degenerations(mu, shared)
+        assert edges == minimal_degenerations(mu, DominancePoset(system)), mu
+        assert edges == sorted(edges, key=_edge_order), mu
+        assert {(e.mu, e.lam) for e in edges} == gap_covers(pairs), mu
+        covers.update((e.mu, e.lam) for e in edges)
+    assert covers
+    for upper, lower in covers:
+        kv = k_vector(lower, upper, shared)
+        assert kv == k_vector(lower, upper)
+        cap = two_rho_pairing(upper) + 1
+        for root, value in kv.entries:
+            assert value == k_alpha_oracle(lower, upper, root, cap), (upper, lower, root)
+
+
+def test_poset_refuses_a_foreign_system_and_non_roots():
+    a1, a2 = build_root_system("A1"), build_root_system("A2")
+    poset = DominancePoset(a2)
+    with pytest.raises(ValueError):
+        dominant_below(Coweight(a1, (2,)), poset)
+    with pytest.raises(ValueError):
+        k_alpha(Coweight(a2, (0, 0)), Coweight(a2, (1, 1)), (1, 1, 0), poset)
+    with pytest.raises(ValueError):
+        k_alpha(Coweight(a2, (0, 0)), Coweight(a2, (1, 1)), (2, 2), poset)
+
+
+@st.composite
+def coset_triples(draw):
+    """A sweep type and three dominant coweights in one coset of its coroot lattice."""
+    system = build_root_system(draw(st.sampled_from(SWEEP_TYPES)))
+    base = [draw(st.integers(0, 3)) for _ in range(system.rank)]
+
+    def member():
+        p = list(base)
+        for col in system.columns:  # col is the pairing vector of a simple coroot
+            c = draw(st.integers(-3, 3))
+            p = [x + c * y for x, y in zip(p, col)]
+        return dominant_rep(Coweight(system, tuple(p)))
+
+    return system, (member(), member(), member())
+
+
+@settings(max_examples=300, deadline=None, database=None)
+@given(coset_triples())
+def test_dominance_is_a_partial_order_by_down_set_membership(triple):
+    system, points = triple
+    poset = DominancePoset(system)
+
+    def leq(a, b):
+        return a.pairings in poset.below(b.pairings)
+
+    for x in points:
+        assert leq(x, x)
+        for y in points:
+            assert leq(x, y) == dominance_leq(x, y), (x, y)
+            if leq(x, y) and leq(y, x):
+                assert x == y
+            for z in points:
+                if leq(x, y) and leq(y, z):
+                    assert leq(x, z)
 
 
 @pytest.mark.parametrize(

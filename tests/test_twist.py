@@ -18,9 +18,9 @@ from affsch.twist import (
     parse_type_label,
     relative_to_sigma_level,
     sigma_affine_to_relative,
-    translate_affine_root,
     twisted_datum,
 )
+from oracles import translate_affine_root
 
 ALL_LABELS = ["A1", "A2", "A3", "2A2", "2A3", "2A4", "2A5", "2A6", "2A7",
               "2D3", "2D4", "2D5", "2E6", "3D4"]
