@@ -20,6 +20,7 @@ import json
 import math
 import os
 import sys
+from json.encoder import encode_basestring_ascii
 
 from affsch import __version__
 from affsch.loopalg import (
@@ -268,7 +269,7 @@ def _cmd_verify(args) -> int:
     if not outcome.instances_checked:
         raise ValueError(f"suite {args.suite} has no instance to check within these bounds")
     if args.json:
-        # json writes the tuples of a SuiteResult as arrays, so no copy is needed
+        # _json_text writes the tuples of a SuiteResult as arrays, so no copy is needed
         _emit_json("verify", _request_fields(args), vars(outcome))
     else:
         status = "PASS" if outcome.passed else "FAIL"
@@ -383,7 +384,50 @@ def _request_fields(args) -> dict:
 
 
 def _emit_json(command: str, request: dict, result: dict) -> None:
-    print(json.dumps(_document(command, request, result), indent=2, sort_keys=True))
+    print(_json_text(_document(command, request, result)))
+
+
+_JSON_CONSTANTS = {True: "true", False: "false", None: "null"}
+
+
+def _json_key(key) -> str:
+    if isinstance(key, str):
+        return key
+    if key is None or isinstance(key, int):  # bool is an int
+        return _json_text(key)
+    raise RuntimeError(f"a {type(key).__name__} dict key is not a JSON document key")
+
+
+def _json_text(value, newline: str = "\n") -> str:
+    """value as json.dumps(value, indent=2, sort_keys=True) writes it.
+
+    json.dumps falls back to its pure-Python encoder when given an indent;
+    this writer does the same job in about half the time.  Only str, int,
+    bool, None, dict, list and tuple are written; anything else (a float, a
+    Fraction, a set) raises RuntimeError, which main reports as an internal
+    failure, exit 3.  newline is the line break plus the indent of the line
+    value starts on.
+    """
+    if isinstance(value, str):
+        return encode_basestring_ascii(value)
+    if value is True or value is False or value is None:
+        return _JSON_CONSTANTS[value]
+    if isinstance(value, int):
+        return int.__repr__(value)
+    inner = newline + "  "
+    if isinstance(value, dict):
+        if not value:
+            return "{}"
+        items = [
+            f"{inner}{encode_basestring_ascii(_json_key(key))}: {_json_text(item, inner)}"
+            for key, item in sorted(value.items())
+        ]
+        return "{" + ",".join(items) + newline + "}"
+    if isinstance(value, (list, tuple)):
+        if not value:
+            return "[]"
+        return "[" + ",".join([inner + _json_text(item, inner) for item in value]) + newline + "]"
+    raise RuntimeError(f"a {type(value).__name__} is not a JSON document value")
 
 
 def _bounded(low: int, high: int | None = None):
@@ -403,6 +447,7 @@ def _bounded(low: int, high: int | None = None):
 
 
 def build_parser() -> argparse.ArgumentParser:
+    """A fresh parser; main builds one on its first call and reuses it."""
     parser = argparse.ArgumentParser(
         prog="affsch",
         description="Exact smoothness analysis for orbit closures in twisted affine Grassmannians.",
@@ -447,8 +492,11 @@ def build_parser() -> argparse.ArgumentParser:
         "depths 1..max(1, min(window, 6)), sl2-factorization windings 1..max(3, min(window, 5))",
     )
     verify.add_argument("--seed", type=int, default=0)
-    # argparse runs the type on this string default too: a bad AFFSCH_JOBS exits 2
-    verify.add_argument("--jobs", type=_bounded(1), default=os.environ.get("AFFSCH_JOBS", "1"))
+    # argparse runs the type on this string default too: a bad AFFSCH_JOBS exits 2.
+    # main resets the default before each parse of the parser it reuses.
+    parser.jobs_action = verify.add_argument(
+        "--jobs", type=_bounded(1), default=os.environ.get("AFFSCH_JOBS", "1")
+    )
     verify.add_argument("--json", action="store_true")
     verify.set_defaults(func=_cmd_verify)
 
@@ -460,8 +508,16 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# The parser of the first main call, reused by every later call in the process.
+_PARSER: argparse.ArgumentParser | None = None
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
+    global _PARSER
+    if _PARSER is None:
+        _PARSER = build_parser()
+    parser = _PARSER
+    parser.jobs_action.default = os.environ.get("AFFSCH_JOBS", "1")
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:

@@ -3,15 +3,27 @@
 import json
 import os
 import pickle
+import subprocess
+import sys
 import time
+from fractions import Fraction
 from itertools import product
 from pathlib import Path
 
 import jsonschema
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from affsch import verify
-from affsch.cli import MAX_DOMINANT, _dominant_count, _poset_strata, build_parser, main
+from affsch import cli, verify
+from affsch.cli import (
+    MAX_DOMINANT,
+    _dominant_count,
+    _json_text,
+    _poset_strata,
+    build_parser,
+    main,
+)
 from affsch.rootsys import Coweight
 from affsch.schubert import dominant_below, minimal_degenerations
 from affsch.twist import twisted_datum
@@ -19,9 +31,8 @@ from affsch.twist import twisted_datum
 LOOP_TYPES = ("A1", "2A2", "2A3", "2A4", "2A5", "2D4", "2D5", "3D4", "2E6")
 LOOP_SUITES = ("loop-basis", "cartan-direction", "sl2-factorization")
 
-SCHEMA = json.loads(
-    (Path(__file__).resolve().parents[1] / "src/affsch/schema/report.schema.json").read_text()
-)
+ROOT = Path(__file__).resolve().parents[1]
+SCHEMA = json.loads((ROOT / "src/affsch/schema/report.schema.json").read_text())
 
 
 def run(capsys, *argv):
@@ -356,3 +367,140 @@ def test_poset_strata_from_edges_match_dominant_below(label, top):
     for p in product(range(top + 1), repeat=system.rank):
         mu = Coweight(system, p)
         assert _poset_strata(mu, minimal_degenerations(mu)) == dominant_below(mu), p
+
+
+# -- the JSON writer ------------------------------------------------------------
+
+
+_STRINGS = st.text() | st.sampled_from(
+    ['"', "\\", "\x00\x1f\x7f", "\t\n\r", "é", "\u2028", "😀", "\ud800"]
+)
+_SCALARS = (
+    st.none()
+    | st.booleans()
+    | st.integers()
+    | st.integers(min_value=-(10**300), max_value=10**300)
+    | _STRINGS
+)
+
+
+def _containers(children):
+    # one key family per dict: json cannot sort str keys against int keys
+    return (
+        st.lists(children, max_size=4)
+        | st.lists(children, max_size=4).map(tuple)
+        | st.dictionaries(_STRINGS, children, max_size=4)
+        | st.dictionaries(st.integers() | st.booleans(), children, max_size=4)
+        | st.dictionaries(st.none(), children, max_size=1)
+    )
+
+
+@settings(max_examples=300, deadline=None, database=None)
+@given(st.recursive(_SCALARS, _containers, max_leaves=40))
+def test_json_writer_matches_json_dumps(value):
+    assert _json_text(value) == json.dumps(value, indent=2, sort_keys=True)
+
+
+@pytest.mark.parametrize(
+    "value,name",
+    [
+        (0.5, "float"),
+        (Fraction(1, 2), "Fraction"),
+        ({1, 2}, "set"),
+        (object(), "object"),
+        ({"a": [1, {"b": 2.0}]}, "float"),
+        ({0.5: 1}, "float"),
+        ({Fraction(1): 1}, "Fraction"),
+    ],
+)
+def test_json_writer_refuses_non_json_values(value, name):
+    with pytest.raises(RuntimeError, match=f"a {name} "):
+        _json_text(value)
+
+
+@pytest.mark.parametrize("value", [0.5, Fraction(1, 2)], ids=["float", "Fraction"])
+def test_non_json_values_exit_three(capsys, monkeypatch, value):
+    certificate_dict = cli._certificate_dict
+    monkeypatch.setattr(
+        cli, "_certificate_dict", lambda cert: {**certificate_dict(cert), "dim": value}
+    )
+    code, out, err = run(capsys, "analyze", "--type", "A1", "--mu", "2", "--json")
+    name = type(value).__name__
+    assert (code, out, err) == (3, "", f"internal error: a {name} is not a JSON document value\n")
+
+
+# -- one parser per process -------------------------------------------------------
+
+
+def test_main_builds_one_parser_for_many_requests(capsys, monkeypatch):
+    builds = []
+
+    def counting_build_parser():
+        builds.append(1)
+        return build_parser()
+
+    monkeypatch.setattr(cli, "_PARSER", None)
+    monkeypatch.setattr(cli, "build_parser", counting_build_parser)
+    for argv in (
+        ("analyze", "--type", "A1", "--mu", "2"),
+        ("poset", "--type", "C2", "--mu", "1,1", "--json"),
+        ("analyze", "--type", "A1"),
+        ("loopcheck", "--type", "A1", "--window", "1"),
+    ):
+        run(capsys, *argv)
+    assert builds == [1]
+
+
+def test_reused_parser_keeps_nothing_between_requests(capsys):
+    run(capsys, "analyze", "--type", "A1", "--mu", "0")
+    parser = cli._PARSER
+    _, doc = run_json(capsys, "analyze", "--type", "2A2", "--mu", "2", "--lambda", "0", "--json")
+    assert doc["result"]["focus"]["lambda"] == [0]
+    _, doc = run_json(capsys, "analyze", "--type", "2A2", "--mu", "2", "--json")
+    assert doc["result"]["focus"] is None and doc["request"]["lambda"] is None
+    _, doc = run_json(capsys, "verify", "--suite", "sl2-factorization", "--seed", "7", "--json")
+    assert doc["request"]["seed"] == 7
+    _, doc = run_json(capsys, "verify", "--suite", "sl2-factorization", "--json")
+    assert doc["request"]["seed"] == 0
+    code, out, _ = run(capsys, "poset", "--type", "C2", "--mu", "1,1")
+    assert code == 0 and out.startswith("strata below mu")
+    code, out, err = run(capsys, "poset", "--type", "C2", "--mu", "1,1", "--window", "2")
+    assert code == 2 and out == "" and "error:" in err
+    code, out, _ = run(capsys, "poset", "--type", "C2", "--mu", "1,1", "--json")
+    assert code == 0 and json.loads(out)["command"] == "poset"
+    assert cli._PARSER is parser
+
+
+def test_single_shot_process_prints_the_in_process_document(capsys):
+    argv = ("analyze", "--type", "3D4", "--mu", "0,1", "--json")
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+    proc = subprocess.run(
+        [sys.executable, "-m", "affsch.cli", *argv],
+        capture_output=True,
+        cwd=ROOT,
+        env=env,
+        timeout=120,
+    )
+    assert (proc.returncode, proc.stderr) == (0, b"")
+    _, out, _ = run(capsys, *argv)
+    assert proc.stdout == out.encode()
+
+
+# -- per-command result schemas ------------------------------------------------------
+
+
+@pytest.mark.parametrize(
+    "argv,key",
+    [
+        (("analyze", "--type", "A1", "--mu", "2"), "strata"),
+        (("poset", "--type", "C2", "--mu", "1,1"), "edges"),
+        (("verify", "--suite", "sl2-factorization"), "passed"),
+        (("loopcheck", "--type", "A1", "--window", "1"), "degrees"),
+    ],
+    ids=lambda v: v[0] if isinstance(v, tuple) else v,
+)
+def test_schema_requires_the_result_of_each_command(capsys, argv, key):
+    _, doc = run_json(capsys, *argv, "--json")
+    del doc["result"][key]
+    with pytest.raises(jsonschema.ValidationError):
+        jsonschema.validate(doc, SCHEMA)

@@ -4,8 +4,10 @@ perfbench/digests.json holds the sha256 of the stdout document of every
 request the benchmark can draw.  This test serves a cheap cross-section of
 them through cli.main (one request per closures slot, every loopcheck with
 --window at most 1, the loop-basis suite at every window, and the six verify
-suites with their default flags) and compares each digest.  It only reads the
-files under perfbench/.
+suites with their default flags) and compares each digest; a second test
+parses each of those documents back and writes it again with cli's JSON
+writer, which must give the same bytes.  They only read the files under
+perfbench/.
 """
 
 import contextlib
@@ -16,7 +18,7 @@ import json
 import sys
 from pathlib import Path
 
-from affsch.cli import main
+from affsch.cli import _json_text, main
 from affsch.verify import SUITES
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
@@ -57,5 +59,33 @@ def test_documents_match_committed_digests():
             code = main(list(argv))
         digest = hashlib.sha256(out.getvalue().encode()).hexdigest()
         if code != 0 or digest != digests[" ".join(argv)]:
+            mismatches.append(" ".join(argv))
+    assert mismatches == []
+
+
+def _cross_section(workloads) -> list[tuple[str, ...]]:
+    """The requests test_documents_match_committed_digests serves, each once."""
+    slots = workloads.closure_slots()
+    requests = [workloads.closure_request(cmd, label, mus[0]) for cmd, label, mus in slots]
+    requests += [
+        argv
+        for argv in workloads.loop_requests(None)
+        if (argv[0] == "loopcheck" and int(argv[argv.index("--window") + 1]) <= 1)
+        or argv[2] == "loop-basis"
+    ]
+    requests += [("verify", "--suite", suite, "--jobs", "1", "--json") for suite in SUITES]
+    return list(dict.fromkeys(requests))
+
+
+def test_documents_reemit_byte_identical():
+    # every document parsed back and written again by cli's writer gives the
+    # same bytes; the digests above tie those bytes to json.dumps
+    mismatches = []
+    for argv in _cross_section(_load_workloads()):
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            code = main(list(argv))
+        text = out.getvalue()
+        if code != 0 or _json_text(json.loads(text)) + "\n" != text:
             mismatches.append(" ".join(argv))
     assert mismatches == []
