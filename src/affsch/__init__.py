@@ -26,7 +26,6 @@ from affsch.twist import (
 )
 from affsch.schubert import (
     DegenerationEdge,
-    DominancePoset,
     KVector,
     SmoothLocusReport,
     SmoothnessCertificate,

@@ -10,7 +10,8 @@ Output is text by default, JSON with --json; identical inputs give
 byte-identical JSON (randomized sweeps take --seed, echoed in the output).
 Exit codes: 0 success, 1 failed property sweep, 2 usage error, empty sweep or
 oversized closure, 3 internal invariant failure (AssertionError or
-RuntimeError; nothing on stdout).
+RuntimeError; nothing on stdout), 141 (128 + SIGPIPE) when the reader closes
+stdout early, as `| head` does, with nothing on stderr.
 """
 
 from __future__ import annotations
@@ -35,8 +36,8 @@ from affsch.loopalg import (
 )
 from affsch.rootsys import Coweight, two_rho_pairing
 from affsch.schubert import (
-    DominancePoset,
     certificate,
+    dominant_below,
     minimal_degenerations,
     smooth_locus_report,
 )
@@ -142,8 +143,7 @@ def _cmd_analyze(args) -> int:
     datum = twisted_datum(args.type)
     system = datum.echelonnage
     mu = _closure_top(datum, args.mu)
-    poset = DominancePoset(system)
-    report = smooth_locus_report(mu, datum, poset)
+    report = smooth_locus_report(mu, datum)
     strata = []
     for stratum in report.strata:
         strata.append(
@@ -161,7 +161,7 @@ def _cmd_analyze(args) -> int:
     focus = None
     if args.lam is not None:
         lam = Coweight(system, _parse_vector(args.lam, system.rank, "--lambda"))
-        focus = _certificate_dict(certificate(mu, lam, datum, poset))
+        focus = _certificate_dict(certificate(mu, lam, datum))
     result = {
         "datum": _describe_datum(datum),
         "mu": list(mu.pairings),
@@ -208,23 +208,12 @@ def _cmd_analyze(args) -> int:
 # -- poset ---------------------------------------------------------------------
 
 
-def _poset_strata(mu: Coweight, edges) -> list[Coweight]:
-    """dominant_below(mu), read off the covering edges of minimal_degenerations(mu).
-
-    Every stratum but the lowest is the upper end of a cover, and the edges
-    come in stratum order of their upper ends, mu first.
-    """
-    uppers = list(dict.fromkeys(edge.mu.pairings for edge in edges)) or [mu.pairings]
-    lowest = {edge.lam.pairings for edge in edges}.difference(uppers)
-    return [Coweight(mu.system, p) for p in uppers + sorted(lowest)]
-
-
 def _cmd_poset(args) -> int:
     datum = twisted_datum(args.type)
     system = datum.echelonnage
     mu = _closure_top(datum, args.mu)
     edges = minimal_degenerations(mu)
-    strata = _poset_strata(mu, edges)
+    strata = dominant_below(mu)  # a memo hit: minimal_degenerations walked the down-set
     result = {
         "datum": _describe_datum(datum),
         "mu": list(mu.pairings),
@@ -523,7 +512,17 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()  # a closed pipe shows here, not at interpreter exit
+        return code
+    except BrokenPipeError:
+        # The reader went away (`| head`): exit as SIGPIPE would, but not by its
+        # default action, as the verify --jobs pool talks over pipes.  devnull
+        # takes what is left, so the interpreter's final flush is silent.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return 141
     except (ValueError, KeyError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -16,9 +16,11 @@ None of this depends on the closure top mu beyond its down-set, so one
 DominancePoset per root system memoises it: the dominant Stembridge steps
 and covers of every point it meets, the down-set with gaps of every top it
 is asked for, the classified covering edges of every upper end, and the
-dominant representatives its k_alpha walks land on.  A poset lives for one
-call: one analyze or poset closure, or one type of one verify sweep.  Every
-public function here takes an optional poset and builds a fresh one without.
+dominant representatives its k_alpha walks land on.  The public functions
+share one poset: a call about the root system of the last one keeps it while
+its memo is within MAX_POSET_ENTRIES, and any other call starts a new one.
+So the calls of one closure, or of one type of a sweep, walk each down-set
+once, and a long run holds at most one bounded memo.
 """
 
 from __future__ import annotations
@@ -43,6 +45,12 @@ from affsch.twist import ABSOLUTELY_SPECIAL, TwistedDatum, cartan_sigma_dim
 
 SINGULAR = "singular"
 INCONCLUSIVE = "inconclusive"
+# The shared poset starts over once its memo passes this many entries (see
+# DominancePoset.entries).  The largest closures cli admits fill about 22,500
+# (G2 64,74 with --lambda 0,0) and 18,000 (2E6 14,1,5,2); one type of verify
+# --max-pairing 40 fills about 6,000.  So no request resets part-way, and a
+# long run holds at most this plus one request's worth.
+MAX_POSET_ENTRIES = 30_000
 
 
 @dataclass(frozen=True)
@@ -153,6 +161,12 @@ class DominancePoset:
         self._below: dict[IntVec, dict[IntVec, IntVec]] = {}
         self._edges: dict[IntVec, tuple[DegenerationEdge, ...]] = {}
         self._dom: dict[IntVec, IntVec] = {}
+        self._members = 0  # down-set members over every top in _below
+
+    @property
+    def entries(self) -> int:
+        """Memo size: points with steps, down-set members and dominant representatives."""
+        return len(self._steps) + self._members + len(self._dom)
 
     def steps(self, p: IntVec) -> list[tuple[IntVec, IntVec]]:
         """(p - beta^vee, coefficients of beta^vee) for each dominant step from p."""
@@ -200,6 +214,7 @@ class DominancePoset:
                         queue.append(q)
             queue.sort(key=lambda p: _stratum_key(self.system, p))
             below = self._below[mu] = {p: gaps[p] for p in queue}
+            self._members += len(below)
         return below
 
     def edges(self, p: IntVec) -> tuple[DegenerationEdge, ...]:
@@ -261,18 +276,21 @@ def _require_dominant_pair(lam: Coweight, mu: Coweight) -> None:
         raise ValueError("both coweights must be dominant")
 
 
-def _poset_for(mu: Coweight, poset: DominancePoset | None) -> DominancePoset:
-    if poset is None:
-        return DominancePoset(mu.system)
-    if poset.system is not mu.system:
-        raise ValueError("the poset belongs to a different root system")
-    return poset
+_shared: DominancePoset | None = None
 
 
-def _pair_poset(lam: Coweight, mu: Coweight, poset: DominancePoset | None) -> DominancePoset:
+def _poset(system: FiniteRootSystem) -> DominancePoset:
+    """The shared poset of system, started afresh past MAX_POSET_ENTRIES."""
+    global _shared
+    if _shared is None or _shared.system is not system or _shared.entries > MAX_POSET_ENTRIES:
+        _shared = DominancePoset(system)
+    return _shared
+
+
+def _pair_poset(lam: Coweight, mu: Coweight) -> DominancePoset:
     """The poset to use for the dominant pair lam <= mu; refuses any other pair."""
     _require_dominant_pair(lam, mu)
-    poset = _poset_for(mu, poset)
+    poset = _poset(mu.system)
     if lam.pairings not in poset.below(mu.pairings):
         raise ValueError("lam must lie below mu in the dominance order")
     return poset
@@ -281,19 +299,17 @@ def _pair_poset(lam: Coweight, mu: Coweight, poset: DominancePoset | None) -> Do
 # -- poset enumeration -------------------------------------------------------
 
 
-def dominant_below(mu: Coweight, poset: DominancePoset | None = None) -> list[Coweight]:
+def dominant_below(mu: Coweight) -> list[Coweight]:
     """All dominant lam with lam <= mu and mu - lam in the coroot lattice."""
     _require_dominant_pair(mu, mu)
     system = mu.system
-    return [Coweight(system, p) for p in _poset_for(mu, poset).below(mu.pairings)]
+    return [Coweight(system, p) for p in _poset(system).below(mu.pairings)]
 
 
-def minimal_degenerations(
-    mu: Coweight, poset: DominancePoset | None = None
-) -> list[DegenerationEdge]:
+def minimal_degenerations(mu: Coweight) -> list[DegenerationEdge]:
     """Every covering pair of the dominance order on dominant_below(mu)."""
     _require_dominant_pair(mu, mu)
-    poset = _poset_for(mu, poset)
+    poset = _poset(mu.system)
     return [edge for p in poset.below(mu.pairings) for edge in poset.edges(p)]
 
 
@@ -356,36 +372,27 @@ def _classify(mu: Coweight, lam: Coweight, gap: IntVec) -> int:
 # -- root-curve counts --------------------------------------------------------
 
 
-def k_alpha(
-    lam: Coweight, mu: Coweight, alpha: Root, poset: DominancePoset | None = None
-) -> int:
+def k_alpha(lam: Coweight, mu: Coweight, alpha: Root) -> int:
     """Largest k with dominant_rep(lam - k * coroot(alpha)) <= mu."""
-    return _pair_poset(lam, mu, poset).k_counts(lam.pairings, mu.pairings, (alpha,))[0]
+    return _pair_poset(lam, mu).k_counts(lam.pairings, mu.pairings, (alpha,))[0]
 
 
-def k_vector(lam: Coweight, mu: Coweight, poset: DominancePoset | None = None) -> KVector:
+def k_vector(lam: Coweight, mu: Coweight) -> KVector:
     """k_alpha for every root, each by its own walk."""
     roots = lam.system.roots
-    counts = _pair_poset(lam, mu, poset).k_counts(lam.pairings, mu.pairings, roots)
+    counts = _pair_poset(lam, mu).k_counts(lam.pairings, mu.pairings, roots)
     return KVector(lam.system, tuple(zip(roots, counts)))
 
 
-def root_tangent_bound(
-    lam: Coweight, mu: Coweight, poset: DominancePoset | None = None
-) -> int:
+def root_tangent_bound(lam: Coweight, mu: Coweight) -> int:
     """Sum of k_alpha over all roots: a lower bound for the tangent dimension."""
-    return k_vector(lam, mu, poset).total
+    return k_vector(lam, mu).total
 
 
 # -- certificates -------------------------------------------------------------
 
 
-def certificate(
-    mu: Coweight,
-    lam: Coweight,
-    datum: TwistedDatum,
-    poset: DominancePoset | None = None,
-) -> SmoothnessCertificate:
+def certificate(mu: Coweight, lam: Coweight, datum: TwistedDatum) -> SmoothnessCertificate:
     """Singularity certificate for the lam stratum inside the mu closure."""
     if datum.vertex != ABSOLUTELY_SPECIAL:
         raise ValueError("certificates are only valid at an absolutely special vertex")
@@ -394,7 +401,7 @@ def certificate(
     _require_dominant_pair(lam, mu)
     if lam == mu:
         raise ValueError("need a strict degeneration, got lam == mu")
-    kv = k_vector(lam, mu, poset)
+    kv = k_vector(lam, mu)
     dim = two_rho_pairing(mu)
     root_bound = kv.total
     negative_direction = any(
@@ -412,9 +419,7 @@ def certificate(
     return SmoothnessCertificate(mu, lam, dim, root_bound, cartan_extra, verdict)
 
 
-def smooth_locus_report(
-    mu: Coweight, datum: TwistedDatum, poset: DominancePoset | None = None
-) -> SmoothLocusReport:
+def smooth_locus_report(mu: Coweight, datum: TwistedDatum) -> SmoothLocusReport:
     """Status of every stratum of the mu closure.
 
     The top stratum is the open orbit.  Each cover gets a direct certificate.
@@ -428,9 +433,9 @@ def smooth_locus_report(
         raise ValueError("mu must live in the datum's folded root system")
     _require_dominant_pair(mu, mu)
     system = mu.system
-    poset = _poset_for(mu, poset)
+    poset = _poset(system)
     covers = [(Coweight(system, q), gap) for q, gap in poset.covers(mu.pairings)]
-    certificates = {lam: certificate(mu, lam, datum, poset) for lam, _ in covers}
+    certificates = {lam: certificate(mu, lam, datum) for lam, _ in covers}
     strata: list[StratumReport] = []
     for p, gap in poset.below(mu.pairings).items():
         lam = Coweight(system, p)

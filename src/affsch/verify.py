@@ -13,6 +13,7 @@ import random
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import lru_cache
 
 from affsch.loopalg import (
     cartan_direction,
@@ -21,7 +22,7 @@ from affsch.loopalg import (
 )
 from affsch.rootsys import Coweight, IntVec, build_root_system, two_rho_pairing
 from affsch.schubert import (
-    DominancePoset,
+    dominant_below,
     k_vector,
     minimal_degenerations,
     root_tangent_bound,
@@ -76,31 +77,29 @@ def sweep_coweights(system, max_pairing: int) -> list[Coweight]:
     return out
 
 
-def _cover_pairs(poset: DominancePoset, mus: list[Coweight]) -> list[tuple[IntVec, IntVec]]:
+def _cover_pairs(mus: list[Coweight]) -> list[tuple[IntVec, IntVec]]:
     return [
-        (edge.mu.pairings, edge.lam.pairings)
-        for mu in mus
-        for edge in minimal_degenerations(mu, poset)
+        (edge.mu.pairings, edge.lam.pairings) for mu in mus for edge in minimal_degenerations(mu)
     ]
 
 
-def _random_pairs(poset: DominancePoset, mus: list[Coweight], seed: int, count: int):
+def _random_pairs(label: str, mus: list[Coweight], seed: int, count: int):
     """Seeded dominant pairs lam <= mu, not necessarily covers, drawn from mus."""
     mus = [m for m in mus if any(m.pairings)]
-    rng = random.Random(f"{seed}:{poset.system.label}")  # string seeding is process-stable
+    rng = random.Random(f"{seed}:{label}")  # string seeding is process-stable
+    strata = lru_cache(maxsize=None)(dominant_below)  # tops repeat in small boxes
     out = []
     for _ in range(count if mus else 0):
         mu = rng.choice(mus)
-        lam = rng.choice(list(poset.below(mu.pairings)))
-        out.append((mu.pairings, lam))
+        lam = rng.choice(strata(mu))
+        out.append((mu.pairings, lam.pairings))
     return out
 
 
-def _check_k_symmetry(poset: DominancePoset, mu_p: IntVec, lam_p: IntVec) -> list[dict]:
+def _check_k_symmetry(system, mu_p: IntVec, lam_p: IntVec) -> list[dict]:
     """k(alpha) = k(-alpha) + <lam, alpha>, with both counts walked independently."""
-    system = poset.system
     lam = Coweight(system, lam_p)
-    kv = k_vector(lam, Coweight(system, mu_p), poset)
+    kv = k_vector(lam, Coweight(system, mu_p))
     bad = []
     for root in system.positive_roots:
         plus = kv[root]
@@ -124,37 +123,28 @@ def _check_k_symmetry(poset: DominancePoset, mu_p: IntVec, lam_p: IntVec) -> lis
 def _k_symmetry_rows(task) -> tuple[list[dict], list[dict]]:
     """One type of the k-symmetry sweep: an instance row per distinct pair, and the failures."""
     label, max_pairing, seed = task
-    poset = DominancePoset(build_root_system(label))
-    mus = sweep_coweights(poset.system, max_pairing)
-    pairs = dict.fromkeys(_cover_pairs(poset, mus) + _random_pairs(poset, mus, seed, 25))
+    system = build_root_system(label)
+    mus = sweep_coweights(system, max_pairing)
+    pairs = dict.fromkeys(_cover_pairs(mus) + _random_pairs(label, mus, seed, 25))
     instances = [{"type": label, "mu": list(mu_p), "lambda": list(lam_p)} for mu_p, lam_p in pairs]
-    failures = [row for mu_p, lam_p in pairs for row in _check_k_symmetry(poset, mu_p, lam_p)]
+    failures = [row for mu_p, lam_p in pairs for row in _check_k_symmetry(system, mu_p, lam_p)]
     return instances, failures
-
-
-def _mu_edge_rows(poset: DominancePoset, mu: Coweight, kind: str) -> list[dict]:
-    label = poset.system.label
-    rows = []
-    for edge in minimal_degenerations(mu, poset):
-        row = {"type": label, "mu": list(mu.pairings), "lambda": list(edge.lam.pairings)}
-        if kind == "stembridge":
-            row["case"] = edge.stembridge_case
-        else:
-            row["dim"] = two_rho_pairing(mu)
-            row["root_bound"] = root_tangent_bound(edge.lam, mu, poset)
-        rows.append(row)
-    return rows
 
 
 def _edge_rows(task) -> list[dict]:
     """One type of an edge sweep: the rows of every top in its box."""
     label, max_pairing, kind = task
-    poset = DominancePoset(build_root_system(label))
-    return [
-        row
-        for mu in sweep_coweights(poset.system, max_pairing)
-        for row in _mu_edge_rows(poset, mu, kind)
-    ]
+    rows = []
+    for mu in sweep_coweights(build_root_system(label), max_pairing):
+        for edge in minimal_degenerations(mu):
+            row = {"type": label, "mu": list(mu.pairings), "lambda": list(edge.lam.pairings)}
+            if kind == "stembridge":
+                row["case"] = edge.stembridge_case
+            else:
+                row["dim"] = two_rho_pairing(mu)
+                row["root_bound"] = root_tangent_bound(edge.lam, mu)
+            rows.append(row)
+    return rows
 
 
 def _map_tasks(fn, tasks, jobs: int):
@@ -260,7 +250,7 @@ def _suite_cartan_direction(window: int) -> SuiteResult:
 
 
 def _suite_k_symmetry(max_rank: int, max_pairing: int, seed: int, jobs: int) -> SuiteResult:
-    # one task per type: each worker builds that type's poset, none is pickled
+    # one task per type; a task names its work, so it pickles small
     tasks = [(label, max_pairing, seed) for label in sweep_type_labels(max_rank)]
     instances, failures = [], []
     for rows, bad in _map_tasks(_k_symmetry_rows, tasks, jobs):

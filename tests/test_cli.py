@@ -20,7 +20,6 @@ from affsch.cli import (
     MAX_DOMINANT,
     _dominant_count,
     _json_text,
-    _poset_strata,
     build_parser,
     main,
 )
@@ -362,11 +361,19 @@ POSET_GRID = [("A1", 4), ("A2", 3), ("A3", 2), ("B2", 3), ("B3", 2), ("C3", 2), 
 
 
 @pytest.mark.parametrize("label,top", POSET_GRID, ids=[label for label, _ in POSET_GRID])
-def test_poset_strata_from_edges_match_dominant_below(label, top):
+def test_poset_strata_from_edges_match_dominant_below(capsys, label, top):
+    """The strata and edges of a poset document are dominant_below and minimal_degenerations."""
     system = twisted_datum(label).echelonnage
     for p in product(range(top + 1), repeat=system.rank):
         mu = Coweight(system, p)
-        assert _poset_strata(mu, minimal_degenerations(mu)) == dominant_below(mu), p
+        code, out, err = run(capsys, "poset", "--type", label, "--mu", ",".join(map(str, p)), "--json")
+        assert code == 0, (p, err)
+        doc = json.loads(out)
+        assert doc["result"]["strata"] == [list(lam.pairings) for lam in dominant_below(mu)], p
+        edges = [(row["upper"], row["lower"]) for row in doc["result"]["edges"]]
+        assert edges == [
+            (list(e.mu.pairings), list(e.lam.pairings)) for e in minimal_degenerations(mu)
+        ], p
 
 
 # -- the JSON writer ------------------------------------------------------------
@@ -484,6 +491,30 @@ def test_single_shot_process_prints_the_in_process_document(capsys):
     assert (proc.returncode, proc.stderr) == (0, b"")
     _, out, _ = run(capsys, *argv)
     assert proc.stdout == out.encode()
+
+
+def test_closed_stdout_exits_141_without_a_traceback():
+    """A reader that stops after one line (`| head -1`) gets a quiet exit 141."""
+    # about 470 KB of JSON: far more than a pipe buffers, so the writer is
+    # still writing when the reader goes away
+    argv = ("loopcheck", "--type", "2E6", "--window", "8", "--json")
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "affsch.cli", *argv],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        cwd=ROOT,
+        env=env,
+    )
+    try:
+        assert proc.stdout.readline() == b"{\n"
+        proc.stdout.close()
+        stderr = proc.stderr.read()
+        assert (proc.wait(timeout=120), stderr) == (141, b"")
+    finally:
+        proc.kill()
+        proc.wait()
+        proc.stderr.close()
 
 
 # -- per-command result schemas ------------------------------------------------------

@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from affsch import schubert
 from affsch.rootsys import (
     Coweight,
     build_root_system,
@@ -224,40 +225,154 @@ def _edge_order(edge):
     return (-two_rho_pairing(edge.mu), edge.mu.pairings, edge.lam.pairings)
 
 
+def fresh_edges(mu: Coweight) -> list:
+    """minimal_degenerations(mu) from a poset of its own."""
+    poset = DominancePoset(mu.system)
+    return [edge for p in poset.below(mu.pairings) for edge in poset.edges(p)]
+
+
+def fresh_k_counts(lam: Coweight, mu: Coweight, roots) -> list:
+    """k_alpha(lam, mu) over roots from a poset of its own."""
+    return DominancePoset(mu.system).k_counts(lam.pairings, mu.pairings, roots)
+
+
 @pytest.mark.parametrize("label", SWEEP_TYPES)
 def test_shared_poset_matches_fresh_posets_and_oracles(label):
-    """One poset across a sweep box answers as a fresh poset per mu and the oracles do."""
+    """The public calls over a sweep box answer as a fresh poset per call and the oracles do."""
     system = build_root_system(label)
-    shared = DominancePoset(system)
     covers = set()
     for mu in sweep_coweights(system, REUSE_PAIRING):
         pairs = simplex_scan_below(mu)
-        below = shared.below(mu.pairings)
+        below = DominancePoset(system).below(mu.pairings)
         assert [(Coweight(system, q), gap) for q, gap in below.items()] == pairs, mu
-        assert dominant_below(mu, shared) == dominant_below(mu) == [lam for lam, _ in pairs]
-        edges = minimal_degenerations(mu, shared)
-        assert edges == minimal_degenerations(mu, DominancePoset(system)), mu
+        assert dominant_below(mu) == [Coweight(system, q) for q in below], mu
+        assert dominant_below(mu) == [lam for lam, _ in pairs], mu
+        edges = minimal_degenerations(mu)
+        assert edges == fresh_edges(mu), mu
         assert edges == sorted(edges, key=_edge_order), mu
         assert {(e.mu, e.lam) for e in edges} == gap_covers(pairs), mu
         covers.update((e.mu, e.lam) for e in edges)
     assert covers
     for upper, lower in covers:
-        kv = k_vector(lower, upper, shared)
-        assert kv == k_vector(lower, upper)
+        kv = k_vector(lower, upper)
+        assert [v for _, v in kv.entries] == fresh_k_counts(lower, upper, system.roots)
         cap = two_rho_pairing(upper) + 1
         for root, value in kv.entries:
             assert value == k_alpha_oracle(lower, upper, root, cap), (upper, lower, root)
 
 
 def test_poset_refuses_a_foreign_system_and_non_roots():
-    a1, a2 = build_root_system("A1"), build_root_system("A2")
-    poset = DominancePoset(a2)
+    a2 = build_root_system("A2")
     with pytest.raises(ValueError):
-        dominant_below(Coweight(a1, (2,)), poset)
+        k_alpha(Coweight(a2, (0, 0)), Coweight(a2, (1, 1)), (1, 1, 0))
     with pytest.raises(ValueError):
-        k_alpha(Coweight(a2, (0, 0)), Coweight(a2, (1, 1)), (1, 1, 0), poset)
-    with pytest.raises(ValueError):
-        k_alpha(Coweight(a2, (0, 0)), Coweight(a2, (1, 1)), (2, 2), poset)
+        k_alpha(Coweight(a2, (0, 0)), Coweight(a2, (1, 1)), (2, 2))
+
+
+# Twisted and split types of rank 2 and 3 whose closures the oracles scan quickly.
+INTERLEAVE_LABELS = ("A2", "G2", "2A3", "2A4", "2D4", "3D4")
+PUBLIC_CALLS = (
+    "dominant_below",
+    "minimal_degenerations",
+    "k_alpha",
+    "k_vector",
+    "root_tangent_bound",
+    "certificate",
+    "smooth_locus_report",
+)
+
+
+def _public_answer(name: str, datum, mu: Coweight, lam: Coweight, alpha):
+    fn = getattr(schubert, name)
+    if name in ("dominant_below", "minimal_degenerations"):
+        return fn(mu)
+    if name == "k_alpha":
+        return fn(lam, mu, alpha)
+    if name in ("k_vector", "root_tangent_bound"):
+        return fn(lam, mu)
+    if name == "certificate":
+        return fn(mu, lam, datum) if lam != mu else None
+    return fn(mu, datum)
+
+
+def _oracle_check(name: str, answer, mu: Coweight, lam: Coweight, alpha) -> None:
+    cap = two_rho_pairing(mu) + 1
+    if name == "dominant_below":
+        assert answer == [x for x, _ in simplex_scan_below(mu)]
+    elif name == "minimal_degenerations":
+        assert {(e.mu, e.lam) for e in answer} == gap_covers(simplex_scan_below(mu))
+    elif name == "k_alpha":
+        assert answer == k_alpha_oracle(lam, mu, alpha, cap)
+    elif name == "k_vector":
+        for root, value in answer.entries:
+            assert value == k_alpha_oracle(lam, mu, root, cap), root
+
+
+def _with_fresh_poset(ask):
+    """ask() with the shared poset started afresh, then the old one put back."""
+    shared = schubert._shared
+    schubert._shared = None
+    try:
+        return ask(), schubert._shared
+    finally:
+        schubert._shared = shared
+
+
+@st.composite
+def interleavings(draw):
+    """Two or three systems and a run of public calls, each about a small top of one of them."""
+    labels = draw(st.lists(st.sampled_from(INTERLEAVE_LABELS), min_size=2, max_size=3, unique=True))
+    calls = []
+    for _ in range(draw(st.integers(1, 12))):
+        datum = twisted_datum(draw(st.sampled_from(labels)))
+        system = datum.echelonnage
+        mu = Coweight(system, tuple(draw(st.integers(0, 3)) for _ in range(system.rank)))
+        # lam and alpha are drawn by index, so shrinking stays in range
+        below = list(DominancePoset(system).below(mu.pairings))
+        lam = Coweight(system, below[draw(st.integers(0, len(below) - 1))])
+        alpha = system.roots[draw(st.integers(0, len(system.roots) - 1))]
+        calls.append((draw(st.sampled_from(PUBLIC_CALLS)), datum, mu, lam, alpha))
+    return calls
+
+
+@settings(max_examples=60, deadline=None, database=None)
+@given(interleavings())
+def test_interleaved_public_calls_match_fresh_posets_and_oracles(calls):
+    """Calls about several systems, in any order, answer as a fresh poset per call does."""
+    for name, datum, mu, lam, alpha in calls:
+        answer = _public_answer(name, datum, mu, lam, alpha)
+        fresh, _ = _with_fresh_poset(lambda: _public_answer(name, datum, mu, lam, alpha))
+        assert answer == fresh, (name, mu, lam)
+        _oracle_check(name, answer, mu, lam, alpha)
+
+
+def _closure_request(mu: Coweight):
+    """What an analyze of mu asks: the covering edges, then k along each cover of mu."""
+    edges = minimal_degenerations(mu)
+    return edges, [k_vector(e.lam, mu) for e in edges if e.mu == mu]
+
+
+def test_shared_poset_stays_within_its_bound_across_resets(monkeypatch):
+    """Past the bound the shared poset starts over, and the answers stay right."""
+    bound = 120  # above the 114 entries of the largest request below
+    monkeypatch.setattr(schubert, "MAX_POSET_ENTRIES", bound)
+    system = build_root_system("A3")
+    tops = sweep_coweights(system, 24)
+    posets = []
+    for mu in tops:
+        answer = _closure_request(mu)
+        if schubert._shared is not (posets[-1] if posets else None):
+            posets.append(schubert._shared)
+        fresh, alone = _with_fresh_poset(lambda: _closure_request(mu))
+        assert alone.entries <= bound, mu  # one request never resets part-way
+        shared = schubert._shared
+        assert shared.entries == (
+            len(shared._steps) + sum(map(len, shared._below.values())) + len(shared._dom)
+        )
+        assert shared.entries <= bound + alone.entries, mu
+        assert answer == fresh, mu
+        assert {(e.mu, e.lam) for e in answer[0]} == gap_covers(simplex_scan_below(mu)), mu
+    assert len(posets) > 2  # more tops than the bound admits: the memo started over
 
 
 @st.composite
