@@ -2,11 +2,13 @@
 
 For each admissible pair (absolute type, twisting order) the atlas prints
 the relative type, the half-norm pattern of its simple roots, which relative
-roots are multipliable, and the admissible level progressions over one root
-of each kind.
+roots are multipliable, and the admissible relative levels over one root of
+each kind.
 """
 
-from affsch.twist import build_twisted, level_set
+from fractions import Fraction
+
+from affsch.twist import build_twisted, sigma_affine_to_relative, sigma_levels_at_degree
 
 FOLDINGS = (
     ("A2", 2),
@@ -39,10 +41,16 @@ def main() -> None:
     sigma = datum.echelonnage
     for index in range(sigma.rank):
         root = tuple(1 if j == index else 0 for j in range(sigma.rank))
-        for progression in level_set(datum, root):
-            values = [progression.offset + k * progression.step for k in range(3)]
-            shown = ", ".join(str(v) for v in values)
-            print(f"  alpha_{index} {root} [{progression.case}]: {shown}, ...")
+        # a root line at u-degree n sits at relative level n/e; the first
+        # 3e degrees show three levels of every case
+        levels: dict[str, list[Fraction]] = {}
+        for n in range(3 * datum.e):
+            for k in sigma_levels_at_degree(datum, root, n):
+                case = sigma_affine_to_relative(datum, (root, k)).case
+                levels.setdefault(case, []).append(Fraction(n, datum.e))
+        for case, values in levels.items():
+            shown = ", ".join(str(v) for v in values[:3])
+            print(f"  alpha_{index} {root} [{case}]: {shown}, ...")
 
     print("\ntriality fold of D4, simple roots upstairs:")
     triality = build_twisted("D4", 3)

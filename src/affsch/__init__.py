@@ -13,16 +13,15 @@ from affsch.rootsys import (
 from affsch.twist import (
     ABSOLUTELY_SPECIAL,
     OTHER_SPECIAL,
-    LevelProgression,
     RelativeAffineRoot,
     TwistedDatum,
     affine_roots_negative_at_vertex,
     build_twisted,
     cartan_sigma_dim,
-    level_set,
-    relative_to_sigma_level,
     sigma_affine_to_relative,
+    sigma_levels_at_degree,
     twisted_datum,
+    validate_relative_root,
 )
 from affsch.schubert import (
     DegenerationEdge,

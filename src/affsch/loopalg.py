@@ -30,9 +30,9 @@ from affsch.twist import (
     _cycles,
     _eigenspace_dim,
     _vec_add,
-    level_set,
-    relative_to_sigma_level,
     sigma_affine_to_relative,
+    sigma_levels_at_degree,
+    validate_relative_root,
 )
 
 Symbol = tuple
@@ -447,7 +447,7 @@ def sigma_action(datum: TwistedDatum, v: LoopVector) -> LoopVector:
 def make_e_a(datum: TwistedDatum, rel: RelativeAffineRoot) -> LoopVector:
     """The invariant vector spanning the root line of a relative affine root.
 
-    Uniform over the three cases: with n = e*m, d orbit members and
+    Uniform over the three cases: with n the u-degree, d orbit members and
     representative alpha', e_a = sum over i = 1..d of
     t_i = zeta^(i n) sigma0^i(X_{alpha'}) u^n = zeta^(i n) c_i X_{sigma0^i alpha'} u^n,
     with c_i the sign product of the first i steps of the walk.  This
@@ -462,10 +462,10 @@ def make_e_a(datum: TwistedDatum, rel: RelativeAffineRoot) -> LoopVector:
     closing scalar zeta^(d n) c_d is 1: the eigenspace rule for one cycle of
     length d and sign c_d at degree n.
     """
-    relative_to_sigma_level(datum, rel)  # ValueError off the correspondence
+    validate_relative_root(datum, rel)  # ValueError off the correspondence
     ctx = loop_context(datum)
     e = datum.e
-    n = rel.u_degree(e)
+    n = rel.degree
     d = len(rel.orbit)
     start: Symbol = ("X", rel.orbit[-1])
     sym, sign, items = start, 1, []
@@ -562,15 +562,14 @@ class InvariantBasisReport:
 
 
 def root_lines_at_degree(datum: TwistedDatum, n: int) -> tuple[tuple[Root, int], ...]:
-    """(sigma_root, sigma_level) pairs whose root line sits at u-degree n."""
-    out = []
-    m = Fraction(n, datum.e)
-    for root in datum.echelonnage.roots:
-        for prog in level_set(datum, root):
-            k = prog.sigma_level(m)
-            if k is not None:
-                out.append((root, k))
-    return tuple(sorted(out))
+    """(sigma_root, sigma_level) pairs whose root line sits at u-degree n, sorted."""
+    return tuple(
+        sorted(
+            (root, k)
+            for root in datum.echelonnage.roots
+            for k in sigma_levels_at_degree(datum, root, n)
+        )
+    )
 
 
 def verify_invariant_basis(datum: TwistedDatum, degree_window: int) -> InvariantBasisReport:

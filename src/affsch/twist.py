@@ -5,16 +5,17 @@ automorphism sigma0 of order e and the reduced system Sigma spanned by the
 modified orbit sums of the simple roots (orbit sums, doubled exactly when an
 orbit contains two adjacent nodes).  Every root of Sigma is matched to the
 sigma0-orbit(s) of absolute roots it is proportional to; this matching drives
-the level arithmetic of the affine correspondence:
+the level correspondence between a Sigma-affine root (root, k) and the root
+line it spans at u-degree n (relative level n/e):
 
-  case 1   orthogonal orbit of size d: levels (1/d)Z, one line per degree
-           with e | d*degree;
-  case 2a  adjacent pair orbit (the multipliable half): levels (1/2)Z,
-           Sigma-level 4m at relative level m;
+  case 1   orthogonal orbit of size d: k = n*d/e, so a line at degree n
+           exactly when e | n*d;
+  case 2a  adjacent pair orbit (the multipliable half): k = 2n, a line at
+           every degree n;
   case 2b  fixed root equal to an adjacent pair's sum (the divisible half):
-           levels 1/2 + Z, Sigma-level 2m, odd.
+           k = n, a line at odd degrees n only.
 
-Only the doubled orbits of A_{2n} with the flip produce cases 2a/2b.
+Only the doubled orbits of A_{2n} with the flip (e = 2) produce cases 2a/2b.
 """
 
 from __future__ import annotations
@@ -22,7 +23,6 @@ from __future__ import annotations
 import math
 import re
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache, partial
 
 from affsch.rootsys import (
@@ -44,36 +44,17 @@ AffineRoot = tuple[Root, int]
 
 
 @dataclass(frozen=True)
-class LevelProgression:
-    """Arithmetic progression of admissible relative levels, offset + step*Z."""
-
-    case: str
-    offset: Fraction
-    step: Fraction
-    orbit_size: int
-
-    def sigma_level(self, m: Fraction) -> int | None:
-        """The Sigma-level at relative level m, or None when m is off the progression."""
-        if (m - self.offset) % self.step:
-            return None
-        return int(m * _sigma_scale(self.case, self.orbit_size))
-
-
-@dataclass(frozen=True)
 class RelativeAffineRoot:
-    """An affine root on the relative side of the level correspondence."""
+    """An affine root on the relative side of the level correspondence.
+
+    degree is the u-degree n of its root line; the relative level is n/e.
+    """
 
     case: str
     orbit: tuple[Root, ...]
-    m: Fraction
+    degree: int
     sigma_root: Root
     level: int
-
-    def u_degree(self, e: int) -> int:
-        n = self.m * e
-        if n.denominator != 1:
-            raise AssertionError("relative level times e must be integral")
-        return int(n)
 
 
 @dataclass(frozen=True)
@@ -152,6 +133,10 @@ def _vec_add(a: Root, b: Root) -> Root:
 
 def _vec_scale(a: Root, s: int) -> Root:
     return tuple(s * x for x in a)
+
+
+def _negated_orbit(orbit: tuple[Root, ...]) -> tuple[Root, ...]:
+    return tuple(sorted(tuple(-x for x in g) for g in orbit))
 
 
 class TwistedDatum:
@@ -279,6 +264,14 @@ class TwistedDatum:
                 if _vec_add(a, b) != single[0][0]:
                     raise AssertionError("divisible partner must be the pair's sum")
                 meta[root] = _OrbitData(pair[0], 2, True, single[0])
+        for root in sigma.positive_roots:
+            data = meta[root]
+            meta[tuple(-x for x in root)] = _OrbitData(
+                _negated_orbit(data.orbit),
+                data.d,
+                data.multipliable,
+                data.divisible_orbit and _negated_orbit(data.divisible_orbit),
+            )
         self._meta = meta
         self.multipliable_roots = tuple(
             root for root in sigma.positive_roots if meta[root].multipliable
@@ -288,17 +281,10 @@ class TwistedDatum:
 
     def orbit_data(self, sigma_root: Root) -> _OrbitData:
         """Orbit data for any root of Sigma; negatives mirror the positives."""
-        if sigma_root in self._meta:
+        try:
             return self._meta[sigma_root]
-        neg = tuple(-x for x in sigma_root)
-        if neg not in self._meta:
-            raise ValueError(f"{sigma_root} is not a root of {self.echelonnage.label}")
-        data = self._meta[neg]
-        flip = tuple(sorted(tuple(-x for x in g) for g in data.orbit))
-        flip2 = None
-        if data.divisible_orbit is not None:
-            flip2 = tuple(sorted(tuple(-x for x in g) for g in data.divisible_orbit))
-        return _OrbitData(flip, data.d, data.multipliable, flip2)
+        except KeyError:
+            raise ValueError(f"{sigma_root} is not a root of {self.echelonnage.label}") from None
 
     def with_other_special_vertex(self) -> "TwistedDatum":
         """The special but not absolutely special base point (folded odd A types only)."""
@@ -346,63 +332,62 @@ def twisted_datum(label: str) -> TwistedDatum:
     return build_twisted(f"{letter}{rank}", e)
 
 
-def _sigma_scale(case: str, d: int) -> int:
-    """Sigma-levels per unit of relative level over an orbit of size d.
+def sigma_levels_at_degree(datum: TwistedDatum, sigma_root: Root, n: int) -> tuple[int, ...]:
+    """The Sigma-levels k whose affine root (sigma_root, k) has its root line at u-degree n.
 
-    d in case 1; 2d over a multipliable root, so 4 in case 2a and 2 in case 2b.
+    Over a non-multipliable root with orbit size d: k = n*d/e when e | n*d.
+    Over a multipliable root (e = 2): 2n (case 2a), then n when n is odd (case 2b).
     """
-    return d if case == "case1" else 2 * d
-
-
-@lru_cache(maxsize=16)  # keys: a case name and an orbit size of at most 3
-def _progression(case: str, d: int) -> LevelProgression:
-    """The admissible relative levels of a case whose orbit has d members."""
-    if case == "case1":
-        return LevelProgression(case, Fraction(0), Fraction(1, d), d)
-    if case == "case2a":
-        return LevelProgression(case, Fraction(0), Fraction(1, 2), 2)
-    if case == "case2b":
-        return LevelProgression(case, Fraction(1, 2), Fraction(1), 1)
-    raise ValueError(f"unknown case {case!r}")
-
-
-def level_set(datum: TwistedDatum, sigma_root: Root) -> tuple[LevelProgression, ...]:
-    """Admissible relative levels over a root of Sigma."""
     data = datum.orbit_data(sigma_root)
-    if not data.multipliable:
-        return (_progression("case1", data.d),)
-    return _progression("case2a", 2), _progression("case2b", 1)
+    if data.multipliable:
+        return (2 * n, n) if n % 2 else (2 * n,)
+    k, r = divmod(n * data.d, datum.e)
+    return () if r else (k,)
 
 
 def sigma_affine_to_relative(datum: TwistedDatum, a: AffineRoot) -> RelativeAffineRoot:
-    """Translate a Sigma-affine root (root, level) across the level correspondence."""
+    """Translate a Sigma-affine root (root, level) across the level correspondence.
+
+    The u-degree is e*k/d in case 1 (d divides e), k/2 in case 2a (k even)
+    and k in case 2b (k odd), so it is always an integer.
+    """
     sigma_root, k = a
     data = datum.orbit_data(sigma_root)
     if not data.multipliable:
-        case, orbit = "case1", data.orbit
-    elif k % 2:
-        case, orbit = "case2b", data.divisible_orbit
-    else:
-        case, orbit = "case2a", data.orbit
-    return RelativeAffineRoot(case, orbit, Fraction(k, _sigma_scale(case, len(orbit))), sigma_root, k)
+        return RelativeAffineRoot("case1", data.orbit, datum.e * k // data.d, sigma_root, k)
+    if k % 2:
+        return RelativeAffineRoot("case2b", data.divisible_orbit, k, sigma_root, k)
+    return RelativeAffineRoot("case2a", data.orbit, k // 2, sigma_root, k)
 
 
-def relative_to_sigma_level(datum: TwistedDatum, rel: RelativeAffineRoot) -> int:
-    """Inverse direction of the level correspondence.
+# case: (its orbit size, None for any; whether u-degree n is on its
+# progression over an orbit of d roots at order e)
+_CASES = {
+    "case1": (None, lambda n, d, e: n * d % e == 0),  # relative levels (1/d)Z
+    "case2a": (2, lambda n, d, e: 2 * n % e == 0),  # (1/2)Z
+    "case2b": (1, lambda n, d, e: (2 * n - e) % (2 * e) == 0),  # 1/2 + Z
+}
 
-    Raises ValueError for an unknown case, an orbit whose size does not fit
-    the case or divide e, or a relative level off the case's progression.
+
+def validate_relative_root(datum: TwistedDatum, rel: RelativeAffineRoot) -> None:
+    """Check that a relative root's case, orbit size and u-degree fit together.
+
+    Raises ValueError for a non-int degree, an orbit whose size does not
+    divide e, an unknown case, an orbit whose size does not fit the case, or
+    a degree whose relative level n/e is off the case's progression.
     """
-    d = len(rel.orbit)
-    if d == 0 or datum.e % d:
-        raise ValueError(f"an orbit of {d} roots does not divide the order {datum.e}")
-    prog = _progression(rel.case, d)
-    if d != prog.orbit_size:
-        raise ValueError(f"{rel.case} needs an orbit of {prog.orbit_size} roots, not {d}")
-    k = prog.sigma_level(rel.m)
-    if k is None:
-        raise ValueError(f"level {rel.m} is outside the {rel.case} progression")
-    return k
+    n, d, e = rel.degree, len(rel.orbit), datum.e
+    if type(n) is not int:
+        raise ValueError(f"u-degree {n!r} is not an int")
+    if d == 0 or e % d:
+        raise ValueError(f"an orbit of {d} roots does not divide the order {e}")
+    if rel.case not in _CASES:
+        raise ValueError(f"unknown case {rel.case!r}")
+    size, admissible = _CASES[rel.case]
+    if size not in (None, d):
+        raise ValueError(f"{rel.case} needs an orbit of {size} roots, not {d}")
+    if not admissible(n, d, e):
+        raise ValueError(f"u-degree {n} is outside the {rel.case} progression")
 
 
 def cartan_sigma_dim(datum: TwistedDatum, m: int) -> int:

@@ -27,7 +27,7 @@ from affsch.schubert import (
     minimal_degenerations,
     root_tangent_bound,
 )
-from affsch.twist import twisted_datum
+from affsch.twist import sigma_affine_to_relative, twisted_datum
 
 SWEEP_TYPES = ("A1", "A2", "A3", "A4", "B2", "B3", "B4", "C2", "C3", "C4", "D4", "G2")
 LOOP_LABELS = ("2A2", "2A3", "2D4", "3D4")
@@ -230,12 +230,9 @@ def _suite_cartan_direction(window: int) -> SuiteResult:
     for label in DIRECTION_LABELS:
         datum = twisted_datum(label)
         for root in datum.echelonnage.roots:
-            multipliable = root in datum.multipliable_roots or tuple(
-                -c for c in root
-            ) in datum.multipliable_roots
             for k in range(1, depth + 1):
-                if multipliable and k % 2 == 0:
-                    continue
+                if sigma_affine_to_relative(datum, (root, -k)).case == "case2a":
+                    continue  # cartan_direction has no recipe there
                 instance = {"type": label, "root": list(root), "level": -k}
                 try:
                     vec = cartan_direction(datum, (root, -k))

@@ -3,10 +3,13 @@
 None of these has a caller in the package: each restates a fact the library
 computes another way (the dominance order by a lattice solve, dominant
 representatives by a Weyl-orbit scan, root-curve targets and case tags from
-a pair's endpoints), so the tests can check the fast paths against them.
+a pair's endpoints, the level correspondence by Fraction progressions), so
+the tests can check the fast paths against them.
 """
 
 from __future__ import annotations
+
+from fractions import Fraction
 
 from affsch.rootsys import Coweight, CorootVector, IntVec, Root, dominant_rep
 from affsch.schubert import DegenerationEdge, _classify, k_alpha
@@ -80,3 +83,26 @@ def translate_affine_root(a: AffineRoot, lam: Coweight) -> AffineRoot:
     """Conjugating by the translation t^lam shifts the level by <lam, root>."""
     sigma_root, k = a
     return (sigma_root, k + lam.pairing_with_root(sigma_root))
+
+
+def level_progressions(datum, sigma_root: Root) -> tuple[tuple[str, Fraction, Fraction, int], ...]:
+    """(case, offset, step, scale) of each progression of relative levels over a root of Sigma.
+
+    The admissible relative levels of a case are offset + step*Z, and the
+    Sigma-level at relative level m is m*scale: (1/d)Z and scale d in case 1
+    (orbit size d), (1/2)Z and scale 4 in case 2a, 1/2 + Z and scale 2 in case 2b.
+    """
+    data = datum.orbit_data(sigma_root)
+    if not data.multipliable:
+        return (("case1", Fraction(0), Fraction(1, data.d), data.d),)
+    return ("case2a", Fraction(0), Fraction(1, 2), 4), ("case2b", Fraction(1, 2), Fraction(1), 2)
+
+
+def progression_sigma_levels(datum, sigma_root: Root, n: int) -> tuple[int, ...]:
+    """Sigma-levels over sigma_root at u-degree n, through the relative level n/e."""
+    m = Fraction(n, datum.e)
+    return tuple(
+        int(m * scale)
+        for _, offset, step, scale in level_progressions(datum, sigma_root)
+        if (m - offset) % step == 0
+    )

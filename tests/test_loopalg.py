@@ -94,7 +94,7 @@ def window_inventory(label, window=8):
 def walk_vector(datum, rel):
     """e_a by its definition, through whatever sigma0.image_symbol is in place."""
     ctx = loop_context(datum)
-    n = rel.u_degree(datum.e)
+    n = rel.degree
     sym, sign, items = ("X", rel.orbit[-1]), 1, []
     for i in range(1, len(rel.orbit) + 1):
         c, sym = ctx.sigma0.image_symbol(sym)
@@ -375,7 +375,7 @@ def test_make_e_a_split_type_is_a_plain_monomial():
 def test_make_e_a_triality_orbit_sum():
     datum = twisted_datum("3D4")
     rel = sigma_affine_to_relative(datum, ((0, 1), -3))
-    assert rel.case == "case1" and rel.m == Fraction(-1, 1)
+    assert rel.case == "case1" and rel.degree == -3
     vec = make_e_a(datum, rel)
     degrees = {n for _, n, _ in vec.terms}
     assert degrees == {-3}
@@ -405,7 +405,7 @@ def test_make_e_a_twisted_a2_both_progressions():
 
 def test_make_e_a_rejects_levels_off_the_progression():
     datum = twisted_datum("2A3")
-    bad = RelativeAffineRoot("case1", ((0, 1, 0),), Fraction(1, 2), (1, 0), 0)
+    bad = RelativeAffineRoot("case1", ((0, 1, 0),), 1, (1, 0), 0)  # relative level 1/2
     with pytest.raises(ValueError):
         make_e_a(datum, bad)
 
@@ -452,14 +452,14 @@ def test_flipped_closing_sign_fails_the_check_and_the_oracle(monkeypatch, fresh_
 def test_closing_check_rejects_misread_orbits():
     # 3D4 moves X_(1,0,0,0): a one-member orbit does not return to its start
     datum = twisted_datum("3D4")
-    rel = RelativeAffineRoot("case1", ((1, 0, 0, 0),), Fraction(0), (0, 1), 0)
+    rel = RelativeAffineRoot("case1", ((1, 0, 0, 0),), 0, (0, 1), 0)
     with pytest.raises(AssertionError, match="did not return"):
         make_e_a(datum, rel)
     vec = walk_vector(datum, rel)
     assert sigma_action(datum, vec) != vec
     # 2A2 fixes X_(1,1) with sign -1: at an even degree its closing scalar is -1
     datum = twisted_datum("2A2")
-    rel = RelativeAffineRoot("case1", ((1, 1),), Fraction(0), (1,), 0)
+    rel = RelativeAffineRoot("case1", ((1, 1),), 0, (1,), 0)
     with pytest.raises(AssertionError, match="closing scalar"):
         make_e_a(datum, rel)
     vec = walk_vector(datum, rel)
@@ -470,7 +470,9 @@ def test_inventory_coefficients_are_ints_or_fractions():
     def coeffs(vectors):
         return [x for vec in vectors for _, _, c in vec.terms for x in (c.a, c.b)]
 
-    lines = [make_e_a(datum, rel) for label in LOOP_TYPES for datum, rel in window_inventory(label)]
+    inventory = [(datum, rel) for label in LOOP_TYPES for datum, rel in window_inventory(label)]
+    assert all(type(rel.degree) is int and type(rel.level) is int for _, rel in inventory)
+    lines = [make_e_a(datum, rel) for datum, rel in inventory]
     directions = [cartan_direction(datum, a) for datum, a in direction_inventory()]
     # signs and zeta powers stay ints; ad_exp divides by n!, which makes Fractions
     assert all(type(x) is int for x in coeffs(lines))

@@ -14,16 +14,17 @@ from affsch.twist import (
     build_twisted,
     cartan_sigma_dim,
     default_sigma0,
-    level_set,
     parse_type_label,
-    relative_to_sigma_level,
     sigma_affine_to_relative,
+    sigma_levels_at_degree,
     twisted_datum,
+    validate_relative_root,
 )
-from oracles import translate_affine_root
+from oracles import progression_sigma_levels, translate_affine_root
 
 ALL_LABELS = ["A1", "A2", "A3", "2A2", "2A3", "2A4", "2A5", "2A6", "2A7",
               "2D3", "2D4", "2D5", "2E6", "3D4"]
+MORE_SPLIT_LABELS = ["G2", "B3", "C3", "F4", "D4"]
 
 
 def orbit_partition_oracle(datum) -> None:
@@ -39,13 +40,7 @@ def orbit_partition_oracle(datum) -> None:
 
 def count_lines_at_degree(datum, n: int) -> int:
     """Independent count of admissible root lines at a fixed loop degree."""
-    count = 0
-    for root in datum.echelonnage.roots:
-        for prog in level_set(datum, root):
-            m = Fraction(n, datum.e)
-            if (m - prog.offset) % prog.step == 0:
-                count += 1
-    return count
+    return sum(len(progression_sigma_levels(datum, root, n)) for root in datum.echelonnage.roots)
 
 
 # -- recognition table ---------------------------------------------------
@@ -125,40 +120,53 @@ def test_orbit_sizes_3d4():
 # -- level arithmetic ------------------------------------------------------
 
 
+def _degree_levels(label, root):
+    """u-degree -> Sigma-levels over root, at degrees -3..3."""
+    datum = twisted_datum(label)
+    return {n: sigma_levels_at_degree(datum, root, n) for n in range(-3, 4)}
+
+
+def _cases(label, root, levels):
+    datum = twisted_datum(label)
+    return [sigma_affine_to_relative(datum, (root, k)).case for k in levels]
+
+
 def test_level_sets_frozen():
-    d4 = twisted_datum("3D4")
-    (long_prog,) = level_set(d4, (0, 1))
-    assert (long_prog.case, long_prog.offset, long_prog.step) == ("case1", 0, Fraction(1, 3))
-    (short_prog,) = level_set(d4, (1, 0))
-    assert short_prog.step == 1
+    # the long orbits of the triality fold have three members: a line at every degree
+    every = {n: (n,) for n in range(-3, 4)}
+    assert _degree_levels("3D4", (0, 1)) == every
+    assert _cases("3D4", (0, 1), [-1, 0, 1]) == ["case1"] * 3
+    # the fixed short root only at degrees divisible by 3
+    assert _degree_levels("3D4", (1, 0)) == {
+        -3: (-1,), -2: (), -1: (), 0: (0,), 1: (), 2: (), 3: (1,)}
 
-    (plain,) = level_set(twisted_datum("A2"), (1, 0))
-    assert plain.step == 1 and plain.case == "case1"
+    assert _degree_levels("A2", (1, 0)) == every
+    assert _cases("A2", (1, 0), [-1, 0, 1]) == ["case1"] * 3
 
-    pair = level_set(twisted_datum("2A2"), (1,))
-    assert [p.case for p in pair] == ["case2a", "case2b"]
-    assert (pair[0].offset, pair[0].step) == (0, Fraction(1, 2))
-    assert (pair[1].offset, pair[1].step) == (Fraction(1, 2), 1)
+    # the multipliable root: 2n at every degree (case 2a), n at odd ones (case 2b)
+    assert _degree_levels("2A2", (1,)) == {
+        -3: (-6, -3), -2: (-4,), -1: (-2, -1), 0: (0,), 1: (2, 1), 2: (4,), 3: (6, 3)}
+    assert _cases("2A2", (1,), [2, 1]) == ["case2a", "case2b"]
 
-    (short_a4,) = level_set(twisted_datum("2A4"), (1, 0))
-    assert short_a4.step == Fraction(1, 2) and short_a4.case == "case1"
+    assert _degree_levels("2A4", (1, 0)) == every
+    assert _cases("2A4", (1, 0), [-1, 0, 1]) == ["case1"] * 3
 
 
 def test_correspondence_frozen_values():
     a2 = twisted_datum("2A2")
     rel = sigma_affine_to_relative(a2, ((1,), 3))
-    assert (rel.case, rel.m) == ("case2b", Fraction(3, 2)) and rel.u_degree(2) == 3
+    assert (rel.case, rel.degree) == ("case2b", 3)
     rel = sigma_affine_to_relative(a2, ((1,), 2))
-    assert (rel.case, rel.m) == ("case2a", Fraction(1, 2)) and rel.u_degree(2) == 1
+    assert (rel.case, rel.degree) == ("case2a", 1)
     rel = sigma_affine_to_relative(a2, ((-1,), -1))
-    assert (rel.case, rel.m) == ("case2b", Fraction(-1, 2))
+    assert (rel.case, rel.degree) == ("case2b", -1)
     assert rel.orbit == ((-1, -1),)
 
     d4 = twisted_datum("3D4")
     rel = sigma_affine_to_relative(d4, ((0, 1), -1))
-    assert (rel.case, rel.m) == ("case1", Fraction(-1, 3)) and rel.u_degree(3) == -1
+    assert (rel.case, rel.degree) == ("case1", -1)
     rel = sigma_affine_to_relative(d4, ((1, 0), -2))
-    assert rel.m == -2 and rel.u_degree(3) == -6
+    assert (rel.case, rel.degree) == ("case1", -6)
 
 
 def test_correspondence_round_trip():
@@ -167,36 +175,52 @@ def test_correspondence_round_trip():
         for root in datum.echelonnage.roots:
             for k in range(-10, 11):
                 rel = sigma_affine_to_relative(datum, (root, k))
-                assert relative_to_sigma_level(datum, rel) == k
+                validate_relative_root(datum, rel)
+                assert type(rel.degree) is int
+                assert k in sigma_levels_at_degree(datum, root, rel.degree)
                 assert rel.sigma_root == root and rel.level == k
                 if rel.case == "case2b":
                     assert k % 2 != 0
                 if rel.case == "case2a":
                     assert k % 2 == 0
-                rel.u_degree(datum.e)
 
 
-def test_relative_to_sigma_level_rejects_inadmissible_input():
+def test_sigma_levels_match_the_fraction_progressions():
+    triples = 0
+    for label in ALL_LABELS + MORE_SPLIT_LABELS:
+        datum = twisted_datum(label)
+        for root in datum.echelonnage.roots:
+            for n in range(-12, 13):
+                levels = sigma_levels_at_degree(datum, root, n)
+                assert levels == progression_sigma_levels(datum, root, n), (label, root, n)
+                for k in levels:
+                    assert sigma_affine_to_relative(datum, (root, k)).degree == n, (label, root, k)
+                triples += 1
+    assert triples == 8600  # (label, root, degree) triples: 344 roots, 25 degrees
+
+
+def test_validate_relative_root_rejects_inadmissible_input():
     a2 = twisted_datum("2A2")
     pair = sigma_affine_to_relative(a2, ((1,), 2)).orbit
     fixed = sigma_affine_to_relative(a2, ((1,), 1)).orbit
     bad = [
-        RelativeAffineRoot("case2a", pair, Fraction(1, 4), (1,), 1),  # off (1/2)Z
-        RelativeAffineRoot("case2b", fixed, Fraction(1), (1,), 2),  # off 1/2 + Z
-        RelativeAffineRoot("case9", fixed, Fraction(1, 2), (1,), 1),  # unknown case
-        RelativeAffineRoot("case2a", fixed, Fraction(1, 2), (1,), 2),  # pair case, one root
-        RelativeAffineRoot("case2b", pair, Fraction(1, 2), (1,), 1),  # fixed case, two roots
-        RelativeAffineRoot("case1", (), Fraction(0), (1,), 0),  # empty orbit
+        RelativeAffineRoot("case2a", pair, Fraction(1, 2), (1,), 1),  # not an int degree
+        RelativeAffineRoot("case2a", pair, 1.0, (1,), 2),  # integral, but not an int
+        RelativeAffineRoot("case2b", fixed, 2, (1,), 2),  # even: off 1/2 + Z
+        RelativeAffineRoot("case9", fixed, 1, (1,), 1),  # unknown case
+        RelativeAffineRoot("case2a", fixed, 1, (1,), 2),  # pair case, one root
+        RelativeAffineRoot("case2b", pair, 1, (1,), 1),  # fixed case, two roots
+        RelativeAffineRoot("case1", (), 0, (1,), 0),  # empty orbit
     ]
     for rel in bad:
         with pytest.raises(ValueError):
-            relative_to_sigma_level(a2, rel)
+            validate_relative_root(a2, rel)
     # a three-root orbit does not divide the order of the flip
     d4 = twisted_datum("3D4")
     triple = sigma_affine_to_relative(d4, ((0, 1), -1)).orbit
     with pytest.raises(ValueError):
-        relative_to_sigma_level(a2, RelativeAffineRoot("case1", triple, Fraction(1), (1,), 3))
-    assert relative_to_sigma_level(d4, sigma_affine_to_relative(d4, ((0, 1), -1))) == -1
+        validate_relative_root(a2, RelativeAffineRoot("case1", triple, 2, (1,), 3))
+    validate_relative_root(d4, sigma_affine_to_relative(d4, ((0, 1), -1)))
 
 
 def test_degree_counts():
@@ -249,7 +273,7 @@ def test_negative_depth_labels():
     # at the absolutely special point of the triality form, loop degree -1
     # sees exactly the six labels whose progression admits it
     hits = [a for a in affine_roots_negative_at_vertex(g2, 1)
-            if sigma_affine_to_relative(g2, a).u_degree(3) == -1]
+            if sigma_affine_to_relative(g2, a).degree == -1]
     assert len(hits) == 6
     with pytest.raises(ValueError):
         affine_roots_negative_at_vertex(g2, 0)
