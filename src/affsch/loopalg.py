@@ -167,6 +167,7 @@ class ChevalleyAlgebra:
     oriented edges of coefficient products) gives [X_g, X_d] = N X_{g+d} with
     N = eps(g, d) * s(g) s(d) s(g+d), where s is the sign of the root; the
     remaining brackets are [X_g, X_{-g}] = H_g and the pairing action of H.
+    The constants are tabulated once at construction; every bracket reads them.
     """
 
     def __init__(self, system: FiniteRootSystem, letter: str) -> None:
@@ -179,26 +180,27 @@ class ChevalleyAlgebra:
         self.symbols: tuple[Symbol, ...] = tuple(
             ("X", r) for r in system.roots
         ) + tuple(("H", i) for i in range(system.rank))
+        self._n = self._structure_constants()
         self._verify()
 
     def __repr__(self) -> str:
         return f"ChevalleyAlgebra({self.system.label})"
 
-    def _eps_exponent(self, g: Root, d: Root) -> int:
-        total = sum(a * b for a, b in zip(g, d))
-        total += sum(g[i] * d[j] for i, j in self.oriented)
-        return total & 1
+    def _structure_constants(self) -> dict[tuple[Root, Root], int]:
+        """N(g, d) by the closed form, for every ordered root pair with g + d a root."""
+        table: dict[tuple[Root, Root], int] = {}
+        for g in self.system.roots:
+            for d in self.system.roots:
+                s = _vec_add(g, d)
+                if s in self._roots:
+                    odd = sum(a * b for a, b in zip(g, d)) + sum(g[i] * d[j] for i, j in self.oriented)
+                    odd += sum(root not in self._positive for root in (g, d, s))
+                    table[(g, d)] = -1 if odd & 1 else 1
+        return table
 
     def n_constant(self, g: Root, d: Root) -> int:
-        """N with [X_g, X_d] = N X_{g+d}; zero when g+d is not a root."""
-        s = tuple(a + b for a, b in zip(g, d))
-        if s not in self._roots:
-            return 0
-        sign = 1 if self._eps_exponent(g, d) == 0 else -1
-        for root in (g, d, s):
-            if root not in self._positive:
-                sign = -sign
-        return sign
+        """N with [X_g, X_d] = N X_{g+d}, looked up: 0 where g, d or g + d is not a root."""
+        return self._n.get((g, d), 0)
 
     def bracket_symbols(self, x: Symbol, y: Symbol) -> list[tuple[int, Symbol]]:
         kx, ky = x[0], y[0]
@@ -209,10 +211,11 @@ class ChevalleyAlgebra:
         if ky == "H":
             return [(-self.system.pairing_with_coroot(x[1], y[1]), x)]
         g, d = x[1], y[1]
-        if all(a + b == 0 for a, b in zip(g, d)):
+        s = _vec_add(g, d)
+        if not any(s):
             return [(m, ("H", j)) for j, m in enumerate(g) if m]
-        n = self.n_constant(g, d)
-        return [(n, ("X", tuple(a + b for a, b in zip(g, d))))] if n else []
+        n = self._n.get((g, d))
+        return [(n, ("X", s))] if n else []
 
     def _jacobi_triples(self) -> list[tuple[Root, Root, Root]]:
         """Root triples, in root order, whose Jacobi sum can be nonzero.
@@ -235,11 +238,10 @@ class ChevalleyAlgebra:
         return [(roots[i], roots[j], roots[k]) for i, j, k in sorted(triples)]
 
     def _verify(self) -> None:
-        roots = self.system.roots
-        for g in roots:
-            for d in roots:
-                if self.n_constant(g, d) != -self.n_constant(d, g):
-                    raise AssertionError("antisymmetry failure in structure constants")
+        # a pair off the table has no root sum, nor has its reverse: both constants are 0
+        for (g, d), n in self._n.items():
+            if self._n.get((d, g)) != -n:
+                raise AssertionError("antisymmetry failure in structure constants")
         # with the bracket antisymmetric the Jacobi sum is alternating: one order per triple
         for g, d, m in self._jacobi_triples():
             acc: dict[Symbol, int] = {}
@@ -286,6 +288,8 @@ class Sigma0Map:
         system = self.algebra.system
         cart = system.cartan
         rank = system.rank
+        if sorted(self.perm) != list(range(rank)):
+            raise ValueError("perm must be a permutation of the simple roots")
         for i in range(rank):
             for j in range(rank):
                 if cart[self.perm[i]][self.perm[j]] != cart[i][j]:
@@ -302,11 +306,10 @@ class Sigma0Map:
                 if delta not in signs:
                     continue
                 alpha = tuple(1 if j == i else 0 for j in range(rank))
+                # delta + alpha = gamma is a root, so both constants are +-1
                 n_old = self.algebra.n_constant(delta, alpha)
-                if n_old == 0:
-                    continue
                 n_new = self.algebra.n_constant(_act(self.perm, delta), _act(self.perm, alpha))
-                signs[gamma] = signs[delta] * n_new // n_old
+                signs[gamma] = signs[delta] * n_new * n_old
                 break
             else:
                 raise AssertionError("positive root with no simple-step decomposition")

@@ -274,9 +274,6 @@ class FiniteRootSystem:
         """<m, alpha_i^vee> for a root m."""
         return sum(mj * self.cartan[j][i] for j, mj in enumerate(m) if mj)
 
-    def reflect_root(self, m: Root, i: int) -> Root:
-        return _reflect_root(m, i, self.cartan)
-
     def coroot_coefficients(self, m: Root) -> IntVec:
         """m^vee expanded on the simple coroots: c_j = m_j * d_j / d_m."""
         dm = self.root_half_norm(m)

@@ -16,6 +16,7 @@ from affsch.loopalg import (
     CycScalar,
     LaurentMatrix,
     LoopVector,
+    Sigma0Map,
     ad_exp,
     build_chevalley,
     cartan_component,
@@ -207,15 +208,17 @@ def test_build_chevalley_checks_jacobi_on_build():
 
 
 class FlippedPairAlgebra(ChevalleyAlgebra):
-    """Structure constants with one antisymmetric pair negated: N stays antisymmetric."""
+    """Structure constants with the given pairs negated in the table, before the checks."""
 
-    def __init__(self, label, g, d):
-        self.flipped = {(g, d), (d, g)}
+    def __init__(self, label, *pairs):
+        self.flipped = pairs
         super().__init__(build_chevalley(label).system, label[0])
 
-    def n_constant(self, g, d):
-        n = super().n_constant(g, d)
-        return -n if (g, d) in self.flipped else n
+    def _structure_constants(self):
+        table = super()._structure_constants()
+        for pair in self.flipped:
+            table[pair] = -table[pair]
+        return table
 
 
 @pytest.mark.parametrize(
@@ -227,9 +230,36 @@ class FlippedPairAlgebra(ChevalleyAlgebra):
 )
 def test_jacobi_check_catches_one_flipped_pair(label, g, d):
     # a 500-triple sample of D5 or E6 misses both pairs; the exhaustive check must not
+    # N stays antisymmetric: the pair is negated in both orders
     assert build_chevalley(label).n_constant(g, d) != 0
     with pytest.raises(AssertionError, match="Jacobi failure"):
-        FlippedPairAlgebra(label, g, d)
+        FlippedPairAlgebra(label, (g, d), (d, g))
+
+
+def test_antisymmetry_check_catches_one_flipped_constant():
+    with pytest.raises(AssertionError, match="antisymmetry failure"):
+        FlippedPairAlgebra("A3", ((1, 0, 0), (0, 1, 0)))
+
+
+# |R| (2h - 4): each root g has 2h - 4 roots d with g + d a root
+TABLE_SIZES = {"A1": 0, "A2": 12, "A3": 48, "A4": 120, "A5": 240, "D4": 192, "D5": 480, "E6": 1440}
+
+
+@pytest.mark.parametrize("label", sorted(TABLE_SIZES))
+def test_structure_constants_are_signs_exactly_on_root_sums(label):
+    algebra = build_chevalley(label)
+    roots = algebra.system.roots
+    nonzero = 0
+    for g in roots:
+        for d in roots:
+            n = algebra.n_constant(g, d)
+            s = tuple(a + b for a, b in zip(g, d))
+            assert n in ((1, -1) if s in roots else (0,)), (g, d)
+            assert algebra.n_constant(d, g) == -n
+            nonzero += n != 0
+        # arguments that are not roots lie off the table
+        assert algebra.n_constant(tuple(2 * a for a in g), tuple(-a for a in g)) == 0
+    assert nonzero == TABLE_SIZES[label]
 
 
 @pytest.mark.parametrize("label", ["A4", "D4"])
@@ -308,10 +338,30 @@ def test_sigma0_flip_signs_odd_versus_even_rank():
     assert flip4.order == 2
 
 
-def test_sigma0_rejects_non_automorphism():
+@pytest.mark.parametrize(
+    "perm",
+    [(1, 0, 2), (1, 0), (0, 1, 2, 3), (2, 1, 0, 0)],
+    ids=["not-a-diagram-automorphism", "too-short", "too-long", "repeated-entry"],
+)
+def test_sigma0_rejects_non_automorphism(perm):
     algebra = build_chevalley("A3")
     with pytest.raises(ValueError):
-        sigma0_automorphism(algebra, (1, 0, 2))
+        sigma0_automorphism(algebra, perm)
+
+
+class TwistedSignSigma0(Sigma0Map):
+    """The A3 flip with the signs of X_(1,1,0) and X_(-1,-1,0) negated after the recursion."""
+
+    def _extend(self):
+        signs = super()._extend()
+        for root in ((1, 1, 0), (-1, -1, 0)):
+            signs[root] = -signs[root]
+        return signs
+
+
+def test_sigma0_check_catches_a_flipped_sign():
+    with pytest.raises(AssertionError, match="sigma0 extension breaks a bracket"):
+        TwistedSignSigma0(build_chevalley("A3"), (2, 1, 0))
 
 
 @pytest.mark.parametrize("label", LOOP_TYPES)

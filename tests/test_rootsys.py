@@ -12,6 +12,7 @@ from itertools import permutations, product
 
 import pytest
 
+from affsch import rootsys
 from affsch.rootsys import (
     Coweight,
     build_root_system,
@@ -77,7 +78,7 @@ def test_reflections_stay_inside_the_root_set():
         roots = set(system.roots)
         for m in system.roots:
             for i in range(system.rank):
-                assert system.reflect_root(m, i) in roots
+                assert rootsys._reflect_root(m, i, system.cartan) in roots
 
 
 def test_norms_take_two_values_per_component():
