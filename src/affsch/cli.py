@@ -376,7 +376,13 @@ def _emit_json(command: str, request: dict, result: dict) -> None:
     print(_json_text(_document(command, request, result)))
 
 
-_JSON_CONSTANTS = {True: "true", False: "false", None: "null"}
+# writers of the scalar types, by exact type: subclasses take the general path
+_JSON_SCALARS = {
+    str: encode_basestring_ascii,
+    int: int.__repr__,
+    bool: {True: "true", False: "false"}.__getitem__,
+    type(None): lambda _: "null",
+}
 
 
 def _json_key(key) -> str:
@@ -395,27 +401,34 @@ def _json_text(value, newline: str = "\n") -> str:
     bool, None, dict, list and tuple are written; anything else (a float, a
     Fraction, a set) raises RuntimeError, which main reports as an internal
     failure, exit 3.  newline is the line break plus the indent of the line
-    value starts on.
+    value starts on.  Scalar items of a container are written in place,
+    without a call of their own.
     """
+    scalar = _JSON_SCALARS.get(type(value))
+    if scalar is not None:
+        return scalar(value)
     if isinstance(value, str):
         return encode_basestring_ascii(value)
-    if value is True or value is False or value is None:
-        return _JSON_CONSTANTS[value]
     if isinstance(value, int):
         return int.__repr__(value)
     inner = newline + "  "
     if isinstance(value, dict):
         if not value:
             return "{}"
-        items = [
-            f"{inner}{encode_basestring_ascii(_json_key(key))}: {_json_text(item, inner)}"
-            for key, item in sorted(value.items())
-        ]
+        items = []
+        for key, item in sorted(value.items()):
+            scalar = _JSON_SCALARS.get(type(item))
+            text = scalar(item) if scalar is not None else _json_text(item, inner)
+            items.append(f"{inner}{encode_basestring_ascii(_json_key(key))}: {text}")
         return "{" + ",".join(items) + newline + "}"
     if isinstance(value, (list, tuple)):
         if not value:
             return "[]"
-        return "[" + ",".join([inner + _json_text(item, inner) for item in value]) + newline + "]"
+        items = []
+        for item in value:
+            scalar = _JSON_SCALARS.get(type(item))
+            items.append(inner + (scalar(item) if scalar is not None else _json_text(item, inner)))
+        return "[" + ",".join(items) + newline + "]"
     raise RuntimeError(f"a {type(value).__name__} is not a JSON document value")
 
 

@@ -17,6 +17,8 @@ all computed term by term with no floating point anywhere.
 from __future__ import annotations
 
 import math
+import operator
+from collections.abc import Iterator
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache, partial
@@ -160,6 +162,97 @@ def _oriented_edges(system: FiniteRootSystem, letter: str) -> frozenset[tuple[in
     return frozenset(oriented)
 
 
+class _RootTables:
+    """Integer tables over the roots of one algebra, for its build-time checks.
+
+    A symbol index is a position in ChevalleyAlgebra.symbols: X_(roots[i]) is
+    i and H_j is len(roots) + j.  add[i][j] is the index of roots[i] +
+    roots[j], zero (= len(roots)) when the sum vanishes and None off the
+    roots; n[i][j] is the structure constant read from the algebra's table, so
+    a subclass's constants are the ones checked; pairing[c][j] is
+    <roots[c], alpha_j^vee>.  Each check run builds its own and drops it.
+    """
+
+    def __init__(self, algebra: ChevalleyAlgebra) -> None:
+        system = algebra.system
+        self.roots = roots = system.roots
+        self.zero = zero = len(roots)
+        self.index = index = {r: i for i, r in enumerate(roots)}
+        sums = dict(index)
+        sums[(0,) * system.rank] = zero
+        self.add = [[sums.get(tuple(map(operator.add, g, d))) for d in roots] for g in roots]
+        self.n = [[0] * zero for _ in roots]
+        for (g, d), c in algebra._n.items():
+            self.n[index[g]][index[d]] = c
+        self.pairing = [
+            [system.pairing_with_coroot(r, j) for j in range(system.rank)] for r in roots
+        ]
+
+    def jacobi_triples(self) -> Iterator[tuple[int, int, int]]:
+        """Index triples i < j < k, in root order, whose Jacobi sum can be nonzero.
+
+        [[X_a, X_b], X_c] vanishes unless a + b is zero, or a root with a + b + c
+        zero or a root; a triple needs a check only when one of its pairs
+        passes.  For each pair (i, j) the third indices come from three short
+        lists: the roots that pass with the pair's sum, and the roots k whose
+        pair with i, or with j, is zero or passes with the other one.
+        """
+        add, zero = self.add, self.zero
+        live = [{k for k, s in enumerate(row) if s is not None} for row in add]
+        sums = [[(k, s) for k, s in enumerate(row) if s is not None and s != zero] for row in add]
+        neg = [row.index(zero) for row in add]
+        for i in range(zero):
+            for j in range(i + 1, zero):
+                s = add[i][j]
+                if s == zero:
+                    yield from ((i, j, k) for k in range(j + 1, zero))
+                    continue
+                third = set(live[s]) if s is not None else set()
+                third.add(neg[i])
+                third.add(neg[j])
+                third.update(k for k, t in sums[i] if add[t][j] is not None)
+                third.update(k for k, t in sums[j] if add[t][i] is not None)
+                yield from ((i, j, k) for k in sorted(third) if k > j)
+
+    def jacobi_sum(self, g: int, d: int, m: int) -> dict[int, int]:
+        """The three cyclic double brackets [[X_a, X_b], X_c] of a triple, by symbol index."""
+        add, n, zero = self.add, self.n, self.zero
+        acc: dict[int, int] = {}
+        for a, b, c in ((g, d, m), (d, m, g), (m, g, d)):
+            s = add[a][b]
+            if s is None:
+                continue
+            if s == zero:
+                # [X_a, X_-a] = sum of a_j H_j, and [H_j, X_c] = <c, alpha_j^vee> X_c
+                acc[c] = acc.get(c, 0) + sum(map(operator.mul, self.roots[a], self.pairing[c]))
+                continue
+            t = add[s][c]
+            if t == zero:
+                # a + b + c = 0: [X_s, X_-s] = sum of s_j H_j
+                n1 = n[a][b]
+                for j, x in enumerate(self.roots[s]):
+                    if x:
+                        acc[zero + j] = acc.get(zero + j, 0) + n1 * x
+            elif t is not None:
+                acc[t] = acc.get(t, 0) + n[a][b] * n[s][c]
+        return acc
+
+    def bracket(self, x: int, y: int) -> list[tuple[int, int]]:
+        """bracket_symbols over symbol indices."""
+        zero = self.zero
+        if x >= zero:
+            return [] if y >= zero else [(self.pairing[y][x - zero], y)]
+        if y >= zero:
+            return [(-self.pairing[x][y - zero], x)]
+        s = self.add[x][y]
+        if s is None:
+            return []
+        if s == zero:
+            return [(m, zero + j) for j, m in enumerate(self.roots[x]) if m]
+        n = self.n[x][y]
+        return [(n, s)] if n else []
+
+
 class ChevalleyAlgebra:
     """Basis symbols ("X", root) and ("H", i) with integer structure constants.
 
@@ -191,9 +284,9 @@ class ChevalleyAlgebra:
         table: dict[tuple[Root, Root], int] = {}
         for g in self.system.roots:
             for d in self.system.roots:
-                s = _vec_add(g, d)
+                s = tuple(map(operator.add, g, d))
                 if s in self._roots:
-                    odd = sum(a * b for a, b in zip(g, d)) + sum(g[i] * d[j] for i, j in self.oriented)
+                    odd = sum(map(operator.mul, g, d)) + sum(g[i] * d[j] for i, j in self.oriented)
                     odd += sum(root not in self._positive for root in (g, d, s))
                     table[(g, d)] = -1 if odd & 1 else 1
         return table
@@ -218,39 +311,26 @@ class ChevalleyAlgebra:
         return [(n, ("X", s))] if n else []
 
     def _jacobi_triples(self) -> list[tuple[Root, Root, Root]]:
-        """Root triples, in root order, whose Jacobi sum can be nonzero.
-
-        [[X_a, X_b], X_c] vanishes unless a + b is zero, or a root with a + b + c
-        zero or a root; a triple needs a check only when one of its pairs passes.
-        """
+        """Root triples, in root order, that the Jacobi check visits."""
         roots = self.system.roots
-        live = self._roots | {(0,) * self.system.rank}
-        triples = set()
-        for i, a in enumerate(roots):
-            for j in range(i + 1, len(roots)):
-                s = _vec_add(a, roots[j])
-                if s in live:
-                    triples.update(
-                        tuple(sorted((i, j, k)))
-                        for k, c in enumerate(roots)
-                        if k != i and k != j and (s not in self._roots or _vec_add(s, c) in live)
-                    )
-        return [(roots[i], roots[j], roots[k]) for i, j, k in sorted(triples)]
+        triples = _RootTables(self).jacobi_triples()
+        return [(roots[i], roots[j], roots[k]) for i, j, k in triples]
 
-    def _verify(self) -> None:
+    def _verify(self) -> int:
+        """Antisymmetry, then Jacobi on every triple that can fail it; returns the triples checked."""
         # a pair off the table has no root sum, nor has its reverse: both constants are 0
         for (g, d), n in self._n.items():
             if self._n.get((d, g)) != -n:
                 raise AssertionError("antisymmetry failure in structure constants")
         # with the bracket antisymmetric the Jacobi sum is alternating: one order per triple
-        for g, d, m in self._jacobi_triples():
-            acc: dict[Symbol, int] = {}
-            for a, b, c in ((g, d, m), (d, m, g), (m, g, d)):
-                for n1, s1 in self.bracket_symbols(("X", a), ("X", b)):
-                    for n2, s2 in self.bracket_symbols(s1, ("X", c)):
-                        acc[s2] = acc.get(s2, 0) + n1 * n2
-            if any(acc.values()):
+        tables = _RootTables(self)
+        checked = 0
+        for triple in tables.jacobi_triples():
+            if any(tables.jacobi_sum(*triple).values()):
+                g, d, m = (tables.roots[i] for i in triple)
                 raise AssertionError(f"Jacobi failure at {g}, {d}, {m}")
+            checked += 1
+        return checked
 
 
 @lru_cache(maxsize=None)
@@ -317,24 +397,29 @@ class Sigma0Map:
             signs[tuple(-g for g in gamma)] = signs[gamma]
         return signs
 
-    def _verify(self) -> None:
-        # the extension must respect every bracket, else the orientation lies
-        symbols = self.algebra.symbols
-        for x in symbols:
-            for y in symbols:
-                left: dict[Symbol, int] = {}
-                for n, s in self.algebra.bracket_symbols(x, y):
-                    cs, ss = self.image_symbol(s)
-                    left[ss] = left.get(ss, 0) + n * cs
-                cx, sx = self.image_symbol(x)
-                cy, sy = self.image_symbol(y)
-                right: dict[Symbol, int] = {}
-                for n, s in self.algebra.bracket_symbols(sx, sy):
+    def _verify(self) -> int:
+        """The extension must respect every bracket, else the orientation lies.
+
+        Returns the number of symbol pairs checked.
+        """
+        tables = _RootTables(self.algebra)
+        zero = tables.zero
+        image = [(self._signs[r], tables.index[_act(self.perm, r)]) for r in tables.roots]
+        image += [(1, zero + p) for p in self.perm]
+        for x, (cx, ix) in enumerate(image):
+            for y, (cy, iy) in enumerate(image):
+                left: dict[int, int] = {}
+                for n, s in tables.bracket(x, y):
+                    cs, img = image[s]
+                    left[img] = left.get(img, 0) + n * cs
+                right: dict[int, int] = {}
+                for n, s in tables.bracket(ix, iy):
                     right[s] = right.get(s, 0) + n * cx * cy
                 left = {k: v for k, v in left.items() if v}
                 right = {k: v for k, v in right.items() if v}
                 if left != right:
                     raise AssertionError("sigma0 extension breaks a bracket")
+        return len(image) ** 2
 
     def image(self, gamma: Root) -> tuple[int, Root]:
         return self._signs[gamma], _act(self.perm, gamma)

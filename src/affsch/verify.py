@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import os
 import random
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
@@ -151,6 +150,9 @@ def _map_tasks(fn, tasks, jobs: int):
     workers = min(jobs, os.cpu_count() or 1)
     if workers <= 1 or len(tasks) < 4:
         return [fn(t) for t in tasks]
+    # imported here: a serial run never pays for multiprocessing
+    from concurrent.futures import ProcessPoolExecutor
+
     with ProcessPoolExecutor(max_workers=workers) as pool:
         return list(pool.map(fn, tasks, chunksize=max(1, len(tasks) // (4 * workers))))
 

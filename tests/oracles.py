@@ -3,8 +3,9 @@
 None of these has a caller in the package: each restates a fact the library
 computes another way (the dominance order by a lattice solve, dominant
 representatives by a Weyl-orbit scan, root-curve targets and case tags from
-a pair's endpoints, the level correspondence by Fraction progressions), so
-the tests can check the fast paths against them.
+a pair's endpoints, the level correspondence by Fraction progressions, the
+Jacobi and sigma0 build checks over root tuples and bracket_symbols), so the
+tests can check the fast paths against them.
 """
 
 from __future__ import annotations
@@ -13,6 +14,7 @@ from fractions import Fraction
 
 from affsch.rootsys import Coweight, CorootVector, IntVec, Root, dominant_rep
 from affsch.schubert import DegenerationEdge, _classify, k_alpha
+from affsch.twist import _vec_add
 
 AffineRoot = tuple[Root, int]
 
@@ -106,3 +108,66 @@ def progression_sigma_levels(datum, sigma_root: Root, n: int) -> tuple[int, ...]
         for _, offset, step, scale in level_progressions(datum, sigma_root)
         if (m - offset) % step == 0
     )
+
+
+def jacobi_triples(algebra) -> list[tuple[Root, Root, Root]]:
+    """Root triples, in root order, whose Jacobi sum can be nonzero: a set of sorted index triples.
+
+    [[X_a, X_b], X_c] vanishes unless a + b is zero, or a root with a + b + c
+    zero or a root; a triple needs a check only when one of its pairs passes.
+    """
+    roots = algebra.system.roots
+    root_set = set(roots)
+    live = root_set | {(0,) * algebra.system.rank}
+    triples = set()
+    for i, a in enumerate(roots):
+        for j in range(i + 1, len(roots)):
+            s = _vec_add(a, roots[j])
+            if s in live:
+                triples.update(
+                    tuple(sorted((i, j, k)))
+                    for k, c in enumerate(roots)
+                    if k != i and k != j and (s not in root_set or _vec_add(s, c) in live)
+                )
+    return [(roots[i], roots[j], roots[k]) for i, j, k in sorted(triples)]
+
+
+def jacobi_sum(algebra, g: Root, d: Root, m: Root) -> dict[tuple, int]:
+    """The three cyclic double brackets of X_g, X_d, X_m, summed by symbol."""
+    acc: dict[tuple, int] = {}
+    for a, b, c in ((g, d, m), (d, m, g), (m, g, d)):
+        for n1, s1 in algebra.bracket_symbols(("X", a), ("X", b)):
+            for n2, s2 in algebra.bracket_symbols(s1, ("X", c)):
+                acc[s2] = acc.get(s2, 0) + n1 * n2
+    return acc
+
+
+def check_jacobi(algebra) -> int:
+    """The Jacobi check over root tuples; returns the triples checked."""
+    triples = jacobi_triples(algebra)
+    for g, d, m in triples:
+        if any(jacobi_sum(algebra, g, d, m).values()):
+            raise AssertionError(f"Jacobi failure at {g}, {d}, {m}")
+    return len(triples)
+
+
+def check_sigma0(sigma) -> int:
+    """sigma0 against every bracket of basis symbols; returns the symbol pairs checked."""
+    algebra = sigma.algebra
+    symbols = algebra.symbols
+    for x in symbols:
+        for y in symbols:
+            left: dict[tuple, int] = {}
+            for n, s in algebra.bracket_symbols(x, y):
+                cs, ss = sigma.image_symbol(s)
+                left[ss] = left.get(ss, 0) + n * cs
+            cx, sx = sigma.image_symbol(x)
+            cy, sy = sigma.image_symbol(y)
+            right: dict[tuple, int] = {}
+            for n, s in algebra.bracket_symbols(sx, sy):
+                right[s] = right.get(s, 0) + n * cx * cy
+            left = {k: v for k, v in left.items() if v}
+            right = {k: v for k, v in right.items() if v}
+            if left != right:
+                raise AssertionError("sigma0 extension breaks a bracket")
+    return len(symbols) ** 2

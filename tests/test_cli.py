@@ -1,5 +1,6 @@
 """End-to-end CLI checks: exit codes, JSON schema, determinism, content."""
 
+import concurrent.futures
 import json
 import os
 import pickle
@@ -277,7 +278,8 @@ def test_jobs_pool_size_is_clamped_to_cpu_count(capsys, monkeypatch):
         def map(self, fn, tasks, chunksize=1):
             return map(fn, tasks)
 
-    monkeypatch.setattr(verify, "ProcessPoolExecutor", RecordingPool)
+    # verify imports the pool class from concurrent.futures when it first needs one
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
     monkeypatch.setattr(os, "cpu_count", lambda: 3)
     argv = ("verify", "--suite", "stembridge", "--max-rank", "2", "--max-pairing", "6")
     code, doc = run_json(capsys, *argv, "--jobs", "100000", "--json")
@@ -287,6 +289,32 @@ def test_jobs_pool_size_is_clamped_to_cpu_count(capsys, monkeypatch):
     assert sizes == [3] and doc["result"] == serial["result"]
     code, doc = run_json(capsys, *argv, "--jobs", "2", "--json")
     assert code == 0 and sizes == [3, 2]
+
+
+def test_cli_import_leaves_the_process_pool_out():
+    """multiprocessing loads only when a verify run takes a pool, and the pool changes nothing."""
+    script = (
+        "import sys\n"
+        "import affsch.cli\n"
+        "assert 'concurrent.futures.process' not in sys.modules\n"
+        "sys.exit(affsch.cli.main(sys.argv[1:]))\n"
+    )
+    argv = ("verify", "--suite", "stembridge", "--max-rank", "2", "--max-pairing", "6", "--json")
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+    docs = {}
+    for jobs in (1, 2):
+        proc = subprocess.run(
+            [sys.executable, "-c", script, *argv, "--jobs", str(jobs)],
+            capture_output=True,
+            cwd=ROOT,
+            env=env,
+            timeout=120,
+        )
+        assert (proc.returncode, proc.stderr) == (0, b"")
+        docs[jobs] = json.loads(proc.stdout)
+    assert docs[2]["request"].pop("jobs") == 2
+    docs[1]["request"].pop("jobs")
+    assert docs[2] == docs[1]
 
 
 def test_oversized_closures_exit_two_at_once(capsys):
@@ -338,7 +366,8 @@ def test_pool_tasks_pickle_small_and_match_serial(capsys, monkeypatch, suite):
                 out.append(pickle.loads(pickle.dumps(fn(pickle.loads(blob)))))
             return out
 
-    monkeypatch.setattr(verify, "ProcessPoolExecutor", RecordingPool)
+    # verify imports the pool class from concurrent.futures when it first needs one
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
     monkeypatch.setattr(os, "cpu_count", lambda: 2)
     argv = ("verify", "--suite", suite, "--seed", "3", "--json")
     code, pooled = run_json(capsys, *argv, "--jobs", "2")
@@ -406,6 +435,23 @@ def _containers(children):
 @given(st.recursive(_SCALARS, _containers, max_leaves=40))
 def test_json_writer_matches_json_dumps(value):
     assert _json_text(value) == json.dumps(value, indent=2, sort_keys=True)
+
+
+class Count(int):
+    """An int subclass with its own repr: JSON writes it as the int it is."""
+
+    def __repr__(self):
+        return "Count()"
+
+
+def test_json_writer_scalar_fast_path_matches_json_dumps():
+    value = {
+        "mixed": [True, 1, False, 0, None, "1", Count(7), [], {}, [[]], {"e": {}}, ()],
+        "by_int": {2: Count(-3), 1: True, -1: [{}], Count(5): None},
+        "nested": [[True, [1, [None, ["s"]]]], {"k": [False, 0]}],
+    }
+    assert _json_text(value) == json.dumps(value, indent=2, sort_keys=True)
+    assert _json_text(Count(4)) == json.dumps(Count(4)) == "4"
 
 
 @pytest.mark.parametrize(

@@ -9,6 +9,7 @@ from fractions import Fraction
 from itertools import combinations, permutations
 
 import pytest
+from oracles import check_jacobi, check_sigma0, jacobi_sum, jacobi_triples
 
 from affsch import loopalg
 from affsch.loopalg import (
@@ -241,6 +242,55 @@ def test_antisymmetry_check_catches_one_flipped_constant():
         FlippedPairAlgebra("A3", ((1, 0, 0), (0, 1, 0)))
 
 
+FLIPPED_PAIRS = [
+    ("E6", (0, 1, 0, 0, 0, 0), (1, 1, 2, 3, 2, 1)),
+    ("D5", (0, 1, 1, 0, 0), (1, 1, 1, 1, 1)),
+]
+
+
+class UncheckedFlippedPair(FlippedPairAlgebra):
+    """A flipped table that skips the build-time checks, for the checks to be run by hand."""
+
+    def _verify(self):
+        return 0
+
+
+# the README states these counts; the Jacobi check visits exactly these triples
+JACOBI_TRIPLES = {
+    "A1": 0, "A2": 14, "A3": 92, "A4": 320, "A5": 820, "D4": 584, "D5": 2040, "E6": 9240,
+}
+
+
+@pytest.mark.parametrize("label", sorted(JACOBI_TRIPLES))
+def test_indexed_jacobi_check_matches_the_root_tuple_oracle(label):
+    algebra = build_chevalley(label)
+    triples = algebra._jacobi_triples()
+    # the same triples in the same order, every sum zero in both checks
+    assert triples == jacobi_triples(algebra)
+    assert algebra._verify() == check_jacobi(algebra) == len(triples) == JACOBI_TRIPLES[label]
+
+
+@pytest.mark.parametrize("label,g,d", FLIPPED_PAIRS)
+def test_indexed_jacobi_sums_match_the_oracle_on_flipped_constants(label, g, d):
+    algebra = UncheckedFlippedPair(label, (g, d), (d, g))
+    tables = loopalg._RootTables(algebra)
+    symbols = algebra.symbols
+    failing = h_valued = 0
+    for triple in tables.jacobi_triples():
+        indexed = {symbols[s]: v for s, v in tables.jacobi_sum(*triple).items() if v}
+        expected = jacobi_sum(algebra, *(tables.roots[i] for i in triple))
+        assert indexed == {s: v for s, v in expected.items() if v}, triple
+        failing += bool(indexed)
+        h_valued += any(sym[0] == "H" for sym in indexed)
+    # g, d, -(g + d) fails on the H symbols alone: every cyclic term has a + b + c = 0
+    assert failing and h_valued
+    # both checks reject the table
+    with pytest.raises(AssertionError, match="Jacobi failure"):
+        check_jacobi(algebra)
+    with pytest.raises(AssertionError, match="Jacobi failure"):
+        FlippedPairAlgebra(label, (g, d), (d, g))
+
+
 # |R| (2h - 4): each root g has 2h - 4 roots d with g + d a root
 TABLE_SIZES = {"A1": 0, "A2": 12, "A3": 48, "A4": 120, "A5": 240, "D4": 192, "D5": 480, "E6": 1440}
 
@@ -362,6 +412,24 @@ class TwistedSignSigma0(Sigma0Map):
 def test_sigma0_check_catches_a_flipped_sign():
     with pytest.raises(AssertionError, match="sigma0 extension breaks a bracket"):
         TwistedSignSigma0(build_chevalley("A3"), (2, 1, 0))
+
+
+class UncheckedTwistedSign(TwistedSignSigma0):
+    def _verify(self):
+        return 0
+
+
+def test_sigma0_oracle_rejects_the_flipped_sign_too():
+    sigma = UncheckedTwistedSign(build_chevalley("A3"), (2, 1, 0))
+    with pytest.raises(AssertionError, match="sigma0 extension breaks a bracket"):
+        check_sigma0(sigma)
+
+
+@pytest.mark.parametrize("label", LOOP_TYPES)
+def test_indexed_sigma0_check_matches_the_oracle_on_every_symbol_pair(label):
+    sigma = loop_context(twisted_datum(label)).sigma0
+    system = sigma.algebra.system
+    assert sigma._verify() == check_sigma0(sigma) == (len(system.roots) + system.rank) ** 2
 
 
 @pytest.mark.parametrize("label", LOOP_TYPES)
