@@ -21,17 +21,17 @@ import operator
 from collections.abc import Iterator
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache, partial
+from functools import lru_cache
 
 from affsch.rootsys import FiniteRootSystem, IntVec, Root, build_root_system
 from affsch.twist import (
     RelativeAffineRoot,
     TwistedDatum,
     _act,
+    _check_diagram_automorphism,
     _cycle_order,
     _cycles,
     _eigenspace_dim,
-    _vec_add,
     sigma_affine_to_relative,
     sigma_levels_at_degree,
     validate_relative_root,
@@ -162,33 +162,86 @@ def _oriented_edges(system: FiniteRootSystem, letter: str) -> frozenset[tuple[in
     return frozenset(oriented)
 
 
-class _RootTables:
-    """Integer tables over the roots of one algebra, for its build-time checks.
+class ChevalleyAlgebra:
+    """Basis symbols ("X", root) and ("H", i) with integer structure constants.
 
-    A symbol index is a position in ChevalleyAlgebra.symbols: X_(roots[i]) is
-    i and H_j is len(roots) + j.  add[i][j] is the index of roots[i] +
-    roots[j], zero (= len(roots)) when the sum vanishes and None off the
-    roots; n[i][j] is the structure constant read from the algebra's table, so
-    a subclass's constants are the ones checked; pairing[c][j] is
-    <roots[c], alpha_j^vee>.  Each check run builds its own and drops it.
+    The asymmetry function eps(gamma, delta) = (-1)^(sum over loops and
+    oriented edges of coefficient products) gives [X_g, X_d] = N X_{g+d} with
+    N = eps(g, d) * s(g) s(d) s(g+d), where s is the sign of the root; the
+    remaining brackets are [X_g, X_{-g}] = H_g and the pairing action of H.
+
+    Everything is tabulated once, over symbol indices: X_(roots[i]) is i and
+    H_j is zero + j, with zero = len(roots).  add[i][j] is the index of
+    roots[i] + roots[j], zero when the sum vanishes and None off the roots;
+    n[i][j] is the structure constant, 0 off the root sums; pairing[c][j] is
+    <roots[c], alpha_j^vee>.  Both build-time checks and every bracket read them.
     """
 
-    def __init__(self, algebra: ChevalleyAlgebra) -> None:
-        system = algebra.system
+    def __init__(self, system: FiniteRootSystem, letter: str) -> None:
+        if any(d != 1 for d in system.half_norms):
+            raise ValueError("Chevalley construction here requires a simply-laced type")
+        self.system = system
+        self.oriented = _oriented_edges(system, letter)
         self.roots = roots = system.roots
         self.zero = zero = len(roots)
-        self.index = index = {r: i for i, r in enumerate(roots)}
-        sums = dict(index)
+        self.symbols: tuple[Symbol, ...] = tuple(("X", r) for r in roots) + tuple(
+            ("H", i) for i in range(system.rank)
+        )
+        self.index = {sym: i for i, sym in enumerate(self.symbols)}
+        sums = {r: i for i, r in enumerate(roots)}
         sums[(0,) * system.rank] = zero
         self.add = [[sums.get(tuple(map(operator.add, g, d))) for d in roots] for g in roots]
-        self.n = [[0] * zero for _ in roots]
-        for (g, d), c in algebra._n.items():
-            self.n[index[g]][index[d]] = c
         self.pairing = [
             [system.pairing_with_coroot(r, j) for j in range(system.rank)] for r in roots
         ]
+        self.n = self._structure_constants()
+        self._verify()
 
-    def jacobi_triples(self) -> Iterator[tuple[int, int, int]]:
+    def __repr__(self) -> str:
+        return f"ChevalleyAlgebra({self.system.label})"
+
+    def _structure_constants(self) -> list[list[int]]:
+        """N(g, d) by the closed form where g + d is a root, 0 elsewhere; roots[i] < 0 iff i >= |R+|."""
+        positive = len(self.system.positive_roots)
+        table = [[0] * self.zero for _ in self.roots]
+        for i, g in enumerate(self.roots):
+            for j, d in enumerate(self.roots):
+                s = self.add[i][j]
+                if s is not None and s != self.zero:
+                    odd = sum(map(operator.mul, g, d)) + sum(g[a] * d[b] for a, b in self.oriented)
+                    odd += (i >= positive) + (j >= positive) + (s >= positive)
+                    table[i][j] = -1 if odd & 1 else 1
+        return table
+
+    def n_constant(self, g: Root, d: Root) -> int:
+        """N with [X_g, X_d] = N X_{g+d}, looked up: 0 where g, d or g + d is not a root."""
+        i, j = self.index.get(("X", g)), self.index.get(("X", d))
+        return 0 if i is None or j is None else self.n[i][j]
+
+    def bracket(self, x: int, y: int) -> list[tuple[int, int]]:
+        """[x, y] of two basis symbols by index, as (coefficient, index) terms."""
+        zero = self.zero
+        if x >= zero:
+            return [] if y >= zero else [(self.pairing[y][x - zero], y)]
+        if y >= zero:
+            return [(-self.pairing[x][y - zero], x)]
+        s = self.add[x][y]
+        if s is None:
+            return []
+        if s == zero:
+            return [(m, zero + j) for j, m in enumerate(self.roots[x]) if m]
+        n = self.n[x][y]
+        return [(n, s)] if n else []
+
+    def bracket_symbols(self, x: Symbol, y: Symbol) -> list[tuple[int, Symbol]]:
+        """bracket over basis symbols; ValueError for a symbol outside the basis."""
+        try:
+            ix, iy = self.index[x], self.index[y]
+        except KeyError as exc:
+            raise ValueError(f"{exc.args[0]!r} is not a basis symbol of {self!r}") from None
+        return [(n, self.symbols[s]) for n, s in self.bracket(ix, iy)]
+
+    def _triples(self) -> Iterator[tuple[int, int, int]]:
         """Index triples i < j < k, in root order, whose Jacobi sum can be nonzero.
 
         [[X_a, X_b], X_c] vanishes unless a + b is zero, or a root with a + b + c
@@ -214,7 +267,12 @@ class _RootTables:
                 third.update(k for k, t in sums[j] if add[t][i] is not None)
                 yield from ((i, j, k) for k in sorted(third) if k > j)
 
-    def jacobi_sum(self, g: int, d: int, m: int) -> dict[int, int]:
+    def _jacobi_triples(self) -> list[tuple[Root, Root, Root]]:
+        """Root triples, in root order, that the Jacobi check visits."""
+        roots = self.roots
+        return [(roots[i], roots[j], roots[k]) for i, j, k in self._triples()]
+
+    def _jacobi_sum(self, g: int, d: int, m: int) -> dict[int, int]:
         """The three cyclic double brackets [[X_a, X_b], X_c] of a triple, by symbol index."""
         add, n, zero = self.add, self.n, self.zero
         acc: dict[int, int] = {}
@@ -237,97 +295,16 @@ class _RootTables:
                 acc[t] = acc.get(t, 0) + n[a][b] * n[s][c]
         return acc
 
-    def bracket(self, x: int, y: int) -> list[tuple[int, int]]:
-        """bracket_symbols over symbol indices."""
-        zero = self.zero
-        if x >= zero:
-            return [] if y >= zero else [(self.pairing[y][x - zero], y)]
-        if y >= zero:
-            return [(-self.pairing[x][y - zero], x)]
-        s = self.add[x][y]
-        if s is None:
-            return []
-        if s == zero:
-            return [(m, zero + j) for j, m in enumerate(self.roots[x]) if m]
-        n = self.n[x][y]
-        return [(n, s)] if n else []
-
-
-class ChevalleyAlgebra:
-    """Basis symbols ("X", root) and ("H", i) with integer structure constants.
-
-    The asymmetry function eps(gamma, delta) = (-1)^(sum over loops and
-    oriented edges of coefficient products) gives [X_g, X_d] = N X_{g+d} with
-    N = eps(g, d) * s(g) s(d) s(g+d), where s is the sign of the root; the
-    remaining brackets are [X_g, X_{-g}] = H_g and the pairing action of H.
-    The constants are tabulated once at construction; every bracket reads them.
-    """
-
-    def __init__(self, system: FiniteRootSystem, letter: str) -> None:
-        if any(d != 1 for d in system.half_norms):
-            raise ValueError("Chevalley construction here requires a simply-laced type")
-        self.system = system
-        self.oriented = _oriented_edges(system, letter)
-        self._roots = set(system.roots)
-        self._positive = set(system.positive_roots)
-        self.symbols: tuple[Symbol, ...] = tuple(
-            ("X", r) for r in system.roots
-        ) + tuple(("H", i) for i in range(system.rank))
-        self._n = self._structure_constants()
-        self._verify()
-
-    def __repr__(self) -> str:
-        return f"ChevalleyAlgebra({self.system.label})"
-
-    def _structure_constants(self) -> dict[tuple[Root, Root], int]:
-        """N(g, d) by the closed form, for every ordered root pair with g + d a root."""
-        table: dict[tuple[Root, Root], int] = {}
-        for g in self.system.roots:
-            for d in self.system.roots:
-                s = tuple(map(operator.add, g, d))
-                if s in self._roots:
-                    odd = sum(map(operator.mul, g, d)) + sum(g[i] * d[j] for i, j in self.oriented)
-                    odd += sum(root not in self._positive for root in (g, d, s))
-                    table[(g, d)] = -1 if odd & 1 else 1
-        return table
-
-    def n_constant(self, g: Root, d: Root) -> int:
-        """N with [X_g, X_d] = N X_{g+d}, looked up: 0 where g, d or g + d is not a root."""
-        return self._n.get((g, d), 0)
-
-    def bracket_symbols(self, x: Symbol, y: Symbol) -> list[tuple[int, Symbol]]:
-        kx, ky = x[0], y[0]
-        if kx == "H" and ky == "H":
-            return []
-        if kx == "H":
-            return [(self.system.pairing_with_coroot(y[1], x[1]), y)]
-        if ky == "H":
-            return [(-self.system.pairing_with_coroot(x[1], y[1]), x)]
-        g, d = x[1], y[1]
-        s = _vec_add(g, d)
-        if not any(s):
-            return [(m, ("H", j)) for j, m in enumerate(g) if m]
-        n = self._n.get((g, d))
-        return [(n, ("X", s))] if n else []
-
-    def _jacobi_triples(self) -> list[tuple[Root, Root, Root]]:
-        """Root triples, in root order, that the Jacobi check visits."""
-        roots = self.system.roots
-        triples = _RootTables(self).jacobi_triples()
-        return [(roots[i], roots[j], roots[k]) for i, j, k in triples]
-
     def _verify(self) -> int:
         """Antisymmetry, then Jacobi on every triple that can fail it; returns the triples checked."""
-        # a pair off the table has no root sum, nor has its reverse: both constants are 0
-        for (g, d), n in self._n.items():
-            if self._n.get((d, g)) != -n:
-                raise AssertionError("antisymmetry failure in structure constants")
+        n = self.n
+        if any(n[j][i] != -c for i, row in enumerate(n) for j, c in enumerate(row)):
+            raise AssertionError("antisymmetry failure in structure constants")
         # with the bracket antisymmetric the Jacobi sum is alternating: one order per triple
-        tables = _RootTables(self)
         checked = 0
-        for triple in tables.jacobi_triples():
-            if any(tables.jacobi_sum(*triple).values()):
-                g, d, m = (tables.roots[i] for i in triple)
+        for triple in self._triples():
+            if any(self._jacobi_sum(*triple).values()):
+                g, d, m = (self.roots[i] for i in triple)
                 raise AssertionError(f"Jacobi failure at {g}, {d}, {m}")
             checked += 1
         return checked
@@ -355,25 +332,22 @@ class Sigma0Map:
     def __init__(self, algebra: ChevalleyAlgebra, perm: IntVec) -> None:
         self.algebra = algebra
         self.perm = perm
-        self._signs = self._extend()
+        signs = self._extend()
+        # the (sign, index) image of every symbol, by symbol index
+        self._image = [(signs[r], algebra.index[("X", _act(perm, r))]) for r in algebra.roots]
+        self._image += [(1, algebra.zero + p) for p in perm]
         self._verify()
         # _extend rejected any perm that is not a diagram automorphism: cycles close
         self.cycles = tuple(
-            (len(cycle), math.prod(self._signs[r] for r in cycle))
-            for cycle in _cycles(partial(_act, perm), algebra.system.roots)
+            (len(cycle), math.prod(self._image[i][0] for i in cycle))
+            for cycle in _cycles(lambda i: self._image[i][1], range(algebra.zero))
         )
         self.order = _cycle_order(self.cycles)
 
     def _extend(self) -> dict[Root, int]:
         system = self.algebra.system
-        cart = system.cartan
         rank = system.rank
-        if sorted(self.perm) != list(range(rank)):
-            raise ValueError("perm must be a permutation of the simple roots")
-        for i in range(rank):
-            for j in range(rank):
-                if cart[self.perm[i]][self.perm[j]] != cart[i][j]:
-                    raise ValueError("permutation is not a diagram automorphism")
+        _check_diagram_automorphism(system.cartan, self.perm)
         signs: dict[Root, int] = {}
         for gamma in system.positive_roots:  # sorted by height
             if sum(gamma) == 1:
@@ -402,18 +376,15 @@ class Sigma0Map:
 
         Returns the number of symbol pairs checked.
         """
-        tables = _RootTables(self.algebra)
-        zero = tables.zero
-        image = [(self._signs[r], tables.index[_act(self.perm, r)]) for r in tables.roots]
-        image += [(1, zero + p) for p in self.perm]
+        bracket, image = self.algebra.bracket, self._image
         for x, (cx, ix) in enumerate(image):
             for y, (cy, iy) in enumerate(image):
                 left: dict[int, int] = {}
-                for n, s in tables.bracket(x, y):
+                for n, s in bracket(x, y):
                     cs, img = image[s]
                     left[img] = left.get(img, 0) + n * cs
                 right: dict[int, int] = {}
-                for n, s in tables.bracket(ix, iy):
+                for n, s in bracket(ix, iy):
                     right[s] = right.get(s, 0) + n * cx * cy
                 left = {k: v for k, v in left.items() if v}
                 right = {k: v for k, v in right.items() if v}
@@ -422,13 +393,12 @@ class Sigma0Map:
         return len(image) ** 2
 
     def image(self, gamma: Root) -> tuple[int, Root]:
-        return self._signs[gamma], _act(self.perm, gamma)
+        c, (_, root) = self.image_symbol(("X", gamma))
+        return c, root
 
     def image_symbol(self, sym: Symbol) -> tuple[int, Symbol]:
-        if sym[0] == "H":
-            return 1, ("H", self.perm[sym[1]])
-        c, root = self.image(sym[1])
-        return c, ("X", root)
+        c, i = self._image[self.algebra.index[sym]]
+        return c, self.algebra.symbols[i]
 
 
 def sigma0_automorphism(algebra: ChevalleyAlgebra, perm: IntVec) -> Sigma0Map:

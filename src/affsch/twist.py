@@ -120,6 +120,15 @@ def _eigenspace_dim(cycles, e: int, m: int) -> int:
     return sum(1 for length, c in cycles if (2 * m * length - (0 if c == 1 else e)) % (2 * e) == 0)
 
 
+def _check_diagram_automorphism(cartan, perm: IntVec) -> None:
+    """ValueError unless perm permutes range(rank) and preserves the Cartan matrix."""
+    rank = len(cartan)
+    if sorted(perm) != list(range(rank)):
+        raise ValueError("sigma0 must be a permutation of the simple indices")
+    if any(cartan[perm[i]][perm[j]] != cartan[i][j] for i in range(rank) for j in range(rank)):
+        raise ValueError("sigma0 does not preserve the Cartan matrix")
+
+
 def _act(perm: IntVec, m: Root) -> Root:
     out = [0] * len(m)
     for i, mi in enumerate(m):
@@ -311,13 +320,7 @@ def build_twisted(
         if sigma0_spec is not None
         else default_sigma0(letter, rank, e)
     )
-    if sorted(sigma0) != list(range(rank)):
-        raise ValueError("sigma0 must be a permutation of the simple indices")
-    cart = absolute.cartan
-    for i in range(rank):
-        for j in range(rank):
-            if cart[sigma0[i]][sigma0[j]] != cart[i][j]:
-                raise ValueError("sigma0 does not preserve the Cartan matrix")
+    _check_diagram_automorphism(absolute.cartan, sigma0)
     order = _cycle_order((len(cycle), 1) for cycle in _cycles(sigma0.__getitem__, range(rank)))
     if order != e:
         raise ValueError(f"sigma0 has order {order}, expected {e}")

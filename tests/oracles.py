@@ -4,8 +4,8 @@ None of these has a caller in the package: each restates a fact the library
 computes another way (the dominance order by a lattice solve, dominant
 representatives by a Weyl-orbit scan, root-curve targets and case tags from
 a pair's endpoints, the level correspondence by Fraction progressions, the
-Jacobi and sigma0 build checks over root tuples and bracket_symbols), so the
-tests can check the fast paths against them.
+bracket by adding root tuples, and the Jacobi and sigma0 build checks over
+that bracket), so the tests can check the fast paths against them.
 """
 
 from __future__ import annotations
@@ -132,12 +132,29 @@ def jacobi_triples(algebra) -> list[tuple[Root, Root, Root]]:
     return [(roots[i], roots[j], roots[k]) for i, j, k in sorted(triples)]
 
 
+def bracket_by_roots(algebra, x: tuple, y: tuple) -> list[tuple[int, tuple]]:
+    """[x, y] of two basis symbols over root tuples; only N is read from the algebra."""
+    system = algebra.system
+    if x[0] == "H":
+        return [] if y[0] == "H" else [(system.pairing_with_coroot(y[1], x[1]), y)]
+    if y[0] == "H":
+        return [(-system.pairing_with_coroot(x[1], y[1]), x)]
+    g, d = x[1], y[1]
+    s = _vec_add(g, d)
+    if not any(s):
+        return [(m, ("H", j)) for j, m in enumerate(g) if m]
+    if s not in system.root_index:
+        return []
+    n = algebra.n_constant(g, d)
+    return [(n, ("X", s))] if n else []
+
+
 def jacobi_sum(algebra, g: Root, d: Root, m: Root) -> dict[tuple, int]:
     """The three cyclic double brackets of X_g, X_d, X_m, summed by symbol."""
     acc: dict[tuple, int] = {}
     for a, b, c in ((g, d, m), (d, m, g), (m, g, d)):
-        for n1, s1 in algebra.bracket_symbols(("X", a), ("X", b)):
-            for n2, s2 in algebra.bracket_symbols(s1, ("X", c)):
+        for n1, s1 in bracket_by_roots(algebra, ("X", a), ("X", b)):
+            for n2, s2 in bracket_by_roots(algebra, s1, ("X", c)):
                 acc[s2] = acc.get(s2, 0) + n1 * n2
     return acc
 
@@ -158,13 +175,13 @@ def check_sigma0(sigma) -> int:
     for x in symbols:
         for y in symbols:
             left: dict[tuple, int] = {}
-            for n, s in algebra.bracket_symbols(x, y):
+            for n, s in bracket_by_roots(algebra, x, y):
                 cs, ss = sigma.image_symbol(s)
                 left[ss] = left.get(ss, 0) + n * cs
             cx, sx = sigma.image_symbol(x)
             cy, sy = sigma.image_symbol(y)
             right: dict[tuple, int] = {}
-            for n, s in algebra.bracket_symbols(sx, sy):
+            for n, s in bracket_by_roots(algebra, sx, sy):
                 right[s] = right.get(s, 0) + n * cx * cy
             left = {k: v for k, v in left.items() if v}
             right = {k: v for k, v in right.items() if v}

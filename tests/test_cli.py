@@ -291,6 +291,23 @@ def test_jobs_pool_size_is_clamped_to_cpu_count(capsys, monkeypatch):
     assert code == 0 and sizes == [3, 2]
 
 
+def test_cli_import_loads_only_affsch_and_the_standard_library():
+    # compared against the modules loaded before it: site hooks load first
+    script = (
+        "import sys\n"
+        "before = set(sys.modules)\n"
+        "import affsch.cli\n"
+        "added = {name.partition('.')[0] for name in set(sys.modules) - before}\n"
+        "print(*sorted(added - set(sys.stdlib_module_names)))\n"
+    )
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+    proc = subprocess.run(
+        [sys.executable, "-c", script], capture_output=True, cwd=ROOT, env=env, timeout=60
+    )
+    assert (proc.returncode, proc.stderr) == (0, b"")
+    assert proc.stdout.split() == [b"affsch"]
+
+
 def test_cli_import_leaves_the_process_pool_out():
     """multiprocessing loads only when a verify run takes a pool, and the pool changes nothing."""
     script = (

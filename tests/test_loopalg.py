@@ -5,11 +5,12 @@ abstract brackets, exponential conjugations, and Cartan projections must
 reproduce honest 2x2 and 3x3 Laurent-matrix arithmetic entry for entry.
 """
 
+import re
 from fractions import Fraction
 from itertools import combinations, permutations
 
 import pytest
-from oracles import check_jacobi, check_sigma0, jacobi_sum, jacobi_triples
+from oracles import bracket_by_roots, check_jacobi, check_sigma0, jacobi_sum, jacobi_triples
 
 from affsch import loopalg
 from affsch.loopalg import (
@@ -217,8 +218,9 @@ class FlippedPairAlgebra(ChevalleyAlgebra):
 
     def _structure_constants(self):
         table = super()._structure_constants()
-        for pair in self.flipped:
-            table[pair] = -table[pair]
+        for g, d in self.flipped:
+            i, j = self.index[("X", g)], self.index[("X", d)]
+            table[i][j] = -table[i][j]
         return table
 
 
@@ -273,12 +275,11 @@ def test_indexed_jacobi_check_matches_the_root_tuple_oracle(label):
 @pytest.mark.parametrize("label,g,d", FLIPPED_PAIRS)
 def test_indexed_jacobi_sums_match_the_oracle_on_flipped_constants(label, g, d):
     algebra = UncheckedFlippedPair(label, (g, d), (d, g))
-    tables = loopalg._RootTables(algebra)
     symbols = algebra.symbols
     failing = h_valued = 0
-    for triple in tables.jacobi_triples():
-        indexed = {symbols[s]: v for s, v in tables.jacobi_sum(*triple).items() if v}
-        expected = jacobi_sum(algebra, *(tables.roots[i] for i in triple))
+    for triple in algebra._triples():
+        indexed = {symbols[s]: v for s, v in algebra._jacobi_sum(*triple).items() if v}
+        expected = jacobi_sum(algebra, *(algebra.roots[i] for i in triple))
         assert indexed == {s: v for s, v in expected.items() if v}, triple
         failing += bool(indexed)
         h_valued += any(sym[0] == "H" for sym in indexed)
@@ -338,6 +339,22 @@ def test_structure_constants_a2():
     assert algebra.bracket_symbols(("H", 0), ("X", (0, 1))) == [(-1, ("X", (0, 1)))]
 
 
+@pytest.mark.parametrize("label", sorted(JACOBI_TRIPLES))
+def test_indexed_bracket_matches_the_root_tuple_bracket(label):
+    algebra = build_chevalley(label)
+    for x in algebra.symbols:
+        for y in algebra.symbols:
+            assert algebra.bracket_symbols(x, y) == bracket_by_roots(algebra, x, y), (x, y)
+
+
+@pytest.mark.parametrize("stranger", [("X", (5, 5)), ("H", 7)])
+def test_bracket_symbols_refuses_symbols_outside_the_basis(stranger):
+    algebra = build_chevalley("A2")
+    for x, y in ((stranger, ("H", 0)), (("H", 0), stranger), (stranger, ("X", (1, 0)))):
+        with pytest.raises(ValueError, match=re.escape(f"{stranger!r} is not a basis symbol")):
+            algebra.bracket_symbols(x, y)
+
+
 @pytest.mark.parametrize("label,size", [("A1", 2), ("A2", 3)])
 def test_matrix_realization_is_a_homomorphism(label, size):
     algebra = build_chevalley(label)
@@ -388,15 +405,34 @@ def test_sigma0_flip_signs_odd_versus_even_rank():
     assert flip4.order == 2
 
 
+NON_AUTOMORPHISMS = {
+    "not-a-diagram-automorphism": (1, 0, 2),
+    "too-short": (1, 0),
+    "too-long": (0, 1, 2, 3),
+    "repeated-entry": (2, 1, 0, 0),
+}
+
+
+def _sigma0_on_a3(perm):
+    return sigma0_automorphism(build_chevalley("A3"), perm)
+
+
+def _twisted_a3(perm):
+    return build_twisted("A3", 2, perm)
+
+
 @pytest.mark.parametrize(
-    "perm",
-    [(1, 0, 2), (1, 0), (0, 1, 2, 3), (2, 1, 0, 0)],
-    ids=["not-a-diagram-automorphism", "too-short", "too-long", "repeated-entry"],
+    "build,perm",
+    [pytest.param(_sigma0_on_a3, perm, id=name) for name, perm in NON_AUTOMORPHISMS.items()]
+    + [
+        pytest.param(_twisted_a3, perm, id=f"build_twisted-{name}")
+        for name, perm in NON_AUTOMORPHISMS.items()
+    ],
 )
-def test_sigma0_rejects_non_automorphism(perm):
-    algebra = build_chevalley("A3")
-    with pytest.raises(ValueError):
-        sigma0_automorphism(algebra, perm)
+def test_sigma0_rejects_non_automorphism(build, perm):
+    # one diagram-automorphism check serves the loop algebra and the twisted datum
+    with pytest.raises(ValueError, match="permutation of the simple indices|preserve the Cartan"):
+        build(perm)
 
 
 class TwistedSignSigma0(Sigma0Map):

@@ -527,14 +527,21 @@ def test_k_vector_c2_frozen():
 
 
 def test_k_alpha_matches_oracle():
-    for label, lp, mp in [
-        ("A2", (0, 1), (2, 0)),
-        ("C2", (0, 1), (1, 1)),
-        ("G2", (0, 0), (0, 1)),
-        ("B3", (0, 0, 1), (1, 1, 0)),
-        ("A1", (0,), (6,)),
-    ]:
-        lam, mu = cw(label, lp), cw(label, mp)
+    pairs = [
+        (cw(label, lp), cw(label, mp))
+        for label, lp, mp in [
+            ("A2", (0, 1), (2, 0)),
+            ("C2", (0, 1), (1, 1)),
+            ("G2", (0, 0), (0, 1)),
+            ("B3", (0, 0, 1), (1, 1, 0)),
+            ("A1", (0,), (6,)),
+        ]
+    ]
+    # the k-walk's stopping rule over every cover of the sweep box
+    for label in SWEEP_TYPES:
+        for top in sweep_coweights(build_root_system(label), 14):
+            pairs += [(edge.lam, edge.mu) for edge in minimal_degenerations(top)]
+    for lam, mu in pairs:
         cap = two_rho_pairing(mu) + 1
         for root in lam.system.roots:
             assert k_alpha(lam, mu, root) == k_alpha_oracle(lam, mu, root, cap)
