@@ -397,7 +397,12 @@ class Sigma0Map:
         return c, root
 
     def image_symbol(self, sym: Symbol) -> tuple[int, Symbol]:
-        c, i = self._image[self.algebra.index[sym]]
+        """(sign, symbol) of sigma0 on sym; ValueError for a symbol outside the basis."""
+        try:
+            index = self.algebra.index[sym]
+        except KeyError:
+            raise ValueError(f"{sym!r} is not a basis symbol of {self.algebra!r}") from None
+        c, i = self._image[index]
         return c, self.algebra.symbols[i]
 
 

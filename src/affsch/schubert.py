@@ -13,14 +13,17 @@ positive yields the singularity certificate: the closure is singular along
 the lam stratum whenever the total strictly exceeds <mu, 2rho>.
 
 None of this depends on the closure top mu beyond its down-set, so one
-DominancePoset per root system memoises it: the dominant Stembridge steps
-and covers of every point it meets, the down-set with gaps of every top it
-is asked for, the classified covering edges of every upper end, and the
-dominant representatives its k_alpha walks land on.  The public functions
-share one poset: a call about the root system of the last one keeps it while
-its memo is within MAX_POSET_ENTRIES, and any other call starts a new one.
-So the calls of one closure, or of one type of a sweep, walk each down-set
-once, and a long run holds at most one bounded memo.
+DominancePoset per root system memoises it: the covers of every point asked
+about, the down-set with gaps of every top, the classified covering edges of
+every upper end, and the dominant representatives its k_alpha walks land on,
+with one tuple per distinct dominant point.  The Stembridge steps themselves
+are recomputed, not kept.  The public functions keep one poset per root
+system from call to call, so the calls of one closure, and every sweep that
+comes back to a type, walk each down-set once.  MAX_POSET_ENTRIES bounds the
+total over all of them: before a call walks a new top past it, the posets of
+the other systems are dropped, and the poset in use starts afresh only if it
+alone is past the bound.  So a closure is never served by two posets, and a
+long run holds at most the bound plus one request's worth.
 """
 
 from __future__ import annotations
@@ -45,11 +48,13 @@ from affsch.twist import ABSOLUTELY_SPECIAL, TwistedDatum, cartan_sigma_dim
 
 SINGULAR = "singular"
 INCONCLUSIVE = "inconclusive"
-# The shared poset starts over once its memo passes this many entries (see
-# DominancePoset.entries).  The largest closures cli admits fill about 22,500
-# (G2 64,74 with --lambda 0,0) and 18,000 (2E6 14,1,5,2); one type of verify
-# --max-pairing 40 fills about 6,000.  So no request resets part-way, and a
-# long run holds at most this plus one request's worth.
+# Bound on the entries of all kept posets together (see DominancePoset.entries
+# and _poset).  Among the largest closures cli admits, analyze fills about
+# 21,600 for G2 64,74 with --lambda 0,0 and 16,600 for 2E6 14,1,5,2; one type
+# of verify --max-pairing 40 fills at most about 5,800.  poset, which also
+# classifies every edge, fills 37,400 and 30,300 for those two tops: past the
+# bound on its own, so the next new top of that type starts afresh.  A long
+# run holds at most this plus one request's worth.
 MAX_POSET_ENTRIES = 30_000
 
 
@@ -150,33 +155,36 @@ class DominancePoset:
     nu -> nu - beta^vee reaches every stratum below mu, and every cover of nu
     is such a step, one whose coroot coefficients are minimal among them.
 
-    Points are raw pairing vectors.  Steps, covers and classified edges
+    Points are raw pairing vectors.  Covers and classified edges
     depend only on their upper end, so every top above a point shares them.
     """
 
     def __init__(self, system: FiniteRootSystem) -> None:
         self.system = system
-        self._steps: dict[IntVec, list[tuple[IntVec, IntVec]]] = {}
         self._covers: dict[IntVec, list[tuple[IntVec, IntVec]]] = {}
         self._below: dict[IntVec, dict[IntVec, IntVec]] = {}
         self._edges: dict[IntVec, tuple[DegenerationEdge, ...]] = {}
+        # dominant representative of every point a walk met; a dominant point
+        # maps to itself, and the other memos share that one tuple
         self._dom: dict[IntVec, IntVec] = {}
         self._members = 0  # down-set members over every top in _below
 
     @property
     def entries(self) -> int:
-        """Memo size: points with steps, down-set members and dominant representatives."""
-        return len(self._steps) + self._members + len(self._dom)
+        """Memo size: one per key of every memo, one per member of every down-set."""
+        return len(self._covers) + self._members + len(self._edges) + len(self._dom)
 
     def steps(self, p: IntVec) -> list[tuple[IntVec, IntVec]]:
-        """(p - beta^vee, coefficients of beta^vee) for each dominant step from p."""
-        steps = self._steps.get(p)
-        if steps is None:
-            steps = self._steps[p] = []
-            for step, coeffs in _positive_coroots(self.system):
-                q = tuple(map(sub, p, step))
-                if min(q) >= 0:
-                    steps.append((q, coeffs))
+        """(p - beta^vee, coefficients of beta^vee) for each dominant step from p.
+
+        Not memoised: a step costs one subtraction, and a memo of them held
+        about half of what a kept poset holds.
+        """
+        steps = []
+        for step, coeffs in _positive_coroots(self.system):
+            q = tuple(map(sub, p, step))
+            if min(q) >= 0:
+                steps.append((q, coeffs))
         return steps
 
     def covers(self, p: IntVec) -> list[tuple[IntVec, IntVec]]:
@@ -202,14 +210,19 @@ class DominancePoset:
 
         The keys come in stratum order.  Only the coset of mu is reached, so
         membership is the dominance test for any dominant lam in that coset.
+        mu must be dominant: every point walked enters _dom as its own
+        representative.
         """
         below = self._below.get(mu)
         if below is None:
+            intern = self._dom.setdefault
+            mu = intern(mu, mu)
             gaps = {mu: (0,) * self.system.rank}
             queue = [mu]
             for p in queue:  # the queue grows while it is walked: breadth first
                 for q, coeffs in self.steps(p):
                     if q not in gaps:
+                        q = intern(q, q)
                         gaps[q] = tuple(a + b for a, b in zip(gaps[p], coeffs))
                         queue.append(q)
             queue.sort(key=lambda p: _stratum_key(self.system, p))
@@ -259,7 +272,8 @@ class DominancePoset:
                 cand = tuple(map(sub, cand, step))
                 rep = dom.get(cand)
                 if rep is None:
-                    rep = dom[cand] = _dominant_rep_raw(cand, self.system.columns)
+                    rep = _dominant_rep_raw(cand, self.system.columns)
+                    rep = dom[cand] = dom.setdefault(rep, rep)
                 if rep not in below:
                     break
                 k += 1
@@ -276,21 +290,34 @@ def _require_dominant_pair(lam: Coweight, mu: Coweight) -> None:
         raise ValueError("both coweights must be dominant")
 
 
-_shared: DominancePoset | None = None
+# The poset of every root system asked about, kept from one call to the next.
+_posets: dict[FiniteRootSystem, DominancePoset] = {}
 
 
-def _poset(system: FiniteRootSystem) -> DominancePoset:
-    """The shared poset of system, started afresh past MAX_POSET_ENTRIES."""
-    global _shared
-    if _shared is None or _shared.system is not system or _shared.entries > MAX_POSET_ENTRIES:
-        _shared = DominancePoset(system)
-    return _shared
+def _poset(system: FiniteRootSystem, top: IntVec) -> DominancePoset:
+    """The kept poset of system, for a call about the closure of top.
+
+    A call about a top the poset has walked takes it as it is, so the calls
+    of one closure share one poset.  Before a new top, past MAX_POSET_ENTRIES
+    in total, the posets of the other systems are dropped, and this one is
+    started afresh if it alone is still past the bound.
+    """
+    poset = _posets.get(system)
+    if poset is not None and top in poset._below:
+        return poset
+    if sum(kept.entries for kept in _posets.values()) > MAX_POSET_ENTRIES:
+        _posets.clear()
+        if poset is not None and poset.entries <= MAX_POSET_ENTRIES:
+            _posets[system] = poset
+    if system not in _posets:
+        poset = _posets[system] = DominancePoset(system)
+    return poset
 
 
 def _pair_poset(lam: Coweight, mu: Coweight) -> DominancePoset:
     """The poset to use for the dominant pair lam <= mu; refuses any other pair."""
     _require_dominant_pair(lam, mu)
-    poset = _poset(mu.system)
+    poset = _poset(mu.system, mu.pairings)
     if lam.pairings not in poset.below(mu.pairings):
         raise ValueError("lam must lie below mu in the dominance order")
     return poset
@@ -303,13 +330,13 @@ def dominant_below(mu: Coweight) -> list[Coweight]:
     """All dominant lam with lam <= mu and mu - lam in the coroot lattice."""
     _require_dominant_pair(mu, mu)
     system = mu.system
-    return [Coweight(system, p) for p in _poset(system).below(mu.pairings)]
+    return [Coweight(system, p) for p in _poset(system, mu.pairings).below(mu.pairings)]
 
 
 def minimal_degenerations(mu: Coweight) -> list[DegenerationEdge]:
     """Every covering pair of the dominance order on dominant_below(mu)."""
     _require_dominant_pair(mu, mu)
-    poset = _poset(mu.system)
+    poset = _poset(mu.system, mu.pairings)
     return [edge for p in poset.below(mu.pairings) for edge in poset.edges(p)]
 
 
@@ -433,7 +460,7 @@ def smooth_locus_report(mu: Coweight, datum: TwistedDatum) -> SmoothLocusReport:
         raise ValueError("mu must live in the datum's folded root system")
     _require_dominant_pair(mu, mu)
     system = mu.system
-    poset = _poset(system)
+    poset = _poset(system, mu.pairings)
     covers = [(Coweight(system, q), gap) for q, gap in poset.covers(mu.pairings)]
     certificates = {lam: certificate(mu, lam, datum) for lam, _ in covers}
     strata: list[StratumReport] = []

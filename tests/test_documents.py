@@ -89,3 +89,23 @@ def test_documents_reemit_byte_identical():
         if code != 0 or _json_text(json.loads(text)) + "\n" != text:
             mismatches.append(" ".join(argv))
     assert mismatches == []
+
+
+def test_overlapping_sweeps_on_a_warm_memo_match_committed_digests():
+    # rank-2 sweeps up to --max-pairing 8 and back down, in one process: each
+    # request after the first finds its types' posets filled by the others
+    workloads = _load_workloads()
+    digests = json.loads((PERFBENCH / "digests.json").read_text())
+    pairings = list(range(2, 9))
+    mismatches = []
+    for pairing in pairings + pairings[::-1]:
+        for suite in workloads.SWEEP_SUITES:
+            seed = 0 if suite == "k-symmetry" else None
+            argv = workloads._verify_request(suite, 2, pairing, seed)
+            out = io.StringIO()
+            with contextlib.redirect_stdout(out):
+                code = main(list(argv))
+            digest = hashlib.sha256(out.getvalue().encode()).hexdigest()
+            if code != 0 or digest != digests[" ".join(argv)]:
+                mismatches.append(" ".join(argv))
+    assert mismatches == []

@@ -405,6 +405,16 @@ def test_sigma0_flip_signs_odd_versus_even_rank():
     assert flip4.order == 2
 
 
+@pytest.mark.parametrize("stranger", [("X", (5, 5, 5)), ("H", 3)])
+def test_sigma0_image_refuses_symbols_outside_the_basis(stranger):
+    sigma = sigma0_automorphism(build_chevalley("A3"), (2, 1, 0))
+    with pytest.raises(ValueError, match=re.escape(f"{stranger!r} is not a basis symbol")):
+        sigma.image_symbol(stranger)
+    if stranger[0] == "X":
+        with pytest.raises(ValueError, match=re.escape(f"{stranger!r} is not a basis symbol")):
+            sigma.image(stranger[1])
+
+
 NON_AUTOMORPHISMS = {
     "not-a-diagram-automorphism": (1, 0, 2),
     "too-short": (1, 0),

@@ -309,13 +309,23 @@ def _oracle_check(name: str, answer, mu: Coweight, lam: Coweight, alpha) -> None
 
 
 def _with_fresh_poset(ask):
-    """ask() with the shared poset started afresh, then the old one put back."""
-    shared = schubert._shared
-    schubert._shared = None
+    """ask() with no poset kept, then the kept ones put back; also the posets ask() left."""
+    kept = dict(schubert._posets)
+    schubert._posets.clear()
     try:
-        return ask(), schubert._shared
+        return ask(), dict(schubert._posets)
     finally:
-        schubert._shared = shared
+        schubert._posets.clear()
+        schubert._posets.update(kept)
+
+
+def _memo_size(poset: DominancePoset) -> int:
+    """Every dict the poset holds, one per key, a dict of dicts one per inner key."""
+    return sum(
+        sum(len(value) if isinstance(value, dict) else 1 for value in memo.values())
+        for memo in vars(poset).values()
+        if isinstance(memo, dict)
+    )
 
 
 @st.composite
@@ -353,26 +363,70 @@ def _closure_request(mu: Coweight):
 
 
 def test_shared_poset_stays_within_its_bound_across_resets(monkeypatch):
-    """Past the bound the shared poset starts over, and the answers stay right."""
-    bound = 120  # above the 114 entries of the largest request below
+    """Past the bound in total the kept posets are trimmed, and the answers stay right.
+
+    Closures of A3 and G2 take turns.  Every kept poset counts every memo it
+    holds, the total stays within the bound plus one request's worth, and one
+    poset serves each request from its first call to its last.
+    """
+    bound = 300  # above the 147 entries of the largest request below
     monkeypatch.setattr(schubert, "MAX_POSET_ENTRIES", bound)
-    system = build_root_system("A3")
-    tops = sweep_coweights(system, 24)
-    posets = []
+    monkeypatch.setattr(schubert, "_posets", {})
+    taken = []
+    take = schubert._poset
+
+    def recording(system, top):
+        taken.append(take(system, top))
+        return taken[-1]
+
+    monkeypatch.setattr(schubert, "_poset", recording)
+    a3, g2 = build_root_system("A3"), build_root_system("G2")
+    a3_tops, g2_tops = sweep_coweights(a3, 24), sweep_coweights(g2, 40)
+    tops = [mu for pair in zip(a3_tops, g2_tops) for mu in pair] + a3_tops[len(g2_tops):]
+    posets, dropped = set(), 0
     for mu in tops:
+        before = dict(schubert._posets)
+        taken.clear()
         answer = _closure_request(mu)
-        if schubert._shared is not (posets[-1] if posets else None):
-            posets.append(schubert._shared)
+        assert len({id(poset) for poset in taken}) == 1, mu  # never replaced part-way
+        posets.add(id(taken[0]))
+        dropped += any(system not in schubert._posets for system in before)
         fresh, alone = _with_fresh_poset(lambda: _closure_request(mu))
-        assert alone.entries <= bound, mu  # one request never resets part-way
-        shared = schubert._shared
-        assert shared.entries == (
-            len(shared._steps) + sum(map(len, shared._below.values())) + len(shared._dom)
-        )
-        assert shared.entries <= bound + alone.entries, mu
+        request = sum(poset.entries for poset in alone.values())
+        assert request <= bound, mu
+        for poset in schubert._posets.values():
+            assert poset.entries == _memo_size(poset), mu
+        assert sum(poset.entries for poset in schubert._posets.values()) <= bound + request, mu
         assert answer == fresh, mu
         assert {(e.mu, e.lam) for e in answer[0]} == gap_covers(simplex_scan_below(mu)), mu
-    assert len(posets) > 2  # more tops than the bound admits: the memo started over
+    assert dropped > 2 and len(posets) > 4  # more tops than the bound admits: trimmed often
+
+
+def test_posets_are_kept_per_system_and_dropped_past_the_bound(monkeypatch):
+    """A system's poset outlives calls about other systems until the total passes the bound."""
+    monkeypatch.setattr(schubert, "_posets", {})
+    a2, g2 = twisted_datum("A2"), twisted_datum("G2")
+    dominant_below(Coweight(a2.echelonnage, (2, 2)))
+    kept = schubert._posets[a2.echelonnage]
+    minimal_degenerations(Coweight(g2.echelonnage, (1, 1)))
+    k_vector(Coweight(a2.echelonnage, (0, 0)), Coweight(a2.echelonnage, (3, 0)))
+    assert schubert._posets[a2.echelonnage] is kept
+    assert set(schubert._posets) == {a2.echelonnage, g2.echelonnage}
+    # past a small bound, every switch of system drops the other system's poset
+    monkeypatch.setattr(schubert, "MAX_POSET_ENTRIES", 8)
+    tops = [(a2, (1, 1)), (g2, (1, 0)), (a2, (3, 0)), (g2, (0, 2)), (a2, (2, 2)), (g2, (2, 1))]
+    for datum, top in tops:
+        system = datum.echelonnage
+        mu = Coweight(system, top)
+        below = list(DominancePoset(system).below(top))
+        lam = Coweight(system, below[len(below) // 2])
+        for k, name in enumerate(PUBLIC_CALLS):
+            alpha = system.roots[k % len(system.roots)]
+            answer = _public_answer(name, datum, mu, lam, alpha)
+            assert list(schubert._posets) == [system], (name, mu)
+            fresh, _ = _with_fresh_poset(lambda: _public_answer(name, datum, mu, lam, alpha))
+            assert answer == fresh, (name, mu, lam)
+            _oracle_check(name, answer, mu, lam, alpha)
 
 
 @st.composite
