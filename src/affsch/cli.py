@@ -12,6 +12,12 @@ Exit codes: 0 success, 1 failed property sweep, 2 usage error, empty sweep or
 oversized closure, 3 internal invariant failure (AssertionError or
 RuntimeError; nothing on stdout), 141 (128 + SIGPIPE) when the reader closes
 stdout early, as `| head` does, with nothing on stderr.
+
+JSON is written by _json_text, byte for byte as json.dumps(indent=2,
+sort_keys=True) writes it.  loopcheck --json renders each degree row once per
+(datum, u-degree) and the Cartan-direction block once per datum, as JSON text
+kept in bounded memos; a wider window places the rendered rows of the
+narrower ones at its own indent instead of building and writing them again.
 """
 
 from __future__ import annotations
@@ -21,6 +27,7 @@ import json
 import math
 import os
 import sys
+from functools import lru_cache
 from json.encoder import encode_basestring_ascii
 
 from affsch import __version__
@@ -32,7 +39,7 @@ from affsch.loopalg import (
     make_e_a,
     matrix_realization,
     realize,
-    root_lines_at_degree,
+    root_line_vectors,
 )
 from affsch.rootsys import Coweight, two_rho_pairing
 from affsch.schubert import (
@@ -282,21 +289,34 @@ def _cmd_loopcheck(args) -> int:
     datum = twisted_datum(args.type)
     loop_context(datum)  # raises for types without a symbolic model
     window = args.window
-    degrees = []
-    for n in range(-window, window + 1):
-        lines = root_lines_at_degree(datum, n)
-        vectors = []
-        for root, level in lines:
-            rel = sigma_affine_to_relative(datum, (root, level))
-            vectors.append(
-                {
-                    "root": list(root),
-                    "sigma_level": level,
-                    "case": rel.case,
-                    "terms": vector_rows(make_e_a(datum, rel)),
-                }
-            )
-        degrees.append({"degree": n, "lines": len(lines), "vectors": vectors})
+    degrees = range(-window, window + 1)
+    if args.json:
+        result = {
+            "datum": _describe_datum(datum),
+            "window": window,
+            "degrees": [_degree_text(datum, n) for n in degrees],
+            "cartan_directions": _directions_text(datum),
+            "special": _loopcheck_special(datum),
+        }
+        _emit_json("loopcheck", _request_fields(args), result)
+        return 0
+    print(f"datum {datum.label}: root lines by u-degree (window {window})")
+    for n in degrees:
+        print(f"  degree {n:>3}: {len(root_line_vectors(datum, n))} lines")
+    directions = _directions(datum)
+    print(f"cartan directions at level -1: {len(directions)}")
+    for row in directions:
+        terms = "; ".join(
+            f"H_{t['index']} u^{t['degree']} * {t['coeff']}" for t in row["terms"]
+        )
+        print(f"  root {tuple(row['root'])}: {terms}")
+    for key, value in _loopcheck_special(datum).items():
+        print(f"{key}: {json.dumps(value, sort_keys=True)}")
+    return 0
+
+
+def _directions(datum) -> list[dict]:
+    """The Cartan directions at level -1, one row per root with a recipe."""
     directions = []
     for root, level in affine_roots_negative_at_vertex(datum, 1):
         try:
@@ -304,28 +324,23 @@ def _cmd_loopcheck(args) -> int:
         except ValueError:
             continue
         directions.append({"root": list(root), "level": level, "terms": vector_rows(vec)})
-    result = {
-        "datum": _describe_datum(datum),
-        "window": window,
-        "degrees": degrees,
-        "cartan_directions": directions,
-        "special": _loopcheck_special(datum),
-    }
-    if args.json:
-        _emit_json("loopcheck", _request_fields(args), result)
-    else:
-        print(f"datum {datum.label}: root lines by u-degree (window {window})")
-        for row in degrees:
-            print(f"  degree {row['degree']:>3}: {row['lines']} lines")
-        print(f"cartan directions at level -1: {len(directions)}")
-        for row in directions:
-            terms = "; ".join(
-                f"H_{t['index']} u^{t['degree']} * {t['coeff']}" for t in row["terms"]
-            )
-            print(f"  root {tuple(row['root'])}: {terms}")
-        for key, value in result["special"].items():
-            print(f"{key}: {json.dumps(value, sort_keys=True)}")
-    return 0
+    return directions
+
+
+# The loopcheck --json blocks, rendered once: a window-w document repeats every
+# degree row of the windows below it, and every window repeats the directions.
+@lru_cache(maxsize=153)  # nine loop types x |n| <= 8: 153 degree rows
+def _degree_text(datum, n: int) -> _Fragment:
+    vectors = [
+        {"root": list(root), "sigma_level": level, "case": rel.case, "terms": vector_rows(vec)}
+        for root, level, rel, vec in root_line_vectors(datum, n)
+    ]
+    return _Fragment(_json_text({"degree": n, "lines": len(vectors), "vectors": vectors}))
+
+
+@lru_cache(maxsize=9)  # one directions block per loop type: 9
+def _directions_text(datum) -> _Fragment:
+    return _Fragment(_json_text(_directions(datum)))
 
 
 def _loopcheck_special(datum) -> dict:
@@ -393,6 +408,10 @@ def _json_key(key) -> str:
     raise RuntimeError(f"a {type(key).__name__} dict key is not a JSON document key")
 
 
+class _Fragment(str):
+    """The text _json_text wrote for a value at depth 0; it places it at any depth."""
+
+
 def _json_text(value, newline: str = "\n") -> str:
     """value as json.dumps(value, indent=2, sort_keys=True) writes it.
 
@@ -403,14 +422,16 @@ def _json_text(value, newline: str = "\n") -> str:
     failure, exit 3.  newline is the line break plus the indent of the line
     value starts on.  Scalar items of a container are written in place,
     without a call of their own.
+
+    A _Fragment stands for the value whose depth-0 text it holds, and is
+    placed by fragment.replace("\\n", newline).  That is exact: every raw
+    newline in the text is a line break of this writer, as
+    encode_basestring_ascii escapes a newline inside a string or key, so the
+    replace adds the indent of the place to every line after the first.
     """
     scalar = _JSON_SCALARS.get(type(value))
     if scalar is not None:
         return scalar(value)
-    if isinstance(value, str):
-        return encode_basestring_ascii(value)
-    if isinstance(value, int):
-        return int.__repr__(value)
     inner = newline + "  "
     if isinstance(value, dict):
         if not value:
@@ -429,6 +450,12 @@ def _json_text(value, newline: str = "\n") -> str:
             scalar = _JSON_SCALARS.get(type(item))
             items.append(inner + (scalar(item) if scalar is not None else _json_text(item, inner)))
         return "[" + ",".join(items) + newline + "]"
+    if isinstance(value, _Fragment):
+        return value.replace("\n", newline)
+    if isinstance(value, str):
+        return encode_basestring_ascii(value)
+    if isinstance(value, int):
+        return int.__repr__(value)
     raise RuntimeError(f"a {type(value).__name__} is not a JSON document value")
 
 

@@ -635,6 +635,23 @@ def root_lines_at_degree(datum: TwistedDatum, n: int) -> tuple[tuple[Root, int],
     )
 
 
+@lru_cache(maxsize=153)  # loopcheck and loop-basis ask for nine loop types x |n| <= 8: 153 keys
+def root_line_vectors(
+    datum: TwistedDatum, n: int
+) -> tuple[tuple[Root, int, RelativeAffineRoot, LoopVector], ...]:
+    """(sigma_root, sigma_level, relative root, e_a) of every root line at u-degree n.
+
+    In the order of root_lines_at_degree.  Memoised per (datum, n): every
+    loopcheck window and loop-basis window reads the rows of the windows
+    below it again, and a LoopVector is immutable, so all of them share one.
+    """
+    rows = []
+    for root, k in root_lines_at_degree(datum, n):
+        rel = sigma_affine_to_relative(datum, (root, k))
+        rows.append((root, k, rel, make_e_a(datum, rel)))
+    return tuple(rows)
+
+
 def verify_invariant_basis(datum: TwistedDatum, degree_window: int) -> InvariantBasisReport:
     """Check the sigma-fixed dimension against the root-line inventory.
 
@@ -652,18 +669,17 @@ def verify_invariant_basis(datum: TwistedDatum, degree_window: int) -> Invariant
     lines = []
     for n in range(-degree_window, degree_window + 1):
         fixed_dim = _eigenspace_dim(ctx.sigma0.cycles, datum.e, n)
-        labels = root_lines_at_degree(datum, n)
+        entries = root_line_vectors(datum, n)
         seen: set[Root] = set()
         rank = 0
-        for root, k in labels:
-            vec = make_e_a(datum, sigma_affine_to_relative(datum, (root, k)))
+        for _, _, _, vec in entries:
             if any(deg != n or sym[0] != "X" for sym, deg, _ in vec.terms):
                 raise AssertionError("root-line vector strayed from its degree")
             support = {sym[1] for sym, _, _ in vec.terms}
             if support and seen.isdisjoint(support):
                 rank += 1
             seen |= support
-        lines.append(DegreeLine(n, fixed_dim, len(labels), rank))
+        lines.append(DegreeLine(n, fixed_dim, len(entries), rank))
     return InvariantBasisReport(datum.label, degree_window, tuple(lines))
 
 

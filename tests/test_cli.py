@@ -471,6 +471,35 @@ def test_json_writer_scalar_fast_path_matches_json_dumps():
     assert _json_text(Count(4)) == json.dumps(Count(4)) == "4"
 
 
+_FRAGMENT_VALUES = [
+    {
+        "text": ["line\nbreak", 'quote " and \\ backslash', "sep\u2028arator", "Grüße, 中文, ∂"],
+        "nested": {"deeper": [[], {}, [1, {"\n key": None}]], "flag": True},
+        "\u2028": -3,
+    },
+    [{"root": [1, -1], "terms": [{"coeff": "-1/2", "kind": "H"}]}, "tail\n", 0],
+    [],
+    "a lone\nstring",
+]
+
+
+def _placed(value, depth):
+    """value at indent depth `depth`, inside alternating dict and list levels."""
+    for level in range(depth):
+        value = {"k\n": value, "a": "\n"} if level % 2 == 0 else ['"', value, 7]
+    return value
+
+
+@pytest.mark.parametrize("depth", range(4))
+@pytest.mark.parametrize("value", _FRAGMENT_VALUES, ids=["dict", "list", "empty", "string"])
+def test_rendered_fragment_placed_at_any_depth_matches_json_dumps(value, depth):
+    fragment = cli._Fragment(_json_text(value))
+    expected = json.dumps(_placed(value, depth), indent=2, sort_keys=True)
+    assert _json_text(_placed(fragment, depth)) == expected
+    # the same text as a plain str is a JSON string, not a fragment
+    assert _json_text(str(fragment)) == json.dumps(str(fragment))
+
+
 @pytest.mark.parametrize(
     "value,name",
     [

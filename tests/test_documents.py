@@ -6,8 +6,10 @@ them through cli.main (one request per closures slot, every loopcheck with
 --window at most 1, the loop-basis suite at every window, and the six verify
 suites with their default flags) and compares each digest; a second test
 parses each of those documents back and writes it again with cli's JSON
-writer, which must give the same bytes.  They only read the files under
-perfbench/.
+writer, which must give the same bytes.  Two more serve overlapping requests
+in one process, so that later ones read the memos earlier ones filled: rank-2
+sweeps, and every loopcheck window with the loop-basis suite.  They only read
+the files under perfbench/.
 """
 
 import contextlib
@@ -18,7 +20,9 @@ import json
 import sys
 from pathlib import Path
 
+from affsch import cli
 from affsch.cli import _json_text, main
+from affsch.loopalg import cartan_direction, root_line_vectors
 from affsch.verify import SUITES
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
@@ -109,3 +113,34 @@ def test_overlapping_sweeps_on_a_warm_memo_match_committed_digests():
             if code != 0 or digest != digests[" ".join(argv)]:
                 mismatches.append(" ".join(argv))
     assert mismatches == []
+
+
+def _serve(argv) -> tuple[int, str]:
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = main(list(argv))
+    return code, out.getvalue()
+
+
+def test_loopchecks_on_warm_memos_match_committed_digests():
+    # every loopcheck window ascending, then descending, then loop-basis at
+    # every window, in one process: each request after the first of its type
+    # reads root-line vectors and rendered blocks the ones before it left
+    workloads = _load_workloads()
+    digests = json.loads((PERFBENCH / "digests.json").read_text())
+    for memo in (cartan_direction, root_line_vectors, cli._degree_text, cli._directions_text):
+        memo.cache_clear()
+    text_requests = [("loopcheck", "--type", label, "--window", "8") for label in workloads.LOOP_TYPES]
+    cold = [_serve(argv) for argv in text_requests]
+    requests = workloads.loop_requests(None)
+    loopchecks = [argv for argv in requests if argv[0] == "loopcheck"]
+    assert len(loopchecks) == len(workloads.LOOP_TYPES) * len(workloads.LOOP_WINDOWS)
+    loop_basis = [argv for argv in requests if argv[2] == "loop-basis"]
+    mismatches = []
+    for argv in loopchecks + loopchecks[::-1] + loop_basis:
+        code, text = _serve(argv)
+        if code != 0 or hashlib.sha256(text.encode()).hexdigest() != digests[" ".join(argv)]:
+            mismatches.append(" ".join(argv))
+    assert mismatches == []
+    # text mode prints the same bytes on warm memos as on cold ones
+    assert [_serve(argv) for argv in text_requests] == cold

@@ -12,7 +12,7 @@ from itertools import combinations, permutations
 import pytest
 from oracles import bracket_by_roots, check_jacobi, check_sigma0, jacobi_sum, jacobi_triples
 
-from affsch import loopalg
+from affsch import cli, loopalg
 from affsch.loopalg import (
     ChevalleyAlgebra,
     CycScalar,
@@ -27,6 +27,7 @@ from affsch.loopalg import (
     make_e_a,
     matrix_realization,
     realize,
+    root_line_vectors,
     root_lines_at_degree,
     sigma0_automorphism,
     sigma_action,
@@ -122,12 +123,23 @@ def direction_inventory():
     return out
 
 
+def _clear_loop_memos():
+    cartan_direction.cache_clear()
+    root_line_vectors.cache_clear()
+    cli._degree_text.cache_clear()
+    cli._directions_text.cache_clear()
+
+
 @pytest.fixture
 def fresh_directions():
-    """Tests that patch loop internals must not read or leave memoised Cartan directions."""
-    cartan_direction.cache_clear()
+    """Tests that patch loop internals must not read or leave memoised loop vectors.
+
+    That is the Cartan directions, the root-line inventory, and the loopcheck
+    blocks the command line renders from them.
+    """
+    _clear_loop_memos()
     yield
-    cartan_direction.cache_clear()
+    _clear_loop_memos()
 
 
 # -- scalars -------------------------------------------------------------------
@@ -565,6 +577,36 @@ def test_make_e_a_twisted_a2_both_progressions():
     pair0 = make_e_a(datum, sigma_affine_to_relative(datum, ((1,), 0)))
     assert pair0.coefficient(("X", (1, 0)), 0) == cyc(2, 1)
     assert pair0.coefficient(("X", (0, 1)), 0) == cyc(2, 1)
+
+
+def test_root_line_vectors_match_a_fresh_walk(fresh_directions):
+    # every entry against root_lines_at_degree -> sigma_affine_to_relative ->
+    # make_e_a, and against the walk oracle
+    for label in LOOP_TYPES:
+        datum = twisted_datum(label)
+        for n in range(-8, 9):
+            fresh = [
+                (root, k, sigma_affine_to_relative(datum, (root, k)))
+                for root, k in root_lines_at_degree(datum, n)
+            ]
+            entries = root_line_vectors(datum, n)
+            assert [entry[:3] for entry in entries] == fresh, (label, n)
+            for (_, _, rel), (_, _, _, vec) in zip(fresh, entries):
+                assert vec == make_e_a(datum, rel) == walk_vector(datum, rel), (label, rel)
+            assert root_line_vectors(datum, n) is entries
+    info = root_line_vectors.cache_info()
+    assert info.misses == info.currsize == len(LOOP_TYPES) * 17 <= info.maxsize
+
+
+def test_root_line_vectors_memo_is_bounded(fresh_directions):
+    maxsize = root_line_vectors.cache_info().maxsize
+    assert maxsize is not None
+    for label in LOOP_TYPES:
+        datum = twisted_datum(label)
+        for n in range(-40, 41):
+            root_line_vectors(datum, n)
+            assert root_line_vectors.cache_info().currsize <= maxsize
+    assert root_line_vectors.cache_info().misses == len(LOOP_TYPES) * 81
 
 
 def test_make_e_a_rejects_levels_off_the_progression():
