@@ -44,7 +44,7 @@ Rational = int | Fraction
 # -- cyclotomic scalars -------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class CycScalar:
     """a + b*zeta with rational a, b; zeta a primitive e-th root of unity.
 
@@ -414,7 +414,7 @@ def sigma0_automorphism(algebra: ChevalleyAlgebra, perm: IntVec) -> Sigma0Map:
 # -- loop vectors -------------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class LoopVector:
     """Finitely supported combination of basis symbols times powers of u."""
 

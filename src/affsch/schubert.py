@@ -15,15 +15,16 @@ the lam stratum whenever the total strictly exceeds <mu, 2rho>.
 None of this depends on the closure top mu beyond its down-set, so one
 DominancePoset per root system memoises it: the covers of every point asked
 about, the down-set with gaps of every top, the classified covering edges of
-every upper end, and the dominant representatives its k_alpha walks land on,
-with one tuple per distinct dominant point.  The Stembridge steps themselves
-are recomputed, not kept.  The public functions keep one poset per root
-system from call to call, so the calls of one closure, and every sweep that
-comes back to a type, walk each down-set once.  MAX_POSET_ENTRIES bounds the
-total over all of them: before a call walks a new top past it, the posets of
-the other systems are dropped, and the poset in use starts afresh only if it
-alone is past the bound.  So a closure is never served by two posets, and a
-long run holds at most the bound plus one request's worth.
+every upper end, the k-vector of every pair asked about over all roots, and
+the dominant representatives its k_alpha walks land on, with one tuple per
+distinct dominant point.  The Stembridge steps themselves are recomputed,
+not kept.  The public functions keep one poset per root system from call to
+call, so the calls of one closure, and every sweep that comes back to a
+type, walk each down-set once.  MAX_POSET_ENTRIES bounds the total over all
+of them: before a call walks a new top past it, the posets of the other
+systems are dropped, and the poset in use starts afresh only if it alone is
+past the bound.  So a closure is never served by two posets, and a long run
+holds at most the bound plus one request's worth.
 """
 
 from __future__ import annotations
@@ -167,12 +168,14 @@ class DominancePoset:
         # dominant representative of every point a walk met; a dominant point
         # maps to itself, and the other memos share that one tuple
         self._dom: dict[IntVec, IntVec] = {}
+        self._k_vectors: dict[tuple[IntVec, IntVec], tuple[int, ...]] = {}
         self._members = 0  # down-set members over every top in _below
 
     @property
     def entries(self) -> int:
         """Memo size: one per key of every memo, one per member of every down-set."""
-        return len(self._covers) + self._members + len(self._edges) + len(self._dom)
+        memos = (self._covers, self._edges, self._dom, self._k_vectors)
+        return self._members + sum(map(len, memos))
 
     def steps(self, p: IntVec) -> list[tuple[IntVec, IntVec]]:
         """(p - beta^vee, coefficients of beta^vee) for each dominant step from p.
@@ -280,6 +283,14 @@ class DominancePoset:
                 if k > cap:
                     raise RuntimeError("root-curve count exceeded the dimension cap")
             counts.append(k)
+        return counts
+
+    def k_vector(self, lam: IntVec, mu: IntVec) -> tuple[int, ...]:
+        """k_counts over every root of the system, in root order, walked once per pair."""
+        counts = self._k_vectors.get((lam, mu))
+        if counts is None:
+            counts = tuple(self.k_counts(lam, mu, self.system.roots))
+            self._k_vectors[lam, mu] = counts
         return counts
 
 
@@ -406,9 +417,8 @@ def k_alpha(lam: Coweight, mu: Coweight, alpha: Root) -> int:
 
 def k_vector(lam: Coweight, mu: Coweight) -> KVector:
     """k_alpha for every root, each by its own walk."""
-    roots = lam.system.roots
-    counts = _pair_poset(lam, mu).k_counts(lam.pairings, mu.pairings, roots)
-    return KVector(lam.system, tuple(zip(roots, counts)))
+    counts = _pair_poset(lam, mu).k_vector(lam.pairings, mu.pairings)
+    return KVector(lam.system, tuple(zip(lam.system.roots, counts)))
 
 
 def root_tangent_bound(lam: Coweight, mu: Coweight) -> int:

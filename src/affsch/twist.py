@@ -43,7 +43,7 @@ OTHER_SPECIAL = "special-non-absolutely"
 AffineRoot = tuple[Root, int]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class RelativeAffineRoot:
     """An affine root on the relative side of the level correspondence.
 

@@ -2,30 +2,36 @@
 
 Each suite re-checks one of the structural facts the library rests on, over
 an enumerated family of instances plus an optional seeded random sample.
-Results are plain data: canonical instance rows, explicit counterexamples,
-and enough metadata to reproduce the run byte for byte.
+Results are plain data: instance rows rendered as JSON text, explicit
+counterexamples, and enough metadata to reproduce the run byte for byte.
+
+The stembridge, mindeg-inequality and k-symmetry sweeps range over boxes of
+dominant mu that overlap from request to request.  A row depends only on its
+top's down-set (Stembridge 1998), which the kept DominancePoset holds, so
+bounded memos keep each box as raw pairing vectors and each row as its sort
+key and rendered text.  A request sorts its rows' keys and places the text.
 """
 
 from __future__ import annotations
 
+import json
 import os
 import random
+from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
+from itertools import product
+from operator import itemgetter
 
+from affsch.jsontext import _Fragment, _json_text
 from affsch.loopalg import (
     cartan_direction,
     verify_invariant_basis,
     verify_sl2_factorization,
 )
-from affsch.rootsys import Coweight, IntVec, build_root_system, two_rho_pairing
-from affsch.schubert import (
-    dominant_below,
-    k_vector,
-    minimal_degenerations,
-    root_tangent_bound,
-)
+from affsch.rootsys import Coweight, IntVec, build_root_system
+from affsch.schubert import _poset
 from affsch.twist import sigma_affine_to_relative, twisted_datum
 
 SWEEP_TYPES = ("A1", "A2", "A3", "A4", "B2", "B3", "B4", "C2", "C3", "C4", "D4", "G2")
@@ -43,11 +49,18 @@ SUITES = (
 
 @dataclass(frozen=True)
 class SuiteResult:
+    """One suite's outcome.
+
+    instances holds the instance rows in canonical order, each as the JSON
+    text of its dict (a jsontext._Fragment: json.loads(row) gives the dict);
+    counterexamples holds the failing rows as dicts.
+    """
+
     suite: str
     passed: bool
     seed: int | None
     instances_checked: int
-    instances: tuple[dict, ...]
+    instances: tuple[str, ...]
     counterexamples: tuple[dict, ...]
     details: dict = field(default_factory=dict)
 
@@ -56,94 +69,96 @@ def sweep_type_labels(max_rank: int) -> tuple[str, ...]:
     return tuple(label for label in SWEEP_TYPES if int(label[1]) <= max_rank)
 
 
+@lru_cache(maxsize=492)  # one per (type, --max-pairing): 12 sweep types x 41 pairings
+def _box(system, max_pairing: int) -> tuple[IntVec, ...]:
+    """Dominant mu in the coroot lattice with <mu, 2rho> <= max_pairing, in lexicographic order.
+
+    A box is a down-set: each lam <= mu lies in mu's coset and pairs lower with 2rho.
+    """
+    h = system.two_rho_coefficients
+    return tuple(
+        p
+        for p in product(*(range(max_pairing // x + 1) for x in h))
+        if sum(a * b for a, b in zip(h, p)) <= max_pairing
+        and system.lattice_coefficients(p) is not None
+    )
+
+
 def sweep_coweights(system, max_pairing: int) -> list[Coweight]:
     """Dominant coweights in the coroot lattice with <mu, 2rho> <= max_pairing."""
-    h = system.two_rho_coefficients
-    out: list[Coweight] = []
-
-    def rec(i: int, acc: list[int], total: int) -> None:
-        if i == system.rank:
-            p = tuple(acc)
-            if system.lattice_coefficients(p) is not None:
-                out.append(Coweight(system, p))
-            return
-        for v in range((max_pairing - total) // h[i] + 1):
-            acc.append(v)
-            rec(i + 1, acc, total + v * h[i])
-            acc.pop()
-
-    rec(0, [], 0)
-    return out
+    return [Coweight(system, p) for p in _box(system, max_pairing)]
 
 
-def _cover_pairs(mus: list[Coweight]) -> list[tuple[IntVec, IntVec]]:
-    return [
-        (edge.mu.pairings, edge.lam.pairings) for mu in mus for edge in minimal_degenerations(mu)
-    ]
+# A sweep row is kept as (sort key, text, ...).  The rows of a suite share one
+# key set, so their values in key order, with tuples for the vectors, sort
+# them as their sorted items do.
 
 
-def _random_pairs(label: str, mus: list[Coweight], seed: int, count: int):
-    """Seeded dominant pairs lam <= mu, not necessarily covers, drawn from mus."""
-    mus = [m for m in mus if any(m.pairings)]
-    rng = random.Random(f"{seed}:{label}")  # string seeding is process-stable
-    strata = lru_cache(maxsize=None)(dominant_below)  # tops repeat in small boxes
-    out = []
-    for _ in range(count if mus else 0):
-        mu = rng.choice(mus)
-        lam = rng.choice(strata(mu))
-        out.append((mu.pairings, lam.pairings))
-    return out
-
-
-def _check_k_symmetry(system, mu_p: IntVec, lam_p: IntVec) -> list[dict]:
-    """k(alpha) = k(-alpha) + <lam, alpha>, with both counts walked independently."""
-    lam = Coweight(system, lam_p)
-    kv = k_vector(lam, Coweight(system, mu_p))
-    bad = []
-    for root in system.positive_roots:
-        plus = kv[root]
-        minus = kv[tuple(-c for c in root)]
-        step = lam.pairing_with_root(root)
-        if plus != minus + step:
-            bad.append(
-                {
-                    "type": system.label,
-                    "mu": list(mu_p),
-                    "lambda": list(lam_p),
-                    "root": list(root),
-                    "k_plus": plus,
-                    "k_minus": minus,
-                    "pairing": step,
-                }
-            )
-    return bad
-
-
-def _k_symmetry_rows(task) -> tuple[list[dict], list[dict]]:
-    """One type of the k-symmetry sweep: an instance row per distinct pair, and the failures."""
-    label, max_pairing, seed = task
+@lru_cache(maxsize=1144)  # one per (suite, type, top): 2 x 572 tops at MAX_PAIRING 40
+def _edge_rows(kind: str, label: str, top: IntVec) -> tuple[tuple[tuple, _Fragment], ...]:
+    """A row for the lower end of each covering edge below top."""
     system = build_root_system(label)
-    mus = sweep_coweights(system, max_pairing)
-    pairs = dict.fromkeys(_cover_pairs(mus) + _random_pairs(label, mus, seed, 25))
-    instances = [{"type": label, "mu": list(mu_p), "lambda": list(lam_p)} for mu_p, lam_p in pairs]
-    failures = [row for mu_p, lam_p in pairs for row in _check_k_symmetry(system, mu_p, lam_p)]
-    return instances, failures
-
-
-def _edge_rows(task) -> list[dict]:
-    """One type of an edge sweep: the rows of every top in its box."""
-    label, max_pairing, kind = task
+    poset = _poset(system, top)
+    dim = sum(h * x for h, x in zip(system.two_rho_coefficients, top))
     rows = []
-    for mu in sweep_coweights(build_root_system(label), max_pairing):
-        for edge in minimal_degenerations(mu):
-            row = {"type": label, "mu": list(mu.pairings), "lambda": list(edge.lam.pairings)}
+    for p in poset.below(top):
+        for edge in poset.edges(p):
+            lam = edge.lam.pairings
+            row = {"type": label, "mu": list(top), "lambda": list(lam)}
             if kind == "stembridge":
                 row["case"] = edge.stembridge_case
+                key = (edge.stembridge_case, lam, top, label)
             else:
-                row["dim"] = two_rho_pairing(mu)
-                row["root_bound"] = root_tangent_bound(edge.lam, mu)
-            rows.append(row)
-    return rows
+                row["dim"], row["root_bound"] = dim, sum(poset.k_vector(lam, top))
+                key = (dim, lam, top, row["root_bound"], label)
+            rows.append((key, _Fragment(_json_text(row))))
+    return tuple(rows)
+
+
+def _edge_sweep_rows(task) -> list[tuple[tuple, _Fragment]]:
+    kind, label, max_pairing = task
+    box = _box(build_root_system(label), max_pairing)
+    return [row for top in box for row in _edge_rows(kind, label, top)]
+
+
+# One per (type, mu, lambda).  A MAX_PAIRING 40 request checks at most the 924
+# covering pairs of the sweep types and 12 x 25 random pairs: 1,224.  Random
+# pairs vary with --seed, so the least recently used go first.
+@lru_cache(maxsize=2048)
+def _k_symmetry_row(label: str, mu: IntVec, lam: IntVec) -> tuple[tuple, _Fragment, tuple]:
+    """The row of the pair lam <= mu, and its failures.
+
+    A failure is a positive root alpha with k(alpha) != k(-alpha) + <lam,
+    alpha>, the two counts walked independently.
+    """
+    system = build_root_system(label)
+    counts = _poset(system, mu).k_vector(lam, mu)
+    index = system.root_index
+    row = {"type": label, "mu": list(mu), "lambda": list(lam)}
+    failures = []
+    for root in system.positive_roots:
+        plus, minus = counts[index[root]], counts[index[tuple(-c for c in root)]]
+        step = sum(m * x for m, x in zip(root, lam))
+        if plus != minus + step:
+            failures.append(dict(row, root=list(root), k_plus=plus, k_minus=minus, pairing=step))
+    return (lam, mu, label), _Fragment(_json_text(row)), tuple(failures)
+
+
+def _k_symmetry_rows(task) -> list[tuple[tuple, _Fragment, tuple]]:
+    """The row of each covering pair of the box, and of 25 seeded pairs lam <= mu.
+
+    The box is a down-set, so its covering pairs are the covers of its points.
+    """
+    label, max_pairing, seed = task
+    system = build_root_system(label)
+    box = _box(system, max_pairing)
+    pairs = [(mu, lam) for mu in box for lam, _ in _poset(system, mu).covers(mu)]
+    tops = [mu for mu in box if any(mu)]
+    rng = random.Random(f"{seed}:{label}")  # string seeding is process-stable
+    for _ in range(25 if tops else 0):
+        mu = rng.choice(tops)
+        pairs.append((mu, rng.choice(list(_poset(system, mu).below(mu)))))
+    return [_k_symmetry_row(label, mu, lam) for mu, lam in dict.fromkeys(pairs)]
 
 
 def _map_tasks(fn, tasks, jobs: int):
@@ -157,8 +172,18 @@ def _map_tasks(fn, tasks, jobs: int):
         return list(pool.map(fn, tasks, chunksize=max(1, len(tasks) // (4 * workers))))
 
 
-def _canonical(rows: list[dict]) -> tuple[dict, ...]:
-    return tuple(sorted(rows, key=lambda r: sorted(r.items(), key=str)))
+def _in_order(rows: list[dict]) -> tuple[dict, ...]:
+    """Rows with one key set, sorted by their values in key order: by their sorted items."""
+    return tuple(sorted(rows, key=lambda row: [row[key] for key in sorted(row)]))
+
+
+def _rendered(rows: list[dict]) -> tuple[_Fragment, ...]:
+    return tuple(_Fragment(_json_text(row)) for row in _in_order(rows))
+
+
+def _placed(rows) -> tuple[_Fragment, ...]:
+    """The text of keyed sweep rows, (key, text, ...), in key order."""
+    return tuple(row[1] for row in sorted(rows, key=itemgetter(0)))
 
 
 def _format_scalar(value) -> str:
@@ -222,7 +247,7 @@ def _suite_loop_basis(window: int) -> SuiteResult:
             if not line.ok:
                 bad.append(row)
     return SuiteResult(
-        "loop-basis", not bad, None, len(rows), _canonical(rows), _canonical(bad)
+        "loop-basis", not bad, None, len(rows), _rendered(rows), _in_order(bad)
     )
 
 
@@ -244,52 +269,35 @@ def _suite_cartan_direction(window: int) -> SuiteResult:
                     instance["error"] = str(exc)
                     bad.append(instance)
     return SuiteResult(
-        "cartan-direction", not bad, None, len(rows) + len(bad), _canonical(rows), _canonical(bad)
+        "cartan-direction", not bad, None, len(rows) + len(bad), _rendered(rows), _in_order(bad)
     )
 
 
 def _suite_k_symmetry(max_rank: int, max_pairing: int, seed: int, jobs: int) -> SuiteResult:
     # one task per type; a task names its work, so it pickles small
     tasks = [(label, max_pairing, seed) for label in sweep_type_labels(max_rank)]
-    instances, failures = [], []
-    for rows, bad in _map_tasks(_k_symmetry_rows, tasks, jobs):
-        instances += rows
-        failures += bad
+    rows = [row for chunk in _map_tasks(_k_symmetry_rows, tasks, jobs) for row in chunk]
+    failures = [bad for _, _, found in rows for bad in found]
     return SuiteResult(
-        "k-symmetry",
-        not failures,
-        seed,
-        len(instances),
-        _canonical(instances),
-        _canonical(failures),
+        "k-symmetry", not failures, seed, len(rows), _placed(rows), _in_order(failures)
     )
 
 
 def _suite_edge_sweep(kind: str, max_rank: int, max_pairing: int, jobs: int) -> SuiteResult:
-    tasks = [(label, max_pairing, kind) for label in sweep_type_labels(max_rank)]
-    rows, bad = [], []
-    for chunk in _map_tasks(_edge_rows, tasks, jobs):
-        rows.extend(chunk)
+    tasks = [(kind, label, max_pairing) for label in sweep_type_labels(max_rank)]
+    rows = [row for chunk in _map_tasks(_edge_sweep_rows, tasks, jobs) for row in chunk]
     details: dict = {}
+    bad = []
     if kind == "stembridge":
-        histogram: dict[str, dict[int, int]] = {}
-        for row in rows:
-            per_type = histogram.setdefault(row["type"], {})
-            per_type[row["case"]] = per_type.get(row["case"], 0) + 1
-        details["histogram"] = {
-            label: {str(case): count for case, count in sorted(cases.items())}
-            for label, cases in sorted(histogram.items())
-        }
+        histogram: dict[str, dict[str, int]] = {}
+        cases = Counter((label, case) for (case, *_, label), _ in rows)
+        for (label, case), count in sorted(cases.items()):
+            histogram.setdefault(label, {})[str(case)] = count
+        details["histogram"] = histogram
     else:
-        bad = [row for row in rows if row["root_bound"] < row["dim"]]
+        bad = [json.loads(text) for (dim, *_, bound, _), text in rows if bound < dim]
     return SuiteResult(
-        kind,
-        not bad,
-        None,
-        len(rows),
-        _canonical(rows),
-        _canonical(bad),
-        details,
+        kind, not bad, None, len(rows), _placed(rows), _in_order(bad), details
     )
 
 
@@ -309,5 +317,5 @@ def _suite_sl2(window: int, seed: int) -> SuiteResult:
             else:
                 bad.append(row)
     return SuiteResult(
-        "sl2-factorization", not bad, seed, len(rows) + len(bad), _canonical(rows), _canonical(bad)
+        "sl2-factorization", not bad, seed, len(rows) + len(bad), _rendered(rows), _in_order(bad)
     )

@@ -4,16 +4,35 @@ None of these has a caller in the package: each restates a fact the library
 computes another way (the dominance order by a lattice solve, dominant
 representatives by a Weyl-orbit scan, root-curve targets and case tags from
 a pair's endpoints, the level correspondence by Fraction progressions, the
-bracket by adding root tuples, and the Jacobi and sigma0 build checks over
-that bracket), so the tests can check the fast paths against them.
+bracket by adding root tuples, the Jacobi and sigma0 build checks over that
+bracket, and the sweep suites' rows as dicts, built from the public schubert
+functions and sorted by their items), so the tests can check the fast paths
+against them.
 """
 
 from __future__ import annotations
 
+import random
 from fractions import Fraction
 
-from affsch.rootsys import Coweight, CorootVector, IntVec, Root, dominant_rep
-from affsch.schubert import DegenerationEdge, _classify, k_alpha
+from affsch.rootsys import (
+    Coweight,
+    CorootVector,
+    IntVec,
+    Root,
+    build_root_system,
+    dominant_rep,
+    two_rho_pairing,
+)
+from affsch.schubert import (
+    DegenerationEdge,
+    _classify,
+    dominant_below,
+    k_alpha,
+    k_vector,
+    minimal_degenerations,
+    root_tangent_bound,
+)
 from affsch.twist import _vec_add
 
 AffineRoot = tuple[Root, int]
@@ -188,3 +207,134 @@ def check_sigma0(sigma) -> int:
             if left != right:
                 raise AssertionError("sigma0 extension breaks a bracket")
     return len(symbols) ** 2
+
+
+# -- the sweep suites, one dict per row ---------------------------------------
+
+
+def sweep_box(system, max_pairing: int) -> list[Coweight]:
+    """Dominant coweights in the coroot lattice with <mu, 2rho> <= max_pairing, by a lattice solve each."""
+    h = system.two_rho_coefficients
+    out: list[Coweight] = []
+
+    def rec(i: int, acc: list[int], total: int) -> None:
+        if i == system.rank:
+            p = tuple(acc)
+            if system.lattice_coefficients(p) is not None:
+                out.append(Coweight(system, p))
+            return
+        for v in range((max_pairing - total) // h[i] + 1):
+            acc.append(v)
+            rec(i + 1, acc, total + v * h[i])
+            acc.pop()
+
+    rec(0, [], 0)
+    return out
+
+
+def _cover_pairs(mus: list[Coweight]) -> list[tuple[IntVec, IntVec]]:
+    return [
+        (edge.mu.pairings, edge.lam.pairings) for mu in mus for edge in minimal_degenerations(mu)
+    ]
+
+
+def _random_pairs(label: str, mus: list[Coweight], seed: int, count: int):
+    """Seeded dominant pairs lam <= mu, not necessarily covers, drawn from mus."""
+    mus = [m for m in mus if any(m.pairings)]
+    rng = random.Random(f"{seed}:{label}")
+    out = []
+    for _ in range(count if mus else 0):
+        mu = rng.choice(mus)
+        lam = rng.choice(dominant_below(mu))
+        out.append((mu.pairings, lam.pairings))
+    return out
+
+
+def _check_k_symmetry(system, mu_p: IntVec, lam_p: IntVec) -> list[dict]:
+    """k(alpha) = k(-alpha) + <lam, alpha>, with both counts walked independently."""
+    lam = Coweight(system, lam_p)
+    kv = k_vector(lam, Coweight(system, mu_p))
+    bad = []
+    for root in system.positive_roots:
+        plus = kv[root]
+        minus = kv[tuple(-c for c in root)]
+        step = lam.pairing_with_root(root)
+        if plus != minus + step:
+            bad.append(
+                {
+                    "type": system.label,
+                    "mu": list(mu_p),
+                    "lambda": list(lam_p),
+                    "root": list(root),
+                    "k_plus": plus,
+                    "k_minus": minus,
+                    "pairing": step,
+                }
+            )
+    return bad
+
+
+def _k_symmetry_rows(task) -> tuple[list[dict], list[dict]]:
+    """One type of the k-symmetry sweep: an instance row per distinct pair, and the failures."""
+    label, max_pairing, seed = task
+    system = build_root_system(label)
+    mus = sweep_box(system, max_pairing)
+    pairs = dict.fromkeys(_cover_pairs(mus) + _random_pairs(label, mus, seed, 25))
+    instances = [{"type": label, "mu": list(mu_p), "lambda": list(lam_p)} for mu_p, lam_p in pairs]
+    failures = [row for mu_p, lam_p in pairs for row in _check_k_symmetry(system, mu_p, lam_p)]
+    return instances, failures
+
+
+def _edge_rows(task) -> list[dict]:
+    """One type of an edge sweep: the rows of every top in its box."""
+    label, max_pairing, kind = task
+    rows = []
+    for mu in sweep_box(build_root_system(label), max_pairing):
+        for edge in minimal_degenerations(mu):
+            row = {"type": label, "mu": list(mu.pairings), "lambda": list(edge.lam.pairings)}
+            if kind == "stembridge":
+                row["case"] = edge.stembridge_case
+            else:
+                row["dim"] = two_rho_pairing(mu)
+                row["root_bound"] = root_tangent_bound(edge.lam, mu)
+            rows.append(row)
+    return rows
+
+
+def _canonical(rows: list[dict]) -> tuple[dict, ...]:
+    return tuple(sorted(rows, key=lambda r: sorted(r.items(), key=str)))
+
+
+def sweep_result(suite: str, labels, max_pairing: int, seed: int) -> dict:
+    """The result of a stembridge, mindeg-inequality or k-symmetry sweep, as vars(SuiteResult) gives it."""
+    details: dict = {}
+    if suite == "k-symmetry":
+        instances, bad = [], []
+        for label in labels:
+            rows, failures = _k_symmetry_rows((label, max_pairing, seed))
+            instances += rows
+            bad += failures
+    else:
+        instances = [row for label in labels for row in _edge_rows((label, max_pairing, suite))]
+        seed = None
+        if suite == "stembridge":
+            histogram: dict[str, dict[int, int]] = {}
+            for row in instances:
+                per_type = histogram.setdefault(row["type"], {})
+                per_type[row["case"]] = per_type.get(row["case"], 0) + 1
+            details["histogram"] = {
+                label: {str(case): count for case, count in sorted(cases.items())}
+                for label, cases in sorted(histogram.items())
+            }
+            bad = []
+        else:
+            bad = [row for row in instances if row["root_bound"] < row["dim"]]
+    return {
+        "suite": suite,
+        "passed": not bad,
+        "seed": seed,
+        "instances_checked": len(instances),
+        "instances": list(_canonical(instances)),
+        "counterexamples": list(_canonical(bad)),
+        "details": details,
+    }

@@ -2,15 +2,21 @@
 
 RefCyc keeps every coefficient a Fraction, multiplies as polynomials in zeta
 reduced by its minimal polynomial, and inverts by Cramer's rule on the matrix
-of multiplication, so it shares no arithmetic shortcut with CycScalar.
+of multiplication, so it shares no arithmetic shortcut with CycScalar.  The
+last test checks that the slotted loop value types pickle, hash and compare
+as frozen values.
 """
 
+import dataclasses
+import pickle
 from fractions import Fraction
 
+import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from affsch.loopalg import CycScalar
+from affsch.loopalg import CycScalar, LoopVector, root_line_vectors
+from affsch.twist import twisted_datum
 
 
 class RefCyc:
@@ -103,3 +109,26 @@ def test_integer_inputs_stay_integers_until_a_division(e, a, b, c, d, n):
     for value in (y.inverse(), x / y, 1 / y):
         # a division makes a Fraction, never a float
         assert all(type(coeff) in (int, Fraction) for coeff in (value.a, value.b)), value
+
+
+def test_slotted_loop_values_pickle_hash_and_compare_as_values():
+    """CycScalar, LoopVector and RelativeAffineRoot hold no __dict__ and behave as frozen values."""
+    datum = twisted_datum("3D4")
+    _, _, rel, vec = root_line_vectors(datum, 1)[0]
+    scalar = CycScalar.of(3, Fraction(1, 2), -1)
+    rebuilt = {
+        scalar: CycScalar(3, Fraction(1, 2), -1),
+        rel: dataclasses.replace(rel),
+        vec: LoopVector.make(vec.algebra, vec.e, vec.terms),
+    }
+    for value, twin in rebuilt.items():
+        assert not hasattr(value, "__dict__") and type(value).__slots__
+        assert value == twin and hash(value) == hash(twin) and value is not twin
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(value, dataclasses.fields(value)[0].name, None)
+        # a LoopVector pickles with its algebra, which compares by identity
+        algebra, copy = pickle.loads(pickle.dumps((getattr(value, "algebra", None), value)))
+        if algebra is not None:
+            twin = LoopVector(algebra, vec.e, vec.terms)
+            assert copy.terms == vec.terms
+        assert copy == twin and hash(copy) == hash(twin)

@@ -7,9 +7,9 @@ them through cli.main (one request per closures slot, every loopcheck with
 suites with their default flags) and compares each digest; a second test
 parses each of those documents back and writes it again with cli's JSON
 writer, which must give the same bytes.  Two more serve overlapping requests
-in one process, so that later ones read the memos earlier ones filled: rank-2
-sweeps, and every loopcheck window with the loop-basis suite.  They only read
-the files under perfbench/.
+in one process, so that later ones read the memos earlier ones filled: every
+sweeps request, and every loopcheck window with the loop-basis suite.  They
+only read the files under perfbench/.
 """
 
 import contextlib
@@ -20,7 +20,7 @@ import json
 import sys
 from pathlib import Path
 
-from affsch import cli
+from affsch import cli, schubert, verify
 from affsch.cli import _json_text, main
 from affsch.loopalg import cartan_direction, root_line_vectors
 from affsch.verify import SUITES
@@ -95,31 +95,43 @@ def test_documents_reemit_byte_identical():
     assert mismatches == []
 
 
-def test_overlapping_sweeps_on_a_warm_memo_match_committed_digests():
-    # rank-2 sweeps up to --max-pairing 8 and back down, in one process: each
-    # request after the first finds its types' posets filled by the others
-    workloads = _load_workloads()
-    digests = json.loads((PERFBENCH / "digests.json").read_text())
-    pairings = list(range(2, 9))
-    mismatches = []
-    for pairing in pairings + pairings[::-1]:
-        for suite in workloads.SWEEP_SUITES:
-            seed = 0 if suite == "k-symmetry" else None
-            argv = workloads._verify_request(suite, 2, pairing, seed)
-            out = io.StringIO()
-            with contextlib.redirect_stdout(out):
-                code = main(list(argv))
-            digest = hashlib.sha256(out.getvalue().encode()).hexdigest()
-            if code != 0 or digest != digests[" ".join(argv)]:
-                mismatches.append(" ".join(argv))
-    assert mismatches == []
-
-
 def _serve(argv) -> tuple[int, str]:
     out = io.StringIO()
     with contextlib.redirect_stdout(out):
         code = main(list(argv))
     return code, out.getvalue()
+
+
+def test_overlapping_sweeps_on_a_warm_memo_match_committed_digests(monkeypatch):
+    # every sweeps request, by --max-pairing ascending and then descending, in
+    # one process: each request after the first reads boxes, rows and posets
+    # the ones before it left
+    workloads = _load_workloads()
+    digests = json.loads((PERFBENCH / "digests.json").read_text())
+    for memo in (verify._box, verify._edge_rows, verify._k_symmetry_row):
+        memo.cache_clear()
+    monkeypatch.setattr(schubert, "_posets", {})
+    text_requests = [
+        ("verify", "--suite", suite, "--max-pairing", "16", "--seed", "1", "--jobs", "1")
+        for suite in workloads.SWEEP_SUITES
+    ]
+    cold = [_serve(argv) for argv in text_requests]
+
+    def max_pairing(argv) -> int:
+        if "--max-pairing" not in argv:
+            return workloads.DEFAULT_PAIRING
+        return int(argv[argv.index("--max-pairing") + 1])
+
+    requests = sorted(workloads.sweep_requests(None), key=max_pairing)
+    assert len(requests) == 6 * len(workloads.SWEEP_RANKS) * len(workloads.SWEEP_PAIRINGS)
+    mismatches = []
+    for argv in requests + requests[::-1]:
+        code, text = _serve(argv)
+        if code != 0 or hashlib.sha256(text.encode()).hexdigest() != digests[" ".join(argv)]:
+            mismatches.append(" ".join(argv))
+    assert mismatches == []
+    # text mode prints the same bytes on warm memos as on cold ones
+    assert [_serve(argv) for argv in text_requests] == cold
 
 
 def test_loopchecks_on_warm_memos_match_committed_digests():

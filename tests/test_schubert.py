@@ -269,6 +269,21 @@ def test_poset_refuses_a_foreign_system_and_non_roots():
         k_alpha(Coweight(a2, (0, 0)), Coweight(a2, (1, 1)), (2, 2))
 
 
+def test_poset_walks_each_k_vector_once_and_counts_it():
+    poset = DominancePoset(build_root_system("B3"))
+    mu = (1, 1, 0)
+    walked = []
+    k_counts = poset.k_counts
+    poset.k_counts = lambda lam, top, roots: walked.append(lam) or k_counts(lam, top, roots)
+    for k, lam in enumerate(poset.below(mu), 1):
+        counts = poset.k_vector(lam, mu)
+        assert len(poset._k_vectors) == k and poset.entries == _memo_size(poset)
+        entries = poset.entries
+        assert poset.k_vector(lam, mu) is counts and poset.entries == entries
+        assert list(counts) == fresh_k_counts(cw("B3", lam), cw("B3", mu), poset.system.roots)
+    assert walked == list(poset.below(mu))
+
+
 # Twisted and split types of rank 2 and 3 whose closures the oracles scan quickly.
 INTERLEAVE_LABELS = ("A2", "G2", "2A3", "2A4", "2D4", "3D4")
 PUBLIC_CALLS = (
