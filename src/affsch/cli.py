@@ -14,7 +14,8 @@ RuntimeError; nothing on stdout), 141 (128 + SIGPIPE) when the reader closes
 stdout early, as `| head` does, with nothing on stderr.
 
 JSON is written by jsontext._json_text, byte for byte as json.dumps(indent=2,
-sort_keys=True) writes it; rows rendered once are placed as _Fragment text.
+sort_keys=True) writes it; rows rendered once are placed as _Fragment text,
+and pairing vectors go in as the engine's tuples, written as arrays.
 verify keeps its sweep rows rendered.  loopcheck --json renders each degree
 row once per (datum, u-degree) and the Cartan-direction block once per datum,
 in bounded memos; a wider window places the rows of the narrower ones at its
@@ -104,12 +105,18 @@ def _dominant_count(two_rho: tuple[int, ...], bound: int) -> int:
     return sum(ways)
 
 
+def _dominant_arg(system, text: str, name: str) -> Coweight:
+    """The coweight of a --mu or --lambda vector, refused unless it is dominant."""
+    nu = Coweight(system, _parse_vector(text, system.rank, name))
+    if not nu.is_dominant():
+        raise ValueError(f"{name} must be dominant: all entries nonnegative")
+    return nu
+
+
 def _closure_top(datum, text: str) -> Coweight:
     """The dominant mu of --mu, refused when its closure is too large to list."""
     system = datum.echelonnage
-    mu = Coweight(system, _parse_vector(text, system.rank, "--mu"))
-    if not mu.is_dominant():
-        raise ValueError("--mu must be dominant: all entries nonnegative")
+    mu = _dominant_arg(system, text, "--mu")
     dim = two_rho_pairing(mu)
     if _dominant_count(system.two_rho_coefficients, dim) > MAX_DOMINANT:
         raise ValueError(
@@ -135,7 +142,7 @@ def _describe_datum(datum) -> dict:
 
 def _certificate_dict(cert) -> dict:
     return {
-        "lambda": list(cert.lam.pairings),
+        "lambda": cert.lam.pairings,
         "dim": cert.dim,
         "root_bound": cert.root_bound,
         "cartan_extra": cert.cartan_extra,
@@ -149,30 +156,27 @@ def _certificate_dict(cert) -> dict:
 
 def _cmd_analyze(args) -> int:
     datum = twisted_datum(args.type)
-    system = datum.echelonnage
     mu = _closure_top(datum, args.mu)
+    lam = None if args.lam is None else _dominant_arg(datum.echelonnage, args.lam, "--lambda")
     report = smooth_locus_report(mu, datum)
     strata = []
     for stratum in report.strata:
         strata.append(
             {
-                "lambda": list(stratum.lam.pairings),
+                "lambda": stratum.lam.pairings,
                 "dimension": two_rho_pairing(stratum.lam),
                 "status": stratum.status,
                 "mechanism": stratum.mechanism,
                 "certificate": _certificate_dict(stratum.certificate)
                 if stratum.certificate
                 else None,
-                "via": list(stratum.via.pairings) if stratum.via else None,
+                "via": stratum.via.pairings if stratum.via else None,
             }
         )
-    focus = None
-    if args.lam is not None:
-        lam = Coweight(system, _parse_vector(args.lam, system.rank, "--lambda"))
-        focus = _certificate_dict(certificate(mu, lam, datum))
+    focus = None if lam is None else _certificate_dict(certificate(mu, lam, datum))
     result = {
         "datum": _describe_datum(datum),
-        "mu": list(mu.pairings),
+        "mu": mu.pairings,
         "dimension": two_rho_pairing(mu),
         "strata": strata,
         "focus": focus,
@@ -192,7 +196,7 @@ def _cmd_analyze(args) -> int:
         print("strata:")
         for row in strata:
             line = (
-                f"  {tuple(row['lambda'])}  dim {row['dimension']}"
+                f"  {row['lambda']}  dim {row['dimension']}"
                 f"  {row['status']}  [{row['mechanism']}]"
             )
             if row["certificate"]:
@@ -202,11 +206,11 @@ def _cmd_analyze(args) -> int:
                     f" = {c['total']} vs dim {c['dim']}"
                 )
             if row["via"]:
-                line += f" via {tuple(row['via'])}"
+                line += f" via {row['via']}"
             print(line)
         if focus:
             print(
-                f"focus lambda {tuple(focus['lambda'])}: {focus['verdict']}"
+                f"focus lambda {focus['lambda']}: {focus['verdict']}"
                 f" (root bound {focus['root_bound']} + cartan {focus['cartan_extra']}"
                 f" = {focus['total']} vs dim {focus['dim']})"
             )
@@ -224,14 +228,14 @@ def _cmd_poset(args) -> int:
     strata = dominant_below(mu)  # a memo hit: minimal_degenerations walked the down-set
     result = {
         "datum": _describe_datum(datum),
-        "mu": list(mu.pairings),
-        "strata": [list(lam.pairings) for lam in strata],
+        "mu": mu.pairings,
+        "strata": [lam.pairings for lam in strata],
         "edges": [
             {
-                "upper": list(edge.mu.pairings),
-                "lower": list(edge.lam.pairings),
+                "upper": edge.mu.pairings,
+                "lower": edge.lam.pairings,
                 "case": edge.stembridge_case,
-                "support": list(edge.support_indices),
+                "support": edge.support_indices,
             }
             for edge in edges
         ],
@@ -245,8 +249,8 @@ def _cmd_poset(args) -> int:
         print(f"covering edges: {len(edges)}")
         for row in result["edges"]:
             print(
-                f"  {tuple(row['upper'])} > {tuple(row['lower'])}"
-                f"  case {row['case']}  support {row['support']}"
+                f"  {row['upper']} > {row['lower']}"
+                f"  case {row['case']}  support {list(row['support'])}"
             )
     return 0
 

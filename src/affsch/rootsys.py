@@ -408,6 +408,19 @@ class Coweight:
         return sum(mi * pi for mi, pi in zip(m, self.pairings))
 
 
+def _known_coweight(system: FiniteRootSystem, pairings: IntVec) -> Coweight:
+    """Coweight(system, pairings) without __post_init__'s checks.
+
+    Only for a pairing vector the engine produced itself, an exact-int tuple
+    of length system.rank, such as a point of a DominancePoset.  Every other
+    caller goes through Coweight(...), which validates.
+    """
+    nu = object.__new__(Coweight)
+    object.__setattr__(nu, "system", system)
+    object.__setattr__(nu, "pairings", pairings)
+    return nu
+
+
 @dataclass(frozen=True)
 class CorootVector:
     """An integer combination of simple coroots."""

@@ -17,11 +17,14 @@ DominancePoset per root system memoises it: the covers of every point asked
 about, the down-set with gaps of every top, the classified covering edges of
 every upper end, the k-vector of every pair asked about over all roots, and
 the dominant representatives its k_alpha walks land on, with one tuple per
-distinct dominant point.  The Stembridge steps themselves are recomputed,
-not kept.  The public functions keep one poset per root system from call to
-call, so the calls of one closure, and every sweep that comes back to a
-type, walk each down-set once.  MAX_POSET_ENTRIES bounds the total over all
-of them: before a call walks a new top past it, the posets of the other
+distinct dominant point.  The memos hold raw tuples only; the public
+functions build the Coweight and DegenerationEdge objects they hand out,
+without validating the poset's own points again.  The Stembridge steps are
+recomputed, not kept, and the walk builds only those that stay dominant.
+The public functions keep one poset per root system from call to call, so
+the calls of one closure, and every sweep that comes back to a type, walk
+each down-set once.  MAX_POSET_ENTRIES bounds the total over all of them:
+before a call walks a new top past it, the posets of the other
 systems are dropped, and the poset in use starts afresh only if it alone is
 past the bound.  So a closure is never served by two posets, and a long run
 holds at most the bound plus one request's worth.
@@ -31,7 +34,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from operator import sub
+from operator import add, le, mul, sub
 
 from affsch.rootsys import (
     Coweight,
@@ -40,6 +43,7 @@ from affsch.rootsys import (
     IntVec,
     Root,
     _dominant_rep_raw,
+    _known_coweight,
     build_root_system,
     recognize_components,
     short_dominant_coroot,
@@ -50,12 +54,14 @@ from affsch.twist import ABSOLUTELY_SPECIAL, TwistedDatum, cartan_sigma_dim
 SINGULAR = "singular"
 INCONCLUSIVE = "inconclusive"
 # Bound on the entries of all kept posets together (see DominancePoset.entries
-# and _poset).  Among the largest closures cli admits, analyze fills about
-# 21,600 for G2 64,74 with --lambda 0,0 and 16,600 for 2E6 14,1,5,2; one type
-# of verify --max-pairing 40 fills at most about 5,800.  poset, which also
-# classifies every edge, fills 37,400 and 30,300 for those two tops: past the
-# bound on its own, so the next new top of that type starts afresh.  A long
-# run holds at most this plus one request's worth.
+# and _poset).  Measured in a fresh process, among the largest closures cli
+# admits: analyze fills 21,651 entries for G2 64,74 with --lambda 0,0 and
+# 16,600 for 2E6 14,1,5,2 (peak RSS +7.8 and +6.5 MB); one type of verify
+# --max-pairing 40 fills at most 5,574.  poset, which also classifies every
+# edge, fills 37,392 and 30,336 for those two tops (peak RSS +21.4 and +23.9
+# MB, of which the kept posets hold 7.4 and 8.2 MiB, 0.2-0.3 KB per entry):
+# past the bound on its own, so the next new top of that type starts afresh.
+# A long run holds at most this plus one request's worth.
 MAX_POSET_ENTRIES = 30_000
 
 
@@ -121,12 +127,20 @@ class SmoothLocusReport:
 
 
 @lru_cache(maxsize=32)
-def _positive_coroots(system: FiniteRootSystem) -> tuple[tuple[IntVec, IntVec], ...]:
-    """(pairings, coefficients) of beta^vee for every positive root beta."""
-    return tuple(
-        (system.coroot_pairings(beta), system.coroot_coefficients(beta))
-        for beta in system.positive_roots
-    )
+def _positive_coroots(
+    system: FiniteRootSystem,
+) -> tuple[tuple[IntVec, IntVec, IntVec], ...]:
+    """(pairings, coefficients, positive) of beta^vee for every positive root beta.
+
+    positive lists the coordinates i with <alpha_i, beta^vee> > 0, the only
+    ones a step by beta^vee can take below zero from a dominant point.
+    """
+    table = []
+    for beta in system.positive_roots:
+        step = system.coroot_pairings(beta)
+        positive = tuple(i for i, x in enumerate(step) if x > 0)
+        table.append((step, system.coroot_coefficients(beta), positive))
+    return tuple(table)
 
 
 @lru_cache(maxsize=32)
@@ -137,11 +151,11 @@ def _coroot_pairings(system: FiniteRootSystem) -> dict[Root, IntVec]:
 
 def _stratum_key(system: FiniteRootSystem, p: IntVec) -> tuple[int, IntVec]:
     """Stratum order: larger <lam,2rho> first, ties by pairing vector."""
-    return -sum(h * x for h, x in zip(system.two_rho_coefficients, p)), p
+    return -sum(map(mul, system.two_rho_coefficients, p)), p
 
 
 def _componentwise_lt(a: IntVec, b: IntVec) -> bool:
-    return a != b and all(x <= y for x, y in zip(a, b))
+    return a != b and all(map(le, a, b))
 
 
 # -- the memoised poset -------------------------------------------------------
@@ -164,7 +178,8 @@ class DominancePoset:
         self.system = system
         self._covers: dict[IntVec, list[tuple[IntVec, IntVec]]] = {}
         self._below: dict[IntVec, dict[IntVec, IntVec]] = {}
-        self._edges: dict[IntVec, tuple[DegenerationEdge, ...]] = {}
+        # (lower, gap, support, case) of each classified edge below an upper end
+        self._edges: dict[IntVec, tuple[tuple[IntVec, IntVec, IntVec, int], ...]] = {}
         # dominant representative of every point a walk met; a dominant point
         # maps to itself, and the other memos share that one tuple
         self._dom: dict[IntVec, IntVec] = {}
@@ -180,14 +195,18 @@ class DominancePoset:
     def steps(self, p: IntVec) -> list[tuple[IntVec, IntVec]]:
         """(p - beta^vee, coefficients of beta^vee) for each dominant step from p.
 
-        Not memoised: a step costs one subtraction, and a memo of them held
-        about half of what a kept poset holds.
+        p must be dominant, as every point the poset walks is: then only the
+        coordinates where beta^vee pairs positively can drop below zero, so
+        only they are tested, and only a step that stays dominant is built.
+        Not memoised: a memo of the steps held about half of a kept poset.
         """
         steps = []
-        for step, coeffs in _positive_coroots(self.system):
-            q = tuple(map(sub, p, step))
-            if min(q) >= 0:
-                steps.append((q, coeffs))
+        for step, coeffs, positive in _positive_coroots(self.system):
+            for i in positive:
+                if p[i] < step[i]:
+                    break
+            else:
+                steps.append((tuple(map(sub, p, step)), coeffs))
         return steps
 
     def covers(self, p: IntVec) -> list[tuple[IntVec, IntVec]]:
@@ -198,9 +217,9 @@ class DominancePoset:
         """
         covers = self._covers.get(p)
         if covers is None:
-            steps = self.steps(p)
+            steps, dom = self.steps(p), self._dom
             covers = [
-                (q, coeffs)
+                (dom.get(q, q), coeffs)  # the down-set's tuple, once walked
                 for q, coeffs in steps
                 if not any(_componentwise_lt(other, coeffs) for _, other in steps)
             ]
@@ -226,27 +245,25 @@ class DominancePoset:
                 for q, coeffs in self.steps(p):
                     if q not in gaps:
                         q = intern(q, q)
-                        gaps[q] = tuple(a + b for a, b in zip(gaps[p], coeffs))
+                        gaps[q] = tuple(map(add, gaps[p], coeffs))
                         queue.append(q)
             queue.sort(key=lambda p: _stratum_key(self.system, p))
             below = self._below[mu] = {p: gaps[p] for p in queue}
             self._members += len(below)
         return below
 
-    def edges(self, p: IntVec) -> tuple[DegenerationEdge, ...]:
-        """The classified covering edges with upper end p, ordered by lower end."""
+    def edges(self, p: IntVec) -> tuple[tuple[IntVec, IntVec, IntVec, int], ...]:
+        """(lower end, gap, support, case) of each covering edge below p, by lower end.
+
+        gap holds the coroot coefficients of p - lower, support the indices
+        where it is nonzero, and case the Stembridge case tag.
+        """
         edges = self._edges.get(p)
         if edges is None:
-            system = self.system
-            upper = Coweight(system, p)
             found = []
             for q, gap in sorted(self.covers(p)):
-                lower = Coweight(system, q)
                 support = tuple(i for i, x in enumerate(gap) if x)
-                case = _classify(upper, lower, gap)
-                found.append(
-                    DegenerationEdge(upper, lower, CorootVector(system, gap), support, case)
-                )
+                found.append((q, gap, support, _classify(self.system, p, q, gap, support)))
             edges = self._edges[p] = tuple(found)
         return edges
 
@@ -341,14 +358,22 @@ def dominant_below(mu: Coweight) -> list[Coweight]:
     """All dominant lam with lam <= mu and mu - lam in the coroot lattice."""
     _require_dominant_pair(mu, mu)
     system = mu.system
-    return [Coweight(system, p) for p in _poset(system, mu.pairings).below(mu.pairings)]
+    below = _poset(system, mu.pairings).below(mu.pairings)
+    return [_known_coweight(system, p) for p in below]
 
 
 def minimal_degenerations(mu: Coweight) -> list[DegenerationEdge]:
     """Every covering pair of the dominance order on dominant_below(mu)."""
     _require_dominant_pair(mu, mu)
-    poset = _poset(mu.system, mu.pairings)
-    return [edge for p in poset.below(mu.pairings) for edge in poset.edges(p)]
+    system = mu.system
+    poset = _poset(system, mu.pairings)
+    found = []
+    for p in poset.below(mu.pairings):
+        upper = _known_coweight(system, p)
+        for q, gap, support, case in poset.edges(p):
+            lower = _known_coweight(system, q)
+            found.append(DegenerationEdge(upper, lower, CorootVector(system, gap), support, case))
+    return found
 
 
 # -- degeneration classification ---------------------------------------------
@@ -359,6 +384,9 @@ def _canonical_sdc(label: str) -> IntVec:
     return short_dominant_coroot(build_root_system(label)).coefficients
 
 
+# One per (system, support) of a covering edge: a system of rank r has at most
+# 2^r - 1 supports, 15 for the rank-4 sweep and closure types.
+@lru_cache(maxsize=512)
 def _support_components(
     system: FiniteRootSystem, support: IntVec
 ) -> tuple[tuple[str, IntVec], ...]:
@@ -370,20 +398,23 @@ def _support_components(
     )
 
 
-def _classify(mu: Coweight, lam: Coweight, gap: IntVec) -> int:
+def _classify(
+    system: FiniteRootSystem, mu: IntVec, lam: IntVec, gap: IntVec, support: IntVec
+) -> int:
     """Match a covering pair against the five minimal-degeneration shapes.
 
-    Patterns with an irreducible support are tried before the simple-coroot
-    one: a rank-one support with lam vanishing on it belongs to the orbit
-    pattern, not the simple-root pattern.
+    mu and lam are pairing vectors, gap the coroot coefficients of mu - lam
+    and support the indices where gap is nonzero.  Patterns with an
+    irreducible support are tried before the simple-coroot one: a rank-one
+    support with lam vanishing on it belongs to the orbit pattern, not the
+    simple-root pattern.
     """
-    support = tuple(i for i, x in enumerate(gap) if x)
-    components = _support_components(mu.system, support)
+    components = _support_components(system, support)
     if len(components) == 1:
         label, order = components[0]
         sdc = _canonical_sdc(label)
         gap_matches_sdc = all(gap[order[k]] == sdc[k] for k in range(len(order)))
-        lam_on = tuple(lam.pairings[i] for i in order)
+        lam_on = tuple(lam[i] for i in order)
         if gap_matches_sdc and all(x == 0 for x in lam_on):
             return 2
         if (
@@ -394,7 +425,7 @@ def _classify(mu: Coweight, lam: Coweight, gap: IntVec) -> int:
         ):
             return 3
         if label == "G2" and gap[order[0]] == 1 and gap[order[1]] == 1:
-            mu_on = tuple(mu.pairings[i] for i in order)
+            mu_on = tuple(mu[i] for i in order)
             if lam_on == (0, 2) and mu_on == (1, 1):
                 return 4
             if lam_on == (0, 1) and mu_on == (1, 0):
@@ -402,7 +433,7 @@ def _classify(mu: Coweight, lam: Coweight, gap: IntVec) -> int:
     if sum(gap) == 1:
         return 1
     raise RuntimeError(
-        f"covering pair {mu.pairings} over {lam.pairings} matches no "
+        f"covering pair {mu} over {lam} matches no "
         "known minimal-degeneration pattern"
     )
 
@@ -438,13 +469,18 @@ def certificate(mu: Coweight, lam: Coweight, datum: TwistedDatum) -> SmoothnessC
     _require_dominant_pair(lam, mu)
     if lam == mu:
         raise ValueError("need a strict degeneration, got lam == mu")
-    kv = k_vector(lam, mu)
+    return _certificate(_pair_poset(lam, mu), mu, lam, datum)
+
+
+def _certificate(
+    poset: DominancePoset, mu: Coweight, lam: Coweight, datum: TwistedDatum
+) -> SmoothnessCertificate:
+    """certificate(mu, lam, datum) for a pair lam < mu of the down-set poset holds."""
+    counts = poset.k_vector(lam.pairings, mu.pairings)
     dim = two_rho_pairing(mu)
-    root_bound = kv.total
-    negative_direction = any(
-        kv[tuple(-x for x in alpha)] >= 1 for alpha in mu.system.positive_roots
-    )
-    if negative_direction:
+    root_bound = sum(counts)
+    # system.roots lists the negative roots after the positive ones
+    if any(counts[len(mu.system.positive_roots) :]):
         if cartan_sigma_dim(datum, 1) < 1:
             raise RuntimeError(
                 "no Cartan direction available: sigma0 has a trivial zeta eigenspace"
@@ -471,26 +507,25 @@ def smooth_locus_report(mu: Coweight, datum: TwistedDatum) -> SmoothLocusReport:
     _require_dominant_pair(mu, mu)
     system = mu.system
     poset = _poset(system, mu.pairings)
-    covers = [(Coweight(system, q), gap) for q, gap in poset.covers(mu.pairings)]
-    certificates = {lam: certificate(mu, lam, datum) for lam, _ in covers}
+    below = poset.below(mu.pairings)
+    certificates, singular = {}, []
+    for q, gap in poset.covers(mu.pairings):
+        cert = certificates[q] = _certificate(poset, mu, _known_coweight(system, q), datum)
+        if cert.verdict == SINGULAR:
+            singular.append((cert.lam, gap))
     strata: list[StratumReport] = []
-    for p, gap in poset.below(mu.pairings).items():
-        lam = Coweight(system, p)
-        if not any(gap):
-            strata.append(StratumReport(lam, "smooth", "open-orbit"))
-        elif lam in certificates:
-            cert = certificates[lam]
+    for p, gap in below.items():
+        cert = certificates.get(p)
+        if cert is not None:
             status = "singular" if cert.verdict == SINGULAR else "unresolved"
-            strata.append(StratumReport(lam, status, "certificate", cert))
+            strata.append(StratumReport(cert.lam, status, "certificate", cert))
+        elif not any(gap):
+            strata.append(StratumReport(_known_coweight(system, p), "smooth", "open-orbit"))
         else:
-            via, status = None, "unresolved"
-            for cover, cover_gap in covers:
-                if _componentwise_lt(cover_gap, gap) and (
-                    certificates[cover].verdict == SINGULAR
-                ):
-                    via, status = cover, "singular"
-                    break
+            # the first cover above p, in cover order, with a singular certificate
+            via = next((cover for cover, c in singular if _componentwise_lt(c, gap)), None)
+            status = "unresolved" if via is None else "singular"
             strata.append(
-                StratumReport(lam, status, "openness-propagation", None, via)
+                StratumReport(_known_coweight(system, p), status, "openness-propagation", None, via)
             )
     return SmoothLocusReport(mu, tuple(strata))

@@ -102,12 +102,11 @@ def _edge_rows(kind: str, label: str, top: IntVec) -> tuple[tuple[tuple, _Fragme
     dim = sum(h * x for h, x in zip(system.two_rho_coefficients, top))
     rows = []
     for p in poset.below(top):
-        for edge in poset.edges(p):
-            lam = edge.lam.pairings
-            row = {"type": label, "mu": list(top), "lambda": list(lam)}
+        for lam, _, _, case in poset.edges(p):
+            row = {"type": label, "mu": top, "lambda": lam}
             if kind == "stembridge":
-                row["case"] = edge.stembridge_case
-                key = (edge.stembridge_case, lam, top, label)
+                row["case"] = case
+                key = (case, lam, top, label)
             else:
                 row["dim"], row["root_bound"] = dim, sum(poset.k_vector(lam, top))
                 key = (dim, lam, top, row["root_bound"], label)

@@ -2,7 +2,8 @@
 
 None of these has a caller in the package: each restates a fact the library
 computes another way (the dominance order by a lattice solve, dominant
-representatives by a Weyl-orbit scan, root-curve targets and case tags from
+representatives by a Weyl-orbit scan, Stembridge steps subtracted in full,
+covers and down-sets walked over them, root-curve targets and case tags from
 a pair's endpoints, the level correspondence by Fraction progressions, the
 bracket by adding root tuples, the Jacobi and sigma0 build checks over that
 bracket, and the sweep suites' rows as dicts, built from the public schubert
@@ -94,10 +95,51 @@ def root_curve_target(
     return dominant_rep(Coweight(lam.system, cand))
 
 
+def stembridge_steps(system, p: IntVec) -> list[tuple[IntVec, IntVec]]:
+    """(p - beta^vee, coefficients of beta^vee) for each positive root beta leaving p - beta^vee dominant.
+
+    Every step is subtracted in full and kept when its least entry is nonnegative.
+    """
+    steps = []
+    for beta in system.positive_roots:
+        q = tuple(a - b for a, b in zip(p, system.coroot_pairings(beta)))
+        if min(q) >= 0:
+            steps.append((q, system.coroot_coefficients(beta)))
+    return steps
+
+
+def _stratum_order(system, p: IntVec) -> tuple[int, IntVec]:
+    return -sum(h * x for h, x in zip(system.two_rho_coefficients, p)), p
+
+
+def stembridge_covers(system, p: IntVec) -> list[tuple[IntVec, IntVec]]:
+    """The steps from p that no other step undercuts coefficientwise, in stratum order."""
+    steps = stembridge_steps(system, p)
+
+    def undercut(a, b):
+        return a != b and all(x <= y for x, y in zip(a, b))
+
+    covers = [(q, c) for q, c in steps if not any(undercut(d, c) for _, d in steps)]
+    return sorted(covers, key=lambda step: _stratum_order(system, step[0]))
+
+
+def stembridge_below(system, mu: IntVec) -> dict[IntVec, IntVec]:
+    """Each point a breadth-first walk of stembridge_steps reaches from mu, with its gap, in stratum order."""
+    gaps = {mu: (0,) * system.rank}
+    queue = [mu]
+    for p in queue:
+        for q, c in stembridge_steps(system, p):
+            if q not in gaps:
+                gaps[q] = tuple(a + b for a, b in zip(gaps[p], c))
+                queue.append(q)
+    return {p: gaps[p] for p in sorted(queue, key=lambda p: _stratum_order(system, p))}
+
+
 def classify_degeneration(edge: DegenerationEdge) -> int:
     """Recompute the case tag 1..5 of a covering pair from its endpoints alone."""
-    gap = difference_coroot(edge.lam, edge.mu)
-    return _classify(edge.mu, edge.lam, gap.coefficients)
+    gap = difference_coroot(edge.lam, edge.mu).coefficients
+    support = tuple(i for i, x in enumerate(gap) if x)
+    return _classify(edge.mu.system, edge.mu.pairings, edge.lam.pairings, gap, support)
 
 
 def translate_affine_root(a: AffineRoot, lam: Coweight) -> AffineRoot:

@@ -119,6 +119,16 @@ def test_usage_errors_exit_two(capsys):
         assert code == 2 and out == "" and "error:" in err, (argv, err)
 
 
+def test_non_dominant_lambda_names_its_flag(capsys):
+    # joined to its flag, the vector reaches cli's check; apart, argparse reads
+    # it as a flag and refuses --lambda for want of an argument
+    code, out, err = run(capsys, "analyze", "--type", "A2", "--mu", "2,2", "--lambda=-1,0")
+    assert (code, out) == (2, "")
+    assert err == "error: --lambda must be dominant: all entries nonnegative\n"
+    code, out, err = run(capsys, "analyze", "--type", "A2", "--mu", "2,2", "--lambda", "-1,0")
+    assert (code, out) == (2, "") and "argument --lambda" in err
+
+
 @pytest.mark.parametrize("error", [AssertionError, RuntimeError])
 def test_internal_failures_exit_three(capsys, monkeypatch, error):
     def broken(*args):
@@ -583,6 +593,26 @@ def test_single_shot_process_prints_the_in_process_document(capsys):
     assert (proc.returncode, proc.stderr) == (0, b"")
     _, out, _ = run(capsys, *argv)
     assert proc.stdout == out.encode()
+
+
+def test_python_dash_m_runs_the_command_line():
+    """python -m affsch, from a checkout with src/ on the path, is the affsch command."""
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+
+    def run_module(*argv):
+        return subprocess.run(
+            [sys.executable, "-m", "affsch", *argv],
+            capture_output=True,
+            cwd=ROOT,
+            env=env,
+            timeout=120,
+        )
+
+    proc = run_module("--help")
+    assert proc.returncode == 0 and proc.stdout.startswith(b"usage: affsch")
+    proc = run_module("analyze", "--type", "A1", "--mu", "x")
+    assert (proc.returncode, proc.stdout) == (2, b"")
+    assert b"error: --mu" in proc.stderr and b"Traceback" not in proc.stderr
 
 
 def test_closed_stdout_exits_141_without_a_traceback():

@@ -6,42 +6,26 @@ them through cli.main (one request per closures slot, every loopcheck with
 --window at most 1, the loop-basis suite at every window, and the six verify
 suites with their default flags) and compares each digest; a second test
 parses each of those documents back and writes it again with cli's JSON
-writer, which must give the same bytes.  Two more serve overlapping requests
-in one process, so that later ones read the memos earlier ones filled: every
-sweeps request, and every loopcheck window with the loop-basis suite.  They
-only read the files under perfbench/.
+writer, which must give the same bytes.  Three more serve overlapping
+requests in one process, so that later ones read the memos earlier ones
+filled: every closures request, every sweeps request, and every loopcheck
+window with the loop-basis suite.  They only read the files under perfbench/.
 """
 
 import contextlib
 import hashlib
-import importlib.util
 import io
 import json
-import sys
-from pathlib import Path
 
 from affsch import cli, schubert, verify
 from affsch.cli import _json_text, main
 from affsch.loopalg import cartan_direction, root_line_vectors
 from affsch.verify import SUITES
-
-PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
-
-
-def _load_workloads():
-    spec = importlib.util.spec_from_file_location("perfbench_workloads", PERFBENCH / "workloads.py")
-    module = importlib.util.module_from_spec(spec)
-    dont_write = sys.dont_write_bytecode
-    sys.dont_write_bytecode = True  # leave perfbench/ untouched
-    try:
-        spec.loader.exec_module(module)
-    finally:
-        sys.dont_write_bytecode = dont_write
-    return module
+from benchdata import PERFBENCH, load_workloads
 
 
 def test_documents_match_committed_digests():
-    workloads = _load_workloads()
+    workloads = load_workloads()
     digests = json.loads((PERFBENCH / "digests.json").read_text())
     slots = workloads.closure_slots()
     requests = [workloads.closure_request(cmd, label, mus[0]) for cmd, label, mus in slots]
@@ -85,7 +69,7 @@ def test_documents_reemit_byte_identical():
     # every document parsed back and written again by cli's writer gives the
     # same bytes; the digests above tie those bytes to json.dumps
     mismatches = []
-    for argv in _cross_section(_load_workloads()):
+    for argv in _cross_section(load_workloads()):
         out = io.StringIO()
         with contextlib.redirect_stdout(out):
             code = main(list(argv))
@@ -102,11 +86,30 @@ def _serve(argv) -> tuple[int, str]:
     return code, out.getvalue()
 
 
+def test_closures_on_kept_posets_match_committed_digests(monkeypatch):
+    # every closures request, in the order of the digest table and then
+    # reversed, in one process: later requests read the posets earlier ones
+    # kept, within MAX_POSET_ENTRIES, instead of walking afresh
+    workloads = load_workloads()
+    digests = json.loads((PERFBENCH / "digests.json").read_text())
+    monkeypatch.setattr(schubert, "_posets", {})
+    requests = [argv for argv in workloads.all_requests() if argv[0] in ("analyze", "poset")]
+    slots = workloads.closure_slots()
+    assert len(requests) == len(workloads.PINNED_CLOSURES) + sum(len(mus) for *_, mus in slots)
+    mismatches = []
+    for argv in requests + requests[::-1]:
+        code, text = _serve(argv)
+        if code != 0 or hashlib.sha256(text.encode()).hexdigest() != digests[" ".join(argv)]:
+            mismatches.append(" ".join(argv))
+    assert mismatches == []
+    assert schubert._posets  # the posets were kept from request to request
+
+
 def test_overlapping_sweeps_on_a_warm_memo_match_committed_digests(monkeypatch):
     # every sweeps request, by --max-pairing ascending and then descending, in
     # one process: each request after the first reads boxes, rows and posets
     # the ones before it left
-    workloads = _load_workloads()
+    workloads = load_workloads()
     digests = json.loads((PERFBENCH / "digests.json").read_text())
     for memo in (verify._box, verify._edge_rows, verify._k_symmetry_row):
         memo.cache_clear()
@@ -138,7 +141,7 @@ def test_loopchecks_on_warm_memos_match_committed_digests():
     # every loopcheck window ascending, then descending, then loop-basis at
     # every window, in one process: each request after the first of its type
     # reads root-line vectors and rendered blocks the ones before it left
-    workloads = _load_workloads()
+    workloads = load_workloads()
     digests = json.loads((PERFBENCH / "digests.json").read_text())
     for memo in (cartan_direction, root_line_vectors, cli._degree_text, cli._directions_text):
         memo.cache_clear()

@@ -1,5 +1,7 @@
 """Dominance strata, covers, classification, k counts, certificates."""
 
+from dataclasses import replace
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -7,12 +9,15 @@ from hypothesis import strategies as st
 from affsch import schubert
 from affsch.rootsys import (
     Coweight,
+    CorootVector,
     build_root_system,
     dominant_rep,
     two_rho_pairing,
 )
 from affsch.schubert import (
+    DegenerationEdge,
     DominancePoset,
+    _positive_coroots,
     certificate,
     dominant_below,
     k_alpha,
@@ -23,7 +28,16 @@ from affsch.schubert import (
 )
 from affsch.twist import twisted_datum
 from affsch.verify import SWEEP_TYPES, sweep_coweights
-from oracles import classify_degeneration, dominance_leq, root_curve_target
+from benchdata import load_workloads
+from oracles import (
+    classify_degeneration,
+    difference_coroot,
+    dominance_leq,
+    root_curve_target,
+    stembridge_below,
+    stembridge_covers,
+    stembridge_steps,
+)
 
 
 def cw(label: str, pairings) -> Coweight:
@@ -218,6 +232,29 @@ def test_below_with_gaps_vs_simplex_scan(label):
         assert {(e.mu, e.lam) for e in edges} == gap_covers(pairs), p
 
 
+# The types analyze and poset are benchmarked on, and the sweep types.
+WALK_LABELS = tuple(dict.fromkeys(load_workloads().CLOSURE_TYPES + SWEEP_TYPES))
+# Every dominant point with <p,2rho> up to this, in or off the coroot lattice:
+# 681 points, from 3 for 2E6 to 119 for A3.
+WALK_PAIRING = 24
+
+
+@pytest.mark.parametrize("label", WALK_LABELS)
+def test_pruned_walk_matches_full_subtraction(label):
+    """steps, covers and below (keys, order and gaps) as subtracting every coroot in full gives them."""
+    system = twisted_datum(label).echelonnage
+    for (step, coeffs, positive), beta in zip(_positive_coroots(system), system.positive_roots):
+        assert (step, coeffs) == (system.coroot_pairings(beta), system.coroot_coefficients(beta))
+        assert positive == tuple(i for i, x in enumerate(step) if x > 0), beta
+    poset = DominancePoset(system)
+    for p in dominant_up_to(system, WALK_PAIRING):
+        assert poset.steps(p) == stembridge_steps(system, p), p
+        assert poset.covers(p) == stembridge_covers(system, p), p
+        below = poset.below(p)
+        expected = stembridge_below(system, p)
+        assert list(below.items()) == list(expected.items()), p
+
+
 REUSE_PAIRING = 14  # the default --max-pairing of the verify sweeps
 
 
@@ -227,8 +264,8 @@ def _edge_order(edge):
 
 def fresh_edges(mu: Coweight) -> list:
     """minimal_degenerations(mu) from a poset of its own."""
-    poset = DominancePoset(mu.system)
-    return [edge for p in poset.below(mu.pairings) for edge in poset.edges(p)]
+    edges, _ = _with_fresh_poset(lambda: minimal_degenerations(mu))
+    return edges
 
 
 def fresh_k_counts(lam: Coweight, mu: Coweight, roots) -> list:
@@ -259,6 +296,53 @@ def test_shared_poset_matches_fresh_posets_and_oracles(label):
         cap = two_rho_pairing(upper) + 1
         for root, value in kv.entries:
             assert value == k_alpha_oracle(lower, upper, root, cap), (upper, lower, root)
+
+
+BOUNDARY_LABELS = ("A2", "C2", "G2", "B3", "2A2", "2A3", "2D4", "3D4")
+
+
+def _fully_valid(nu) -> bool:
+    """nu passes Coweight's own validation: rank-many entries, each an exact int."""
+    return (
+        type(nu) is Coweight
+        and type(nu.pairings) is tuple
+        and len(nu.pairings) == nu.system.rank
+        and all(type(x) is int for x in nu.pairings)
+        and Coweight(nu.system, nu.pairings) == nu
+    )
+
+
+@pytest.mark.parametrize("label", BOUNDARY_LABELS)
+def test_boundary_objects_are_valid_and_match_the_old_construction(label):
+    """Every point handed out passes full validation, and every edge is the validated one."""
+    datum = twisted_datum(label)
+    system = datum.echelonnage
+    for p in dominant_up_to(system, 12):
+        mu = Coweight(system, p)
+        points = list(dominant_below(mu))
+        edges = minimal_degenerations(mu)
+        points += [nu for edge in edges for nu in (edge.mu, edge.lam)]
+        for stratum in smooth_locus_report(mu, datum).strata:
+            points.append(stratum.lam)
+            if stratum.via is not None:
+                points.append(stratum.via)
+            if stratum.certificate is not None:
+                points += [stratum.certificate.mu, stratum.certificate.lam]
+        assert all(_fully_valid(nu) for nu in points), p
+        # each edge as it was built before: validated Coweights over the brute covers
+        old = []
+        for upper, lower in brute_covers(mu):
+            gap = difference_coroot(lower, upper).coefficients
+            support = tuple(i for i, x in enumerate(gap) if x)
+            edge = DegenerationEdge(
+                Coweight(system, upper.pairings),
+                Coweight(system, lower.pairings),
+                CorootVector(system, gap),
+                support,
+                0,
+            )
+            old.append(replace(edge, stembridge_case=classify_degeneration(edge)))
+        assert sorted(old, key=_edge_order) == edges, p
 
 
 def test_poset_refuses_a_foreign_system_and_non_roots():
