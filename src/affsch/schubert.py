@@ -13,14 +13,16 @@ positive yields the singularity certificate: the closure is singular along
 the lam stratum whenever the total strictly exceeds <mu, 2rho>.
 
 None of this depends on the closure top mu beyond its down-set, so one
-DominancePoset per root system memoises it: the covers of every point asked
-about, the down-set with gaps of every top, the classified covering edges of
-every upper end, the k-vector of every pair asked about over all roots, and
-the dominant representatives its k_alpha walks land on, with one tuple per
-distinct dominant point.  The memos hold raw tuples only; the public
+DominancePoset per root system memoises it, each fact once: the down-set
+with gaps of every top, the covers of every upper end asked about (kept only
+as classified edges), the k-vector of every pair asked about over all roots,
+and the dominant representatives its k_alpha walks land on, with one tuple
+per distinct dominant point.  The memos hold raw tuples only; the public
 functions build the Coweight and DegenerationEdge objects they hand out,
 without validating the poset's own points again.  The Stembridge steps are
 recomputed, not kept, and the walk builds only those that stay dominant.
+The steps and the k_alpha walks read one table of positive coroots: the walk
+of a negative root adds what the walk of its positive root subtracts.
 The public functions keep one poset per root system from call to call, so
 the calls of one closure, and every sweep that comes back to a type, walk
 each down-set once.  MAX_POSET_ENTRIES bounds the total over all of them:
@@ -54,14 +56,15 @@ from affsch.twist import ABSOLUTELY_SPECIAL, TwistedDatum, cartan_sigma_dim
 SINGULAR = "singular"
 INCONCLUSIVE = "inconclusive"
 # Bound on the entries of all kept posets together (see DominancePoset.entries
-# and _poset).  Measured in a fresh process, among the largest closures cli
-# admits: analyze fills 21,651 entries for G2 64,74 with --lambda 0,0 and
-# 16,600 for 2E6 14,1,5,2 (peak RSS +7.8 and +6.5 MB); one type of verify
-# --max-pairing 40 fills at most 5,574.  poset, which also classifies every
-# edge, fills 37,392 and 30,336 for those two tops (peak RSS +21.4 and +23.9
-# MB, of which the kept posets hold 7.4 and 8.2 MiB, 0.2-0.3 KB per entry):
-# past the bound on its own, so the next new top of that type starts afresh.
-# A long run holds at most this plus one request's worth.
+# and _poset).  Measured in a fresh process with stdout to /dev/null, among
+# the largest closures cli admits: analyze fills 21,651 entries for G2 64,74
+# with --lambda 0,0 and 16,600 for 2E6 14,1,5,2 (peak RSS +7.1 and +5.7 MB);
+# one type of verify --max-pairing 40 fills at most 9,622 (A3, the
+# mindeg-inequality suite).  poset --json, which also classifies the edges
+# below every stratum, fills 28,044 and 22,752 for those two tops (peak RSS
+# +30.7 and +38.1 MB, mostly transient: the edge objects and the document;
+# the kept posets hold 4.4 and 4.7 MiB, 0.2 KB per entry).  A long run holds
+# at most this plus one request's worth.
 MAX_POSET_ENTRIES = 30_000
 
 
@@ -143,12 +146,6 @@ def _positive_coroots(
     return tuple(table)
 
 
-@lru_cache(maxsize=32)
-def _coroot_pairings(system: FiniteRootSystem) -> dict[Root, IntVec]:
-    """Pairing vector of alpha^vee for every root alpha."""
-    return {alpha: system.coroot_pairings(alpha) for alpha in system.roots}
-
-
 def _stratum_key(system: FiniteRootSystem, p: IntVec) -> tuple[int, IntVec]:
     """Stratum order: larger <lam,2rho> first, ties by pairing vector."""
     return -sum(map(mul, system.two_rho_coefficients, p)), p
@@ -170,13 +167,12 @@ class DominancePoset:
     nu -> nu - beta^vee reaches every stratum below mu, and every cover of nu
     is such a step, one whose coroot coefficients are minimal among them.
 
-    Points are raw pairing vectors.  Covers and classified edges
-    depend only on their upper end, so every top above a point shares them.
+    Points are raw pairing vectors.  The classified edges below a point
+    depend only on it, so every top above the point shares them.
     """
 
     def __init__(self, system: FiniteRootSystem) -> None:
         self.system = system
-        self._covers: dict[IntVec, list[tuple[IntVec, IntVec]]] = {}
         self._below: dict[IntVec, dict[IntVec, IntVec]] = {}
         # (lower, gap, support, case) of each classified edge below an upper end
         self._edges: dict[IntVec, tuple[tuple[IntVec, IntVec, IntVec, int], ...]] = {}
@@ -189,7 +185,7 @@ class DominancePoset:
     @property
     def entries(self) -> int:
         """Memo size: one per key of every memo, one per member of every down-set."""
-        memos = (self._covers, self._edges, self._dom, self._k_vectors)
+        memos = (self._edges, self._dom, self._k_vectors)
         return self._members + sum(map(len, memos))
 
     def steps(self, p: IntVec) -> list[tuple[IntVec, IntVec]]:
@@ -208,24 +204,6 @@ class DominancePoset:
             else:
                 steps.append((tuple(map(sub, p, step)), coeffs))
         return steps
-
-    def covers(self, p: IntVec) -> list[tuple[IntVec, IntVec]]:
-        """Covers of p, each with the coefficients of p - cover; stratum order.
-
-        A dominant step is a cover unless another one drops by componentwise
-        less: that step's target lies strictly between p and this one's.
-        """
-        covers = self._covers.get(p)
-        if covers is None:
-            steps, dom = self.steps(p), self._dom
-            covers = [
-                (dom.get(q, q), coeffs)  # the down-set's tuple, once walked
-                for q, coeffs in steps
-                if not any(_componentwise_lt(other, coeffs) for _, other in steps)
-            ]
-            covers.sort(key=lambda step: _stratum_key(self.system, step[0]))
-            self._covers[p] = covers
-        return covers
 
     def below(self, mu: IntVec) -> dict[IntVec, IntVec]:
         """Each dominant lam <= mu, mapped to the coroot coefficients of mu - lam.
@@ -256,58 +234,59 @@ class DominancePoset:
         """(lower end, gap, support, case) of each covering edge below p, by lower end.
 
         gap holds the coroot coefficients of p - lower, support the indices
-        where it is nonzero, and case the Stembridge case tag.
+        where it is nonzero, and case the Stembridge case tag.  A dominant
+        step is a cover unless another one drops by componentwise less: that
+        step's target lies strictly between p and this one's.
         """
         edges = self._edges.get(p)
         if edges is None:
+            steps, dom = self.steps(p), self._dom
             found = []
-            for q, gap in sorted(self.covers(p)):
+            for q, gap in sorted(steps):
+                if any(_componentwise_lt(other, gap) for _, other in steps):
+                    continue
+                q = dom.get(q, q)  # the down-set's tuple, once walked
                 support = tuple(i for i, x in enumerate(gap) if x)
                 found.append((q, gap, support, _classify(self.system, p, q, gap, support)))
             edges = self._edges[p] = tuple(found)
         return edges
 
-    def k_counts(self, lam: IntVec, mu: IntVec, roots) -> list[int]:
-        """k_alpha(lam, mu) for each alpha in roots, each by its own walk.
+    def k_vector(self, lam: IntVec, mu: IntVec) -> tuple[int, ...]:
+        """k_alpha(lam, mu) for every root alpha, in root order, walked once per pair.
 
         k_alpha is the largest k with dom(lam - k alpha^vee) in the down-set
         of mu.  Every candidate lies in lam's coset, which is mu's, so
         down-set membership is the dominance test: no lattice solve.  The
         admissible set is an initial interval of the integers, so the first
         failure ends a walk; the cap turns any broken monotonicity into a
-        loud error instead of a wrong answer.
+        loud error instead of a wrong answer.  system.roots lists the
+        negative roots after the positive ones, in the same order, so a
+        positive root's walk subtracts its coroot's pairing vector and the
+        matching negative root's walk adds it.
         """
-        below = self.below(mu)
-        table = _coroot_pairings(self.system)
-        cap = sum(h * x for h, x in zip(self.system.two_rho_coefficients, mu)) + 1
-        dom = self._dom
-        counts = []
-        for alpha in roots:
-            step = table.get(alpha)
-            if step is None:
-                raise ValueError(f"{alpha} is not a root of {self.system.label}")
-            cand = lam
-            k = 0
-            while True:
-                cand = tuple(map(sub, cand, step))
-                rep = dom.get(cand)
-                if rep is None:
-                    rep = _dominant_rep_raw(cand, self.system.columns)
-                    rep = dom[cand] = dom.setdefault(rep, rep)
-                if rep not in below:
-                    break
-                k += 1
-                if k > cap:
-                    raise RuntimeError("root-curve count exceeded the dimension cap")
-            counts.append(k)
-        return counts
-
-    def k_vector(self, lam: IntVec, mu: IntVec) -> tuple[int, ...]:
-        """k_counts over every root of the system, in root order, walked once per pair."""
         counts = self._k_vectors.get((lam, mu))
         if counts is None:
-            counts = tuple(self.k_counts(lam, mu, self.system.roots))
-            self._k_vectors[lam, mu] = counts
+            below = self.below(mu)
+            cap = sum(h * x for h, x in zip(self.system.two_rho_coefficients, mu)) + 1
+            dom, columns = self._dom, self.system.columns
+            walks = []
+            for move in (sub, add):
+                for step, _, _ in _positive_coroots(self.system):
+                    cand = lam
+                    k = 0
+                    while True:
+                        cand = tuple(map(move, cand, step))
+                        rep = dom.get(cand)
+                        if rep is None:
+                            rep = _dominant_rep_raw(cand, columns)
+                            rep = dom[cand] = dom.setdefault(rep, rep)
+                        if rep not in below:
+                            break
+                        k += 1
+                        if k > cap:
+                            raise RuntimeError("root-curve count exceeded the dimension cap")
+                    walks.append(k)
+            counts = self._k_vectors[lam, mu] = tuple(walks)
         return counts
 
 
@@ -443,7 +422,11 @@ def _classify(
 
 def k_alpha(lam: Coweight, mu: Coweight, alpha: Root) -> int:
     """Largest k with dominant_rep(lam - k * coroot(alpha)) <= mu."""
-    return _pair_poset(lam, mu).k_counts(lam.pairings, mu.pairings, (alpha,))[0]
+    poset = _pair_poset(lam, mu)
+    index = lam.system.root_index.get(alpha)
+    if index is None:
+        raise ValueError(f"{alpha} is not a root of {lam.system.label}")
+    return poset.k_vector(lam.pairings, mu.pairings)[index]
 
 
 def k_vector(lam: Coweight, mu: Coweight) -> KVector:
@@ -509,7 +492,8 @@ def smooth_locus_report(mu: Coweight, datum: TwistedDatum) -> SmoothLocusReport:
     poset = _poset(system, mu.pairings)
     below = poset.below(mu.pairings)
     certificates, singular = {}, []
-    for q, gap in poset.covers(mu.pairings):
+    covers = sorted(poset.edges(mu.pairings), key=lambda edge: _stratum_key(system, edge[0]))
+    for q, gap, _, _ in covers:
         cert = certificates[q] = _certificate(poset, mu, _known_coweight(system, q), datum)
         if cert.verdict == SINGULAR:
             singular.append((cert.lam, gap))
@@ -522,7 +506,7 @@ def smooth_locus_report(mu: Coweight, datum: TwistedDatum) -> SmoothLocusReport:
         elif not any(gap):
             strata.append(StratumReport(_known_coweight(system, p), "smooth", "open-orbit"))
         else:
-            # the first cover above p, in cover order, with a singular certificate
+            # the first cover above p, in stratum order, with a singular certificate
             via = next((cover for cover, c in singular if _componentwise_lt(c, gap)), None)
             status = "unresolved" if via is None else "singular"
             strata.append(

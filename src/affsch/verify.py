@@ -151,7 +151,7 @@ def _k_symmetry_rows(task) -> list[tuple[tuple, _Fragment, tuple]]:
     label, max_pairing, seed = task
     system = build_root_system(label)
     box = _box(system, max_pairing)
-    pairs = [(mu, lam) for mu in box for lam, _ in _poset(system, mu).covers(mu)]
+    pairs = [(mu, lam) for mu in box for lam, *_ in _poset(system, mu).edges(mu)]
     tops = [mu for mu in box if any(mu)]
     rng = random.Random(f"{seed}:{label}")  # string seeding is process-stable
     for _ in range(25 if tops else 0):

@@ -16,7 +16,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from affsch import cli, verify
+from affsch import cli, schubert, verify
 from affsch.cli import (
     MAX_DOMINANT,
     _dominant_count,
@@ -657,3 +657,19 @@ def test_schema_requires_the_result_of_each_command(capsys, argv, key):
     del doc["result"][key]
     with pytest.raises(jsonschema.ValidationError):
         jsonschema.validate(doc, SCHEMA)
+
+
+@pytest.mark.parametrize("label, mu", [("G2", "64,74"), ("2E6", "14,1,5,2")])
+def test_near_limit_poset_fills_one_poset_within_the_bound(capsys, monkeypatch, label, mu):
+    """poset on a closure near MAX_DOMINANT fills its poset within MAX_POSET_ENTRIES.
+
+    It fills one entry per stratum in each of three memos: the members of
+    the down-set, the classified edges below each stratum, and the stratum's
+    dominant representative.
+    """
+    monkeypatch.setattr(schubert, "_posets", {})
+    code, out, err = run(capsys, "poset", "--type", label, "--mu", mu, "--json")
+    assert code == 0, err
+    strata = len(json.loads(out)["result"]["strata"])
+    (poset,) = schubert._posets.values()
+    assert poset.entries == 3 * strata <= schubert.MAX_POSET_ENTRIES

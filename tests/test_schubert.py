@@ -1,6 +1,7 @@
 """Dominance strata, covers, classification, k counts, certificates."""
 
 from dataclasses import replace
+from itertools import product
 
 import pytest
 from hypothesis import given, settings
@@ -8,6 +9,7 @@ from hypothesis import strategies as st
 
 from affsch import schubert
 from affsch.rootsys import (
+    _RANK_RANGE,
     Coweight,
     CorootVector,
     build_root_system,
@@ -241,7 +243,7 @@ WALK_PAIRING = 24
 
 @pytest.mark.parametrize("label", WALK_LABELS)
 def test_pruned_walk_matches_full_subtraction(label):
-    """steps, covers and below (keys, order and gaps) as subtracting every coroot in full gives them."""
+    """steps, edges and below (keys, order and gaps) as subtracting every coroot in full gives them."""
     system = twisted_datum(label).echelonnage
     for (step, coeffs, positive), beta in zip(_positive_coroots(system), system.positive_roots):
         assert (step, coeffs) == (system.coroot_pairings(beta), system.coroot_coefficients(beta))
@@ -249,7 +251,7 @@ def test_pruned_walk_matches_full_subtraction(label):
     poset = DominancePoset(system)
     for p in dominant_up_to(system, WALK_PAIRING):
         assert poset.steps(p) == stembridge_steps(system, p), p
-        assert poset.covers(p) == stembridge_covers(system, p), p
+        assert [e[:2] for e in poset.edges(p)] == sorted(stembridge_covers(system, p)), p
         below = poset.below(p)
         expected = stembridge_below(system, p)
         assert list(below.items()) == list(expected.items()), p
@@ -268,9 +270,9 @@ def fresh_edges(mu: Coweight) -> list:
     return edges
 
 
-def fresh_k_counts(lam: Coweight, mu: Coweight, roots) -> list:
-    """k_alpha(lam, mu) over roots from a poset of its own."""
-    return DominancePoset(mu.system).k_counts(lam.pairings, mu.pairings, roots)
+def fresh_k_counts(lam: Coweight, mu: Coweight) -> list:
+    """k_alpha(lam, mu) over every root, in root order, from a poset of its own."""
+    return list(DominancePoset(mu.system).k_vector(lam.pairings, mu.pairings))
 
 
 @pytest.mark.parametrize("label", SWEEP_TYPES)
@@ -292,7 +294,7 @@ def test_shared_poset_matches_fresh_posets_and_oracles(label):
     assert covers
     for upper, lower in covers:
         kv = k_vector(lower, upper)
-        assert [v for _, v in kv.entries] == fresh_k_counts(lower, upper, system.roots)
+        assert [v for _, v in kv.entries] == fresh_k_counts(lower, upper)
         cap = two_rho_pairing(upper) + 1
         for root, value in kv.entries:
             assert value == k_alpha_oracle(lower, upper, root, cap), (upper, lower, root)
@@ -356,16 +358,20 @@ def test_poset_refuses_a_foreign_system_and_non_roots():
 def test_poset_walks_each_k_vector_once_and_counts_it():
     poset = DominancePoset(build_root_system("B3"))
     mu = (1, 1, 0)
+    strata = list(poset.below(mu))
+    # every walk of a pair reads this poset's down-set of mu once, a memo hit none
     walked = []
-    k_counts = poset.k_counts
-    poset.k_counts = lambda lam, top, roots: walked.append(lam) or k_counts(lam, top, roots)
-    for k, lam in enumerate(poset.below(mu), 1):
+    below = poset.below
+    poset.below = lambda top: walked.append(top) or below(top)
+    for k, lam in enumerate(strata, 1):
         counts = poset.k_vector(lam, mu)
-        assert len(poset._k_vectors) == k and poset.entries == _memo_size(poset)
+        assert len(walked) == len(poset._k_vectors) == k
+        assert poset.entries == _memo_size(poset)
         entries = poset.entries
         assert poset.k_vector(lam, mu) is counts and poset.entries == entries
-        assert list(counts) == fresh_k_counts(cw("B3", lam), cw("B3", mu), poset.system.roots)
-    assert walked == list(poset.below(mu))
+        assert len(walked) == k
+        assert list(counts) == fresh_k_counts(cw("B3", lam), cw("B3", mu))
+    assert walked == [mu] * len(strata)
 
 
 # Twisted and split types of rank 2 and 3 whose closures the oracles scan quickly.
@@ -637,6 +643,33 @@ def test_classification_frozen_cases():
     assert edge_for(cw("G2", (1, 0)), cw("G2", (0, 1))).stembridge_case == 5
 
 
+# Every label twisted_datum accepts: the split types, then the twisted ones.
+ACCEPTED_LABELS = (
+    tuple(f"{letter}{rank}" for letter, (lo, hi) in _RANK_RANGE.items() for rank in range(lo, hi + 1))
+    + tuple(f"2A{rank}" for rank in range(2, 9))
+    + tuple(f"2D{rank}" for rank in range(3, 9))
+    + ("2E6", "3D4")
+)
+
+
+def test_classification_complete_on_unit_tops_of_every_label():
+    """Every cover of every top with entries in {0, 1} matches a known shape.
+
+    _classify raises RuntimeError on a covering shape it does not know.
+    """
+    for label in ("2A1", "2A9", "2D9", "2E7", "3D5", "3A4", "D9"):
+        with pytest.raises(ValueError):
+            twisted_datum(label)
+    tops = 0
+    for label in ACCEPTED_LABELS:
+        system = twisted_datum(label).echelonnage
+        poset = DominancePoset(system)
+        for p in product((0, 1), repeat=system.rank):
+            assert all(case in (1, 2, 3, 4, 5) for *_, case in poset.edges(p)), (label, p)
+            tops += 1
+    assert (len(ACCEPTED_LABELS), tops) == (48, 2_828)
+
+
 def test_classification_complete_on_samples():
     for label, p in [("B3", (1, 1, 0)), ("C3", (1, 0, 1)), ("D4", (1, 0, 1, 0)),
                      ("A4", (1, 1, 0, 0)), ("G2", (2, 1))]:
@@ -820,6 +853,18 @@ def test_smooth_locus_via_is_first_singular_cover_in_stratum_order():
     # (0,3) and (3,0) both cover (2,2) at equal dimension; stratum order puts
     # (0,3) first, while the positive-root order would reach (3,0) first
     assert deep.via.pairings == (0, 3)
+    # the covers of A3 (1,1,3) come in opposite orders lexicographically and
+    # by stratum: (0,0,4) < (1,2,1), but <(1,2,1),2rho> = 14 > 12 = <(0,0,4),2rho>
+    datum = twisted_datum("A3")
+    mu = Coweight(datum.echelonnage, (1, 1, 3))
+    covers = [edge.lam.pairings for edge in minimal_degenerations(mu) if edge.mu == mu]
+    assert covers == [(0, 0, 4), (1, 2, 1)]
+    report = smooth_locus_report(mu, datum)
+    assert [s.lam.pairings for s in report.strata[1:3]] == [(1, 2, 1), (0, 0, 4)]
+    assert all(s.status == "singular" for s in report.strata[1:3])
+    origin = report.strata[-1]
+    assert origin.lam.pairings == (0, 0, 0) and origin.mechanism == "openness-propagation"
+    assert origin.via.pairings == (1, 2, 1)
 
 
 def test_smooth_locus_c2_case3():
