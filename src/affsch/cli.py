@@ -16,10 +16,11 @@ stdout early, as `| head` does, with nothing on stderr.
 JSON is written by jsontext._json_text, byte for byte as json.dumps(indent=2,
 sort_keys=True) writes it; rows rendered once are placed as _Fragment text,
 and pairing vectors go in as the engine's tuples, written as arrays.
-verify keeps its sweep rows rendered.  loopcheck --json renders each degree
-row once per (datum, u-degree) and the Cartan-direction block once per datum,
-in bounded memos; a wider window places the rows of the narrower ones at its
-own indent instead of building and writing them again.
+verify keeps the rows of its sweep and loop suites rendered.  loopcheck --json
+renders each degree row once per (datum, u-degree), and the Cartan-direction
+and special blocks once per datum, in bounded memos; a wider window places the
+rows of the narrower ones at its own indent instead of building and writing
+them again.
 """
 
 from __future__ import annotations
@@ -301,7 +302,7 @@ def _cmd_loopcheck(args) -> int:
             "window": window,
             "degrees": [_degree_text(datum, n) for n in degrees],
             "cartan_directions": _directions_text(datum),
-            "special": _loopcheck_special(datum),
+            "special": _special_text(datum),
         }
         _emit_json("loopcheck", _request_fields(args), result)
         return 0
@@ -333,7 +334,8 @@ def _directions(datum) -> list[dict]:
 
 
 # The loopcheck --json blocks, rendered once: a window-w document repeats every
-# degree row of the windows below it, and every window repeats the directions.
+# degree row of the windows below it, and every window repeats the directions
+# and the special block.
 @lru_cache(maxsize=153)  # nine loop types x |n| <= 8: 153 degree rows
 def _degree_text(datum, n: int) -> _Fragment:
     vectors = [
@@ -346,6 +348,11 @@ def _degree_text(datum, n: int) -> _Fragment:
 @lru_cache(maxsize=9)  # one directions block per loop type: 9
 def _directions_text(datum) -> _Fragment:
     return _Fragment(_json_text(_directions(datum)))
+
+
+@lru_cache(maxsize=9)  # one special block per loop type: 9
+def _special_text(datum) -> _Fragment:
+    return _Fragment(_json_text(_loopcheck_special(datum)))
 
 
 def _loopcheck_special(datum) -> dict:

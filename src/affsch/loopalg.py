@@ -755,10 +755,6 @@ class LaurentMatrix:
                 acc[n] = acc[n] + v if n in acc else v
         return {n: v for n, v in acc.items() if v}
 
-    def min_exponent(self) -> int:
-        exps = [n for cell in self.entries.values() for n in cell]
-        return min(exps) if exps else 0
-
     def exp_nilpotent(self) -> "LaurentMatrix":
         total = LaurentMatrix.identity(self.e, self.size)
         term = LaurentMatrix.identity(self.e, self.size)
@@ -811,12 +807,36 @@ def realize(v: LoopVector, table: dict[Symbol, LaurentMatrix]) -> LaurentMatrix:
     return out
 
 
+def _laurent(terms) -> dict[int, Fraction]:
+    """The Laurent polynomial sum of c u^n over the (n, c) of terms, as {n: c} without zeros."""
+    poly: dict[int, Fraction] = {}
+    for n, c in terms:
+        poly[n] = poly.get(n, 0) + c
+    return {n: c for n, c in poly.items() if c}
+
+
+def _times(p: dict, q: dict):
+    """The terms of the product of two Laurent polynomials, before collecting."""
+    return ((m + n, c * d) for m, c in p.items() for n, d in q.items())
+
+
+def _matmul(a, b):
+    """The product of two 2x2 matrices of Laurent polynomials."""
+    return [
+        [_laurent(t for j in range(2) for t in _times(a[i][j], b[j][l])) for l in range(2)]
+        for i in range(2)
+    ]
+
+
+@lru_cache(maxsize=170)  # verify's sl2-factorization draws 170 (k, x) over --seed 0-3 at k = 1-5
 def verify_sl2_factorization(k: int, x) -> bool:
     """Check the rank-one curve value splits off its translation part.
 
     The 2x2 identity: a unipotent with entry x u^-k equals (opposite
     unipotent) times diag(u^-k, u^k) times a matrix with nonnegative
-    u-exponents and determinant one.  Zero x has no such splitting.
+    u-exponents and determinant one.  Zero x has no such splitting.  The
+    entries are Laurent polynomials {exponent: coefficient}; verdicts are
+    memoised, rejections raise on every call.
     """
     if k < 1:
         raise ValueError("winding k must be at least 1")
@@ -824,17 +844,14 @@ def verify_sl2_factorization(k: int, x) -> bool:
     if x == 0:
         raise ValueError("the zero curve value stays at the base point")
 
-    left = LaurentMatrix(1, 2, {(0, 0, 0): 1, (0, 1, -k): x, (1, 1, 0): 1})
-    opposite = LaurentMatrix(1, 2, {(0, 0, 0): 1, (1, 0, k): 1 / x, (1, 1, 0): 1})
-    translation = LaurentMatrix(1, 2, {(0, 0, -k): 1, (1, 1, k): 1})
-    plus_part = LaurentMatrix(1, 2, {(0, 0, k): 1, (0, 1, 0): x, (1, 0, 0): -1 / x})
-    if plus_part.min_exponent() < 0:
+    left = [[{0: 1}, {-k: x}], [{}, {0: 1}]]
+    opposite = [[{0: 1}, {}], [{k: 1 / x}, {0: 1}]]
+    translation = [[{-k: 1}, {}], [{}, {k: 1}]]
+    plus_part = [[{k: 1}, {0: x}], [{0: -1 / x}, {}]]
+    if any(n < 0 for row in plus_part for cell in row for n in cell):
         return False
-
-    def cell(i, j):
-        return LaurentMatrix(1, 1, {(0, 0, n): v for n, v in plus_part.entry(i, j).items()})
-
-    det = cell(0, 0) @ cell(1, 1) + (cell(0, 1) @ cell(1, 0)).scale(-1)
-    if det != LaurentMatrix.identity(1, 1):
+    (a, b), (c, d) = plus_part
+    det = _laurent([*_times(a, d), *((n, -v) for n, v in _times(b, c))])
+    if det != {0: 1}:
         return False
-    return opposite @ translation @ plus_part == left
+    return _matmul(_matmul(opposite, translation), plus_part) == left

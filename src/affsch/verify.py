@@ -10,6 +10,12 @@ dominant mu that overlap from request to request.  A row depends only on its
 top's down-set (Stembridge 1998), which the kept DominancePoset holds, so
 bounded memos keep each box as raw pairing vectors and each row as its sort
 key and rendered text.  A request sorts its rows' keys and places the text.
+
+The loop-basis, cartan-direction and sl2-factorization suites overlap the
+same way from --window to --window.  Each request runs every check again
+(the Cartan directions and rank-one verdicts come from loopalg's own memos),
+and bounded memos keep only each row's text, keyed by the values it is
+written from.  Counterexamples are built afresh as dicts on every request.
 """
 
 from __future__ import annotations
@@ -176,10 +182,6 @@ def _in_order(rows: list[dict]) -> tuple[dict, ...]:
     return tuple(sorted(rows, key=lambda row: [row[key] for key in sorted(row)]))
 
 
-def _rendered(rows: list[dict]) -> tuple[_Fragment, ...]:
-    return tuple(_Fragment(_json_text(row)) for row in _in_order(rows))
-
-
 def _placed(rows) -> tuple[_Fragment, ...]:
     """The text of keyed sweep rows, (key, text, ...), in key order."""
     return tuple(row[1] for row in sorted(rows, key=itemgetter(0)))
@@ -230,24 +232,39 @@ def run_suite(
     raise ValueError(f"unknown suite {name!r}; expected one of {', '.join(SUITES)}")
 
 
+# The loop suites' rows, rendered once.  Each check runs on every request; the
+# rows of the nine --window values overlap, so only their text is kept, keyed
+# by what it is made from, and a request places it by the row's sort key.
+
+
+@lru_cache(maxsize=68)  # four loop labels x u-degrees -8..8: 68 rows
+def _loop_basis_text(degree: int, fixed_dim: int, lines: int, rank: int, label: str) -> _Fragment:
+    row = {"type": label, "degree": degree, "fixed_dim": fixed_dim, "lines": lines, "rank": rank}
+    return _Fragment(_json_text(row))
+
+
+@lru_cache(maxsize=138)  # the (type, root, k) of DIRECTION_LABELS at depths 1-6 with a recipe: 138
+def _direction_text(label: str, root, k: int) -> _Fragment:
+    vec = cartan_direction(twisted_datum(label), (root, -k))
+    row = {"type": label, "root": list(root), "level": -k, "vector": vector_rows(vec)}
+    return _Fragment(_json_text(row))
+
+
+@lru_cache(maxsize=170)  # the (k, x) drawn over --seed 0-3 at k = 1-5: 170
+def _sl2_text(k: int, x: str) -> _Fragment:
+    return _Fragment(_json_text({"k": k, "x": x}))
+
+
 def _suite_loop_basis(window: int) -> SuiteResult:
     rows, bad = [], []
     for label in LOOP_LABELS:
         report = verify_invariant_basis(twisted_datum(label), window)
         for line in report.lines:
-            row = {
-                "type": label,
-                "degree": line.degree,
-                "fixed_dim": line.fixed_dim,
-                "lines": line.progression_count,
-                "rank": line.vector_rank,
-            }
-            rows.append(row)
+            key = (line.degree, line.fixed_dim, line.progression_count, line.vector_rank, label)
+            rows.append((key, _loop_basis_text(*key)))
             if not line.ok:
-                bad.append(row)
-    return SuiteResult(
-        "loop-basis", not bad, None, len(rows), _rendered(rows), _in_order(bad)
-    )
+                bad.append(json.loads(rows[-1][1]))
+    return SuiteResult("loop-basis", not bad, None, len(rows), _placed(rows), _in_order(bad))
 
 
 def _suite_cartan_direction(window: int) -> SuiteResult:
@@ -259,16 +276,14 @@ def _suite_cartan_direction(window: int) -> SuiteResult:
             for k in range(1, depth + 1):
                 if sigma_affine_to_relative(datum, (root, -k)).case == "case2a":
                     continue  # cartan_direction has no recipe there
-                instance = {"type": label, "root": list(root), "level": -k}
                 try:
-                    vec = cartan_direction(datum, (root, -k))
-                    instance["vector"] = vector_rows(vec)
-                    rows.append(instance)
+                    cartan_direction(datum, (root, -k))
                 except (ValueError, RuntimeError, AssertionError) as exc:
-                    instance["error"] = str(exc)
-                    bad.append(instance)
+                    bad.append({"type": label, "root": list(root), "level": -k, "error": str(exc)})
+                    continue
+                rows.append(((-k, root, label), _direction_text(label, root, k)))
     return SuiteResult(
-        "cartan-direction", not bad, None, len(rows) + len(bad), _rendered(rows), _in_order(bad)
+        "cartan-direction", not bad, None, len(rows) + len(bad), _placed(rows), _in_order(bad)
     )
 
 
@@ -310,11 +325,10 @@ def _suite_sl2(window: int, seed: int) -> SuiteResult:
     rows, bad = [], []
     for k in range(1, max(3, min(window, 5)) + 1):
         for x in xs:
-            row = {"k": k, "x": str(x)}
             if verify_sl2_factorization(k, x):
-                rows.append(row)
+                rows.append(((k, str(x)), _sl2_text(k, str(x))))
             else:
-                bad.append(row)
+                bad.append({"k": k, "x": str(x)})
     return SuiteResult(
-        "sl2-factorization", not bad, seed, len(rows) + len(bad), _rendered(rows), _in_order(bad)
+        "sl2-factorization", not bad, seed, len(rows) + len(bad), _placed(rows), _in_order(bad)
     )

@@ -6,9 +6,10 @@ representatives by a Weyl-orbit scan, Stembridge steps subtracted in full,
 covers and down-sets walked over them, root-curve targets and case tags from
 a pair's endpoints, the level correspondence by Fraction progressions, the
 bracket by adding root tuples, the Jacobi and sigma0 build checks over that
-bracket, and the sweep suites' rows as dicts, built from the public schubert
-functions and sorted by their items), so the tests can check the fast paths
-against them.
+bracket, the rank-one factorization by Laurent-matrix products, the sweep
+suites' rows as dicts, built from the public schubert functions, and the loop
+suites' rows as dicts, all sorted by their items), so the tests can check the
+fast paths against them.
 """
 
 from __future__ import annotations
@@ -16,6 +17,7 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 
+from affsch.loopalg import LaurentMatrix, cartan_direction, verify_invariant_basis
 from affsch.rootsys import (
     Coweight,
     CorootVector,
@@ -34,7 +36,8 @@ from affsch.schubert import (
     minimal_degenerations,
     root_tangent_bound,
 )
-from affsch.twist import _vec_add
+from affsch.twist import _vec_add, sigma_affine_to_relative, twisted_datum
+from affsch.verify import DIRECTION_LABELS, LOOP_LABELS, vector_rows
 
 AffineRoot = tuple[Root, int]
 
@@ -379,4 +382,110 @@ def sweep_result(suite: str, labels, max_pairing: int, seed: int) -> dict:
         "instances": list(_canonical(instances)),
         "counterexamples": list(_canonical(bad)),
         "details": details,
+    }
+
+
+def min_exponent(matrix: LaurentMatrix) -> int:
+    exps = [n for cell in matrix.entries.values() for n in cell]
+    return min(exps) if exps else 0
+
+
+def sl2_factorization_by_matrices(k: int, x) -> bool:
+    """The rank-one identity checked by LaurentMatrix products, with 1x1 cells for the determinant."""
+    if k < 1:
+        raise ValueError("winding k must be at least 1")
+    x = Fraction(x)
+    if x == 0:
+        raise ValueError("the zero curve value stays at the base point")
+
+    left = LaurentMatrix(1, 2, {(0, 0, 0): 1, (0, 1, -k): x, (1, 1, 0): 1})
+    opposite = LaurentMatrix(1, 2, {(0, 0, 0): 1, (1, 0, k): 1 / x, (1, 1, 0): 1})
+    translation = LaurentMatrix(1, 2, {(0, 0, -k): 1, (1, 1, k): 1})
+    plus_part = LaurentMatrix(1, 2, {(0, 0, k): 1, (0, 1, 0): x, (1, 0, 0): -1 / x})
+    if min_exponent(plus_part) < 0:
+        return False
+
+    def cell(i, j):
+        return LaurentMatrix(1, 1, {(0, 0, n): v for n, v in plus_part.entry(i, j).items()})
+
+    det = cell(0, 0) @ cell(1, 1) + (cell(0, 1) @ cell(1, 0)).scale(-1)
+    if det != LaurentMatrix.identity(1, 1):
+        return False
+    return opposite @ translation @ plus_part == left
+
+
+def sl2_values(seed: int) -> list[Fraction]:
+    """The curve values the sl2-factorization suite checks at every winding for seed."""
+    rng = random.Random(seed)
+    xs = [Fraction(1), Fraction(-2), Fraction(3, 2)]
+    while len(xs) < 13:
+        x = Fraction(rng.randint(-9, 9), rng.randint(1, 9))
+        if x != 0:
+            xs.append(x)
+    return xs
+
+
+def _loop_basis_rows(window: int) -> tuple[list[dict], list[dict]]:
+    rows, bad = [], []
+    for label in LOOP_LABELS:
+        for line in verify_invariant_basis(twisted_datum(label), window).lines:
+            row = {
+                "type": label,
+                "degree": line.degree,
+                "fixed_dim": line.fixed_dim,
+                "lines": line.progression_count,
+                "rank": line.vector_rank,
+            }
+            rows.append(row)
+            if not line.ok:
+                bad.append(row)
+    return rows, bad
+
+
+def _cartan_direction_rows(window: int) -> tuple[list[dict], list[dict]]:
+    rows, bad = [], []
+    for label in DIRECTION_LABELS:
+        datum = twisted_datum(label)
+        for root in datum.echelonnage.roots:
+            for k in range(1, max(1, min(window, 6)) + 1):
+                if sigma_affine_to_relative(datum, (root, -k)).case == "case2a":
+                    continue
+                row = {"type": label, "root": list(root), "level": -k}
+                try:
+                    row["vector"] = vector_rows(cartan_direction(datum, (root, -k)))
+                    rows.append(row)
+                except (ValueError, RuntimeError, AssertionError) as exc:
+                    row["error"] = str(exc)
+                    bad.append(row)
+    return rows, bad
+
+
+def _sl2_rows(window: int, seed: int) -> tuple[list[dict], list[dict]]:
+    rows, bad = [], []
+    for k in range(1, max(3, min(window, 5)) + 1):
+        for x in sl2_values(seed):
+            row = {"k": k, "x": str(x)}
+            (rows if sl2_factorization_by_matrices(k, x) else bad).append(row)
+    return rows, bad
+
+
+def loop_suite_result(suite: str, window: int, seed: int) -> dict:
+    """The result of a loop-basis, cartan-direction or sl2-factorization suite, as vars(SuiteResult) gives it."""
+    if suite == "loop-basis":
+        rows, bad = _loop_basis_rows(window)
+        checked, seed = len(rows), None
+    elif suite == "cartan-direction":
+        rows, bad = _cartan_direction_rows(window)
+        checked, seed = len(rows) + len(bad), None
+    else:
+        rows, bad = _sl2_rows(window, seed)
+        checked = len(rows) + len(bad)
+    return {
+        "suite": suite,
+        "passed": not bad,
+        "seed": seed,
+        "instances_checked": checked,
+        "instances": list(_canonical(rows)),
+        "counterexamples": list(_canonical(bad)),
+        "details": {},
     }

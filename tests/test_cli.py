@@ -151,6 +151,15 @@ def test_failing_suite_still_exits_one(capsys, monkeypatch):
     assert out.startswith("suite sl2-factorization: FAIL") and "counterexample" in out
 
 
+@pytest.mark.parametrize("error", [AssertionError, RuntimeError])
+def test_warm_suite_memos_hide_no_failure(capsys, monkeypatch, error):
+    # every memo the suite reads is filled, then the two failure tests run as they are
+    assert run(capsys, "verify", "--suite", "sl2-factorization", "--json")[0] == 0
+    test_failing_suite_still_exits_one(capsys, monkeypatch)
+    monkeypatch.undo()
+    test_internal_failures_exit_three(capsys, monkeypatch, error)
+
+
 def test_poset_carries_case_tags(capsys):
     code, doc = run_json(capsys, "poset", "--type", "C2", "--mu", "1,1", "--json")
     assert code == 0

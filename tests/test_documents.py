@@ -143,7 +143,14 @@ def test_loopchecks_on_warm_memos_match_committed_digests():
     # reads root-line vectors and rendered blocks the ones before it left
     workloads = load_workloads()
     digests = json.loads((PERFBENCH / "digests.json").read_text())
-    for memo in (cartan_direction, root_line_vectors, cli._degree_text, cli._directions_text):
+    for memo in (
+        cartan_direction,
+        root_line_vectors,
+        cli._degree_text,
+        cli._directions_text,
+        cli._special_text,
+        verify._loop_basis_text,
+    ):
         memo.cache_clear()
     text_requests = [("loopcheck", "--type", label, "--window", "8") for label in workloads.LOOP_TYPES]
     cold = [_serve(argv) for argv in text_requests]

@@ -10,9 +10,17 @@ from fractions import Fraction
 from itertools import combinations, permutations
 
 import pytest
-from oracles import bracket_by_roots, check_jacobi, check_sigma0, jacobi_sum, jacobi_triples
+from oracles import (
+    bracket_by_roots,
+    check_jacobi,
+    check_sigma0,
+    jacobi_sum,
+    jacobi_triples,
+    sl2_factorization_by_matrices,
+    sl2_values,
+)
 
-from affsch import cli, loopalg
+from affsch import cli, loopalg, verify
 from affsch.loopalg import (
     ChevalleyAlgebra,
     CycScalar,
@@ -128,6 +136,11 @@ def _clear_loop_memos():
     root_line_vectors.cache_clear()
     cli._degree_text.cache_clear()
     cli._directions_text.cache_clear()
+    cli._special_text.cache_clear()
+    verify._direction_text.cache_clear()
+    verify._loop_basis_text.cache_clear()
+    verify._sl2_text.cache_clear()
+    verify_sl2_factorization.cache_clear()
 
 
 @pytest.fixture
@@ -835,6 +848,25 @@ def test_cartan_direction_cache_holds_the_loop_inventory(fresh_directions):
     assert cartan_direction.cache_info().hits == len(inventory)
 
 
+def test_a_raising_cartan_direction_fails_every_request(monkeypatch, fresh_directions):
+    # warm memos first: a rendered row must not stand in for a check that now raises
+    assert run_suite("cartan-direction", window=2).passed
+    broken = (twisted_datum("2A2"), ((1,), -1))
+
+    def raising(datum, a):
+        if (datum, a) == broken:
+            raise RuntimeError("vanishing Cartan component contradicts the recipe")
+        return cartan_direction(datum, a)
+
+    monkeypatch.setattr(verify, "cartan_direction", raising)
+    bad = {"type": "2A2", "root": [1], "level": -1,
+           "error": "vanishing Cartan component contradicts the recipe"}
+    for _ in range(2):
+        outcome = run_suite("cartan-direction", window=2)
+        assert not outcome.passed and outcome.counterexamples == (bad,)
+        assert len(outcome.instances) == outcome.instances_checked - 1
+
+
 def test_cartan_direction_rejections_are_not_memoised(fresh_directions):
     datum = twisted_datum("2A2")
     for _ in range(2):
@@ -934,6 +966,14 @@ def test_invariant_basis_window_bounds():
 @pytest.mark.parametrize("x", [1, -2, Fraction(3, 2)])
 def test_sl2_factorization_identity(k, x):
     assert verify_sl2_factorization(k, x)
+
+
+def test_sl2_factorization_matches_the_matrix_oracle_on_the_suite_draws():
+    pairs = {(k, x) for seed in range(4) for x in sl2_values(seed) for k in range(1, 6)}
+    assert len(pairs) == 170
+    verify_sl2_factorization.cache_clear()
+    for k, x in sorted(pairs):
+        assert verify_sl2_factorization(k, x) is sl2_factorization_by_matrices(k, x) is True
 
 
 def test_sl2_factorization_rejects_degenerate_input():

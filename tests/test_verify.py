@@ -1,19 +1,23 @@
-"""The memoised sweep suites against their dict-row oracle, and the bounds of their memos.
+"""The memoised sweep and loop suites against their dict-row oracles, and the bounds of their memos.
 
 verify keeps every box, and every stembridge, mindeg-inequality and
-k-symmetry row, in bounded memos as a sort key and rendered text.  The
-oracle in tests/oracles.py builds the same rows as dicts from the public
-schubert functions and sorts them by their items.
+k-symmetry row, in bounded memos as a sort key and rendered text; of the
+loop-basis, cartan-direction and sl2-factorization rows it keeps the text
+alone.  The oracles in tests/oracles.py build the same rows as dicts, from
+the public schubert functions and the loop-algebra checks, and sort them by
+their items.
 """
 
 import contextlib
+import hashlib
 import io
 import json
 import random
 
-from affsch import cli, schubert, verify
+from affsch import cli, loopalg, schubert, verify
 from affsch.rootsys import build_root_system
-from oracles import sweep_box, sweep_result
+from benchdata import PERFBENCH, load_workloads
+from oracles import loop_suite_result, sl2_values, sweep_box, sweep_result
 
 SWEEP_SUITES = ("stembridge", "mindeg-inequality", "k-symmetry")
 TOPS_AT_MAX = 572  # dominant tops of the 12 sweep types at MAX_PAIRING 40
@@ -103,3 +107,73 @@ def test_full_grid_requests_evict_nothing_and_memos_stay_bounded(monkeypatch):
         assert _serve(["verify", "--suite", "k-symmetry", "--seed", str(seed), *full])[0] == 0
         assert pairs().currsize <= pairs().maxsize
     assert pairs().currsize == pairs().maxsize < pairs().misses
+
+
+LOOP_MEMOS = (
+    loopalg.cartan_direction,
+    loopalg.root_line_vectors,
+    loopalg.verify_sl2_factorization,
+    verify._loop_basis_text,
+    verify._direction_text,
+    verify._sl2_text,
+)
+
+
+def _flag(argv, flag: str, default: int) -> int:
+    return int(argv[argv.index(flag) + 1]) if flag in argv else default
+
+
+def _loop_suite_requests(workloads) -> list[tuple[str, ...]]:
+    """Every loop-suite request the benchmark can draw, by --window ascending."""
+    requests = [argv for argv in workloads.loop_requests(None) if argv[0] == "verify"]
+    assert len(requests) == len(workloads.LOOP_WINDOWS) * (2 + len(workloads.SUITE_SEEDS))
+    return sorted(requests, key=lambda argv: _flag(argv, "--window", workloads.DEFAULT_WINDOW))
+
+
+def test_loop_suites_on_warm_memos_match_digests_and_the_dict_row_oracle():
+    # ascending and then descending in one process: each request after the
+    # first reads the verdicts and rendered rows the ones before it left
+    workloads = load_workloads()
+    digests = json.loads((PERFBENCH / "digests.json").read_text())
+    for memo in LOOP_MEMOS:
+        memo.cache_clear()
+    requests = _loop_suite_requests(workloads)
+    expected = {}
+    for argv in requests:
+        suite, window, seed = argv[2], _flag(argv, "--window", 4), _flag(argv, "--seed", 0)
+        request = {"type": None, "mu": None, "lambda": None, "suite": suite, "window": window,
+                   "max_rank": 4, "max_pairing": 14, "seed": seed, "jobs": 1}
+        result = loop_suite_result(suite, window, seed)
+        document = cli._document("verify", request, result)
+        expected[argv] = json.dumps(document, indent=2, sort_keys=True) + "\n"
+    mismatches = []
+    for argv in requests + requests[::-1]:
+        code, text = _serve(argv)
+        digest = hashlib.sha256(text.encode()).hexdigest()
+        if (code, text) != (0, expected[argv]) or digest != digests[" ".join(argv)]:
+            mismatches.append(" ".join(argv))
+    assert mismatches == []
+
+
+def test_loop_suite_memos_hold_their_counted_grids():
+    workloads = load_workloads()
+    for memo in (*LOOP_MEMOS, cli._special_text):
+        memo.cache_clear()
+    for argv in _loop_suite_requests(workloads):
+        assert _serve(argv)[0] == 0
+    for label in workloads.LOOP_TYPES:
+        assert _serve(["loopcheck", "--type", label, "--window", "0", "--json"])[0] == 0
+    sl2_pairs = {(k, x) for seed in workloads.SUITE_SEEDS for x in sl2_values(seed) for k in range(1, 6)}
+    loop_basis = loop_suite_result("loop-basis", 8, 0)["instances"]
+    directions = loop_suite_result("cartan-direction", 6, 0)["instances"]
+    counted = {
+        verify._loop_basis_text: len(loop_basis),
+        verify._direction_text: len(directions),
+        verify._sl2_text: len(sl2_pairs),
+        loopalg.verify_sl2_factorization: len(sl2_pairs),
+        cli._special_text: len(workloads.LOOP_TYPES),
+    }
+    assert list(counted.values()) == [68, 138, 170, 170, 9]
+    for memo, count in counted.items():
+        info = memo.cache_info()
+        assert info.maxsize == info.currsize == info.misses == count, memo.__name__
