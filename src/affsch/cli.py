@@ -297,12 +297,13 @@ def _cmd_loopcheck(args) -> int:
     window = args.window
     degrees = range(-window, window + 1)
     if args.json:
+        directions, special = _loopcheck_blocks(datum)
         result = {
             "datum": _describe_datum(datum),
             "window": window,
             "degrees": [_degree_text(datum, n) for n in degrees],
-            "cartan_directions": _directions_text(datum),
-            "special": _special_text(datum),
+            "cartan_directions": directions,
+            "special": special,
         }
         _emit_json("loopcheck", _request_fields(args), result)
         return 0
@@ -345,14 +346,10 @@ def _degree_text(datum, n: int) -> _Fragment:
     return _Fragment(_json_text({"degree": n, "lines": len(vectors), "vectors": vectors}))
 
 
-@lru_cache(maxsize=9)  # one directions block per loop type: 9
-def _directions_text(datum) -> _Fragment:
-    return _Fragment(_json_text(_directions(datum)))
-
-
-@lru_cache(maxsize=9)  # one special block per loop type: 9
-def _special_text(datum) -> _Fragment:
-    return _Fragment(_json_text(_loopcheck_special(datum)))
+@lru_cache(maxsize=9)  # the directions and special blocks of each loop type: 9
+def _loopcheck_blocks(datum) -> tuple[_Fragment, _Fragment]:
+    blocks = _directions(datum), _loopcheck_special(datum)
+    return tuple(_Fragment(_json_text(block)) for block in blocks)
 
 
 def _loopcheck_special(datum) -> dict:

@@ -5,25 +5,26 @@ an enumerated family of instances plus an optional seeded random sample.
 Results are plain data: instance rows rendered as JSON text, explicit
 counterexamples, and enough metadata to reproduce the run byte for byte.
 
-The stembridge, mindeg-inequality and k-symmetry sweeps range over boxes of
-dominant mu that overlap from request to request.  A row depends only on its
-top's down-set (Stembridge 1998), which the kept DominancePoset holds, so
-bounded memos keep each box as raw pairing vectors and each row as its sort
-key and rendered text.  A request sorts its rows' keys and places the text.
+One rule orders every suite: its rows share one key set, so a row sorts by
+its values in sorted-key order.  _row makes a row's (key, text,
+counterexamples carried), and _result sorts a request's rows and
+counterexamples by that rule.
 
-The loop-basis, cartan-direction and sl2-factorization suites overlap the
-same way from --window to --window.  Each request runs every check again
-(the Cartan directions and rank-one verdicts come from loopalg's own memos),
-and bounded memos keep only each row's text, keyed by the values it is
-written from.  Counterexamples are built afresh as dicts on every request.
+The sweeps range over boxes of dominant mu, and the loop suites over
+--window values, that overlap from request to request, so bounded memos keep
+each box as raw pairing vectors and each row as _row makes it.  A sweep row
+depends only on its top's down-set (Stembridge 1998), which the kept
+DominancePoset holds.  Each loop check runs again on every request, its
+verdicts memoised in loopalg; a raising Cartan direction or a false rank-one
+verdict gets no row, only a counterexample built afresh.
 """
 
 from __future__ import annotations
 
-import json
 import os
 import random
 from collections import Counter
+from copy import deepcopy
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
@@ -57,9 +58,10 @@ SUITES = (
 class SuiteResult:
     """One suite's outcome.
 
-    instances holds the instance rows in canonical order, each as the JSON
-    text of its dict (a jsontext._Fragment: json.loads(row) gives the dict);
-    counterexamples holds the failing rows as dicts.
+    instances holds the instance rows, each as the JSON text of its dict (a
+    jsontext._Fragment: json.loads(row) gives the dict); counterexamples
+    holds the failing instances as the dicts json.loads gives back, vectors
+    as lists.  Both are sorted by their values in sorted-key order.
     """
 
     suite: str
@@ -95,43 +97,56 @@ def sweep_coweights(system, max_pairing: int) -> list[Coweight]:
     return [Coweight(system, p) for p in _box(system, max_pairing)]
 
 
-# A sweep row is kept as (sort key, text, ...).  The rows of a suite share one
-# key set, so their values in key order, with tuples for the vectors, sort
-# them as their sorted items do.
+def _key(row: dict) -> tuple:
+    """A row's values in sorted-key order: rows with one key set sort by it as by their sorted items."""
+    return tuple([row[name] for name in sorted(row)])
+
+
+def _row(row: dict, failures: tuple[dict, ...] = ()) -> tuple[tuple, _Fragment, tuple[dict, ...]]:
+    """A row's sort key, its text, and its counterexamples, with lists as json.loads gives back."""
+    return _key(row), _Fragment(_json_text(row)), failures
 
 
 @lru_cache(maxsize=1144)  # one per (suite, type, top): 2 x 572 tops at MAX_PAIRING 40
-def _edge_rows(kind: str, label: str, top: IntVec) -> tuple[tuple[tuple, _Fragment], ...]:
-    """A row for the lower end of each covering edge below top."""
+def _edge_rows(kind: str, label: str, top: IntVec) -> tuple[tuple[tuple, ...], tuple]:
+    """A row for the lower end of each covering edge below top, and (case, count) of their cases."""
     system = build_root_system(label)
     poset = _poset(system, top)
     dim = sum(h * x for h, x in zip(system.two_rho_coefficients, top))
-    rows = []
+    rows, cases = [], Counter()
     for p in poset.below(top):
         for lam, _, _, case in poset.edges(p):
             row = {"type": label, "mu": top, "lambda": lam}
+            failures = ()
             if kind == "stembridge":
                 row["case"] = case
-                key = (case, lam, top, label)
+                cases[case] += 1
             else:
                 row["dim"], row["root_bound"] = dim, sum(poset.k_vector(lam, top))
-                key = (dim, lam, top, row["root_bound"], label)
-            rows.append((key, _Fragment(_json_text(row))))
-    return tuple(rows)
+                if row["root_bound"] < dim:
+                    failures = ({**row, "mu": list(top), "lambda": list(lam)},)
+            rows.append(_row(row, failures))
+    return tuple(rows), tuple(cases.items())
 
 
-def _edge_sweep_rows(task) -> list[tuple[tuple, _Fragment]]:
+def _edge_sweep_rows(task) -> tuple[list[tuple], dict[str, int]]:
+    """The rows of one type's box, and how many of them have each stembridge case."""
     kind, label, max_pairing = task
-    box = _box(build_root_system(label), max_pairing)
-    return [row for top in box for row in _edge_rows(kind, label, top)]
+    rows, cases = [], Counter()
+    for top in _box(build_root_system(label), max_pairing):
+        top_rows, tally = _edge_rows(kind, label, top)
+        rows += top_rows
+        for case, count in tally:  # Counter.update would cost more per top than this loop
+            cases[case] += count
+    return rows, {str(case): count for case, count in sorted(cases.items())}
 
 
 # One per (type, mu, lambda).  A MAX_PAIRING 40 request checks at most the 924
 # covering pairs of the sweep types and 12 x 25 random pairs: 1,224.  Random
 # pairs vary with --seed, so the least recently used go first.
 @lru_cache(maxsize=2048)
-def _k_symmetry_row(label: str, mu: IntVec, lam: IntVec) -> tuple[tuple, _Fragment, tuple]:
-    """The row of the pair lam <= mu, and its failures.
+def _k_symmetry_row(label: str, mu: IntVec, lam: IntVec) -> tuple:
+    """The row of the pair lam <= mu, carrying its failures.
 
     A failure is a positive root alpha with k(alpha) != k(-alpha) + <lam,
     alpha>, the two counts walked independently.
@@ -139,17 +154,17 @@ def _k_symmetry_row(label: str, mu: IntVec, lam: IntVec) -> tuple[tuple, _Fragme
     system = build_root_system(label)
     counts = _poset(system, mu).k_vector(lam, mu)
     index = system.root_index
-    row = {"type": label, "mu": list(mu), "lambda": list(lam)}
     failures = []
     for root in system.positive_roots:
         plus, minus = counts[index[root]], counts[index[tuple(-c for c in root)]]
         step = sum(m * x for m, x in zip(root, lam))
         if plus != minus + step:
-            failures.append(dict(row, root=list(root), k_plus=plus, k_minus=minus, pairing=step))
-    return (lam, mu, label), _Fragment(_json_text(row)), tuple(failures)
+            failures.append({"type": label, "mu": list(mu), "lambda": list(lam), "root": list(root),
+                             "k_plus": plus, "k_minus": minus, "pairing": step})
+    return _row({"type": label, "mu": mu, "lambda": lam}, tuple(failures))
 
 
-def _k_symmetry_rows(task) -> list[tuple[tuple, _Fragment, tuple]]:
+def _k_symmetry_rows(task) -> list[tuple]:
     """The row of each covering pair of the box, and of 25 seeded pairs lam <= mu.
 
     The box is a down-set, so its covering pairs are the covers of its points.
@@ -177,14 +192,15 @@ def _map_tasks(fn, tasks, jobs: int):
         return list(pool.map(fn, tasks, chunksize=max(1, len(tasks) // (4 * workers))))
 
 
-def _in_order(rows: list[dict]) -> tuple[dict, ...]:
-    """Rows with one key set, sorted by their values in key order: by their sorted items."""
-    return tuple(sorted(rows, key=lambda row: [row[key] for key in sorted(row)]))
-
-
-def _placed(rows) -> tuple[_Fragment, ...]:
-    """The text of keyed sweep rows, (key, text, ...), in key order."""
-    return tuple(row[1] for row in sorted(rows, key=itemgetter(0)))
+def _result(suite: str, seed, rows: list[tuple], unrendered=(), details=None) -> SuiteResult:
+    """The result of rows made by _row, and of failing instances that have no row."""
+    rows.sort(key=itemgetter(0))
+    # copies: a caller that edits a counterexample must not edit the one a memo keeps
+    failures = [deepcopy(bad) for _, _, found in rows if found for bad in found] + list(unrendered)
+    texts = tuple([text for _, text, _ in rows])
+    failures.sort(key=_key)
+    checked = len(rows) + len(unrendered)
+    return SuiteResult(suite, not failures, seed, checked, texts, tuple(failures), details or {})
 
 
 def _format_scalar(value) -> str:
@@ -232,39 +248,36 @@ def run_suite(
     raise ValueError(f"unknown suite {name!r}; expected one of {', '.join(SUITES)}")
 
 
-# The loop suites' rows, rendered once.  Each check runs on every request; the
-# rows of the nine --window values overlap, so only their text is kept, keyed
-# by what it is made from, and a request places it by the row's sort key.
+# The loop suites' rows, made once.  Each check runs on every request; the rows
+# of the nine --window values overlap, so each row is kept, keyed by what it
+# is made from.
 
 
 @lru_cache(maxsize=68)  # four loop labels x u-degrees -8..8: 68 rows
-def _loop_basis_text(degree: int, fixed_dim: int, lines: int, rank: int, label: str) -> _Fragment:
+def _loop_basis_row(degree: int, fixed_dim: int, lines: int, rank: int, label: str, ok: bool) -> tuple:
     row = {"type": label, "degree": degree, "fixed_dim": fixed_dim, "lines": lines, "rank": rank}
-    return _Fragment(_json_text(row))
+    return _row(row, () if ok else (row,))
 
 
 @lru_cache(maxsize=138)  # the (type, root, k) of DIRECTION_LABELS at depths 1-6 with a recipe: 138
-def _direction_text(label: str, root, k: int) -> _Fragment:
+def _direction_row(label: str, root, k: int) -> tuple:
     vec = cartan_direction(twisted_datum(label), (root, -k))
-    row = {"type": label, "root": list(root), "level": -k, "vector": vector_rows(vec)}
-    return _Fragment(_json_text(row))
+    vector = _Fragment(_json_text(vector_rows(vec)))  # as text, the kept key holds no dicts
+    return _row({"type": label, "root": root, "level": -k, "vector": vector})
 
 
 @lru_cache(maxsize=170)  # the (k, x) drawn over --seed 0-3 at k = 1-5: 170
-def _sl2_text(k: int, x: str) -> _Fragment:
-    return _Fragment(_json_text({"k": k, "x": x}))
+def _sl2_row(k: int, x: str) -> tuple:
+    return _row({"k": k, "x": x})
 
 
 def _suite_loop_basis(window: int) -> SuiteResult:
-    rows, bad = [], []
+    rows = []
     for label in LOOP_LABELS:
-        report = verify_invariant_basis(twisted_datum(label), window)
-        for line in report.lines:
-            key = (line.degree, line.fixed_dim, line.progression_count, line.vector_rank, label)
-            rows.append((key, _loop_basis_text(*key)))
-            if not line.ok:
-                bad.append(json.loads(rows[-1][1]))
-    return SuiteResult("loop-basis", not bad, None, len(rows), _placed(rows), _in_order(bad))
+        for line in verify_invariant_basis(twisted_datum(label), window).lines:
+            values = (line.degree, line.fixed_dim, line.progression_count, line.vector_rank)
+            rows.append(_loop_basis_row(*values, label, line.ok))
+    return _result("loop-basis", None, rows)
 
 
 def _suite_cartan_direction(window: int) -> SuiteResult:
@@ -280,39 +293,26 @@ def _suite_cartan_direction(window: int) -> SuiteResult:
                     cartan_direction(datum, (root, -k))
                 except (ValueError, RuntimeError, AssertionError) as exc:
                     bad.append({"type": label, "root": list(root), "level": -k, "error": str(exc)})
-                    continue
-                rows.append(((-k, root, label), _direction_text(label, root, k)))
-    return SuiteResult(
-        "cartan-direction", not bad, None, len(rows) + len(bad), _placed(rows), _in_order(bad)
-    )
+                else:
+                    rows.append(_direction_row(label, root, k))
+    return _result("cartan-direction", None, rows, bad)
 
 
 def _suite_k_symmetry(max_rank: int, max_pairing: int, seed: int, jobs: int) -> SuiteResult:
     # one task per type; a task names its work, so it pickles small
     tasks = [(label, max_pairing, seed) for label in sweep_type_labels(max_rank)]
     rows = [row for chunk in _map_tasks(_k_symmetry_rows, tasks, jobs) for row in chunk]
-    failures = [bad for _, _, found in rows for bad in found]
-    return SuiteResult(
-        "k-symmetry", not failures, seed, len(rows), _placed(rows), _in_order(failures)
-    )
+    return _result("k-symmetry", seed, rows)
 
 
 def _suite_edge_sweep(kind: str, max_rank: int, max_pairing: int, jobs: int) -> SuiteResult:
-    tasks = [(kind, label, max_pairing) for label in sweep_type_labels(max_rank)]
-    rows = [row for chunk in _map_tasks(_edge_sweep_rows, tasks, jobs) for row in chunk]
-    details: dict = {}
-    bad = []
-    if kind == "stembridge":
-        histogram: dict[str, dict[str, int]] = {}
-        cases = Counter((label, case) for (case, *_, label), _ in rows)
-        for (label, case), count in sorted(cases.items()):
-            histogram.setdefault(label, {})[str(case)] = count
-        details["histogram"] = histogram
-    else:
-        bad = [json.loads(text) for (dim, *_, bound, _), text in rows if bound < dim]
-    return SuiteResult(
-        kind, not bad, None, len(rows), _placed(rows), _in_order(bad), details
-    )
+    labels = sweep_type_labels(max_rank)
+    chunks = _map_tasks(_edge_sweep_rows, [(kind, label, max_pairing) for label in labels], jobs)
+    rows = [row for chunk, _ in chunks for row in chunk]
+    if kind != "stembridge":
+        return _result(kind, None, rows)
+    histogram = {label: cases for label, (_, cases) in zip(labels, chunks) if cases}
+    return _result(kind, None, rows, (), {"histogram": histogram})
 
 
 def _suite_sl2(window: int, seed: int) -> SuiteResult:
@@ -326,9 +326,7 @@ def _suite_sl2(window: int, seed: int) -> SuiteResult:
     for k in range(1, max(3, min(window, 5)) + 1):
         for x in xs:
             if verify_sl2_factorization(k, x):
-                rows.append(((k, str(x)), _sl2_text(k, str(x))))
+                rows.append(_sl2_row(k, str(x)))
             else:
                 bad.append({"k": k, "x": str(x)})
-    return SuiteResult(
-        "sl2-factorization", not bad, seed, len(rows) + len(bad), _placed(rows), _in_order(bad)
-    )
+    return _result("sl2-factorization", seed, rows, bad)

@@ -1,14 +1,37 @@
-"""The benchmark's request lists (perfbench/workloads.py), loaded for the tests.
+"""The benchmark's request lists, loaded for the tests, and the memos its requests fill.
 
-The module is loaded from its file without writing bytecode, so the tests
-leave perfbench/ untouched.
+perfbench/workloads.py is loaded from its file without writing bytecode, so
+the tests leave perfbench/ untouched.
 """
 
 import importlib.util
 import sys
 from pathlib import Path
 
+from affsch import cli, loopalg, verify
+
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+
+# Every bounded memo a verify or loopcheck request reads: a test that needs
+# cold memos, or that patches a check they would hide, empties these.
+REQUEST_MEMOS = (
+    verify._box,
+    verify._edge_rows,
+    verify._k_symmetry_row,
+    verify._loop_basis_row,
+    verify._direction_row,
+    verify._sl2_row,
+    loopalg.cartan_direction,
+    loopalg.root_line_vectors,
+    loopalg.verify_sl2_factorization,
+    cli._degree_text,
+    cli._loopcheck_blocks,
+)
+
+
+def clear_request_memos() -> None:
+    for memo in REQUEST_MEMOS:
+        memo.cache_clear()
 
 
 def load_workloads():

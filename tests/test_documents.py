@@ -17,11 +17,10 @@ import hashlib
 import io
 import json
 
-from affsch import cli, schubert, verify
+from affsch import schubert
 from affsch.cli import _json_text, main
-from affsch.loopalg import cartan_direction, root_line_vectors
 from affsch.verify import SUITES
-from benchdata import PERFBENCH, load_workloads
+from benchdata import PERFBENCH, clear_request_memos, load_workloads
 
 
 def test_documents_match_committed_digests():
@@ -111,8 +110,7 @@ def test_overlapping_sweeps_on_a_warm_memo_match_committed_digests(monkeypatch):
     # the ones before it left
     workloads = load_workloads()
     digests = json.loads((PERFBENCH / "digests.json").read_text())
-    for memo in (verify._box, verify._edge_rows, verify._k_symmetry_row):
-        memo.cache_clear()
+    clear_request_memos()
     monkeypatch.setattr(schubert, "_posets", {})
     text_requests = [
         ("verify", "--suite", suite, "--max-pairing", "16", "--seed", "1", "--jobs", "1")
@@ -143,15 +141,7 @@ def test_loopchecks_on_warm_memos_match_committed_digests():
     # reads root-line vectors and rendered blocks the ones before it left
     workloads = load_workloads()
     digests = json.loads((PERFBENCH / "digests.json").read_text())
-    for memo in (
-        cartan_direction,
-        root_line_vectors,
-        cli._degree_text,
-        cli._directions_text,
-        cli._special_text,
-        verify._loop_basis_text,
-    ):
-        memo.cache_clear()
+    clear_request_memos()
     text_requests = [("loopcheck", "--type", label, "--window", "8") for label in workloads.LOOP_TYPES]
     cold = [_serve(argv) for argv in text_requests]
     requests = workloads.loop_requests(None)

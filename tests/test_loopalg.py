@@ -10,6 +10,7 @@ from fractions import Fraction
 from itertools import combinations, permutations
 
 import pytest
+from benchdata import clear_request_memos
 from oracles import (
     bracket_by_roots,
     check_jacobi,
@@ -20,7 +21,7 @@ from oracles import (
     sl2_values,
 )
 
-from affsch import cli, loopalg, verify
+from affsch import loopalg, verify
 from affsch.loopalg import (
     ChevalleyAlgebra,
     CycScalar,
@@ -131,28 +132,16 @@ def direction_inventory():
     return out
 
 
-def _clear_loop_memos():
-    cartan_direction.cache_clear()
-    root_line_vectors.cache_clear()
-    cli._degree_text.cache_clear()
-    cli._directions_text.cache_clear()
-    cli._special_text.cache_clear()
-    verify._direction_text.cache_clear()
-    verify._loop_basis_text.cache_clear()
-    verify._sl2_text.cache_clear()
-    verify_sl2_factorization.cache_clear()
-
-
 @pytest.fixture
 def fresh_directions():
     """Tests that patch loop internals must not read or leave memoised loop vectors.
 
-    That is the Cartan directions, the root-line inventory, and the loopcheck
-    blocks the command line renders from them.
+    That is the Cartan directions, the root-line inventory, and the rows and
+    blocks rendered from them: every request-path memo is emptied.
     """
-    _clear_loop_memos()
+    clear_request_memos()
     yield
-    _clear_loop_memos()
+    clear_request_memos()
 
 
 # -- scalars -------------------------------------------------------------------

@@ -1,22 +1,23 @@
-"""The memoised sweep and loop suites against their dict-row oracles, and the bounds of their memos.
+"""The memoised suites against their dict-row oracles, the bounds of their memos, and their failures.
 
-verify keeps every box, and every stembridge, mindeg-inequality and
-k-symmetry row, in bounded memos as a sort key and rendered text; of the
-loop-basis, cartan-direction and sl2-factorization rows it keeps the text
-alone.  The oracles in tests/oracles.py build the same rows as dicts, from
-the public schubert functions and the loop-algebra checks, and sort them by
-their items.
+verify keeps every box, and every row of every suite, in bounded memos; a
+row is kept as its sort key, rendered text and counterexamples.  The oracles
+in tests/oracles.py build the same rows as dicts, from the public schubert
+functions and the loop-algebra checks, and sort them by their items.
 """
 
 import contextlib
+import dataclasses
 import hashlib
 import io
 import json
 import random
 
+import pytest
+
 from affsch import cli, loopalg, schubert, verify
 from affsch.rootsys import build_root_system
-from benchdata import PERFBENCH, load_workloads
+from benchdata import PERFBENCH, clear_request_memos, load_workloads
 from oracles import loop_suite_result, sl2_values, sweep_box, sweep_result
 
 SWEEP_SUITES = ("stembridge", "mindeg-inequality", "k-symmetry")
@@ -31,9 +32,8 @@ def _serve(argv) -> tuple[int, str]:
 
 
 def _cold(monkeypatch):
-    """Empty every sweep memo and the kept posets."""
-    for memo in (verify._box, verify._edge_rows, verify._k_symmetry_row):
-        memo.cache_clear()
+    """Empty every request-path memo and the kept posets."""
+    clear_request_memos()
     monkeypatch.setattr(schubert, "_posets", {})
 
 
@@ -109,16 +109,6 @@ def test_full_grid_requests_evict_nothing_and_memos_stay_bounded(monkeypatch):
     assert pairs().currsize == pairs().maxsize < pairs().misses
 
 
-LOOP_MEMOS = (
-    loopalg.cartan_direction,
-    loopalg.root_line_vectors,
-    loopalg.verify_sl2_factorization,
-    verify._loop_basis_text,
-    verify._direction_text,
-    verify._sl2_text,
-)
-
-
 def _flag(argv, flag: str, default: int) -> int:
     return int(argv[argv.index(flag) + 1]) if flag in argv else default
 
@@ -135,8 +125,7 @@ def test_loop_suites_on_warm_memos_match_digests_and_the_dict_row_oracle():
     # first reads the verdicts and rendered rows the ones before it left
     workloads = load_workloads()
     digests = json.loads((PERFBENCH / "digests.json").read_text())
-    for memo in LOOP_MEMOS:
-        memo.cache_clear()
+    clear_request_memos()
     requests = _loop_suite_requests(workloads)
     expected = {}
     for argv in requests:
@@ -157,8 +146,7 @@ def test_loop_suites_on_warm_memos_match_digests_and_the_dict_row_oracle():
 
 def test_loop_suite_memos_hold_their_counted_grids():
     workloads = load_workloads()
-    for memo in (*LOOP_MEMOS, cli._special_text):
-        memo.cache_clear()
+    clear_request_memos()
     for argv in _loop_suite_requests(workloads):
         assert _serve(argv)[0] == 0
     for label in workloads.LOOP_TYPES:
@@ -167,13 +155,155 @@ def test_loop_suite_memos_hold_their_counted_grids():
     loop_basis = loop_suite_result("loop-basis", 8, 0)["instances"]
     directions = loop_suite_result("cartan-direction", 6, 0)["instances"]
     counted = {
-        verify._loop_basis_text: len(loop_basis),
-        verify._direction_text: len(directions),
-        verify._sl2_text: len(sl2_pairs),
+        verify._loop_basis_row: len(loop_basis),
+        verify._direction_row: len(directions),
+        verify._sl2_row: len(sl2_pairs),
         loopalg.verify_sl2_factorization: len(sl2_pairs),
-        cli._special_text: len(workloads.LOOP_TYPES),
+        cli._loopcheck_blocks: len(workloads.LOOP_TYPES),
     }
     assert list(counted.values()) == [68, 138, 170, 170, 9]
     for memo, count in counted.items():
         info = memo.cache_info()
         assert info.maxsize == info.currsize == info.misses == count, memo.__name__
+
+
+# -- failure paths ------------------------------------------------------------
+
+_real_k_vector = schubert.DominancePoset.k_vector
+_real_invariant_basis = verify.verify_invariant_basis
+_real_cartan_direction = verify.cartan_direction
+_real_sl2 = verify.verify_sl2_factorization
+RAISED = "vanishing Cartan component contradicts the recipe"
+
+
+def _zero_k_vectors(self, lam, mu):
+    counts = _real_k_vector(self, lam, mu)
+    if (self.system.label, mu) in {("A1", (4,)), ("A2", (1, 1))}:
+        return (0,) * len(counts)
+    return counts
+
+
+def _shifted_k_vectors(self, lam, mu):
+    counts = _real_k_vector(self, lam, mu)
+    if (self.system.label, lam, mu) == ("A2", (0, 0), (1, 1)):
+        return (counts[0] + 1, *counts[1:])  # the first positive root
+    if (self.system.label, lam, mu) == ("A1", (2,), (4,)):
+        return (counts[0], counts[1] + 1)  # the negative root
+    return counts
+
+
+def _short_fixed_dims(datum, window):
+    report = _real_invariant_basis(datum, window)
+    broken = {("2D4", -1), ("2D4", 1), ("3D4", 0)}
+    lines = tuple(
+        dataclasses.replace(line, fixed_dim=line.fixed_dim + 1)
+        if (datum.label, line.degree) in broken else line
+        for line in report.lines
+    )
+    return dataclasses.replace(report, lines=lines)
+
+
+def _raising_directions(datum, a):
+    if (datum.label, a) in {("A1", ((1,), -1)), ("3D4", ((-3, -2), -1))}:
+        raise RuntimeError(RAISED)
+    return _real_cartan_direction(datum, a)
+
+
+def _false_at_three_draws(k, x):
+    return (k, str(x)) not in {(1, "3/2"), (2, "1"), (2, "-2")} and _real_sl2(k, x)
+
+
+# Each suite that can fail, the patch that breaks it, and what it then reports:
+# every counterexample in order, each as a JSON document holds it.
+FAILURES = {
+    "mindeg-inequality": (
+        ("--max-rank", "2", "--max-pairing", "4"),
+        (schubert.DominancePoset, "k_vector", _zero_k_vectors),
+        6,
+        [
+            {"dim": 4, "lambda": [0], "mu": [4], "root_bound": 0, "type": "A1"},
+            {"dim": 4, "lambda": [0, 0], "mu": [1, 1], "root_bound": 0, "type": "A2"},
+            {"dim": 4, "lambda": [2], "mu": [4], "root_bound": 0, "type": "A1"},
+        ],
+    ),
+    "k-symmetry": (
+        ("--max-rank", "2", "--max-pairing", "4", "--seed", "0"),
+        (schubert.DominancePoset, "k_vector", _shifted_k_vectors),
+        11,
+        [
+            {"type": "A2", "mu": [1, 1], "lambda": [0, 0], "root": [0, 1],
+             "k_plus": 2, "k_minus": 1, "pairing": 0},
+            {"type": "A1", "mu": [4], "lambda": [2], "root": [1],
+             "k_plus": 3, "k_minus": 2, "pairing": 2},
+        ],
+    ),
+    "loop-basis": (
+        ("--window", "1"),
+        (verify, "verify_invariant_basis", _short_fixed_dims),
+        12,
+        [
+            {"degree": -1, "fixed_dim": 7, "lines": 6, "rank": 6, "type": "2D4"},
+            {"degree": 0, "fixed_dim": 13, "lines": 12, "rank": 12, "type": "3D4"},
+            {"degree": 1, "fixed_dim": 7, "lines": 6, "rank": 6, "type": "2D4"},
+        ],
+    ),
+    "cartan-direction": (
+        ("--window", "1"),
+        (verify, "cartan_direction", _raising_directions),
+        24,
+        [
+            {"error": RAISED, "level": -1, "root": [-3, -2], "type": "3D4"},
+            {"error": RAISED, "level": -1, "root": [1], "type": "A1"},
+        ],
+    ),
+    "sl2-factorization": (
+        ("--window", "3", "--seed", "0"),
+        (verify, "verify_sl2_factorization", _false_at_three_draws),
+        39,
+        [{"k": 1, "x": "3/2"}, {"k": 2, "x": "-2"}, {"k": 2, "x": "1"}, {"k": 2, "x": "1"}],
+    ),
+}
+
+
+@pytest.fixture
+def cold_memos(monkeypatch):
+    """Cold memos and posets, and empty memos after: a broken check fills them."""
+    _cold(monkeypatch)
+    yield
+    clear_request_memos()
+
+
+@pytest.mark.parametrize("suite", list(FAILURES))
+def test_a_broken_check_fails_its_suite_end_to_end(monkeypatch, cold_memos, suite):
+    flags, (owner, name, broken), checked, expected = FAILURES[suite]
+    monkeypatch.setattr(owner, name, broken)
+    code, text = _serve(["verify", "--suite", suite, *flags])
+    assert code == 1
+    lines = text.splitlines()
+    assert lines[0] == f"suite {suite}: FAIL ({checked} instances)"
+    shown = [line for line in lines if line.startswith("  counterexample: ")]
+    assert shown == [f"  counterexample: {json.dumps(row, sort_keys=True)}" for row in expected]
+
+    code, text = _serve(["verify", "--suite", suite, *flags, "--json"])
+    assert code == 1
+    document = json.loads(text)["result"]
+    assert (document["passed"], document["instances_checked"]) == (False, checked)
+    assert document["counterexamples"] == expected
+
+    values = dict(zip(flags[::2], map(int, flags[1::2])))
+    outcome = verify.run_suite(
+        suite,
+        max_rank=values.get("--max-rank", 4),
+        max_pairing=values.get("--max-pairing", 14),
+        window=values.get("--window", 4),
+        seed=values.get("--seed", 0),
+    )
+    assert (outcome.passed, outcome.instances_checked) == (False, checked)
+    # tuples in a counterexample would differ from the lists the document reads back
+    assert list(outcome.counterexamples) == document["counterexamples"]
+    rowless = len(expected) if suite in ("cartan-direction", "sl2-factorization") else 0
+    assert len(outcome.instances) == checked - rowless
+    # a caller's edit of a counterexample reaches no kept row
+    for row in outcome.counterexamples:
+        row.clear()
+    assert _serve(["verify", "--suite", suite, *flags, "--json"])[1] == text
