@@ -266,7 +266,6 @@ def _cmd_verify(args) -> int:
         max_pairing=args.max_pairing,
         window=args.window,
         seed=args.seed,
-        jobs=args.jobs,
     )
     if not outcome.instances_checked:
         raise ValueError(f"suite {args.suite} has no instance to check within these bounds")
@@ -465,7 +464,11 @@ def build_parser() -> argparse.ArgumentParser:
     # argparse runs the type on this string default too: a bad AFFSCH_JOBS exits 2.
     # main resets the default before each parse of the parser it reuses.
     parser.jobs_action = verify.add_argument(
-        "--jobs", type=_bounded(1), default=os.environ.get("AFFSCH_JOBS", "1")
+        "--jobs",
+        type=_bounded(1),
+        default=os.environ.get("AFFSCH_JOBS", "1"),
+        help="an integer of at least 1, default $AFFSCH_JOBS or 1; validated and echoed "
+        "in the request, while the sweeps run serially",
     )
     verify.add_argument("--json", action="store_true")
     verify.set_defaults(func=_cmd_verify)
@@ -498,8 +501,9 @@ def main(argv=None) -> int:
         return code
     except BrokenPipeError:
         # The reader went away (`| head`): exit as SIGPIPE would, but not by its
-        # default action, as the verify --jobs pool talks over pipes.  devnull
-        # takes what is left, so the interpreter's final flush is silent.
+        # default action, as main also runs in-process (perfbench/worker.py and
+        # the tests), where that action would kill the caller.  devnull takes
+        # what is left, so the interpreter's final flush is silent.
         devnull = os.open(os.devnull, os.O_WRONLY)
         os.dup2(devnull, sys.stdout.fileno())
         os.close(devnull)

@@ -21,7 +21,6 @@ verdict gets no row, only a counterexample built afresh.
 
 from __future__ import annotations
 
-import os
 import random
 from collections import Counter
 from copy import deepcopy
@@ -129,9 +128,8 @@ def _edge_rows(kind: str, label: str, top: IntVec) -> tuple[tuple[tuple, ...], t
     return tuple(rows), tuple(cases.items())
 
 
-def _edge_sweep_rows(task) -> tuple[list[tuple], dict[str, int]]:
+def _edge_sweep_rows(kind: str, label: str, max_pairing: int) -> tuple[list[tuple], dict[str, int]]:
     """The rows of one type's box, and how many of them have each stembridge case."""
-    kind, label, max_pairing = task
     rows, cases = [], Counter()
     for top in _box(build_root_system(label), max_pairing):
         top_rows, tally = _edge_rows(kind, label, top)
@@ -164,12 +162,11 @@ def _k_symmetry_row(label: str, mu: IntVec, lam: IntVec) -> tuple:
     return _row({"type": label, "mu": mu, "lambda": lam}, tuple(failures))
 
 
-def _k_symmetry_rows(task) -> list[tuple]:
+def _k_symmetry_rows(label: str, max_pairing: int, seed: int) -> list[tuple]:
     """The row of each covering pair of the box, and of 25 seeded pairs lam <= mu.
 
     The box is a down-set, so its covering pairs are the covers of its points.
     """
-    label, max_pairing, seed = task
     system = build_root_system(label)
     box = _box(system, max_pairing)
     pairs = [(mu, lam) for mu in box for lam, *_ in _poset(system, mu).edges(mu)]
@@ -179,17 +176,6 @@ def _k_symmetry_rows(task) -> list[tuple]:
         mu = rng.choice(tops)
         pairs.append((mu, rng.choice(list(_poset(system, mu).below(mu)))))
     return [_k_symmetry_row(label, mu, lam) for mu, lam in dict.fromkeys(pairs)]
-
-
-def _map_tasks(fn, tasks, jobs: int):
-    workers = min(jobs, os.cpu_count() or 1)
-    if workers <= 1 or len(tasks) < 4:
-        return [fn(t) for t in tasks]
-    # imported here: a serial run never pays for multiprocessing
-    from concurrent.futures import ProcessPoolExecutor
-
-    with ProcessPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, tasks, chunksize=max(1, len(tasks) // (4 * workers))))
 
 
 def _result(suite: str, seed, rows: list[tuple], unrendered=(), details=None) -> SuiteResult:
@@ -231,18 +217,17 @@ def run_suite(
     max_pairing: int = 14,
     window: int = 4,
     seed: int = 0,
-    jobs: int = 1,
 ) -> SuiteResult:
     if name == "loop-basis":
         return _suite_loop_basis(window)
     if name == "cartan-direction":
         return _suite_cartan_direction(window)
     if name == "k-symmetry":
-        return _suite_k_symmetry(max_rank, max_pairing, seed, jobs)
+        return _suite_k_symmetry(max_rank, max_pairing, seed)
     if name == "stembridge":
-        return _suite_edge_sweep("stembridge", max_rank, max_pairing, jobs)
+        return _suite_edge_sweep("stembridge", max_rank, max_pairing)
     if name == "mindeg-inequality":
-        return _suite_edge_sweep("mindeg-inequality", max_rank, max_pairing, jobs)
+        return _suite_edge_sweep("mindeg-inequality", max_rank, max_pairing)
     if name == "sl2-factorization":
         return _suite_sl2(window, seed)
     raise ValueError(f"unknown suite {name!r}; expected one of {', '.join(SUITES)}")
@@ -298,16 +283,15 @@ def _suite_cartan_direction(window: int) -> SuiteResult:
     return _result("cartan-direction", None, rows, bad)
 
 
-def _suite_k_symmetry(max_rank: int, max_pairing: int, seed: int, jobs: int) -> SuiteResult:
-    # one task per type; a task names its work, so it pickles small
-    tasks = [(label, max_pairing, seed) for label in sweep_type_labels(max_rank)]
-    rows = [row for chunk in _map_tasks(_k_symmetry_rows, tasks, jobs) for row in chunk]
+def _suite_k_symmetry(max_rank: int, max_pairing: int, seed: int) -> SuiteResult:
+    labels = sweep_type_labels(max_rank)
+    rows = [row for label in labels for row in _k_symmetry_rows(label, max_pairing, seed)]
     return _result("k-symmetry", seed, rows)
 
 
-def _suite_edge_sweep(kind: str, max_rank: int, max_pairing: int, jobs: int) -> SuiteResult:
+def _suite_edge_sweep(kind: str, max_rank: int, max_pairing: int) -> SuiteResult:
     labels = sweep_type_labels(max_rank)
-    chunks = _map_tasks(_edge_sweep_rows, [(kind, label, max_pairing) for label in labels], jobs)
+    chunks = [_edge_sweep_rows(kind, label, max_pairing) for label in labels]
     rows = [row for chunk, _ in chunks for row in chunk]
     if kind != "stembridge":
         return _result(kind, None, rows)

@@ -1,9 +1,7 @@
 """End-to-end CLI checks: exit codes, JSON schema, determinism, content."""
 
-import concurrent.futures
 import json
 import os
-import pickle
 import subprocess
 import sys
 import time
@@ -279,37 +277,6 @@ def test_malformed_jobs_environment_exits_two(capsys, monkeypatch):
         assert "error:" in err and f"'{value}'" in err
 
 
-def test_jobs_pool_size_is_clamped_to_cpu_count(capsys, monkeypatch):
-    sizes = []
-
-    class RecordingPool:
-        """Stands in for ProcessPoolExecutor: records max_workers, starts no worker."""
-
-        def __init__(self, max_workers):
-            sizes.append(max_workers)
-
-        def __enter__(self):
-            return self
-
-        def __exit__(self, *exc):
-            return False
-
-        def map(self, fn, tasks, chunksize=1):
-            return map(fn, tasks)
-
-    # verify imports the pool class from concurrent.futures when it first needs one
-    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
-    monkeypatch.setattr(os, "cpu_count", lambda: 3)
-    argv = ("verify", "--suite", "stembridge", "--max-rank", "2", "--max-pairing", "6")
-    code, doc = run_json(capsys, *argv, "--jobs", "100000", "--json")
-    assert code == 0 and sizes == [3]
-    assert doc["request"]["jobs"] == 100000  # the request is echoed as given
-    _, serial = run_json(capsys, *argv, "--jobs", "1", "--json")
-    assert sizes == [3] and doc["result"] == serial["result"]
-    code, doc = run_json(capsys, *argv, "--jobs", "2", "--json")
-    assert code == 0 and sizes == [3, 2]
-
-
 def test_cli_import_loads_only_affsch_and_the_standard_library():
     # compared against the modules loaded before it: site hooks load first
     script = (
@@ -328,29 +295,36 @@ def test_cli_import_loads_only_affsch_and_the_standard_library():
 
 
 def test_cli_import_leaves_the_process_pool_out():
-    """multiprocessing loads only when a verify run takes a pool, and the pool changes nothing."""
+    """No --jobs value or AFFSCH_JOBS loads a pool module, and neither changes the document."""
     script = (
         "import sys\n"
         "import affsch.cli\n"
-        "assert 'concurrent.futures.process' not in sys.modules\n"
-        "sys.exit(affsch.cli.main(sys.argv[1:]))\n"
+        "code = affsch.cli.main(sys.argv[1:])\n"
+        "pool = ('concurrent', 'multiprocessing')\n"
+        "loaded = [name for name in sys.modules if name.partition('.')[0] in pool]\n"
+        "assert not loaded, loaded\n"
+        "sys.exit(code)\n"
     )
     argv = ("verify", "--suite", "stembridge", "--max-rank", "2", "--max-pairing", "6", "--json")
     env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
-    docs = {}
-    for jobs in (1, 2):
+    env.pop("AFFSCH_JOBS", None)
+    docs = []
+    runs = ((("--jobs", "1"), {}), (("--jobs", "4"), {}), ((), {"AFFSCH_JOBS": "4"}))
+    for flag, jobs_env in runs:
         proc = subprocess.run(
-            [sys.executable, "-c", script, *argv, "--jobs", str(jobs)],
+            [sys.executable, "-c", script, *argv, *flag],
             capture_output=True,
             cwd=ROOT,
-            env=env,
+            env={**env, **jobs_env},
             timeout=120,
         )
         assert (proc.returncode, proc.stderr) == (0, b"")
-        docs[jobs] = json.loads(proc.stdout)
-    assert docs[2]["request"].pop("jobs") == 2
-    docs[1]["request"].pop("jobs")
-    assert docs[2] == docs[1]
+        docs.append(json.loads(proc.stdout))
+    serial = docs[0]
+    assert serial["request"].pop("jobs") == 1
+    for doc in docs[1:]:
+        assert doc["request"].pop("jobs") == 4
+        assert doc == serial
 
 
 def test_oversized_closures_exit_two_at_once(capsys):
@@ -378,39 +352,16 @@ SCHUBERT_SUITES = ("stembridge", "mindeg-inequality", "k-symmetry")
 
 
 @pytest.mark.parametrize("suite", SCHUBERT_SUITES)
-def test_pool_tasks_pickle_small_and_match_serial(capsys, monkeypatch, suite):
-    sizes = []
+def test_sweeps_never_ask_for_the_cpu_count(capsys, monkeypatch, suite):
+    def refuse():
+        raise AssertionError("os.cpu_count called")
 
-    class RecordingPool:
-        """Stands in for ProcessPoolExecutor: runs each task after a pickle round trip."""
-
-        def __init__(self, max_workers):
-            pass
-
-        def __enter__(self):
-            return self
-
-        def __exit__(self, *exc):
-            return False
-
-        def map(self, fn, tasks, chunksize=1):
-            fn = pickle.loads(pickle.dumps(fn))
-            out = []
-            for task in tasks:
-                blob = pickle.dumps(task)
-                sizes.append(len(blob))
-                out.append(pickle.loads(pickle.dumps(fn(pickle.loads(blob)))))
-            return out
-
-    # verify imports the pool class from concurrent.futures when it first needs one
-    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
-    monkeypatch.setattr(os, "cpu_count", lambda: 2)
-    argv = ("verify", "--suite", suite, "--seed", "3", "--json")
-    code, pooled = run_json(capsys, *argv, "--jobs", "2")
-    assert code == 0 and len(sizes) == len(verify.SWEEP_TYPES)
-    assert max(sizes) < 1024  # a task names its work; no poset rides along
-    _, serial = run_json(capsys, *argv, "--jobs", "1")
-    assert pooled["result"] == serial["result"]
+    monkeypatch.setattr(os, "cpu_count", refuse)
+    argv = ("verify", "--suite", suite, "--max-rank", "2", "--max-pairing", "8", "--json")
+    for jobs in ("1", "2", "100000"):
+        code, doc = run_json(capsys, *argv, "--jobs", jobs)
+        assert code == 0
+        assert doc["request"]["jobs"] == int(jobs)  # the request is echoed as given
 
 
 @pytest.mark.parametrize("suite", SCHUBERT_SUITES)
