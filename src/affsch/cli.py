@@ -8,10 +8,10 @@ Subcommands:
 
 Output is text by default, JSON with --json; identical inputs give
 byte-identical JSON (randomized sweeps take --seed, echoed in the output).
-Exit codes: 0 success, 1 failed property sweep, 2 usage error, empty sweep or
-oversized closure, 3 internal invariant failure (AssertionError or
-RuntimeError; nothing on stdout), 141 (128 + SIGPIPE) when the reader closes
-stdout early, as `| head` does, with nothing on stderr.
+Exit codes: 0 success, 1 failed property sweep, 2 usage error (a ValueError:
+a bad argument, an empty sweep or an oversized closure), 3 internal failure
+(any other exception; nothing on stdout), 141 (128 + SIGPIPE) when the reader
+closes stdout early, as `| head` does, with nothing on stderr.
 
 JSON is written by jsontext._json_text, byte for byte as json.dumps(indent=2,
 sort_keys=True) writes it; rows rendered once are placed as _Fragment text,
@@ -35,9 +35,11 @@ from functools import lru_cache
 from affsch import __version__
 from affsch.jsontext import _Fragment, _json_text
 from affsch.loopalg import (
+    MAX_WINDOW,
     LoopVector,
     ad_exp,
     cartan_direction,
+    cartan_recipe_roots,
     loop_context,
     make_e_a,
     matrix_realization,
@@ -52,12 +54,11 @@ from affsch.schubert import (
     smooth_locus_report,
 )
 from affsch.twist import (
-    affine_roots_negative_at_vertex,
     cartan_sigma_dim,
     sigma_affine_to_relative,
     twisted_datum,
 )
-from affsch.verify import SUITES, run_suite, vector_rows
+from affsch.verify import MAX_PAIRING, SUITES, run_suite, vector_rows
 
 SCHEMA_VERSION = 1
 # analyze and poset refuse a mu with more dominant p at <p,2rho> <= <mu,2rho>
@@ -65,8 +66,6 @@ SCHEMA_VERSION = 1
 # and 4,116 for A4 at <mu,2rho> = 76.  The largest closures it admits take a
 # few seconds.
 MAX_DOMINANT = 10_000
-# verify refuses a larger --max-pairing; at 40 the edge sweeps take seconds.
-MAX_PAIRING = 40
 
 
 def _document(command: str, request: dict, result: dict) -> dict:
@@ -160,20 +159,17 @@ def _cmd_analyze(args) -> int:
     mu = _closure_top(datum, args.mu)
     lam = None if args.lam is None else _dominant_arg(datum.echelonnage, args.lam, "--lambda")
     report = smooth_locus_report(mu, datum)
-    strata = []
-    for stratum in report.strata:
-        strata.append(
-            {
-                "lambda": stratum.lam.pairings,
-                "dimension": two_rho_pairing(stratum.lam),
-                "status": stratum.status,
-                "mechanism": stratum.mechanism,
-                "certificate": _certificate_dict(stratum.certificate)
-                if stratum.certificate
-                else None,
-                "via": stratum.via.pairings if stratum.via else None,
-            }
-        )
+    strata = [
+        {
+            "lambda": stratum.lam.pairings,
+            "dimension": two_rho_pairing(stratum.lam),
+            "status": stratum.status,
+            "mechanism": stratum.mechanism,
+            "certificate": _certificate_dict(stratum.certificate) if stratum.certificate else None,
+            "via": stratum.via.pairings if stratum.via else None,
+        }
+        for stratum in report.strata
+    ]
     focus = None if lam is None else _certificate_dict(certificate(mu, lam, datum))
     result = {
         "datum": _describe_datum(datum),
@@ -267,8 +263,6 @@ def _cmd_verify(args) -> int:
         window=args.window,
         seed=args.seed,
     )
-    if not outcome.instances_checked:
-        raise ValueError(f"suite {args.suite} has no instance to check within these bounds")
     if args.json:
         # _json_text writes the tuples of a SuiteResult as arrays, so no copy is needed
         _emit_json("verify", _request_fields(args), vars(outcome))
@@ -306,37 +300,35 @@ def _cmd_loopcheck(args) -> int:
         }
         _emit_json("loopcheck", _request_fields(args), result)
         return 0
+    # every check runs before the first line, so a failing one leaves stdout empty
+    lines = [len(root_line_vectors(datum, n)) for n in degrees]
+    directions, special = _directions(datum), _loopcheck_special(datum)
     print(f"datum {datum.label}: root lines by u-degree (window {window})")
-    for n in degrees:
-        print(f"  degree {n:>3}: {len(root_line_vectors(datum, n))} lines")
-    directions = _directions(datum)
+    for n, count in zip(degrees, lines):
+        print(f"  degree {n:>3}: {count} lines")
     print(f"cartan directions at level -1: {len(directions)}")
     for row in directions:
         terms = "; ".join(
             f"H_{t['index']} u^{t['degree']} * {t['coeff']}" for t in row["terms"]
         )
         print(f"  root {tuple(row['root'])}: {terms}")
-    for key, value in _loopcheck_special(datum).items():
+    for key, value in special.items():
         print(f"{key}: {json.dumps(value, sort_keys=True)}")
     return 0
 
 
 def _directions(datum) -> list[dict]:
     """The Cartan directions at level -1, one row per root with a recipe."""
-    directions = []
-    for root, level in affine_roots_negative_at_vertex(datum, 1):
-        try:
-            vec = cartan_direction(datum, (root, level))
-        except ValueError:
-            continue
-        directions.append({"root": list(root), "level": level, "terms": vector_rows(vec)})
-    return directions
+    return [
+        {"root": list(a[0]), "level": a[1], "terms": vector_rows(cartan_direction(datum, a))}
+        for a in cartan_recipe_roots(datum, 1)
+    ]
 
 
 # The loopcheck --json blocks, rendered once: a window-w document repeats every
 # degree row of the windows below it, and every window repeats the directions
 # and the special block.
-@lru_cache(maxsize=153)  # nine loop types x |n| <= 8: 153 degree rows
+@lru_cache(maxsize=9 * (2 * MAX_WINDOW + 1))  # nine loop types x |n| <= MAX_WINDOW: 153 rows
 def _degree_text(datum, n: int) -> _Fragment:
     vectors = [
         {"root": list(root), "sigma_level": level, "case": rel.case, "terms": vector_rows(vec)}
@@ -422,6 +414,7 @@ def build_parser() -> argparse.ArgumentParser:
         description="Exact smoothness analysis for orbit closures in twisted affine Grassmannians.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    window_type = _bounded(0, MAX_WINDOW)  # the one --window rule of verify and loopcheck
 
     analyze = sub.add_parser("analyze", help="stratum-by-stratum smoothness report")
     analyze.add_argument("--type", required=True, help="twisted type label, e.g. 3D4, 2A3, C2")
@@ -455,9 +448,9 @@ def build_parser() -> argparse.ArgumentParser:
     )
     verify.add_argument(
         "--window",
-        type=_bounded(0, 8),
+        type=window_type,
         default=4,
-        help="0 to 8; loop-basis checks u-degrees -window..window, cartan-direction "
+        help=f"0 to {MAX_WINDOW}; loop-basis checks u-degrees -window..window, cartan-direction "
         "depths 1..max(1, min(window, 6)), sl2-factorization windings 1..max(3, min(window, 5))",
     )
     verify.add_argument("--seed", type=int, default=0)
@@ -475,7 +468,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     loopcheck = sub.add_parser("loopcheck", help="symbolic loop-algebra inventory")
     loopcheck.add_argument("--type", required=True)
-    loopcheck.add_argument("--window", type=_bounded(0, 8), default=2, help="0 to 8")
+    loopcheck.add_argument("--window", type=window_type, default=2, help=f"0 to {MAX_WINDOW}")
     loopcheck.add_argument("--json", action="store_true")
     loopcheck.set_defaults(func=_cmd_loopcheck)
     return parser
@@ -508,10 +501,10 @@ def main(argv=None) -> int:
         os.dup2(devnull, sys.stdout.fileno())
         os.close(devnull)
         return 141
-    except (ValueError, KeyError) as exc:
+    except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (AssertionError, RuntimeError) as exc:
+    except Exception as exc:
         print(f"internal error: {exc}", file=sys.stderr)
         return 3
 

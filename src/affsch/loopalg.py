@@ -25,6 +25,7 @@ from functools import lru_cache
 
 from affsch.rootsys import FiniteRootSystem, IntVec, Root, build_root_system
 from affsch.twist import (
+    AffineRoot,
     RelativeAffineRoot,
     TwistedDatum,
     _act,
@@ -32,6 +33,7 @@ from affsch.twist import (
     _cycle_order,
     _cycles,
     _eigenspace_dim,
+    affine_roots_negative_at_vertex,
     sigma_affine_to_relative,
     sigma_levels_at_degree,
     validate_relative_root,
@@ -39,6 +41,8 @@ from affsch.twist import (
 
 Symbol = tuple
 Rational = int | Fraction
+# The widest u-degree window, -MAX_WINDOW..MAX_WINDOW, graded checks and loop requests take.
+MAX_WINDOW = 8
 
 
 # -- cyclotomic scalars -------------------------------------------------------
@@ -598,6 +602,16 @@ def cartan_direction(datum: TwistedDatum, a) -> LoopVector:
     return cartan
 
 
+def cartan_recipe_roots(datum: TwistedDatum, depth: int) -> tuple[AffineRoot, ...]:
+    """The (root, -k), 1 <= k <= depth, that cartan_direction has a recipe for.
+
+    Every Sigma-affine root at those levels but the even levels over a
+    multipliable root, in the order of affine_roots_negative_at_vertex.
+    """
+    sigma_roots = affine_roots_negative_at_vertex(datum, depth)
+    return tuple(a for a in sigma_roots if sigma_affine_to_relative(datum, a).case != "case2a")
+
+
 # -- invariant-basis verification ----------------------------------------------
 
 
@@ -635,7 +649,7 @@ def root_lines_at_degree(datum: TwistedDatum, n: int) -> tuple[tuple[Root, int],
     )
 
 
-@lru_cache(maxsize=153)  # loopcheck and loop-basis ask for nine loop types x |n| <= 8: 153 keys
+@lru_cache(maxsize=9 * (2 * MAX_WINDOW + 1))  # nine loop types x |n| <= MAX_WINDOW: 153 keys
 def root_line_vectors(
     datum: TwistedDatum, n: int
 ) -> tuple[tuple[Root, int, RelativeAffineRoot, LoopVector], ...]:
@@ -663,8 +677,8 @@ def verify_invariant_basis(datum: TwistedDatum, degree_window: int) -> Invariant
     vector_rank counts the e_a with a nonempty support disjoint from those
     before: never above their rank, and equal to it for disjoint supports.
     """
-    if not 0 <= degree_window <= 8:
-        raise ValueError("degree window must be between 0 and 8")
+    if not 0 <= degree_window <= MAX_WINDOW:
+        raise ValueError(f"degree window must be between 0 and {MAX_WINDOW}")
     ctx = loop_context(datum)
     lines = []
     for n in range(-degree_window, degree_window + 1):

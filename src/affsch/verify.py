@@ -8,7 +8,10 @@ counterexamples, and enough metadata to reproduce the run byte for byte.
 One rule orders every suite: its rows share one key set, so a row sorts by
 its values in sorted-key order.  _row makes a row's (key, text,
 counterexamples carried), and _result sorts a request's rows and
-counterexamples by that rule.
+counterexamples by that rule.  The stembridge case histogram is counted from
+those keys.  run_suite refuses, for every suite, a max_pairing outside
+0..MAX_PAIRING, a window outside 0..loopalg.MAX_WINDOW and a request that
+leaves nothing to check.
 
 The sweeps range over boxes of dominant mu, and the loop suites over
 --window values, that overlap from request to request, so bounded memos keep
@@ -32,13 +35,15 @@ from operator import itemgetter
 
 from affsch.jsontext import _Fragment, _json_text
 from affsch.loopalg import (
+    MAX_WINDOW,
     cartan_direction,
+    cartan_recipe_roots,
     verify_invariant_basis,
     verify_sl2_factorization,
 )
 from affsch.rootsys import Coweight, IntVec, build_root_system
 from affsch.schubert import _poset
-from affsch.twist import sigma_affine_to_relative, twisted_datum
+from affsch.twist import twisted_datum
 
 SWEEP_TYPES = ("A1", "A2", "A3", "A4", "B2", "B3", "B4", "C2", "C3", "C4", "D4", "G2")
 LOOP_LABELS = ("2A2", "2A3", "2D4", "3D4")
@@ -51,6 +56,8 @@ SUITES = (
     "mindeg-inequality",
     "sl2-factorization",
 )
+# run_suite refuses a larger max_pairing; at 40 the edge sweeps take seconds.
+MAX_PAIRING = 40
 
 
 @dataclass(frozen=True)
@@ -76,7 +83,7 @@ def sweep_type_labels(max_rank: int) -> tuple[str, ...]:
     return tuple(label for label in SWEEP_TYPES if int(label[1]) <= max_rank)
 
 
-@lru_cache(maxsize=492)  # one per (type, --max-pairing): 12 sweep types x 41 pairings
+@lru_cache(maxsize=len(SWEEP_TYPES) * (MAX_PAIRING + 1))  # one per (type, --max-pairing)
 def _box(system, max_pairing: int) -> tuple[IntVec, ...]:
     """Dominant mu in the coroot lattice with <mu, 2rho> <= max_pairing, in lexicographic order.
 
@@ -107,36 +114,24 @@ def _row(row: dict, failures: tuple[dict, ...] = ()) -> tuple[tuple, _Fragment, 
 
 
 @lru_cache(maxsize=1144)  # one per (suite, type, top): 2 x 572 tops at MAX_PAIRING 40
-def _edge_rows(kind: str, label: str, top: IntVec) -> tuple[tuple[tuple, ...], tuple]:
-    """A row for the lower end of each covering edge below top, and (case, count) of their cases."""
+def _edge_rows(kind: str, label: str, top: IntVec) -> tuple[tuple, ...]:
+    """A row for the lower end of each covering edge below top."""
     system = build_root_system(label)
     poset = _poset(system, top)
     dim = sum(h * x for h, x in zip(system.two_rho_coefficients, top))
-    rows, cases = [], Counter()
+    rows = []
     for p in poset.below(top):
         for lam, _, _, case in poset.edges(p):
             row = {"type": label, "mu": top, "lambda": lam}
             failures = ()
             if kind == "stembridge":
                 row["case"] = case
-                cases[case] += 1
             else:
                 row["dim"], row["root_bound"] = dim, sum(poset.k_vector(lam, top))
                 if row["root_bound"] < dim:
                     failures = ({**row, "mu": list(top), "lambda": list(lam)},)
             rows.append(_row(row, failures))
-    return tuple(rows), tuple(cases.items())
-
-
-def _edge_sweep_rows(kind: str, label: str, max_pairing: int) -> tuple[list[tuple], dict[str, int]]:
-    """The rows of one type's box, and how many of them have each stembridge case."""
-    rows, cases = [], Counter()
-    for top in _box(build_root_system(label), max_pairing):
-        top_rows, tally = _edge_rows(kind, label, top)
-        rows += top_rows
-        for case, count in tally:  # Counter.update would cost more per top than this loop
-            cases[case] += count
-    return rows, {str(case): count for case, count in sorted(cases.items())}
+    return tuple(rows)
 
 
 # One per (type, mu, lambda).  A MAX_PAIRING 40 request checks at most the 924
@@ -151,31 +146,15 @@ def _k_symmetry_row(label: str, mu: IntVec, lam: IntVec) -> tuple:
     """
     system = build_root_system(label)
     counts = _poset(system, mu).k_vector(lam, mu)
-    index = system.root_index
+    positive = system.positive_roots
     failures = []
-    for root in system.positive_roots:
-        plus, minus = counts[index[root]], counts[index[tuple(-c for c in root)]]
+    # k_vector lists the negative roots after the positive ones, in the same order
+    for root, plus, minus in zip(positive, counts, counts[len(positive):]):
         step = sum(m * x for m, x in zip(root, lam))
         if plus != minus + step:
             failures.append({"type": label, "mu": list(mu), "lambda": list(lam), "root": list(root),
                              "k_plus": plus, "k_minus": minus, "pairing": step})
     return _row({"type": label, "mu": mu, "lambda": lam}, tuple(failures))
-
-
-def _k_symmetry_rows(label: str, max_pairing: int, seed: int) -> list[tuple]:
-    """The row of each covering pair of the box, and of 25 seeded pairs lam <= mu.
-
-    The box is a down-set, so its covering pairs are the covers of its points.
-    """
-    system = build_root_system(label)
-    box = _box(system, max_pairing)
-    pairs = [(mu, lam) for mu in box for lam, *_ in _poset(system, mu).edges(mu)]
-    tops = [mu for mu in box if any(mu)]
-    rng = random.Random(f"{seed}:{label}")  # string seeding is process-stable
-    for _ in range(25 if tops else 0):
-        mu = rng.choice(tops)
-        pairs.append((mu, rng.choice(list(_poset(system, mu).below(mu)))))
-    return [_k_symmetry_row(label, mu, lam) for mu, lam in dict.fromkeys(pairs)]
 
 
 def _result(suite: str, seed, rows: list[tuple], unrendered=(), details=None) -> SuiteResult:
@@ -189,25 +168,16 @@ def _result(suite: str, seed, rows: list[tuple], unrendered=(), details=None) ->
     return SuiteResult(suite, not failures, seed, checked, texts, tuple(failures), details or {})
 
 
-def _format_scalar(value) -> str:
-    if value.b == 0:
-        return str(value.a)
-    return f"{value.a}+({value.b})z"
-
-
 def vector_rows(vec) -> list[dict]:
-    rows = []
-    for sym, degree, coeff in vec.terms:
-        kind, payload = sym
-        rows.append(
-            {
-                "kind": kind,
-                "index": list(payload) if kind == "X" else payload,
-                "degree": degree,
-                "coeff": _format_scalar(coeff),
-            }
-        )
-    return rows
+    return [
+        {
+            "kind": kind,
+            "index": list(payload) if kind == "X" else payload,
+            "degree": degree,
+            "coeff": str(coeff.a) if coeff.b == 0 else f"{coeff.a}+({coeff.b})z",
+        }
+        for (kind, payload), degree, coeff in vec.terms
+    ]
 
 
 def run_suite(
@@ -218,19 +188,26 @@ def run_suite(
     window: int = 4,
     seed: int = 0,
 ) -> SuiteResult:
+    """One suite's result; ValueError for an unknown suite, a bound out of range or no instance."""
+    if name not in SUITES:
+        raise ValueError(f"unknown suite {name!r}; expected one of {', '.join(SUITES)}")
+    bounds = ("max_pairing", max_pairing, MAX_PAIRING), ("window", window, MAX_WINDOW)
+    for arg, value, high in bounds:
+        if not 0 <= value <= high:
+            raise ValueError(f"{arg}: expected an integer from 0 to {high}, got {value!r}")
     if name == "loop-basis":
-        return _suite_loop_basis(window)
-    if name == "cartan-direction":
-        return _suite_cartan_direction(window)
-    if name == "k-symmetry":
-        return _suite_k_symmetry(max_rank, max_pairing, seed)
-    if name == "stembridge":
-        return _suite_edge_sweep("stembridge", max_rank, max_pairing)
-    if name == "mindeg-inequality":
-        return _suite_edge_sweep("mindeg-inequality", max_rank, max_pairing)
-    if name == "sl2-factorization":
-        return _suite_sl2(window, seed)
-    raise ValueError(f"unknown suite {name!r}; expected one of {', '.join(SUITES)}")
+        outcome = _suite_loop_basis(window)
+    elif name == "cartan-direction":
+        outcome = _suite_cartan_direction(window)
+    elif name == "k-symmetry":
+        outcome = _suite_k_symmetry(max_rank, max_pairing, seed)
+    elif name == "sl2-factorization":
+        outcome = _suite_sl2(window, seed)
+    else:
+        outcome = _suite_edge_sweep(name, max_rank, max_pairing)
+    if not outcome.instances_checked:
+        raise ValueError(f"suite {name} has no instance to check within these bounds")
+    return outcome
 
 
 # The loop suites' rows, made once.  Each check runs on every request; the rows
@@ -238,7 +215,7 @@ def run_suite(
 # is made from.
 
 
-@lru_cache(maxsize=68)  # four loop labels x u-degrees -8..8: 68 rows
+@lru_cache(maxsize=len(LOOP_LABELS) * (2 * MAX_WINDOW + 1))  # one per (label, u-degree)
 def _loop_basis_row(degree: int, fixed_dim: int, lines: int, rank: int, label: str, ok: bool) -> tuple:
     row = {"type": label, "degree": degree, "fixed_dim": fixed_dim, "lines": lines, "rank": rank}
     return _row(row, () if ok else (row,))
@@ -270,32 +247,48 @@ def _suite_cartan_direction(window: int) -> SuiteResult:
     rows, bad = [], []
     for label in DIRECTION_LABELS:
         datum = twisted_datum(label)
-        for root in datum.echelonnage.roots:
-            for k in range(1, depth + 1):
-                if sigma_affine_to_relative(datum, (root, -k)).case == "case2a":
-                    continue  # cartan_direction has no recipe there
-                try:
-                    cartan_direction(datum, (root, -k))
-                except (ValueError, RuntimeError, AssertionError) as exc:
-                    bad.append({"type": label, "root": list(root), "level": -k, "error": str(exc)})
-                else:
-                    rows.append(_direction_row(label, root, k))
+        for root, level in cartan_recipe_roots(datum, depth):
+            try:
+                cartan_direction(datum, (root, level))
+            except (ValueError, RuntimeError, AssertionError) as exc:
+                bad.append({"type": label, "root": list(root), "level": level, "error": str(exc)})
+            else:
+                rows.append(_direction_row(label, root, -level))
     return _result("cartan-direction", None, rows, bad)
 
 
 def _suite_k_symmetry(max_rank: int, max_pairing: int, seed: int) -> SuiteResult:
-    labels = sweep_type_labels(max_rank)
-    rows = [row for label in labels for row in _k_symmetry_rows(label, max_pairing, seed)]
+    """The row of each covering pair of each type's box, and of 25 seeded pairs lam <= mu each.
+
+    A box is a down-set, so its covering pairs are the covers of its points.
+    """
+    rows = []
+    for label in sweep_type_labels(max_rank):
+        system = build_root_system(label)
+        box = _box(system, max_pairing)
+        pairs = [(mu, lam) for mu in box for lam, *_ in _poset(system, mu).edges(mu)]
+        tops = [mu for mu in box if any(mu)]
+        rng = random.Random(f"{seed}:{label}")  # string seeding is process-stable
+        for _ in range(25 if tops else 0):
+            mu = rng.choice(tops)
+            pairs.append((mu, rng.choice(list(_poset(system, mu).below(mu)))))
+        rows += [_k_symmetry_row(label, mu, lam) for mu, lam in dict.fromkeys(pairs)]
     return _result("k-symmetry", seed, rows)
 
 
 def _suite_edge_sweep(kind: str, max_rank: int, max_pairing: int) -> SuiteResult:
-    labels = sweep_type_labels(max_rank)
-    chunks = [_edge_sweep_rows(kind, label, max_pairing) for label in labels]
-    rows = [row for chunk, _ in chunks for row in chunk]
+    rows = [
+        row
+        for label in sweep_type_labels(max_rank)
+        for top in _box(build_root_system(label), max_pairing)
+        for row in _edge_rows(kind, label, top)
+    ]
     if kind != "stembridge":
         return _result(kind, None, rows)
-    histogram = {label: cases for label, (_, cases) in zip(labels, chunks) if cases}
+    # a stembridge row's key is (case, lambda, mu, type); SWEEP_TYPES is in sorted order
+    histogram: dict[str, dict[str, int]] = {}
+    for (label, case), count in sorted(Counter([(key[3], key[0]) for key, _, _ in rows]).items()):
+        histogram.setdefault(label, {})[str(case)] = count
     return _result(kind, None, rows, (), {"histogram": histogram})
 
 

@@ -11,6 +11,7 @@ from pathlib import Path
 
 import jsonschema
 import pytest
+from benchdata import clear_request_memos
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -127,7 +128,7 @@ def test_non_dominant_lambda_names_its_flag(capsys):
     assert (code, out) == (2, "") and "argument --lambda" in err
 
 
-@pytest.mark.parametrize("error", [AssertionError, RuntimeError])
+@pytest.mark.parametrize("error", [AssertionError, RuntimeError, TypeError])
 def test_internal_failures_exit_three(capsys, monkeypatch, error):
     def broken(*args):
         raise error("invariant broken on purpose")
@@ -140,6 +141,35 @@ def test_internal_failures_exit_three(capsys, monkeypatch, error):
     monkeypatch.setattr(verify, "verify_sl2_factorization", broken)
     code, out, err = run(capsys, "verify", "--suite", "sl2-factorization")
     assert (code, out, err) == (3, "", "internal error: invariant broken on purpose\n")
+
+
+def test_a_key_error_is_an_internal_failure_not_a_usage_error(capsys, monkeypatch):
+    def broken(*args):
+        raise KeyError("lookup broken on purpose")
+
+    monkeypatch.setattr("affsch.cli.smooth_locus_report", broken)
+    code, out, err = run(capsys, "analyze", "--type", "A1", "--mu", "2", "--json")
+    assert (code, out, err) == (3, "", "internal error: 'lookup broken on purpose'\n")
+
+
+def test_a_raising_recipe_root_fails_loopcheck(capsys, monkeypatch):
+    """loopcheck asks for every root with a Cartan recipe: a raising one is an error, not a skip."""
+    datum, broken = twisted_datum("2A3"), ((1, 1), -1)
+    real = cli.cartan_direction
+
+    def raising(d, a):
+        if (d, a) == (datum, broken):
+            raise ValueError("recipe broken on purpose")
+        return real(d, a)
+
+    clear_request_memos()  # a memoised directions block would hide the raise
+    monkeypatch.setattr(cli, "cartan_direction", raising)
+    try:
+        for flags in ([], ["--json"]):
+            code, out, err = run(capsys, "loopcheck", "--type", "2A3", *flags)
+            assert (code, out, err) == (2, "", "error: recipe broken on purpose\n"), flags
+    finally:
+        clear_request_memos()
 
 
 def test_failing_suite_still_exits_one(capsys, monkeypatch):

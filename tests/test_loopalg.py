@@ -856,6 +856,22 @@ def test_a_raising_cartan_direction_fails_every_request(monkeypatch, fresh_direc
         assert len(outcome.instances) == outcome.instances_checked - 1
 
 
+def test_cartan_recipe_roots_are_the_inputs_cartan_direction_accepts(fresh_directions):
+    inventory = direction_inventory()
+    accepted, listed = [], []
+    for label in LOOP_TYPES:
+        datum = twisted_datum(label)
+        depth = 6 if label in DIRECTION_LABELS else 1
+        for a in affine_roots_negative_at_vertex(datum, depth):
+            try:
+                cartan_direction(datum, a)
+            except ValueError:
+                continue
+            accepted.append((datum, a))
+        listed += [(datum, a) for a in loopalg.cartan_recipe_roots(datum, depth)]
+    assert listed == accepted == inventory and len(listed) == 262
+
+
 def test_cartan_direction_rejections_are_not_memoised(fresh_directions):
     datum = twisted_datum("2A2")
     for _ in range(2):

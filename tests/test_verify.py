@@ -12,6 +12,7 @@ import hashlib
 import io
 import json
 import random
+from collections import Counter
 
 import pytest
 
@@ -77,10 +78,10 @@ def test_instance_rows_are_rendered_dicts():
 
 def test_boxes_are_the_lattice_solve_boxes_and_stay_within_their_bound(monkeypatch):
     _cold(monkeypatch)
-    assert verify._box.cache_info().maxsize == len(verify.SWEEP_TYPES) * (cli.MAX_PAIRING + 1)
+    assert verify._box.cache_info().maxsize == len(verify.SWEEP_TYPES) * (verify.MAX_PAIRING + 1)
     for label in verify.SWEEP_TYPES:
         system = build_root_system(label)
-        for pairing in range(cli.MAX_PAIRING + 1):
+        for pairing in range(verify.MAX_PAIRING + 1):
             assert verify.sweep_coweights(system, pairing) == sweep_box(system, pairing)
     info = verify._box.cache_info()
     assert info.currsize == info.misses == info.maxsize  # every key held, none evicted
@@ -88,11 +89,12 @@ def test_boxes_are_the_lattice_solve_boxes_and_stay_within_their_bound(monkeypat
 
 def test_full_grid_requests_evict_nothing_and_memos_stay_bounded(monkeypatch):
     _cold(monkeypatch)
-    tops = sum(len(verify._box(build_root_system(label), cli.MAX_PAIRING)) for label in verify.SWEEP_TYPES)
+    boxes = [verify._box(build_root_system(label), verify.MAX_PAIRING) for label in verify.SWEEP_TYPES]
+    tops = sum(map(len, boxes))
     assert tops == TOPS_AT_MAX
     edge = verify._edge_rows.cache_info
     assert edge().maxsize == 2 * TOPS_AT_MAX
-    full = ["--max-rank", "4", "--max-pairing", str(cli.MAX_PAIRING), "--jobs", "1", "--json"]
+    full = ["--max-rank", "4", "--max-pairing", str(verify.MAX_PAIRING), "--jobs", "1", "--json"]
     for suite in ("stembridge", "mindeg-inequality"):
         assert _serve(["verify", "--suite", suite, *full])[0] == 0
     assert edge().currsize == edge().misses == 2 * TOPS_AT_MAX
@@ -307,3 +309,68 @@ def test_a_broken_check_fails_its_suite_end_to_end(monkeypatch, cold_memos, suit
     for row in outcome.counterexamples:
         row.clear()
     assert _serve(["verify", "--suite", suite, *flags, "--json"])[1] == text
+
+
+# -- the request rules run_suite owns ----------------------------------------
+
+OUT_OF_RANGE = (
+    ("max_pairing", "--max-pairing", -1),
+    ("max_pairing", "--max-pairing", verify.MAX_PAIRING + 1),
+    ("window", "--window", -1),
+    ("window", "--window", loopalg.MAX_WINDOW + 1),
+)
+
+
+@pytest.mark.parametrize("suite", verify.SUITES)
+def test_run_suite_and_the_cli_refuse_the_same_bounds(suite):
+    for name, flag, value in OUT_OF_RANGE:
+        high = verify.MAX_PAIRING if name == "max_pairing" else loopalg.MAX_WINDOW
+        message = f"{name}: expected an integer from 0 to {high}, got {value}"
+        with pytest.raises(ValueError, match=message):
+            verify.run_suite(suite, **{name: value})
+        assert _serve(["verify", "--suite", suite, flag, str(value)]) == (2, "")
+
+
+def _no_sl2_rows(window, seed):
+    return verify._result("sl2-factorization", seed, [])
+
+
+# The sweeps check nothing at --max-rank 0, which no sweep type has; no request
+# empties a loop suite, so these patches take away its types or its draws.
+EMPTY_LOOP_SUITES = {
+    "loop-basis": ("LOOP_LABELS", ()),
+    "cartan-direction": ("DIRECTION_LABELS", ()),
+    "sl2-factorization": ("_suite_sl2", _no_sl2_rows),
+}
+
+
+@pytest.mark.parametrize("suite", verify.SUITES)
+def test_run_suite_and_the_cli_refuse_an_empty_sweep(monkeypatch, suite):
+    if suite in EMPTY_LOOP_SUITES:
+        monkeypatch.setattr(verify, *EMPTY_LOOP_SUITES[suite])
+    message = f"suite {suite} has no instance to check within these bounds"
+    with pytest.raises(ValueError, match=message):
+        verify.run_suite(suite, max_rank=0)
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()) as out, contextlib.redirect_stderr(err):
+        code = cli.main(["verify", "--suite", suite, "--max-rank", "0"])
+    assert (code, out.getvalue(), err.getvalue()) == (2, "", f"error: {message}\n")
+
+
+def test_stembridge_histogram_counts_the_cases_of_its_instances():
+    stembridge = ("verify", "--suite", "stembridge")
+    requests = [argv for argv in load_workloads().all_requests() if argv[:3] == stembridge]
+    assert len(requests) == 45
+    for argv in requests:
+        code, text = _serve(argv)
+        result = json.loads(text)["result"]
+        counts = Counter((row["type"], str(row["case"])) for row in result["instances"])
+        histogram = {}
+        for label in verify.SWEEP_TYPES:  # the order the text report lists them in
+            cases = {case: n for (row_type, case), n in sorted(counts.items()) if row_type == label}
+            if cases:
+                histogram[label] = cases
+        assert code == 0 and result["details"]["histogram"] == histogram, argv
+        outcome = verify.run_suite("stembridge", max_rank=_flag(argv, "--max-rank", 4),
+                                   max_pairing=_flag(argv, "--max-pairing", 14))
+        assert list(outcome.details["histogram"]) == list(histogram)
