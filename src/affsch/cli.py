@@ -13,9 +13,13 @@ a bad argument, an empty sweep or an oversized closure), 3 internal failure
 (any other exception; nothing on stdout), 141 (128 + SIGPIPE) when the reader
 closes stdout early, as `| head` does, with nothing on stderr.
 
-JSON is written by jsontext._json_text, byte for byte as json.dumps(indent=2,
-sort_keys=True) writes it; rows rendered once are placed as _Fragment text,
-and pairing vectors go in as the engine's tuples, written as arrays.
+JSON is written byte for byte as json.dumps(indent=2, sort_keys=True) writes
+it, by one generic writer, jsontext._json_text, plus two row templates held to
+json.dumps: analyze and poset read schubert's raw stratum and edge tuples, in
+text mode and with --json alike, and the templates write the strata of an
+analyze document and the edges of a poset document from them, with no dict
+per row.  Rows rendered once are placed as _Fragment text, and pairing
+vectors go in as the engine's tuples, written as arrays.
 verify keeps the rows of its sweep and loop suites rendered.  loopcheck --json
 renders each degree row once per (datum, u-degree), and the Cartan-direction
 and special blocks once per datum, in bounded memos; a wider window places the
@@ -31,9 +35,10 @@ import math
 import os
 import sys
 from functools import lru_cache
+from operator import mul
 
 from affsch import __version__
-from affsch.jsontext import _Fragment, _json_text
+from affsch.jsontext import _Fragment, _edge_rows_text, _json_text, _stratum_rows_text
 from affsch.loopalg import (
     MAX_WINDOW,
     LoopVector,
@@ -47,12 +52,7 @@ from affsch.loopalg import (
     root_line_vectors,
 )
 from affsch.rootsys import Coweight, two_rho_pairing
-from affsch.schubert import (
-    certificate,
-    dominant_below,
-    minimal_degenerations,
-    smooth_locus_report,
-)
+from affsch.schubert import _edges_below, _stratum_rows, certificate
 from affsch.twist import (
     cartan_sigma_dim,
     sigma_affine_to_relative,
@@ -156,61 +156,47 @@ def _certificate_dict(cert) -> dict:
 
 def _cmd_analyze(args) -> int:
     datum = twisted_datum(args.type)
+    system = datum.echelonnage
     mu = _closure_top(datum, args.mu)
-    lam = None if args.lam is None else _dominant_arg(datum.echelonnage, args.lam, "--lambda")
-    report = smooth_locus_report(mu, datum)
-    strata = [
-        {
-            "lambda": stratum.lam.pairings,
-            "dimension": two_rho_pairing(stratum.lam),
-            "status": stratum.status,
-            "mechanism": stratum.mechanism,
-            "certificate": _certificate_dict(stratum.certificate) if stratum.certificate else None,
-            "via": stratum.via.pairings if stratum.via else None,
-        }
-        for stratum in report.strata
-    ]
+    lam = None if args.lam is None else _dominant_arg(system, args.lam, "--lambda")
+    rows = _stratum_rows(mu, datum)
     focus = None if lam is None else _certificate_dict(certificate(mu, lam, datum))
-    result = {
-        "datum": _describe_datum(datum),
-        "mu": mu.pairings,
-        "dimension": two_rho_pairing(mu),
-        "strata": strata,
-        "focus": focus,
-    }
+    dimension = two_rho_pairing(mu)
+    d = _describe_datum(datum)
     if args.json:
+        result = {
+            "datum": d,
+            "mu": mu.pairings,
+            "dimension": dimension,
+            "strata": _stratum_rows_text(rows, system.two_rho_coefficients),
+            "focus": focus,
+        }
         _emit_json("analyze", _request_fields(args), result)
-    else:
-        d = result["datum"]
+        return 0
+    print(f"datum {d['label']}: absolute {d['absolute']}, order {d['order']}, vertex {d['vertex']}")
+    rel = d["relative"]
+    norms = ",".join(str(n) for n in rel["simple_half_norms"])
+    print(f"relative system {rel['label']} (rank {rel['rank']}, half-norms {norms})")
+    print(f"mu = {mu.pairings}, dimension {dimension}")
+    print("strata:")
+    two_rho = system.two_rho_coefficients
+    for p, status, mechanism, cert, via in rows:
+        line = f"  {p}  dim {sum(map(mul, two_rho, p))}  {status}  [{mechanism}]"
+        if cert is not None:
+            dim, root_bound, cartan_extra, _ = cert
+            line += (
+                f" root bound {root_bound} + cartan {cartan_extra}"
+                f" = {root_bound + cartan_extra} vs dim {dim}"
+            )
+        if via is not None:
+            line += f" via {via}"
+        print(line)
+    if focus:
         print(
-            f"datum {d['label']}: absolute {d['absolute']}, order {d['order']}, "
-            f"vertex {d['vertex']}"
+            f"focus lambda {focus['lambda']}: {focus['verdict']}"
+            f" (root bound {focus['root_bound']} + cartan {focus['cartan_extra']}"
+            f" = {focus['total']} vs dim {focus['dim']})"
         )
-        rel = d["relative"]
-        norms = ",".join(str(n) for n in rel["simple_half_norms"])
-        print(f"relative system {rel['label']} (rank {rel['rank']}, half-norms {norms})")
-        print(f"mu = {mu.pairings}, dimension {result['dimension']}")
-        print("strata:")
-        for row in strata:
-            line = (
-                f"  {row['lambda']}  dim {row['dimension']}"
-                f"  {row['status']}  [{row['mechanism']}]"
-            )
-            if row["certificate"]:
-                c = row["certificate"]
-                line += (
-                    f" root bound {c['root_bound']} + cartan {c['cartan_extra']}"
-                    f" = {c['total']} vs dim {c['dim']}"
-                )
-            if row["via"]:
-                line += f" via {row['via']}"
-            print(line)
-        if focus:
-            print(
-                f"focus lambda {focus['lambda']}: {focus['verdict']}"
-                f" (root bound {focus['root_bound']} + cartan {focus['cartan_extra']}"
-                f" = {focus['total']} vs dim {focus['dim']})"
-            )
     return 0
 
 
@@ -221,34 +207,25 @@ def _cmd_poset(args) -> int:
     datum = twisted_datum(args.type)
     system = datum.echelonnage
     mu = _closure_top(datum, args.mu)
-    edges = minimal_degenerations(mu)
-    strata = dominant_below(mu)  # a memo hit: minimal_degenerations walked the down-set
-    result = {
-        "datum": _describe_datum(datum),
-        "mu": mu.pairings,
-        "strata": [lam.pairings for lam in strata],
-        "edges": [
-            {
-                "upper": edge.mu.pairings,
-                "lower": edge.lam.pairings,
-                "case": edge.stembridge_case,
-                "support": edge.support_indices,
-            }
-            for edge in edges
-        ],
-    }
+    edges_below = _edges_below(mu)
+    strata = [p for p, _ in edges_below]
     if args.json:
+        result = {
+            "datum": _describe_datum(datum),
+            "mu": mu.pairings,
+            "strata": strata,
+            "edges": _edge_rows_text(edges_below),
+        }
         _emit_json("poset", _request_fields(args), result)
-    else:
-        print(f"strata below mu = {mu.pairings} in {system.label}: {len(strata)}")
-        for lam in strata:
-            print(f"  {lam.pairings}  dim {two_rho_pairing(lam)}")
-        print(f"covering edges: {len(edges)}")
-        for row in result["edges"]:
-            print(
-                f"  {row['upper']} > {row['lower']}"
-                f"  case {row['case']}  support {list(row['support'])}"
-            )
+        return 0
+    print(f"strata below mu = {mu.pairings} in {system.label}: {len(strata)}")
+    two_rho = system.two_rho_coefficients
+    for p in strata:
+        print(f"  {p}  dim {sum(map(mul, two_rho, p))}")
+    print(f"covering edges: {sum(len(edges) for _, edges in edges_below)}")
+    for upper, edges in edges_below:
+        for lower, _, support, case in edges:
+            print(f"  {upper} > {lower}  case {case}  support {list(support)}")
     return 0
 
 

@@ -1,8 +1,20 @@
-"""The JSON writer of cli's documents and verify's rendered rows."""
+"""The JSON writers of cli's documents and verify's rendered rows.
+
+_json_text is the one generic writer: it writes every value of every
+document.  Two fixed-shape writers sit beside it, one template per row shape
+of the two longest lists the closure commands write: _stratum_rows_text for
+the strata of an analyze document and _edge_rows_text for the edges of a
+poset document.  Each writes its whole list at depth 0 straight from the
+engine's raw tuples, with no dict per row, as one _Fragment that _json_text
+places.  Both are held to json.dumps(indent=2, sort_keys=True) of the dict
+rows they replace (tests/oracles.py) over every closures request of the
+benchmark.
+"""
 
 from __future__ import annotations
 
 from json.encoder import encode_basestring_ascii
+from operator import mul
 
 # writers of the scalar types, by exact type: subclasses take the general path
 _JSON_SCALARS = {
@@ -70,3 +82,69 @@ def _json_text(value, newline: str = "\n") -> str:
     if isinstance(value, int):
         return int.__repr__(value)
     raise RuntimeError(f"a {type(value).__name__} is not a JSON document value")
+
+
+# -- fixed-shape row templates ---------------------------------------------------
+
+
+def _int_array(values, indent: str) -> str:
+    """A tuple of ints as json.dumps(indent=2) writes it on a line indented by indent."""
+    if not values:
+        return "[]"
+    inner = "\n  " + indent
+    return "[" + inner + ("," + inner).join(map(str, values)) + "\n" + indent + "]"
+
+
+def _stratum_rows_text(rows, two_rho) -> _Fragment:
+    """The strata list of an analyze document, from schubert._stratum_rows.
+
+    rows are (lam, status, mechanism, certificate, via) tuples, certificate
+    (dim, root_bound, cartan_extra, verdict) or None; two_rho holds the 2rho
+    coefficients that give each row's dimension.  The text is _json_text's
+    of the dict rows {"certificate", "dimension", "lambda", "mechanism",
+    "status", "via"}, the certificate a dict that adds "lambda" and "total".
+    """
+    items = []
+    for lam, status, mechanism, cert, via in rows:
+        lam_text = _int_array(lam, "    ")
+        if cert is None:
+            cert_text = "null"
+        else:
+            dim, root_bound, cartan_extra, verdict = cert
+            cert_text = (
+                f'{{\n      "cartan_extra": {cartan_extra},\n      "dim": {dim},'
+                f'\n      "lambda": {_int_array(lam, "      ")},'
+                f'\n      "root_bound": {root_bound},'
+                f'\n      "total": {root_bound + cartan_extra},'
+                f'\n      "verdict": {encode_basestring_ascii(verdict)}\n    }}'
+            )
+        via_text = "null" if via is None else _int_array(via, "    ")
+        items.append(
+            f'\n  {{\n    "certificate": {cert_text},'
+            f'\n    "dimension": {sum(map(mul, two_rho, lam))},'
+            f'\n    "lambda": {lam_text},'
+            f'\n    "mechanism": {encode_basestring_ascii(mechanism)},'
+            f'\n    "status": {encode_basestring_ascii(status)},'
+            f'\n    "via": {via_text}\n  }}'
+        )
+    return _Fragment("[" + ",".join(items) + "\n]" if items else "[]")
+
+
+def _edge_rows_text(edges_below) -> _Fragment:
+    """The edges list of a poset document, from schubert._edges_below.
+
+    edges_below holds (upper, edges) pairs, each edge a (lower, gap, support,
+    case) tuple.  The text is _json_text's of the dict rows {"case",
+    "lower", "support", "upper"}, in the same order.
+    """
+    items = []
+    for upper, edges in edges_below:
+        upper_text = _int_array(upper, "    ")
+        for lower, _, support, case in edges:
+            items.append(
+                f'\n  {{\n    "case": {case},'
+                f'\n    "lower": {_int_array(lower, "    ")},'
+                f'\n    "support": {_int_array(support, "    ")},'
+                f'\n    "upper": {upper_text}\n  }}'
+            )
+    return _Fragment("[" + ",".join(items) + "\n]" if items else "[]")

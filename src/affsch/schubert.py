@@ -17,10 +17,13 @@ DominancePoset per root system memoises it, each fact once: the down-set
 with gaps of every top, the covers of every upper end asked about (kept only
 as classified edges), the k-vector of every pair asked about over all roots,
 and the dominant representatives its k_alpha walks land on, with one tuple
-per distinct dominant point.  The memos hold raw tuples only; the public
-functions build the Coweight and DegenerationEdge objects they hand out,
-without validating the poset's own points again.  The Stembridge steps are
-recomputed, not kept, and the walk builds only those that stay dominant.
+per distinct dominant point.  The memos hold raw tuples only.  The stratum
+rows of a closure (_stratum_rows) and its edges (_edges_below) are raw
+tuples too: the public functions wrap them in the Coweight, StratumReport
+and DegenerationEdge objects they hand out, without validating the poset's
+own points again, and cli writes its documents from them directly.  The
+Stembridge steps are recomputed, not kept, and the walk builds only those
+that stay dominant.
 The steps and the k_alpha walks read one table of positive coroots: the walk
 of a negative root adds what the walk of its positive root subtracts.
 The public functions keep one poset per root system from call to call, so
@@ -49,7 +52,7 @@ from affsch.rootsys import (
     build_root_system,
     recognize_components,
     short_dominant_coroot,
-    two_rho_pairing,
+    two_rho_pairing,  # no use here; the demos and tests import it from this module
 )
 from affsch.twist import ABSOLUTELY_SPECIAL, TwistedDatum, cartan_sigma_dim
 
@@ -343,16 +346,23 @@ def dominant_below(mu: Coweight) -> list[Coweight]:
 
 def minimal_degenerations(mu: Coweight) -> list[DegenerationEdge]:
     """Every covering pair of the dominance order on dominant_below(mu)."""
-    _require_dominant_pair(mu, mu)
     system = mu.system
-    poset = _poset(system, mu.pairings)
     found = []
-    for p in poset.below(mu.pairings):
+    for p, edges in _edges_below(mu):
         upper = _known_coweight(system, p)
-        for q, gap, support, case in poset.edges(p):
+        for q, gap, support, case in edges:
             lower = _known_coweight(system, q)
             found.append(DegenerationEdge(upper, lower, CorootVector(system, gap), support, case))
     return found
+
+
+def _edges_below(
+    mu: Coweight,
+) -> list[tuple[IntVec, tuple[tuple[IntVec, IntVec, IntVec, int], ...]]]:
+    """(p, DominancePoset.edges(p)) for every stratum p of the mu closure, in stratum order."""
+    _require_dominant_pair(mu, mu)
+    poset = _poset(mu.system, mu.pairings)
+    return [(p, poset.edges(p)) for p in poset.below(mu.pairings)]
 
 
 # -- degeneration classification ---------------------------------------------
@@ -452,18 +462,20 @@ def certificate(mu: Coweight, lam: Coweight, datum: TwistedDatum) -> SmoothnessC
     _require_dominant_pair(lam, mu)
     if lam == mu:
         raise ValueError("need a strict degeneration, got lam == mu")
-    return _certificate(_pair_poset(lam, mu), mu, lam, datum)
+    row = _certificate_row(_pair_poset(lam, mu), mu.pairings, lam.pairings, datum)
+    return SmoothnessCertificate(mu, lam, *row)
 
 
-def _certificate(
-    poset: DominancePoset, mu: Coweight, lam: Coweight, datum: TwistedDatum
-) -> SmoothnessCertificate:
-    """certificate(mu, lam, datum) for a pair lam < mu of the down-set poset holds."""
-    counts = poset.k_vector(lam.pairings, mu.pairings)
-    dim = two_rho_pairing(mu)
+def _certificate_row(
+    poset: DominancePoset, mu: IntVec, lam: IntVec, datum: TwistedDatum
+) -> tuple[int, int, int, str]:
+    """(dim, root_bound, cartan_extra, verdict) of the certificate of lam < mu, both in poset."""
+    system = poset.system
+    counts = poset.k_vector(lam, mu)
+    dim = sum(map(mul, system.two_rho_coefficients, mu))
     root_bound = sum(counts)
     # system.roots lists the negative roots after the positive ones
-    if any(counts[len(mu.system.positive_roots) :]):
+    if any(counts[len(system.positive_roots) :]):
         if cartan_sigma_dim(datum, 1) < 1:
             raise RuntimeError(
                 "no Cartan direction available: sigma0 has a trivial zeta eigenspace"
@@ -472,7 +484,7 @@ def _certificate(
     else:
         cartan_extra = 0
     verdict = SINGULAR if root_bound + cartan_extra >= dim + 1 else INCONCLUSIVE
-    return SmoothnessCertificate(mu, lam, dim, root_bound, cartan_extra, verdict)
+    return dim, root_bound, cartan_extra, verdict
 
 
 def smooth_locus_report(mu: Coweight, datum: TwistedDatum) -> SmoothLocusReport:
@@ -483,33 +495,56 @@ def smooth_locus_report(mu: Coweight, datum: TwistedDatum) -> SmoothLocusReport:
     stratum smooth, openness of the smooth locus would force smoothness on
     every stratum between it and mu, contradicting that cover's certificate.
     """
+    system = mu.system
+    strata = []
+    for p, status, mechanism, cert, via in _stratum_rows(mu, datum):
+        lam = _known_coweight(system, p)
+        strata.append(
+            StratumReport(
+                lam,
+                status,
+                mechanism,
+                None if cert is None else SmoothnessCertificate(mu, lam, *cert),
+                None if via is None else _known_coweight(system, via),
+            )
+        )
+    return SmoothLocusReport(mu, tuple(strata))
+
+
+def _stratum_rows(
+    mu: Coweight, datum: TwistedDatum
+) -> list[tuple[IntVec, str, str, tuple[int, int, int, str] | None, IntVec | None]]:
+    """(lam, status, mechanism, certificate, via) of every stratum of the mu closure.
+
+    The rows of smooth_locus_report as raw tuples, in stratum order: lam and
+    via are pairing vectors, and certificate is the _certificate_row of a
+    cover, None for every other stratum.
+    """
     if datum.vertex != ABSOLUTELY_SPECIAL:
         raise ValueError("reports are only valid at an absolutely special vertex")
     if mu.system is not datum.echelonnage:
         raise ValueError("mu must live in the datum's folded root system")
     _require_dominant_pair(mu, mu)
-    system = mu.system
-    poset = _poset(system, mu.pairings)
-    below = poset.below(mu.pairings)
+    system, top = mu.system, mu.pairings
+    poset = _poset(system, top)
+    below = poset.below(top)
     certificates, singular = {}, []
-    covers = sorted(poset.edges(mu.pairings), key=lambda edge: _stratum_key(system, edge[0]))
+    covers = sorted(poset.edges(top), key=lambda edge: _stratum_key(system, edge[0]))
     for q, gap, _, _ in covers:
-        cert = certificates[q] = _certificate(poset, mu, _known_coweight(system, q), datum)
-        if cert.verdict == SINGULAR:
-            singular.append((cert.lam, gap))
-    strata: list[StratumReport] = []
+        cert = certificates[q] = _certificate_row(poset, top, q, datum)
+        if cert[3] == SINGULAR:
+            singular.append((q, gap))
+    rows = []
     for p, gap in below.items():
         cert = certificates.get(p)
         if cert is not None:
-            status = "singular" if cert.verdict == SINGULAR else "unresolved"
-            strata.append(StratumReport(cert.lam, status, "certificate", cert))
+            status = "singular" if cert[3] == SINGULAR else "unresolved"
+            rows.append((p, status, "certificate", cert, None))
         elif not any(gap):
-            strata.append(StratumReport(_known_coweight(system, p), "smooth", "open-orbit"))
+            rows.append((p, "smooth", "open-orbit", None, None))
         else:
             # the first cover above p, in stratum order, with a singular certificate
             via = next((cover for cover, c in singular if _componentwise_lt(c, gap)), None)
             status = "unresolved" if via is None else "singular"
-            strata.append(
-                StratumReport(_known_coweight(system, p), status, "openness-propagation", None, via)
-            )
-    return SmoothLocusReport(mu, tuple(strata))
+            rows.append((p, status, "openness-propagation", None, via))
+    return rows

@@ -7,9 +7,10 @@ covers and down-sets walked over them, root-curve targets and case tags from
 a pair's endpoints, the level correspondence by Fraction progressions, the
 bracket by adding root tuples, the Jacobi and sigma0 build checks over that
 bracket, the rank-one factorization by Laurent-matrix products, the sweep
-suites' rows as dicts, built from the public schubert functions, and the loop
-suites' rows as dicts, all sorted by their items), so the tests can check the
-fast paths against them.
+suites' rows as dicts, built from the public schubert functions, the loop
+suites' rows as dicts, all sorted by their items, and the stratum and edge
+rows of the closure documents as dicts, built from the public report and
+edge objects), so the tests can check the fast paths against them.
 """
 
 from __future__ import annotations
@@ -29,6 +30,7 @@ from affsch.rootsys import (
 )
 from affsch.schubert import (
     DegenerationEdge,
+    SmoothnessCertificate,
     _classify,
     dominant_below,
     k_alpha,
@@ -143,6 +145,49 @@ def classify_degeneration(edge: DegenerationEdge) -> int:
     gap = difference_coroot(edge.lam, edge.mu).coefficients
     support = tuple(i for i, x in enumerate(gap) if x)
     return _classify(edge.mu.system, edge.mu.pairings, edge.lam.pairings, gap, support)
+
+
+# -- the closure documents' row lists, one dict per row ------------------------
+
+
+def certificate_row(cert: SmoothnessCertificate) -> dict:
+    """A certificate as analyze documents write it, in a stratum row or as the focus."""
+    return {
+        "lambda": cert.lam.pairings,
+        "dim": cert.dim,
+        "root_bound": cert.root_bound,
+        "cartan_extra": cert.cartan_extra,
+        "total": cert.root_bound + cert.cartan_extra,
+        "verdict": cert.verdict,
+    }
+
+
+def analyze_strata_rows(strata) -> list[dict]:
+    """The strata list of an analyze document, one dict per StratumReport."""
+    return [
+        {
+            "lambda": stratum.lam.pairings,
+            "dimension": two_rho_pairing(stratum.lam),
+            "status": stratum.status,
+            "mechanism": stratum.mechanism,
+            "certificate": certificate_row(stratum.certificate) if stratum.certificate else None,
+            "via": stratum.via.pairings if stratum.via else None,
+        }
+        for stratum in strata
+    ]
+
+
+def poset_edge_rows(edges) -> list[dict]:
+    """The edges list of a poset document, one dict per DegenerationEdge."""
+    return [
+        {
+            "upper": edge.mu.pairings,
+            "lower": edge.lam.pairings,
+            "case": edge.stembridge_case,
+            "support": edge.support_indices,
+        }
+        for edge in edges
+    ]
 
 
 def translate_affine_root(a: AffineRoot, lam: Coweight) -> AffineRoot:

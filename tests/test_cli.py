@@ -1,5 +1,7 @@
 """End-to-end CLI checks: exit codes, JSON schema, determinism, content."""
 
+import contextlib
+import io
 import json
 import os
 import subprocess
@@ -133,7 +135,7 @@ def test_internal_failures_exit_three(capsys, monkeypatch, error):
     def broken(*args):
         raise error("invariant broken on purpose")
 
-    monkeypatch.setattr("affsch.cli.smooth_locus_report", broken)
+    monkeypatch.setattr("affsch.cli._stratum_rows", broken)
     for flags in ([], ["--json"]):
         code, out, err = run(capsys, "analyze", "--type", "A1", "--mu", "2", *flags)
         assert (code, out, err) == (3, "", "internal error: invariant broken on purpose\n")
@@ -147,7 +149,7 @@ def test_a_key_error_is_an_internal_failure_not_a_usage_error(capsys, monkeypatc
     def broken(*args):
         raise KeyError("lookup broken on purpose")
 
-    monkeypatch.setattr("affsch.cli.smooth_locus_report", broken)
+    monkeypatch.setattr("affsch.cli._stratum_rows", broken)
     code, out, err = run(capsys, "analyze", "--type", "A1", "--mu", "2", "--json")
     assert (code, out, err) == (3, "", "internal error: 'lookup broken on purpose'\n")
 
@@ -195,6 +197,41 @@ def test_poset_carries_case_tags(capsys):
     assert edges == [
         {"upper": [1, 1], "lower": [0, 1], "case": 3, "support": [0, 1]}
     ]
+
+
+# -- text mode, pinned whole -----------------------------------------------------
+
+# Text-mode requests whose whole stdout tests/pinned/closures_text.txt pins:
+# rank one with a via row and with mu = 0, C2, G2 (relative to 3D4) with a
+# --lambda focus line, and 2A3, each as analyze and as poset.
+TEXT_REQUESTS = (
+    ("analyze", "--type", "A1", "--mu", "4"),
+    ("analyze", "--type", "A1", "--mu", "0"),
+    ("analyze", "--type", "C2", "--mu", "2,2"),
+    ("analyze", "--type", "3D4", "--mu", "1,1", "--lambda", "0,1"),
+    ("analyze", "--type", "2A3", "--mu", "1,2", "--lambda", "0,0"),
+    ("poset", "--type", "A1", "--mu", "4"),
+    ("poset", "--type", "A1", "--mu", "0"),
+    ("poset", "--type", "C2", "--mu", "2,2"),
+    ("poset", "--type", "3D4", "--mu", "1,1"),
+    ("poset", "--type", "2A3", "--mu", "1,2"),
+)
+PINNED_TEXT = ROOT / "tests" / "pinned" / "closures_text.txt"
+
+
+def transcript(requests) -> str:
+    """A '$ affsch <argv> (exit <code>)' line and then the stdout of each request."""
+    parts = []
+    for argv in requests:
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            code = main(list(argv))
+        parts.append(f"$ affsch {' '.join(argv)} (exit {code})\n{out.getvalue()}")
+    return "".join(parts)
+
+
+def test_closure_text_output_is_pinned():
+    assert transcript(TEXT_REQUESTS) == PINNED_TEXT.read_text()
 
 
 @pytest.mark.parametrize(
@@ -523,7 +560,9 @@ def test_non_json_values_exit_three(capsys, monkeypatch, value):
     monkeypatch.setattr(
         cli, "_certificate_dict", lambda cert: {**certificate_dict(cert), "dim": value}
     )
-    code, out, err = run(capsys, "analyze", "--type", "A1", "--mu", "2", "--json")
+    # the focus certificate is a dict _json_text writes
+    argv = ("analyze", "--type", "A1", "--mu", "2", "--lambda", "0", "--json")
+    code, out, err = run(capsys, *argv)
     name = type(value).__name__
     assert (code, out, err) == (3, "", f"internal error: a {name} is not a JSON document value\n")
 

@@ -1,0 +1,196 @@
+"""The two row templates of the closure documents, against json.dumps.
+
+analyze writes the strata list of its document, and poset the edges list of
+its own, with a fixed-shape template (jsontext._stratum_rows_text and
+jsontext._edge_rows_text) straight from schubert's raw rows
+(schubert._stratum_rows and schubert._edges_below).  Each template must write
+exactly json.dumps(indent=2, sort_keys=True) of the dict rows of
+tests/oracles.py, which are built from the public report and edge objects:
+at the top of every closures request the benchmark can draw, with both
+templates at each, and on synthetic rows of shapes those requests never
+produce.  The raw rows are also the one source of the public objects:
+smooth_locus_report, certificate, minimal_degenerations and dominant_below
+must give what the rows give.
+"""
+
+import json
+
+import pytest
+from benchdata import load_workloads
+from oracles import analyze_strata_rows, poset_edge_rows
+
+from affsch import schubert
+from affsch.jsontext import _edge_rows_text, _stratum_rows_text
+from affsch.rootsys import Coweight, CorootVector, build_root_system
+from affsch.schubert import (
+    DegenerationEdge,
+    SmoothnessCertificate,
+    StratumReport,
+    certificate,
+    dominant_below,
+    minimal_degenerations,
+    smooth_locus_report,
+)
+from affsch.twist import twisted_datum
+
+
+def _dumps(value) -> str:
+    return json.dumps(value, indent=2, sort_keys=True)
+
+
+def _closure_tops() -> list[tuple[str, tuple[int, ...]]]:
+    """(type, mu) of every closures request any seed can draw, each once."""
+    requests = [argv for argv in load_workloads().all_requests() if argv[0] in ("analyze", "poset")]
+    assert len(requests) == 300
+    tops = [(argv[2], tuple(int(x) for x in argv[4].split(","))) for argv in requests]
+    return list(dict.fromkeys(tops))
+
+
+def _strata_from_rows(mu: Coweight, rows) -> tuple[StratumReport, ...]:
+    """The StratumReports the raw rows stand for, each coweight validated."""
+    system = mu.system
+    strata = []
+    for p, status, mechanism, cert, via in rows:
+        lam = Coweight(system, p)
+        strata.append(
+            StratumReport(
+                lam,
+                status,
+                mechanism,
+                None if cert is None else SmoothnessCertificate(mu, lam, *cert),
+                None if via is None else Coweight(system, via),
+            )
+        )
+    return tuple(strata)
+
+
+def _edges_from_rows(system, edges_below) -> list[DegenerationEdge]:
+    """The DegenerationEdges the raw (upper, edges) rows stand for, in order."""
+    return [
+        DegenerationEdge(
+            Coweight(system, upper),
+            Coweight(system, lower),
+            CorootVector(system, gap),
+            support,
+            case,
+        )
+        for upper, edges in edges_below
+        for lower, gap, support, case in edges
+    ]
+
+
+def test_stratum_template_matches_json_dumps_on_every_closure():
+    mismatches = []
+    for label, p in _closure_tops():
+        datum = twisted_datum(label)
+        mu = Coweight(datum.echelonnage, p)
+        text = _stratum_rows_text(schubert._stratum_rows(mu, datum), mu.system.two_rho_coefficients)
+        if text != _dumps(analyze_strata_rows(smooth_locus_report(mu, datum).strata)):
+            mismatches.append((label, p))
+    assert mismatches == []
+
+
+def test_edge_template_matches_json_dumps_on_every_closure():
+    mismatches = []
+    for label, p in _closure_tops():
+        mu = Coweight(twisted_datum(label).echelonnage, p)
+        text = _edge_rows_text(schubert._edges_below(mu))
+        if text != _dumps(poset_edge_rows(minimal_degenerations(mu))):
+            mismatches.append((label, p))
+    assert mismatches == []
+
+
+def test_public_objects_are_what_the_raw_rows_give():
+    """One source: the report, the certificates, the edges and the strata of every closure."""
+    for label, p in _closure_tops():
+        datum = twisted_datum(label)
+        system = datum.echelonnage
+        mu = Coweight(system, p)
+        rows = schubert._stratum_rows(mu, datum)
+        strata = _strata_from_rows(mu, rows)
+        assert smooth_locus_report(mu, datum).strata == strata, (label, p)
+        for stratum in strata:
+            if stratum.certificate is not None:
+                assert certificate(mu, stratum.lam, datum) == stratum.certificate, (label, p)
+        edges_below = schubert._edges_below(mu)
+        assert minimal_degenerations(mu) == _edges_from_rows(system, edges_below), (label, p)
+        assert dominant_below(mu) == [Coweight(system, upper) for upper, _ in edges_below]
+        assert [row[0] for row in rows] == [upper for upper, _ in edges_below], (label, p)
+
+
+# -- shapes the benchmark's closures never produce ---------------------------------
+
+A1, A4 = build_root_system("A1"), build_root_system("A4")
+
+SYNTHETIC_STRATA = {
+    # an unresolved cover with an inconclusive certificate and no Cartan
+    # direction, and an unresolved stratum below it with no via; rank 4
+    "unresolved": (
+        A4,
+        (1, 0, 0, 1),
+        [
+            ((1, 0, 0, 1), "smooth", "open-orbit", None, None),
+            ((0, 1, 1, 0), "unresolved", "certificate", (8, 6, 0, "inconclusive"), None),
+            ((0, 0, 0, 0), "unresolved", "openness-propagation", None, None),
+        ],
+    ),
+    "one stratum": (A1, (0,), [((0,), "smooth", "open-orbit", None, None)]),
+    # rank 1, a singular certificate with cartan_extra 0, ints past 64 bits
+    "rank one": (
+        A1,
+        (10**20,),
+        [
+            ((10**20,), "smooth", "open-orbit", None, None),
+            ((10**20 - 2,), "singular", "certificate", (10**20, 10**20 + 1, 0, "singular"), None),
+            ((0,), "singular", "openness-propagation", None, (10**20 - 2,)),
+        ],
+    ),
+    # strings are escaped as json.dumps escapes them
+    "escaped strings": (
+        A1,
+        (2,),
+        [((0,), 'quote " back\\slash', "é\n ", (2, 0, 0, "😀"), (2,))],
+    ),
+    "no strata": (A1, (0,), []),
+}
+
+
+@pytest.mark.parametrize("name", SYNTHETIC_STRATA)
+def test_stratum_template_matches_json_dumps_on_synthetic_rows(name):
+    system, top, rows = SYNTHETIC_STRATA[name]
+    strata = _strata_from_rows(Coweight(system, top), rows)
+    expected = _dumps(analyze_strata_rows(strata))
+    assert _stratum_rows_text(rows, system.two_rho_coefficients) == expected
+
+
+SYNTHETIC_EDGES = {
+    "one stratum": (A1, [((0,), ())]),
+    "no strata": (A1, []),
+    "rank one": (
+        A1,
+        [((4,), (((2,), (1,), (0,), 2),)), ((2,), (((0,), (1,), (0,), 2),)), ((0,), ())],
+    ),
+    # rank 4: a support of length 1, two edges below one upper end, and an
+    # upper end with none between two with some
+    "rank four": (
+        A4,
+        [
+            ((2, 0, 0, 0), (((0, 1, 0, 0), (1, 0, 0, 0), (0,), 1),)),
+            ((1, 0, 0, 1), ()),
+            (
+                (0, 1, 1, 0),
+                (
+                    ((1, 0, 0, 1), (0, 1, 1, 0), (1, 2), 2),
+                    ((0, 0, 0, 0), (1, 2, 2, 1), (0, 1, 2, 3), 2),
+                ),
+            ),
+        ],
+    ),
+}
+
+
+@pytest.mark.parametrize("name", SYNTHETIC_EDGES)
+def test_edge_template_matches_json_dumps_on_synthetic_rows(name):
+    system, edges_below = SYNTHETIC_EDGES[name]
+    expected = _dumps(poset_edge_rows(_edges_from_rows(system, edges_below)))
+    assert _edge_rows_text(edges_below) == expected
