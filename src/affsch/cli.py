@@ -14,12 +14,12 @@ a bad argument, an empty sweep or an oversized closure), 3 internal failure
 closes stdout early, as `| head` does, with nothing on stderr.
 
 JSON is written byte for byte as json.dumps(indent=2, sort_keys=True) writes
-it, by one generic writer, jsontext._json_text, plus two row templates held to
+it, by one generic writer, jsontext._json_text, plus templates held to
 json.dumps: analyze and poset read schubert's raw stratum and edge tuples, in
-text mode and with --json alike, and the templates write the strata of an
-analyze document and the edges of a poset document from them, with no dict
-per row.  Rows rendered once are placed as _Fragment text, and pairing
-vectors go in as the engine's tuples, written as arrays.
+text mode and with --json alike, and the templates write the strata and the
+certificates of an analyze document and the edges of a poset document from
+them.  Rows rendered once are placed as _Fragment text, and pairing vectors
+go in as the engine's tuples, written as arrays.
 verify keeps the rows of its sweep and loop suites rendered.  loopcheck --json
 renders each degree row once per (datum, u-degree), and the Cartan-direction
 and special blocks once per datum, in bounded memos; a wider window places the
@@ -38,7 +38,13 @@ from functools import lru_cache
 from operator import mul
 
 from affsch import __version__
-from affsch.jsontext import _Fragment, _edge_rows_text, _json_text, _stratum_rows_text
+from affsch.jsontext import (
+    _Fragment,
+    _certificate_text,
+    _edge_rows_text,
+    _json_text,
+    _stratum_rows_text,
+)
 from affsch.loopalg import (
     MAX_WINDOW,
     LoopVector,
@@ -140,15 +146,10 @@ def _describe_datum(datum) -> dict:
     }
 
 
-def _certificate_dict(cert) -> dict:
-    return {
-        "lambda": cert.lam.pairings,
-        "dim": cert.dim,
-        "root_bound": cert.root_bound,
-        "cartan_extra": cert.cartan_extra,
-        "total": cert.root_bound + cert.cartan_extra,
-        "verdict": cert.verdict,
-    }
+def _bound_text(cert) -> str:
+    """The count of a (dim, root_bound, cartan_extra, verdict) row, as text mode prints it."""
+    dim, bound, extra, _ = cert
+    return f"root bound {bound} + cartan {extra} = {bound + extra} vs dim {dim}"
 
 
 # -- analyze -------------------------------------------------------------------
@@ -160,7 +161,8 @@ def _cmd_analyze(args) -> int:
     mu = _closure_top(datum, args.mu)
     lam = None if args.lam is None else _dominant_arg(system, args.lam, "--lambda")
     rows = _stratum_rows(mu, datum)
-    focus = None if lam is None else _certificate_dict(certificate(mu, lam, datum))
+    cert = None if lam is None else certificate(mu, lam, datum)
+    focus = None if cert is None else (cert.dim, cert.root_bound, cert.cartan_extra, cert.verdict)
     dimension = two_rho_pairing(mu)
     d = _describe_datum(datum)
     if args.json:
@@ -169,7 +171,7 @@ def _cmd_analyze(args) -> int:
             "mu": mu.pairings,
             "dimension": dimension,
             "strata": _stratum_rows_text(rows, system.two_rho_coefficients),
-            "focus": focus,
+            "focus": None if focus is None else _Fragment(_certificate_text(lam.pairings, focus)),
         }
         _emit_json("analyze", _request_fields(args), result)
         return 0
@@ -183,20 +185,12 @@ def _cmd_analyze(args) -> int:
     for p, status, mechanism, cert, via in rows:
         line = f"  {p}  dim {sum(map(mul, two_rho, p))}  {status}  [{mechanism}]"
         if cert is not None:
-            dim, root_bound, cartan_extra, _ = cert
-            line += (
-                f" root bound {root_bound} + cartan {cartan_extra}"
-                f" = {root_bound + cartan_extra} vs dim {dim}"
-            )
+            line += f" {_bound_text(cert)}"
         if via is not None:
             line += f" via {via}"
         print(line)
-    if focus:
-        print(
-            f"focus lambda {focus['lambda']}: {focus['verdict']}"
-            f" (root bound {focus['root_bound']} + cartan {focus['cartan_extra']}"
-            f" = {focus['total']} vs dim {focus['dim']})"
-        )
+    if focus is not None:
+        print(f"focus lambda {lam.pairings}: {focus[3]} ({_bound_text(focus)})")
     return 0
 
 

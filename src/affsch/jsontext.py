@@ -1,14 +1,14 @@
 """The JSON writers of cli's documents and verify's rendered rows.
 
 _json_text is the one generic writer: it writes every value of every
-document.  Two fixed-shape writers sit beside it, one template per row shape
-of the two longest lists the closure commands write: _stratum_rows_text for
-the strata of an analyze document and _edge_rows_text for the edges of a
-poset document.  Each writes its whole list at depth 0 straight from the
-engine's raw tuples, with no dict per row, as one _Fragment that _json_text
-places.  Both are held to json.dumps(indent=2, sort_keys=True) of the dict
-rows they replace (tests/oracles.py) over every closures request of the
-benchmark.
+document.  Three fixed-shape writers sit beside it and write straight from
+the engine's raw tuples, with no dict per row: _stratum_rows_text the strata
+of an analyze document and _edge_rows_text the edges of a poset document,
+each as one _Fragment that _json_text places, and _certificate_text every
+certificate of an analyze document, in its strata and as its --lambda focus.
+All three are held to json.dumps(indent=2, sort_keys=True) of the dict rows
+they replace (tests/oracles.py): the lists over every closures request of
+the benchmark, the focus in tests of its own.
 """
 
 from __future__ import annotations
@@ -95,6 +95,23 @@ def _int_array(values, indent: str) -> str:
     return "[" + inner + ("," + inner).join(map(str, values)) + "\n" + indent + "]"
 
 
+def _certificate_text(lam, cert, indent: str = "") -> str:
+    """A certificate as json.dumps(indent=2) writes it on a line indented by indent.
+
+    lam is the stratum's pairing vector and cert its (dim, root_bound,
+    cartan_extra, verdict) row; the dict adds the keys "lambda" and "total".
+    """
+    dim, root_bound, cartan_extra, verdict = cert
+    inner = "\n  " + indent
+    return (
+        f'{{{inner}"cartan_extra": {cartan_extra},{inner}"dim": {dim},'
+        f'{inner}"lambda": {_int_array(lam, indent + "  ")},'
+        f'{inner}"root_bound": {root_bound},'
+        f'{inner}"total": {root_bound + cartan_extra},'
+        f'{inner}"verdict": {encode_basestring_ascii(verdict)}\n{indent}}}'
+    )
+
+
 def _stratum_rows_text(rows, two_rho) -> _Fragment:
     """The strata list of an analyze document, from schubert._stratum_rows.
 
@@ -102,22 +119,12 @@ def _stratum_rows_text(rows, two_rho) -> _Fragment:
     (dim, root_bound, cartan_extra, verdict) or None; two_rho holds the 2rho
     coefficients that give each row's dimension.  The text is _json_text's
     of the dict rows {"certificate", "dimension", "lambda", "mechanism",
-    "status", "via"}, the certificate a dict that adds "lambda" and "total".
+    "status", "via"}, the certificate written by _certificate_text.
     """
     items = []
     for lam, status, mechanism, cert, via in rows:
         lam_text = _int_array(lam, "    ")
-        if cert is None:
-            cert_text = "null"
-        else:
-            dim, root_bound, cartan_extra, verdict = cert
-            cert_text = (
-                f'{{\n      "cartan_extra": {cartan_extra},\n      "dim": {dim},'
-                f'\n      "lambda": {_int_array(lam, "      ")},'
-                f'\n      "root_bound": {root_bound},'
-                f'\n      "total": {root_bound + cartan_extra},'
-                f'\n      "verdict": {encode_basestring_ascii(verdict)}\n    }}'
-            )
+        cert_text = "null" if cert is None else _certificate_text(lam, cert, "    ")
         via_text = "null" if via is None else _int_array(via, "    ")
         items.append(
             f'\n  {{\n    "certificate": {cert_text},'

@@ -701,82 +701,66 @@ def verify_invariant_basis(datum: TwistedDatum, degree_window: int) -> Invariant
 
 
 class LaurentMatrix:
-    """Small square matrix over Q(zeta)[u, u^-1], for the explicit realizations."""
+    """Small square matrix over Q(zeta)[u, u^-1], for the explicit realizations.
+
+    rows[i][j] is entry (i, j), a Laurent polynomial {exponent: CycScalar}
+    computed by the helpers of the rank-one check: _laurent, _times, _matmul.
+    """
 
     def __init__(self, e: int, size: int, entries=None) -> None:
         self.e = e
         self.size = size
-        self.entries: dict[tuple[int, int], dict[int, CycScalar]] = {}
+        self.rows = [[{} for _ in range(size)] for _ in range(size)]
         for (i, j, n), value in (entries or {}).items():
             self.add_term(i, j, n, value)
+
+    @staticmethod
+    def _from_rows(e: int, rows: list[list[dict]]) -> "LaurentMatrix":
+        out = LaurentMatrix(e, len(rows))
+        out.rows = rows
+        return out
 
     def add_term(self, i: int, j: int, n: int, value) -> None:
         if not isinstance(value, CycScalar):
             value = CycScalar.of(self.e, value)
-        cell = self.entries.setdefault((i, j), {})
-        cell[n] = cell[n] + value if n in cell else value
-        if not cell[n]:
-            del cell[n]
-            if not cell:
-                del self.entries[(i, j)]
+        self.rows[i][j] = _laurent([*self.rows[i][j].items(), (n, value)])
 
     @staticmethod
     def identity(e: int, size: int) -> "LaurentMatrix":
-        m = LaurentMatrix(e, size)
-        for i in range(size):
-            m.add_term(i, i, 0, 1)
-        return m
+        return LaurentMatrix(e, size, {(i, i, 0): 1 for i in range(size)})
 
     def __add__(self, other: "LaurentMatrix") -> "LaurentMatrix":
-        out = LaurentMatrix(self.e, self.size)
-        for (i, j), cell in list(self.entries.items()) + list(other.entries.items()):
-            for n, v in cell.items():
-                out.add_term(i, j, n, v)
-        return out
+        pairs = zip(self.rows, other.rows)
+        rows = [[_laurent([*p.items(), *q.items()]) for p, q in zip(*pair)] for pair in pairs]
+        return LaurentMatrix._from_rows(self.e, rows)
 
     def scale(self, factor) -> "LaurentMatrix":
-        out = LaurentMatrix(self.e, self.size)
         if not isinstance(factor, CycScalar):
             factor = CycScalar.of(self.e, factor)
-        for (i, j), cell in self.entries.items():
-            for n, v in cell.items():
-                out.add_term(i, j, n, v * factor)
-        return out
+        rows = [[_laurent(_times(p, {0: factor})) for p in row] for row in self.rows]
+        return LaurentMatrix._from_rows(self.e, rows)
 
     def __matmul__(self, other: "LaurentMatrix") -> "LaurentMatrix":
-        out = LaurentMatrix(self.e, self.size)
-        for (i, k), cell1 in self.entries.items():
-            for (k2, j), cell2 in other.entries.items():
-                if k != k2:
-                    continue
-                for n1, v1 in cell1.items():
-                    for n2, v2 in cell2.items():
-                        out.add_term(i, j, n1 + n2, v1 * v2)
-        return out
+        return LaurentMatrix._from_rows(self.e, _matmul(self.rows, other.rows))
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, LaurentMatrix):
             return NotImplemented
-        return (self.e, self.size) == (other.e, other.size) and self.entries == other.entries
+        return (self.e, self.size, self.rows) == (other.e, other.size, other.rows)
 
     def entry(self, i: int, j: int) -> dict[int, CycScalar]:
-        return dict(self.entries.get((i, j), {}))
+        return dict(self.rows[i][j])
 
     def trace(self) -> dict[int, CycScalar]:
-        acc: dict[int, CycScalar] = {}
-        for i in range(self.size):
-            for n, v in self.entries.get((i, i), {}).items():
-                acc[n] = acc[n] + v if n in acc else v
-        return {n: v for n, v in acc.items() if v}
+        return _laurent(t for i, row in enumerate(self.rows) for t in row[i].items())
 
     def exp_nilpotent(self) -> "LaurentMatrix":
-        total = LaurentMatrix.identity(self.e, self.size)
-        term = LaurentMatrix.identity(self.e, self.size)
+        total, term = LaurentMatrix.identity(self.e, self.size), self
         for n in range(1, 10):
-            term = term @ self
-            if not term.entries:
+            if not any(map(any, term.rows)):
                 return total
             total = total + term.scale(Fraction(1, math.factorial(n)))
+            term = term @ self
         raise RuntimeError("matrix exponential of a non-nilpotent argument")
 
 
@@ -784,10 +768,7 @@ def matrix_realization(label: str, e: int) -> dict[Symbol, LaurentMatrix]:
     """Faithful matrix images of the basis symbols for the small A types."""
 
     def mat(size, triples):
-        m = LaurentMatrix(e, size)
-        for i, j, v in triples:
-            m.add_term(i, j, 0, v)
-        return m
+        return LaurentMatrix(e, size, {(i, j, 0): v for i, j, v in triples})
 
     if label == "A1":
         return {
@@ -811,21 +792,22 @@ def matrix_realization(label: str, e: int) -> dict[Symbol, LaurentMatrix]:
 
 def realize(v: LoopVector, table: dict[Symbol, LaurentMatrix]) -> LaurentMatrix:
     """Image of a loop vector under a matrix realization of its algebra."""
+
+    def cell(i: int, j: int) -> dict[int, CycScalar]:
+        return _laurent(t for sym, n, c in v.terms for t in _times(table[sym].rows[i][j], {n: c}))
+
     size = next(iter(table.values())).size
-    out = LaurentMatrix(v.e, size)
-    for sym, n, c in v.terms:
-        base = table[sym]
-        for (i, j), cell in base.entries.items():
-            for m, value in cell.items():
-                out.add_term(i, j, m + n, value * c)
-    return out
+    return LaurentMatrix._from_rows(v.e, [[cell(i, j) for j in range(size)] for i in range(size)])
 
 
-def _laurent(terms) -> dict[int, Fraction]:
-    """The Laurent polynomial sum of c u^n over the (n, c) of terms, as {n: c} without zeros."""
-    poly: dict[int, Fraction] = {}
+def _laurent(terms) -> dict:
+    """The Laurent polynomial sum of c u^n over the (n, c) of terms, as {n: c} without zeros.
+
+    c is a Fraction in the rank-one check and a CycScalar in a LaurentMatrix.
+    """
+    poly: dict = {}
     for n, c in terms:
-        poly[n] = poly.get(n, 0) + c
+        poly[n] = poly[n] + c if n in poly else c
     return {n: c for n, c in poly.items() if c}
 
 
@@ -835,10 +817,11 @@ def _times(p: dict, q: dict):
 
 
 def _matmul(a, b):
-    """The product of two 2x2 matrices of Laurent polynomials."""
+    """The product of two square matrices of Laurent polynomials, given as lists of rows."""
+    columns = list(zip(*b))
     return [
-        [_laurent(t for j in range(2) for t in _times(a[i][j], b[j][l])) for l in range(2)]
-        for i in range(2)
+        [_laurent(t for p, q in zip(row, col) if p and q for t in _times(p, q)) for col in columns]
+        for row in a
     ]
 
 

@@ -390,35 +390,24 @@ def build_root_system(type_label: str) -> FiniteRootSystem:
 
 @dataclass(frozen=True)
 class Coweight:
-    """A coweight stored by its pairings with the simple roots."""
+    """A coweight stored by its pairings with the simple roots, a tuple of exact ints."""
 
     system: FiniteRootSystem
     pairings: IntVec
 
     def __post_init__(self) -> None:
+        # exact types: a bool would reach the poset memos as the int key it
+        # equals, and a list cannot be a key at all
+        if type(self.pairings) is not tuple or any(type(p) is not int for p in self.pairings):
+            raise ValueError("pairings must be a tuple of integers")
         if len(self.pairings) != self.system.rank:
             raise ValueError("pairing vector length does not match the rank")
-        if not all(isinstance(p, int) for p in self.pairings):
-            raise ValueError("pairings must be integers")
 
     def is_dominant(self) -> bool:
         return all(p >= 0 for p in self.pairings)
 
     def pairing_with_root(self, m: Root) -> int:
         return sum(mi * pi for mi, pi in zip(m, self.pairings))
-
-
-def _known_coweight(system: FiniteRootSystem, pairings: IntVec) -> Coweight:
-    """Coweight(system, pairings) without __post_init__'s checks.
-
-    Only for a pairing vector the engine produced itself, an exact-int tuple
-    of length system.rank, such as a point of a DominancePoset.  Every other
-    caller goes through Coweight(...), which validates.
-    """
-    nu = object.__new__(Coweight)
-    object.__setattr__(nu, "system", system)
-    object.__setattr__(nu, "pairings", pairings)
-    return nu
 
 
 @dataclass(frozen=True)

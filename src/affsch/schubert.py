@@ -20,8 +20,8 @@ and the dominant representatives its k_alpha walks land on, with one tuple
 per distinct dominant point.  The memos hold raw tuples only.  The stratum
 rows of a closure (_stratum_rows) and its edges (_edges_below) are raw
 tuples too: the public functions wrap them in the Coweight, StratumReport
-and DegenerationEdge objects they hand out, without validating the poset's
-own points again, and cli writes its documents from them directly.  The
+and DegenerationEdge objects they hand out, and cli writes its documents
+from them directly.  Every entrance checks its call once, in _closure.  The
 Stembridge steps are recomputed, not kept, and the walk builds only those
 that stay dominant.
 The steps and the k_alpha walks read one table of positive coroots: the walk
@@ -48,7 +48,6 @@ from affsch.rootsys import (
     IntVec,
     Root,
     _dominant_rep_raw,
-    _known_coweight,
     build_root_system,
     recognize_components,
     short_dominant_coroot,
@@ -293,13 +292,6 @@ class DominancePoset:
         return counts
 
 
-def _require_dominant_pair(lam: Coweight, mu: Coweight) -> None:
-    if lam.system is not mu.system:
-        raise ValueError("coweights live in different root systems")
-    if not (lam.is_dominant() and mu.is_dominant()):
-        raise ValueError("both coweights must be dominant")
-
-
 # The poset of every root system asked about, kept from one call to the next.
 _posets: dict[FiniteRootSystem, DominancePoset] = {}
 
@@ -324,11 +316,26 @@ def _poset(system: FiniteRootSystem, top: IntVec) -> DominancePoset:
     return poset
 
 
-def _pair_poset(lam: Coweight, mu: Coweight) -> DominancePoset:
-    """The poset to use for the dominant pair lam <= mu; refuses any other pair."""
-    _require_dominant_pair(lam, mu)
+def _closure(
+    mu: Coweight, lam: Coweight | None = None, datum: TwistedDatum | None = None
+) -> DominancePoset:
+    """The kept poset for a call about the closure of mu, after its checks, each run once.
+
+    mu must be dominant, and so must lam if given, in mu's system and below
+    mu; a datum must sit at the absolutely special vertex, with mu in its
+    folded root system.  Each refusal is a ValueError.
+    """
+    if datum is not None:
+        if datum.vertex != ABSOLUTELY_SPECIAL:
+            raise ValueError("certificates are only valid at an absolutely special vertex")
+        if mu.system is not datum.echelonnage:
+            raise ValueError("coweights must live in the datum's folded root system")
+    if lam is not None and lam.system is not mu.system:
+        raise ValueError("coweights live in different root systems")
+    if not (mu.is_dominant() and (lam is None or lam.is_dominant())):
+        raise ValueError("coweights must be dominant")
     poset = _poset(mu.system, mu.pairings)
-    if lam.pairings not in poset.below(mu.pairings):
+    if lam is not None and lam.pairings not in poset.below(mu.pairings):
         raise ValueError("lam must lie below mu in the dominance order")
     return poset
 
@@ -338,10 +345,7 @@ def _pair_poset(lam: Coweight, mu: Coweight) -> DominancePoset:
 
 def dominant_below(mu: Coweight) -> list[Coweight]:
     """All dominant lam with lam <= mu and mu - lam in the coroot lattice."""
-    _require_dominant_pair(mu, mu)
-    system = mu.system
-    below = _poset(system, mu.pairings).below(mu.pairings)
-    return [_known_coweight(system, p) for p in below]
+    return [Coweight(mu.system, p) for p in _closure(mu).below(mu.pairings)]
 
 
 def minimal_degenerations(mu: Coweight) -> list[DegenerationEdge]:
@@ -349,9 +353,9 @@ def minimal_degenerations(mu: Coweight) -> list[DegenerationEdge]:
     system = mu.system
     found = []
     for p, edges in _edges_below(mu):
-        upper = _known_coweight(system, p)
+        upper = Coweight(system, p)
         for q, gap, support, case in edges:
-            lower = _known_coweight(system, q)
+            lower = Coweight(system, q)
             found.append(DegenerationEdge(upper, lower, CorootVector(system, gap), support, case))
     return found
 
@@ -360,8 +364,7 @@ def _edges_below(
     mu: Coweight,
 ) -> list[tuple[IntVec, tuple[tuple[IntVec, IntVec, IntVec, int], ...]]]:
     """(p, DominancePoset.edges(p)) for every stratum p of the mu closure, in stratum order."""
-    _require_dominant_pair(mu, mu)
-    poset = _poset(mu.system, mu.pairings)
+    poset = _closure(mu)
     return [(p, poset.edges(p)) for p in poset.below(mu.pairings)]
 
 
@@ -432,7 +435,7 @@ def _classify(
 
 def k_alpha(lam: Coweight, mu: Coweight, alpha: Root) -> int:
     """Largest k with dominant_rep(lam - k * coroot(alpha)) <= mu."""
-    poset = _pair_poset(lam, mu)
+    poset = _closure(mu, lam)
     index = lam.system.root_index.get(alpha)
     if index is None:
         raise ValueError(f"{alpha} is not a root of {lam.system.label}")
@@ -441,7 +444,7 @@ def k_alpha(lam: Coweight, mu: Coweight, alpha: Root) -> int:
 
 def k_vector(lam: Coweight, mu: Coweight) -> KVector:
     """k_alpha for every root, each by its own walk."""
-    counts = _pair_poset(lam, mu).k_vector(lam.pairings, mu.pairings)
+    counts = _closure(mu, lam).k_vector(lam.pairings, mu.pairings)
     return KVector(lam.system, tuple(zip(lam.system.roots, counts)))
 
 
@@ -455,14 +458,10 @@ def root_tangent_bound(lam: Coweight, mu: Coweight) -> int:
 
 def certificate(mu: Coweight, lam: Coweight, datum: TwistedDatum) -> SmoothnessCertificate:
     """Singularity certificate for the lam stratum inside the mu closure."""
-    if datum.vertex != ABSOLUTELY_SPECIAL:
-        raise ValueError("certificates are only valid at an absolutely special vertex")
-    if mu.system is not datum.echelonnage:
-        raise ValueError("coweights must live in the datum's folded root system")
-    _require_dominant_pair(lam, mu)
+    poset = _closure(mu, lam, datum)
     if lam == mu:
         raise ValueError("need a strict degeneration, got lam == mu")
-    row = _certificate_row(_pair_poset(lam, mu), mu.pairings, lam.pairings, datum)
+    row = _certificate_row(poset, mu.pairings, lam.pairings, datum)
     return SmoothnessCertificate(mu, lam, *row)
 
 
@@ -498,14 +497,14 @@ def smooth_locus_report(mu: Coweight, datum: TwistedDatum) -> SmoothLocusReport:
     system = mu.system
     strata = []
     for p, status, mechanism, cert, via in _stratum_rows(mu, datum):
-        lam = _known_coweight(system, p)
+        lam = Coweight(system, p)
         strata.append(
             StratumReport(
                 lam,
                 status,
                 mechanism,
                 None if cert is None else SmoothnessCertificate(mu, lam, *cert),
-                None if via is None else _known_coweight(system, via),
+                None if via is None else Coweight(system, via),
             )
         )
     return SmoothLocusReport(mu, tuple(strata))
@@ -520,13 +519,8 @@ def _stratum_rows(
     via are pairing vectors, and certificate is the _certificate_row of a
     cover, None for every other stratum.
     """
-    if datum.vertex != ABSOLUTELY_SPECIAL:
-        raise ValueError("reports are only valid at an absolutely special vertex")
-    if mu.system is not datum.echelonnage:
-        raise ValueError("mu must live in the datum's folded root system")
-    _require_dominant_pair(mu, mu)
+    poset = _closure(mu, datum=datum)
     system, top = mu.system, mu.pairings
-    poset = _poset(system, top)
     below = poset.below(top)
     certificates, singular = {}, []
     covers = sorted(poset.edges(top), key=lambda edge: _stratum_key(system, edge[0]))

@@ -6,11 +6,11 @@ representatives by a Weyl-orbit scan, Stembridge steps subtracted in full,
 covers and down-sets walked over them, root-curve targets and case tags from
 a pair's endpoints, the level correspondence by Fraction progressions, the
 bracket by adding root tuples, the Jacobi and sigma0 build checks over that
-bracket, the rank-one factorization by Laurent-matrix products, the sweep
-suites' rows as dicts, built from the public schubert functions, the loop
-suites' rows as dicts, all sorted by their items, and the stratum and edge
-rows of the closure documents as dicts, built from the public report and
-edge objects), so the tests can check the fast paths against them.
+bracket, the rank-one factorization by its values at rational points, the
+sweep suites' rows as dicts, built from the public schubert functions, the
+loop suites' rows as dicts, all sorted by their items, and the stratum and
+edge rows of the closure documents as dicts, built from the public report
+and edge objects), so the tests can check the fast paths against them.
 """
 
 from __future__ import annotations
@@ -18,7 +18,7 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 
-from affsch.loopalg import LaurentMatrix, cartan_direction, verify_invariant_basis
+from affsch.loopalg import cartan_direction, verify_invariant_basis
 from affsch.rootsys import (
     Coweight,
     CorootVector,
@@ -430,33 +430,50 @@ def sweep_result(suite: str, labels, max_pairing: int, seed: int) -> dict:
     }
 
 
-def min_exponent(matrix: LaurentMatrix) -> int:
-    exps = [n for cell in matrix.entries.values() for n in cell]
+def min_exponent(rows) -> int:
+    """The least u-exponent of rows of {n: c} cells, as LaurentMatrix.rows stores them; 0 if none."""
+    exps = [n for row in rows for cell in row for n in cell]
     return min(exps) if exps else 0
 
 
-def sl2_factorization_by_matrices(k: int, x) -> bool:
-    """The rank-one identity checked by LaurentMatrix products, with 1x1 cells for the determinant."""
+def laurent_at(rows, u: Fraction) -> list[list[Fraction]]:
+    """A matrix of Laurent polynomials {n: c} with rational c, evaluated at u."""
+    return [[sum(c * u**n for n, c in cell.items()) for cell in row] for row in rows]
+
+
+def _times_2x2(a, b):
+    return [[a[i][0] * b[0][j] + a[i][1] * b[1][j] for j in range(2)] for i in range(2)]
+
+
+def sl2_factorization_by_values(k: int, x) -> bool:
+    """The rank-one identity checked at 4k + 1 rational values of u, with no Laurent arithmetic.
+
+    Times u^k, every entry of opposite . translation . plus_part - left and
+    the determinant of plus_part - 1 is a polynomial of degree at most 4k
+    (the factors' exponents lie in 0..k, -k..k and 0..k), so one that
+    vanishes at 4k + 1 distinct values of u is zero.
+    """
     if k < 1:
         raise ValueError("winding k must be at least 1")
     x = Fraction(x)
     if x == 0:
         raise ValueError("the zero curve value stays at the base point")
 
-    left = LaurentMatrix(1, 2, {(0, 0, 0): 1, (0, 1, -k): x, (1, 1, 0): 1})
-    opposite = LaurentMatrix(1, 2, {(0, 0, 0): 1, (1, 0, k): 1 / x, (1, 1, 0): 1})
-    translation = LaurentMatrix(1, 2, {(0, 0, -k): 1, (1, 1, k): 1})
-    plus_part = LaurentMatrix(1, 2, {(0, 0, k): 1, (0, 1, 0): x, (1, 0, 0): -1 / x})
+    left = [[{0: 1}, {-k: x}], [{}, {0: 1}]]
+    opposite = [[{0: 1}, {}], [{k: 1 / x}, {0: 1}]]
+    translation = [[{-k: 1}, {}], [{}, {k: 1}]]
+    plus_part = [[{k: 1}, {0: x}], [{0: -1 / x}, {}]]
     if min_exponent(plus_part) < 0:
         return False
-
-    def cell(i, j):
-        return LaurentMatrix(1, 1, {(0, 0, n): v for n, v in plus_part.entry(i, j).items()})
-
-    det = cell(0, 0) @ cell(1, 1) + (cell(0, 1) @ cell(1, 0)).scale(-1)
-    if det != LaurentMatrix.identity(1, 1):
-        return False
-    return opposite @ translation @ plus_part == left
+    for n in range(1, 4 * k + 2):
+        u = Fraction(n)
+        (a, b), (c, d) = plus = laurent_at(plus_part, u)
+        if a * d - b * c != 1:
+            return False
+        product = _times_2x2(_times_2x2(laurent_at(opposite, u), laurent_at(translation, u)), plus)
+        if product != laurent_at(left, u):
+            return False
+    return True
 
 
 def sl2_values(seed: int) -> list[Fraction]:
@@ -510,7 +527,7 @@ def _sl2_rows(window: int, seed: int) -> tuple[list[dict], list[dict]]:
     for k in range(1, max(3, min(window, 5)) + 1):
         for x in sl2_values(seed):
             row = {"k": k, "x": str(x)}
-            (rows if sl2_factorization_by_matrices(k, x) else bad).append(row)
+            (rows if sl2_factorization_by_values(k, x) else bad).append(row)
     return rows, bad
 
 

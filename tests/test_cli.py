@@ -556,11 +556,11 @@ def test_json_writer_refuses_non_json_values(value, name):
 
 @pytest.mark.parametrize("value", [0.5, Fraction(1, 2)], ids=["float", "Fraction"])
 def test_non_json_values_exit_three(capsys, monkeypatch, value):
-    certificate_dict = cli._certificate_dict
+    describe_datum = cli._describe_datum
     monkeypatch.setattr(
-        cli, "_certificate_dict", lambda cert: {**certificate_dict(cert), "dim": value}
+        cli, "_describe_datum", lambda datum: {**describe_datum(datum), "order": value}
     )
-    # the focus certificate is a dict _json_text writes
+    # the datum block is a dict _json_text writes
     argv = ("analyze", "--type", "A1", "--mu", "2", "--lambda", "0", "--json")
     code, out, err = run(capsys, *argv)
     name = type(value).__name__

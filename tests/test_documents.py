@@ -17,8 +17,11 @@ import hashlib
 import io
 import json
 
+import pytest
+
 from affsch import schubert
 from affsch.cli import _json_text, main
+from affsch.rootsys import Coweight, build_root_system
 from affsch.verify import SUITES
 from benchdata import PERFBENCH, clear_request_memos, load_workloads
 
@@ -156,3 +159,20 @@ def test_loopchecks_on_warm_memos_match_committed_digests():
     assert mismatches == []
     # text mode prints the same bytes on warm memos as on cold ones
     assert [_serve(argv) for argv in text_requests] == cold
+
+
+def test_a_refused_bool_coweight_leaves_the_kept_poset_clean(monkeypatch):
+    """A (True, True) top would be kept as the point (1, 1) of the A2 poset.
+
+    Every later walk through (1, 1), as the one below 0,3, would then intern
+    the bool tuple and write true in the document.  Coweight refuses it.
+    """
+    monkeypatch.setattr(schubert, "_posets", {})
+    with pytest.raises(ValueError):
+        schubert.dominant_below(Coweight(build_root_system("A2"), (True, True)))
+    argv = ("poset", "--type", "A2", "--mu", "0,3", "--json")
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        assert main(list(argv)) == 0
+    digests = json.loads((PERFBENCH / "digests.json").read_text())
+    assert hashlib.sha256(out.getvalue().encode()).hexdigest() == digests[" ".join(argv)]

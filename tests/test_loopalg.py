@@ -5,19 +5,22 @@ abstract brackets, exponential conjugations, and Cartan projections must
 reproduce honest 2x2 and 3x3 Laurent-matrix arithmetic entry for entry.
 """
 
+import math
 import re
 from fractions import Fraction
-from itertools import combinations, permutations
+from itertools import combinations, permutations, product
 
 import pytest
 from benchdata import clear_request_memos
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from oracles import (
     bracket_by_roots,
     check_jacobi,
     check_sigma0,
     jacobi_sum,
     jacobi_triples,
-    sl2_factorization_by_matrices,
+    sl2_factorization_by_values,
     sl2_values,
 )
 
@@ -380,6 +383,90 @@ def test_matrix_realization_is_a_homomorphism(label, size):
             for n, sym in algebra.bracket_symbols(x, y):
                 rhs = rhs + table[sym].scale(n)
             assert lhs == rhs, (x, y)
+
+
+# (i, j, u-exponent) -> (a, b) of a + b zeta: the terms of a matrix of size at most 3
+_TERMS = st.dictionaries(
+    st.tuples(st.integers(0, 2), st.integers(0, 2), st.integers(-3, 3)),
+    st.tuples(st.integers(-5, 5), st.integers(-5, 5)),
+    max_size=8,
+)
+
+
+def _kept(terms, size, strict):
+    """The terms inside a size x size matrix, and above its diagonal if strict."""
+    return {
+        (i, j, n): v
+        for (i, j, n), v in terms.items()
+        if i < size and j < size and (i < j or not strict)
+    }
+
+
+def _values(e, size, terms, u):
+    """The terms' matrix at u, summed term by term: zeta is a constant of Q(zeta)."""
+    out = [[cyc(e, 0) for _ in range(size)] for _ in range(size)]
+    for (i, j, n), (a, b) in terms.items():
+        out[i][j] = out[i][j] + cyc(e, a, b) * cyc(e, u**n)
+    return out
+
+
+def _value_at(e, poly, u):
+    total = cyc(e, 0)
+    for n, c in poly.items():
+        total = total + c * cyc(e, u**n)
+    return total
+
+
+def _product(e, a, b):
+    size = len(a)
+    out = [[cyc(e, 0) for _ in range(size)] for _ in range(size)]
+    for i, j, k in product(range(size), repeat=3):
+        out[i][j] = out[i][j] + a[i][k] * b[k][j]
+    return out
+
+
+@settings(max_examples=100, deadline=None, database=None)
+@given(st.sampled_from([1, 2, 3]), st.integers(1, 3), _TERMS, _TERMS, st.integers(-5, 5))
+def test_laurent_matrix_arithmetic_matches_its_values(e, size, p, q, r):
+    """@, +, scale, trace and exp_nilpotent against the matrices of values at 13 points of u.
+
+    Every entry of every result has its u-exponents in -6..6, so agreeing at
+    13 distinct values of u is agreeing as Laurent polynomials.
+    """
+    p, q, strict = _kept(p, size, False), _kept(q, size, False), _kept(p, size, True)
+    a, b, nilpotent = (
+        LaurentMatrix(e, size, {key: cyc(e, *ab) for key, ab in terms.items()})
+        for terms in (p, q, strict)
+    )
+    factor = cyc(e, r, 1)
+    results = {
+        "product": a @ b,
+        "sum": a + b,
+        "scaled": a.scale(factor),
+        "exp": nilpotent.exp_nilpotent(),
+    }
+    trace = a.trace()
+    for u in map(Fraction, range(1, 14)):
+        av, bv, nv = (_values(e, size, terms, u) for terms in (p, q, strict))
+        identity = [[cyc(e, int(i == j)) for j in range(size)] for i in range(size)]
+        exp, power = identity, identity
+        for m in range(1, size):
+            power = _product(e, power, nv)
+            step = cyc(e, Fraction(1, math.factorial(m)))
+            exp = [[x + y * step for x, y in zip(*rows)] for rows in zip(exp, power)]
+        expected = {
+            "product": _product(e, av, bv),
+            "sum": [[x + y for x, y in zip(*rows)] for rows in zip(av, bv)],
+            "scaled": [[x * factor for x in row] for row in av],
+            "exp": exp,
+        }
+        for name, matrix in results.items():
+            got = [[_value_at(e, matrix.entry(i, j), u) for j in range(size)] for i in range(size)]
+            assert got == expected[name], (name, u)
+        diagonal = cyc(e, 0)
+        for i in range(size):
+            diagonal = diagonal + av[i][i]
+        assert _value_at(e, trace, u) == diagonal, u
 
 
 # -- the pinned automorphism ----------------------------------------------------
@@ -978,7 +1065,7 @@ def test_sl2_factorization_matches_the_matrix_oracle_on_the_suite_draws():
     assert len(pairs) == 170
     verify_sl2_factorization.cache_clear()
     for k, x in sorted(pairs):
-        assert verify_sl2_factorization(k, x) is sl2_factorization_by_matrices(k, x) is True
+        assert verify_sl2_factorization(k, x) is sl2_factorization_by_values(k, x) is True
 
 
 def test_sl2_factorization_rejects_degenerate_input():

@@ -401,5 +401,9 @@ def test_coweight_validation():
     a2 = build_root_system("A2")
     with pytest.raises(ValueError):
         Coweight(a2, (1,))
+    # a bool hashes as an int and a list cannot be hashed: both are refused up front
+    for pairings in ((True, True), (1, False), [1, 1], (1.0, 1)):
+        with pytest.raises(ValueError, match="a tuple of integers"):
+            Coweight(a2, pairings)
     with pytest.raises(ValueError):
         dominance_leq(Coweight(a2, (0, 0)), Coweight(build_root_system("A1"), (0,)))

@@ -10,16 +10,21 @@ at the top of every closures request the benchmark can draw, with both
 templates at each, and on synthetic rows of shapes those requests never
 produce.  The raw rows are also the one source of the public objects:
 smooth_locus_report, certificate, minimal_degenerations and dominant_below
-must give what the rows give.
+must give what the rows give.  The --lambda focus certificate, which no
+benchmark request writes, is held to json.dumps of oracles.certificate_row
+on requests of its own, with its text-mode line pinned.
 """
 
+import contextlib
+import io
 import json
 
 import pytest
 from benchdata import load_workloads
-from oracles import analyze_strata_rows, poset_edge_rows
+from oracles import analyze_strata_rows, certificate_row, poset_edge_rows
 
 from affsch import schubert
+from affsch.cli import main
 from affsch.jsontext import _edge_rows_text, _stratum_rows_text
 from affsch.rootsys import Coweight, CorootVector, build_root_system
 from affsch.schubert import (
@@ -194,3 +199,77 @@ def test_edge_template_matches_json_dumps_on_synthetic_rows(name):
     system, edges_below = SYNTHETIC_EDGES[name]
     expected = _dumps(poset_edge_rows(_edges_from_rows(system, edges_below)))
     assert _edge_rows_text(edges_below) == expected
+
+
+# -- the focus certificate of analyze --lambda --------------------------------------
+
+# (type, mu, lambda, the text-mode focus line): a cover, a deeper stratum and
+# the bottom stratum 0 of one closure per type, on rank one, C2, G2 (relative
+# to 3D4), C2 relative to 2A3 and F4 (relative to 2E6).
+FOCUS_REQUESTS = (
+    ("A1", "6", "4", "focus lambda (4,): singular (root bound 6 + cartan 1 = 7 vs dim 6)"),
+    ("A1", "6", "2", "focus lambda (2,): singular (root bound 6 + cartan 1 = 7 vs dim 6)"),
+    ("A1", "6", "0", "focus lambda (0,): singular (root bound 6 + cartan 1 = 7 vs dim 6)"),
+    ("C2", "2,2", "0,4", "focus lambda (0, 4): singular (root bound 14 + cartan 1 = 15 vs dim 14)"),
+    ("C2", "2,2", "1,2", "focus lambda (1, 2): singular (root bound 16 + cartan 1 = 17 vs dim 14)"),
+    ("C2", "2,2", "0,0", "focus lambda (0, 0): singular (root bound 20 + cartan 1 = 21 vs dim 14)"),
+    ("3D4", "1,1", "0,2", "focus lambda (0, 2): singular (root bound 18 + cartan 1 = 19 vs dim 16)"),
+    ("3D4", "1,1", "0,1", "focus lambda (0, 1): singular (root bound 22 + cartan 1 = 23 vs dim 16)"),
+    ("3D4", "1,1", "0,0", "focus lambda (0, 0): singular (root bound 18 + cartan 1 = 19 vs dim 16)"),
+    ("2A3", "1,2", "2,0", "focus lambda (2, 0): singular (root bound 10 + cartan 1 = 11 vs dim 10)"),
+    ("2A3", "1,2", "0,2", "focus lambda (0, 2): singular (root bound 12 + cartan 1 = 13 vs dim 10)"),
+    ("2A3", "1,2", "0,0", "focus lambda (0, 0): singular (root bound 12 + cartan 1 = 13 vs dim 10)"),
+    (
+        "2E6",
+        "0,0,0,2",
+        "0,0,1,0",
+        "focus lambda (0, 0, 1, 0): singular (root bound 44 + cartan 1 = 45 vs dim 44)",
+    ),
+    (
+        "2E6",
+        "0,0,0,2",
+        "0,1,0,0",
+        "focus lambda (0, 1, 0, 0): singular (root bound 56 + cartan 1 = 57 vs dim 44)",
+    ),
+    (
+        "2E6",
+        "0,0,0,2",
+        "0,0,0,0",
+        "focus lambda (0, 0, 0, 0): singular (root bound 96 + cartan 1 = 97 vs dim 44)",
+    ),
+)
+
+
+def _cli(*argv) -> tuple[int, str, str]:
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(list(argv))
+    return code, out.getvalue(), err.getvalue()
+
+
+@pytest.mark.parametrize("label,mu_text,lam_text,line", FOCUS_REQUESTS)
+def test_focus_certificate_matches_json_dumps(label, mu_text, lam_text, line):
+    datum = twisted_datum(label)
+    system = datum.echelonnage
+    mu, lam = (Coweight(system, tuple(map(int, t.split(",")))) for t in (mu_text, lam_text))
+    argv = ("analyze", "--type", label, "--mu", mu_text, "--lambda", lam_text)
+    code, out, _ = _cli(*argv, "--json")
+    assert code == 0
+    doc = json.loads(out)
+    focus = _dumps(certificate_row(certificate(mu, lam, datum)))
+    assert f'"focus": {focus.replace(chr(10), chr(10) + "    ")},' in out
+    # the whole document, focus included, is json.dumps of what it holds
+    assert out == _dumps(doc) + "\n"
+    code, out, _ = _cli(*argv)
+    assert code == 0 and out.splitlines()[-1] == line
+
+
+@pytest.mark.parametrize("label", ["A1", "C2", "3D4", "2A3", "2E6"])
+def test_focus_at_mu_zero(label):
+    zero = ",".join("0" * twisted_datum(label).echelonnage.rank)
+    code, out, _ = _cli("analyze", "--type", label, "--mu", zero, "--json")
+    assert code == 0 and json.loads(out)["result"]["focus"] is None
+    assert '"focus": null,' in out
+    # the zero stratum is the open orbit: no strict degeneration to certify
+    code, out, err = _cli("analyze", "--type", label, "--mu", zero, "--lambda", zero, "--json")
+    assert (code, out, err) == (2, "", "error: need a strict degeneration, got lam == mu\n")
