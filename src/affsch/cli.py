@@ -14,17 +14,20 @@ a bad argument, an empty sweep or an oversized closure), 3 internal failure
 closes stdout early, as `| head` does, with nothing on stderr.
 
 JSON is written byte for byte as json.dumps(indent=2, sort_keys=True) writes
-it, by one generic writer, jsontext._json_text, plus templates held to
-json.dumps: analyze and poset read schubert's raw stratum and edge tuples, in
-text mode and with --json alike, and the templates write the strata and the
-certificates of an analyze document and the edges of a poset document from
-them.  Rows rendered once are placed as _Fragment text, and pairing vectors
-go in as the engine's tuples, written as arrays.
-verify keeps the rows of its sweep and loop suites rendered.  loopcheck --json
-renders each degree row once per (datum, u-degree), and the Cartan-direction
-and special blocks once per datum, in bounded memos; a wider window places the
-rows of the narrower ones at its own indent instead of building and writing
-them again.
+it, by one generic writer, jsontext._json_text, which joins each document
+once, plus templates held to json.dumps: analyze and poset read schubert's
+raw stratum and edge tuples, in text mode and with --json alike, and the
+templates write the strata and the certificates of an analyze document and
+the edges of a poset document from them.  Pairing vectors go in as the
+engine's tuples, written as arrays.  Text rendered once is placed as a
+_Fragment, written at the indent of its place in the document, so it goes in
+as it is.  verify keeps the rows of its sweep and loop suites rendered.
+loopcheck --json writes each degree row once per (datum, u-degree), and the
+Cartan-direction and special blocks once per datum, in bounded memos; the
+degree rows and the directions come straight from the vectors' terms.  A
+wider window places the rows of the narrower ones instead of building and
+writing them again.  Text mode prints the same rows from dicts (vector_rows,
+_directions).
 """
 
 from __future__ import annotations
@@ -39,20 +42,25 @@ from operator import mul
 
 from affsch import __version__
 from affsch.jsontext import (
+    RESULT_ITEM,
+    RESULT_VALUE,
     _Fragment,
     _certificate_text,
+    _degree_row_text,
+    _directions_text,
     _edge_rows_text,
     _json_text,
+    _kept,
     _stratum_rows_text,
 )
 from affsch.loopalg import (
     MAX_WINDOW,
     LoopVector,
+    _e_a,
     ad_exp,
     cartan_direction,
     cartan_recipe_roots,
     loop_context,
-    make_e_a,
     matrix_realization,
     realize,
     root_line_vectors,
@@ -64,7 +72,7 @@ from affsch.twist import (
     sigma_affine_to_relative,
     twisted_datum,
 )
-from affsch.verify import MAX_PAIRING, SUITES, run_suite, vector_rows
+from affsch.verify import MAX_PAIRING, SUITES, run_suite
 
 SCHEMA_VERSION = 1
 # analyze and poset refuse a mu with more dominant p at <p,2rho> <= <mu,2rho>
@@ -170,8 +178,10 @@ def _cmd_analyze(args) -> int:
             "datum": d,
             "mu": mu.pairings,
             "dimension": dimension,
-            "strata": _stratum_rows_text(rows, system.two_rho_coefficients),
-            "focus": None if focus is None else _Fragment(_certificate_text(lam.pairings, focus)),
+            "strata": _stratum_rows_text(rows, system.two_rho_coefficients, RESULT_VALUE),
+            "focus": None if focus is None else _Fragment(
+                _certificate_text(lam.pairings, focus, RESULT_VALUE)
+            ),
         }
         _emit_json("analyze", _request_fields(args), result)
         return 0
@@ -208,7 +218,7 @@ def _cmd_poset(args) -> int:
             "datum": _describe_datum(datum),
             "mu": mu.pairings,
             "strata": strata,
-            "edges": _edge_rows_text(edges_below),
+            "edges": _edge_rows_text(edges_below, RESULT_VALUE),
         }
         _emit_json("poset", _request_fields(args), result)
         return 0
@@ -288,6 +298,19 @@ def _cmd_loopcheck(args) -> int:
     return 0
 
 
+def vector_rows(vec) -> list[dict]:
+    """A LoopVector's terms as dicts, for text mode and the special block."""
+    return [
+        {
+            "kind": kind,
+            "index": list(payload) if kind == "X" else payload,
+            "degree": degree,
+            "coeff": str(coeff.a) if coeff.b == 0 else f"{coeff.a}+({coeff.b})z",
+        }
+        for (kind, payload), degree, coeff in vec.terms
+    ]
+
+
 def _directions(datum) -> list[dict]:
     """The Cartan directions at level -1, one row per root with a recipe."""
     return [
@@ -296,22 +319,19 @@ def _directions(datum) -> list[dict]:
     ]
 
 
-# The loopcheck --json blocks, rendered once: a window-w document repeats every
-# degree row of the windows below it, and every window repeats the directions
-# and the special block.
+# The loopcheck --json blocks, rendered once, each at its place in the document:
+# a window-w document repeats every degree row of the windows below it, and
+# every window repeats the directions and the special block.
 @lru_cache(maxsize=9 * (2 * MAX_WINDOW + 1))  # nine loop types x |n| <= MAX_WINDOW: 153 rows
 def _degree_text(datum, n: int) -> _Fragment:
-    vectors = [
-        {"root": list(root), "sigma_level": level, "case": rel.case, "terms": vector_rows(vec)}
-        for root, level, rel, vec in root_line_vectors(datum, n)
-    ]
-    return _Fragment(_json_text({"degree": n, "lines": len(vectors), "vectors": vectors}))
+    return _degree_row_text(n, root_line_vectors(datum, n), RESULT_ITEM)
 
 
 @lru_cache(maxsize=9)  # the directions and special blocks of each loop type: 9
 def _loopcheck_blocks(datum) -> tuple[_Fragment, _Fragment]:
-    blocks = _directions(datum), _loopcheck_special(datum)
-    return tuple(_Fragment(_json_text(block)) for block in blocks)
+    directions = [(a[0], a[1], cartan_direction(datum, a)) for a in cartan_recipe_roots(datum, 1)]
+    special = _kept(_loopcheck_special(datum), RESULT_VALUE)
+    return _directions_text(directions, RESULT_VALUE), special
 
 
 def _loopcheck_special(datum) -> dict:
@@ -322,8 +342,8 @@ def _loopcheck_special(datum) -> dict:
         y = LoopVector.make(ctx.algebra, 1, [(("X", (1,)), 0, 1)])
         special["sl2_expansion"] = vector_rows(ad_exp(x, y))
     elif datum.label == "2A2":
-        e_a = make_e_a(datum, sigma_affine_to_relative(datum, ((1,), -1)))
-        e_b = make_e_a(datum, sigma_affine_to_relative(datum, ((-1,), 0)))
+        e_a = _e_a(datum, sigma_affine_to_relative(datum, ((1,), -1)))
+        e_b = _e_a(datum, sigma_affine_to_relative(datum, ((-1,), 0)))
         table = matrix_realization("A2", 2)
         h = realize(e_b, table).exp_nilpotent()
         h_inv = realize(e_b.scale(-1), table).exp_nilpotent()

@@ -1,14 +1,23 @@
 """The JSON writers of cli's documents and verify's rendered rows.
 
 _json_text is the one generic writer: it writes every value of every
-document.  Three fixed-shape writers sit beside it and write straight from
-the engine's raw tuples, with no dict per row: _stratum_rows_text the strata
-of an analyze document and _edge_rows_text the edges of a poset document,
-each as one _Fragment that _json_text places, and _certificate_text every
-certificate of an analyze document, in its strata and as its --lambda focus.
-All three are held to json.dumps(indent=2, sort_keys=True) of the dict rows
-they replace (tests/oracles.py): the lists over every closures request of
-the benchmark, the focus in tests of its own.
+document, appending its pieces to one list that it joins once.  Text kept
+from request to request is a _Fragment, whose last line break is the one it
+was written at.  Each producer of kept text writes it at the place the
+document puts it (RESULT_VALUE, a value of the document's result, or
+RESULT_ITEM, an item of a list there), so _json_text places it there as it
+is.
+
+Fixed-shape writers sit beside it and write straight from the engine's raw
+tuples, with no dict per row: _stratum_rows_text the strata of an analyze
+document and _edge_rows_text the edges of a poset document, _certificate_text
+every certificate of an analyze document, in its strata and as its --lambda
+focus, and _terms_text the terms of a loop vector, which _degree_row_text
+and _directions_text write into the degree rows and the Cartan directions of
+a loopcheck document.  Each is held to json.dumps(indent=2, sort_keys=True)
+of the dict rows it replaces (tests/oracles.py): the closure lists over every
+closures request of the benchmark, the loop rows over every loop type and
+u-degree, the focus in tests of its own.
 """
 
 from __future__ import annotations
@@ -24,6 +33,11 @@ _JSON_SCALARS = {
     type(None): lambda _: "null",
 }
 
+# The indents of the places where cli._document puts kept text: a value of the
+# document's result, and an item of a list there.
+RESULT_VALUE = "    "
+RESULT_ITEM = "      "
+
 
 def _json_key(key) -> str:
     if isinstance(key, str):
@@ -34,7 +48,31 @@ def _json_key(key) -> str:
 
 
 class _Fragment(str):
-    """The text _json_text wrote for a value at depth 0; it places it at any depth."""
+    """The text of one JSON value as these writers write it; _json_text places it at any indent.
+
+    A container's text ends with its closing bracket on a line of its own,
+    so the line break before that bracket is the one the text was written
+    at, its newline.  Where the writer's line break is newline, the text
+    goes in as it is; anywhere else as text.replace(newline, other).  That
+    is exact: every raw newline in the text is a line break of the writer,
+    as strings escape "\\n", and each is followed by at least the indent of
+    newline, so the replace moves every line after the first by the same
+    indent.  A scalar or an empty container is one line, placed anywhere as
+    it is.
+    """
+
+    __slots__ = ()
+
+    @property
+    def newline(self) -> str:
+        """The line break (and indent) the text was written at; "" for one line."""
+        at = self.rfind("\n")
+        return self[at:-1] if at >= 0 else ""
+
+
+def _kept(value, indent: str) -> _Fragment:
+    """value as _json_text writes it on a line indented by indent, kept to be placed there."""
+    return _Fragment(_json_text(value, "\n" + indent))
 
 
 def _json_text(value, newline: str = "\n") -> str:
@@ -45,43 +83,63 @@ def _json_text(value, newline: str = "\n") -> str:
     bool, None, dict, list and tuple are written; anything else (a float, a
     Fraction, a set) raises RuntimeError, which cli.main reports as an
     internal failure, exit 3.  newline is the line break plus the indent of
-    the line value starts on.  Scalar items of a container are written in
-    place, without a call of their own.
-
-    A _Fragment stands for the value whose depth-0 text it holds, and is
-    placed by fragment.replace("\\n", newline).  That is exact: every raw
-    newline in the text is a line break of this writer, as
-    encode_basestring_ascii escapes a newline inside a string or key, so the
-    replace adds the indent of the place to every line after the first.
+    the line value starts on.  A _Fragment stands for the value whose text it
+    holds.  The pieces go into one list, joined once.
     """
     scalar = _JSON_SCALARS.get(type(value))
     if scalar is not None:
         return scalar(value)
+    out: list[str] = []
+    _write(value, newline, out)
+    return "".join(out)
+
+
+def _write(value, newline: str, out: list[str]) -> None:
+    """Append the pieces of value, anything but an exact scalar type, to out.
+
+    Scalar items of a container are written in place, without a call of
+    their own.
+    """
+    if isinstance(value, _Fragment):
+        own = value.newline
+        out.append(value.replace(own, newline) if own and own != newline else value)
+        return
     inner = newline + "  "
     if isinstance(value, dict):
         if not value:
-            return "{}"
-        items = []
+            out.append("{}")
+            return
+        head = "{" + inner
         for key, item in sorted(value.items()):
+            key_text = encode_basestring_ascii(_json_key(key))
             scalar = _JSON_SCALARS.get(type(item))
-            text = scalar(item) if scalar is not None else _json_text(item, inner)
-            items.append(f"{inner}{encode_basestring_ascii(_json_key(key))}: {text}")
-        return "{" + ",".join(items) + newline + "}"
-    if isinstance(value, (list, tuple)):
+            if scalar is not None:
+                out.append(f"{head}{key_text}: {scalar(item)}")
+            else:
+                out.append(f"{head}{key_text}: ")
+                _write(item, inner, out)
+            head = "," + inner
+        out.append(newline + "}")
+    elif isinstance(value, (list, tuple)):
         if not value:
-            return "[]"
-        items = []
+            out.append("[]")
+            return
+        head = "[" + inner
         for item in value:
             scalar = _JSON_SCALARS.get(type(item))
-            items.append(inner + (scalar(item) if scalar is not None else _json_text(item, inner)))
-        return "[" + ",".join(items) + newline + "]"
-    if isinstance(value, _Fragment):
-        return value.replace("\n", newline)
-    if isinstance(value, str):
-        return encode_basestring_ascii(value)
-    if isinstance(value, int):
-        return int.__repr__(value)
-    raise RuntimeError(f"a {type(value).__name__} is not a JSON document value")
+            if scalar is not None:
+                out.append(head + scalar(item))
+            else:
+                out.append(head)
+                _write(item, inner, out)
+            head = "," + inner
+        out.append(newline + "]")
+    elif isinstance(value, str):
+        out.append(encode_basestring_ascii(value))
+    elif isinstance(value, int):
+        out.append(int.__repr__(value))
+    else:
+        raise RuntimeError(f"a {type(value).__name__} is not a JSON document value")
 
 
 # -- fixed-shape row templates ---------------------------------------------------
@@ -112,8 +170,8 @@ def _certificate_text(lam, cert, indent: str = "") -> str:
     )
 
 
-def _stratum_rows_text(rows, two_rho) -> _Fragment:
-    """The strata list of an analyze document, from schubert._stratum_rows.
+def _stratum_rows_text(rows, two_rho, indent: str = "") -> _Fragment:
+    """The strata list of an analyze document, from schubert._stratum_rows, indented by indent.
 
     rows are (lam, status, mechanism, certificate, via) tuples, certificate
     (dim, root_bound, cartan_extra, verdict) or None; two_rho holds the 2rho
@@ -121,37 +179,105 @@ def _stratum_rows_text(rows, two_rho) -> _Fragment:
     of the dict rows {"certificate", "dimension", "lambda", "mechanism",
     "status", "via"}, the certificate written by _certificate_text.
     """
+    item = "\n  " + indent
+    field = item + "  "
+    deep = indent + "    "
     items = []
     for lam, status, mechanism, cert, via in rows:
-        lam_text = _int_array(lam, "    ")
-        cert_text = "null" if cert is None else _certificate_text(lam, cert, "    ")
-        via_text = "null" if via is None else _int_array(via, "    ")
+        cert_text = "null" if cert is None else _certificate_text(lam, cert, deep)
+        via_text = "null" if via is None else _int_array(via, deep)
         items.append(
-            f'\n  {{\n    "certificate": {cert_text},'
-            f'\n    "dimension": {sum(map(mul, two_rho, lam))},'
-            f'\n    "lambda": {lam_text},'
-            f'\n    "mechanism": {encode_basestring_ascii(mechanism)},'
-            f'\n    "status": {encode_basestring_ascii(status)},'
-            f'\n    "via": {via_text}\n  }}'
+            f'{item}{{{field}"certificate": {cert_text},'
+            f'{field}"dimension": {sum(map(mul, two_rho, lam))},'
+            f'{field}"lambda": {_int_array(lam, deep)},'
+            f'{field}"mechanism": {encode_basestring_ascii(mechanism)},'
+            f'{field}"status": {encode_basestring_ascii(status)},'
+            f'{field}"via": {via_text}{item}}}'
         )
-    return _Fragment("[" + ",".join(items) + "\n]" if items else "[]")
+    return _Fragment(_list_text(items, indent))
 
 
-def _edge_rows_text(edges_below) -> _Fragment:
-    """The edges list of a poset document, from schubert._edges_below.
+def _edge_rows_text(edges_below, indent: str = "") -> _Fragment:
+    """The edges list of a poset document, from schubert._edges_below, indented by indent.
 
     edges_below holds (upper, edges) pairs, each edge a (lower, gap, support,
     case) tuple.  The text is _json_text's of the dict rows {"case",
     "lower", "support", "upper"}, in the same order.
     """
+    item = "\n  " + indent
+    field = item + "  "
+    deep = indent + "    "
     items = []
     for upper, edges in edges_below:
-        upper_text = _int_array(upper, "    ")
+        upper_text = _int_array(upper, deep)
         for lower, _, support, case in edges:
             items.append(
-                f'\n  {{\n    "case": {case},'
-                f'\n    "lower": {_int_array(lower, "    ")},'
-                f'\n    "support": {_int_array(support, "    ")},'
-                f'\n    "upper": {upper_text}\n  }}'
+                f'{item}{{{field}"case": {case},'
+                f'{field}"lower": {_int_array(lower, deep)},'
+                f'{field}"support": {_int_array(support, deep)},'
+                f'{field}"upper": {upper_text}{item}}}'
             )
-    return _Fragment("[" + ",".join(items) + "\n]" if items else "[]")
+    return _Fragment(_list_text(items, indent))
+
+
+def _terms_text(terms, indent: str) -> str:
+    """LoopVector.terms as json.dumps(indent=2) writes cli.vector_rows of them, indented by indent.
+
+    A term ((kind, payload), degree, coeff), kind "X" or "H", is the dict
+    {"coeff", "degree", "index", "kind"}; its coeff text "a" or "a+(b)z" has
+    no character a JSON string escapes.
+    """
+    item = "\n  " + indent
+    field = item + "  "
+    rows = []
+    for (kind, payload), degree, coeff in terms:
+        index = _int_array(payload, indent + "    ") if kind == "X" else payload
+        value = str(coeff.a) if coeff.b == 0 else f"{coeff.a}+({coeff.b})z"
+        rows.append(
+            f'{item}{{{field}"coeff": "{value}",{field}"degree": {degree},'
+            f'{field}"index": {index},{field}"kind": "{kind}"{item}}}'
+        )
+    return _list_text(rows, indent)
+
+
+def _degree_row_text(n: int, lines, indent: str) -> _Fragment:
+    """A loopcheck degree row, from loopalg.root_line_vectors(datum, n), indented by indent.
+
+    The row is {"degree", "lines", "vectors"}, each vector the dict {"case",
+    "root", "sigma_level", "terms"} of a root line.
+    """
+    key = "\n  " + indent
+    item = key + "  "
+    field = item + "  "
+    deep = indent + "      "
+    vectors = [
+        f'{item}{{{field}"case": {encode_basestring_ascii(rel.case)},'
+        f'{field}"root": {_int_array(root, deep)},{field}"sigma_level": {level},'
+        f'{field}"terms": {_terms_text(vec.terms, deep)}{item}}}'
+        for root, level, rel, vec in lines
+    ]
+    return _Fragment(
+        f'{{{key}"degree": {n},{key}"lines": {len(lines)},'
+        f'{key}"vectors": {_list_text(vectors, indent + "  ")}\n{indent}}}'
+    )
+
+
+def _directions_text(directions, indent: str) -> _Fragment:
+    """The Cartan directions of a loopcheck document, from (root, level, vector) triples.
+
+    Each is the dict {"level", "root", "terms"}.
+    """
+    item = "\n  " + indent
+    field = item + "  "
+    deep = indent + "    "
+    rows = [
+        f'{item}{{{field}"level": {level},{field}"root": {_int_array(root, deep)},'
+        f'{field}"terms": {_terms_text(vec.terms, deep)}{item}}}'
+        for root, level, vec in directions
+    ]
+    return _Fragment(_list_text(rows, indent))
+
+
+def _list_text(items: list[str], indent: str) -> str:
+    """The list of the item texts, each starting with its own line break, indented by indent."""
+    return "[" + ",".join(items) + "\n" + indent + "]" if items else "[]"

@@ -547,6 +547,16 @@ def make_e_a(datum: TwistedDatum, rel: RelativeAffineRoot) -> LoopVector:
     return LoopVector.make(ctx.algebra, e, items)
 
 
+@lru_cache(maxsize=2048)  # the nine loop types' root lines and Cartan recipes need 1,986
+def _e_a(datum: TwistedDatum, rel: RelativeAffineRoot) -> LoopVector:
+    """make_e_a(datum, rel), built once per (datum, relative root).
+
+    root_line_vectors, cartan_direction and loopcheck's 2A2 block read the
+    same vectors, and a LoopVector is immutable, so all of them share one.
+    """
+    return make_e_a(datum, rel)
+
+
 def ad_exp(x: LoopVector, y: LoopVector) -> LoopVector:
     """Ad(exp x) y = sum over n of ad(x)^n y / n!, for nilpotent x."""
     x._check(y)
@@ -593,7 +603,7 @@ def cartan_direction(datum: TwistedDatum, a) -> LoopVector:
         rel_b = sigma_affine_to_relative(datum, (neg, k - 1))
     else:
         rel_b = sigma_affine_to_relative(datum, (neg, 2 * (k - 1)))
-    conjugated = ad_exp(make_e_a(datum, rel_b), make_e_a(datum, rel_a))
+    conjugated = ad_exp(_e_a(datum, rel_b), _e_a(datum, rel_a))
     cartan = cartan_component(conjugated)
     if cartan.is_zero():
         raise RuntimeError("vanishing Cartan component contradicts the recipe")
@@ -662,7 +672,7 @@ def root_line_vectors(
     rows = []
     for root, k in root_lines_at_degree(datum, n):
         rel = sigma_affine_to_relative(datum, (root, k))
-        rows.append((root, k, rel, make_e_a(datum, rel)))
+        rows.append((root, k, rel, _e_a(datum, rel)))
     return tuple(rows)
 
 

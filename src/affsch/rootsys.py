@@ -388,6 +388,18 @@ def build_root_system(type_label: str) -> FiniteRootSystem:
     return FiniteRootSystem(cartan_matrix(m.group(1), int(m.group(2))), label=type_label)
 
 
+def _check_vector(system: FiniteRootSystem, values, name: str) -> None:
+    """ValueError unless values is a tuple of exact ints, one per simple root of system.
+
+    Exact types: a bool would reach the poset memos as the int key it equals,
+    a float would leave the exact engine, and a list cannot be a key at all.
+    """
+    if type(values) is not tuple or any(type(x) is not int for x in values):
+        raise ValueError(f"{name} must be a tuple of integers")
+    if len(values) != system.rank:
+        raise ValueError(f"{name} must have {system.rank} entries, one per simple root")
+
+
 @dataclass(frozen=True)
 class Coweight:
     """A coweight stored by its pairings with the simple roots, a tuple of exact ints."""
@@ -396,12 +408,7 @@ class Coweight:
     pairings: IntVec
 
     def __post_init__(self) -> None:
-        # exact types: a bool would reach the poset memos as the int key it
-        # equals, and a list cannot be a key at all
-        if type(self.pairings) is not tuple or any(type(p) is not int for p in self.pairings):
-            raise ValueError("pairings must be a tuple of integers")
-        if len(self.pairings) != self.system.rank:
-            raise ValueError("pairing vector length does not match the rank")
+        _check_vector(self.system, self.pairings, "pairings")
 
     def is_dominant(self) -> bool:
         return all(p >= 0 for p in self.pairings)
@@ -412,10 +419,13 @@ class Coweight:
 
 @dataclass(frozen=True)
 class CorootVector:
-    """An integer combination of simple coroots."""
+    """An integer combination of simple coroots, by its coefficients, a tuple of exact ints."""
 
     system: FiniteRootSystem
     coefficients: IntVec
+
+    def __post_init__(self) -> None:
+        _check_vector(self.system, self.coefficients, "coefficients")
 
     @property
     def pairings(self) -> IntVec:

@@ -15,9 +15,10 @@ leaves nothing to check.
 
 The sweeps range over boxes of dominant mu, and the loop suites over
 --window values, that overlap from request to request, so bounded memos keep
-each box as raw pairing vectors and each row as _row makes it.  A sweep row
-depends only on its top's down-set (Stembridge 1998), which the kept
-DominancePoset holds.  Each loop check runs again on every request, its
+each box as raw pairing vectors, each k-symmetry draw pool as tuples, and
+each row as _row makes it, its text written where a verify document puts
+it.  A sweep row depends only on its top's down-set (Stembridge 1998), which
+the kept DominancePoset holds.  Each loop check runs again on every request, its
 verdicts memoised in loopalg; a raising Cartan direction or a false rank-one
 verdict gets no row, only a counterexample built afresh.
 """
@@ -33,7 +34,7 @@ from functools import lru_cache
 from itertools import product
 from operator import itemgetter
 
-from affsch.jsontext import _Fragment, _json_text
+from affsch.jsontext import RESULT_ITEM, _Fragment, _kept, _terms_text
 from affsch.loopalg import (
     MAX_WINDOW,
     cartan_direction,
@@ -65,7 +66,8 @@ class SuiteResult:
     """One suite's outcome.
 
     instances holds the instance rows, each as the JSON text of its dict (a
-    jsontext._Fragment: json.loads(row) gives the dict); counterexamples
+    jsontext._Fragment written at its place in a verify document, so the
+    writer places it as it is: json.loads(row) gives the dict); counterexamples
     holds the failing instances as the dicts json.loads gives back, vectors
     as lists.  Both are sorted by their values in sorted-key order.
     """
@@ -109,8 +111,12 @@ def _key(row: dict) -> tuple:
 
 
 def _row(row: dict, failures: tuple[dict, ...] = ()) -> tuple[tuple, _Fragment, tuple[dict, ...]]:
-    """A row's sort key, its text, and its counterexamples, with lists as json.loads gives back."""
-    return _key(row), _Fragment(_json_text(row)), failures
+    """A row's sort key, its text, and its counterexamples, with lists as json.loads gives back.
+
+    The text is written where a verify document puts it, as an item of the
+    result's instances.
+    """
+    return _key(row), _kept(row, RESULT_ITEM), failures
 
 
 @lru_cache(maxsize=1144)  # one per (suite, type, top): 2 x 572 tops at MAX_PAIRING 40
@@ -157,6 +163,24 @@ def _k_symmetry_row(label: str, mu: IntVec, lam: IntVec) -> tuple:
     return _row({"type": label, "mu": mu, "lambda": lam}, tuple(failures))
 
 
+@lru_cache(maxsize=len(SWEEP_TYPES) * (MAX_PAIRING + 1))  # one per (type, --max-pairing)
+def _k_symmetry_draws(label: str, max_pairing: int) -> tuple[tuple, tuple[IntVec, ...]]:
+    """The covering pairs (mu, lam) of the type's box, and its tops the draws pick from.
+
+    A box is a down-set, so its covering pairs are the covers of its points.
+    """
+    system = build_root_system(label)
+    box = _box(system, max_pairing)
+    pairs = tuple((mu, lam) for mu in box for lam, *_ in _poset(system, mu).edges(mu))
+    return pairs, tuple(mu for mu in box if any(mu))
+
+
+@lru_cache(maxsize=572)  # one per (type, top): 572 tops at MAX_PAIRING 40
+def _down_set(label: str, mu: IntVec) -> tuple[IntVec, ...]:
+    """The dominant lam <= mu in stratum order, the pool a draw below mu picks from."""
+    return tuple(_poset(build_root_system(label), mu).below(mu))
+
+
 def _result(suite: str, seed, rows: list[tuple], unrendered=(), details=None) -> SuiteResult:
     """The result of rows made by _row, and of failing instances that have no row."""
     rows.sort(key=itemgetter(0))
@@ -166,18 +190,6 @@ def _result(suite: str, seed, rows: list[tuple], unrendered=(), details=None) ->
     failures.sort(key=_key)
     checked = len(rows) + len(unrendered)
     return SuiteResult(suite, not failures, seed, checked, texts, tuple(failures), details or {})
-
-
-def vector_rows(vec) -> list[dict]:
-    return [
-        {
-            "kind": kind,
-            "index": list(payload) if kind == "X" else payload,
-            "degree": degree,
-            "coeff": str(coeff.a) if coeff.b == 0 else f"{coeff.a}+({coeff.b})z",
-        }
-        for (kind, payload), degree, coeff in vec.terms
-    ]
 
 
 def run_suite(
@@ -223,8 +235,9 @@ def _loop_basis_row(degree: int, fixed_dim: int, lines: int, rank: int, label: s
 
 @lru_cache(maxsize=138)  # the (type, root, k) of DIRECTION_LABELS at depths 1-6 with a recipe: 138
 def _direction_row(label: str, root, k: int) -> tuple:
-    vec = cartan_direction(twisted_datum(label), (root, -k))
-    vector = _Fragment(_json_text(vector_rows(vec)))  # as text, the kept key holds no dicts
+    terms = cartan_direction(twisted_datum(label), (root, -k)).terms
+    # as text at its place in the row, so the kept key holds no dicts
+    vector = _Fragment(_terms_text(terms, RESULT_ITEM + "  "))
     return _row({"type": label, "root": root, "level": -k, "vector": vector})
 
 
@@ -260,18 +273,17 @@ def _suite_cartan_direction(window: int) -> SuiteResult:
 def _suite_k_symmetry(max_rank: int, max_pairing: int, seed: int) -> SuiteResult:
     """The row of each covering pair of each type's box, and of 25 seeded pairs lam <= mu each.
 
-    A box is a down-set, so its covering pairs are the covers of its points.
+    Random.choice reads only the length and one index of what it picks from,
+    so the kept tuples draw what lists of the same keys would.
     """
     rows = []
     for label in sweep_type_labels(max_rank):
-        system = build_root_system(label)
-        box = _box(system, max_pairing)
-        pairs = [(mu, lam) for mu in box for lam, *_ in _poset(system, mu).edges(mu)]
-        tops = [mu for mu in box if any(mu)]
+        covering, tops = _k_symmetry_draws(label, max_pairing)
+        pairs = list(covering)
         rng = random.Random(f"{seed}:{label}")  # string seeding is process-stable
         for _ in range(25 if tops else 0):
             mu = rng.choice(tops)
-            pairs.append((mu, rng.choice(list(_poset(system, mu).below(mu)))))
+            pairs.append((mu, rng.choice(_down_set(label, mu))))
         rows += [_k_symmetry_row(label, mu, lam) for mu, lam in dict.fromkeys(pairs)]
     return _result("k-symmetry", seed, rows)
 

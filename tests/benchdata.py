@@ -17,10 +17,13 @@ PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 REQUEST_MEMOS = (
     verify._box,
     verify._edge_rows,
+    verify._k_symmetry_draws,
+    verify._down_set,
     verify._k_symmetry_row,
     verify._loop_basis_row,
     verify._direction_row,
     verify._sl2_row,
+    loopalg._e_a,
     loopalg.cartan_direction,
     loopalg.root_line_vectors,
     loopalg.verify_sl2_factorization,

@@ -8,9 +8,11 @@ a pair's endpoints, the level correspondence by Fraction progressions, the
 bracket by adding root tuples, the Jacobi and sigma0 build checks over that
 bracket, the rank-one factorization by its values at rational points, the
 sweep suites' rows as dicts, built from the public schubert functions, the
-loop suites' rows as dicts, all sorted by their items, and the stratum and
+loop suites' rows as dicts, all sorted by their items, the stratum and
 edge rows of the closure documents as dicts, built from the public report
-and edge objects), so the tests can check the fast paths against them.
+and edge objects, and the degree rows of a loopcheck document as dicts, their
+terms from cli.vector_rows), so the tests can check the fast paths against
+them.
 """
 
 from __future__ import annotations
@@ -18,7 +20,8 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 
-from affsch.loopalg import cartan_direction, verify_invariant_basis
+from affsch.cli import vector_rows
+from affsch.loopalg import cartan_direction, root_line_vectors, verify_invariant_basis
 from affsch.rootsys import (
     Coweight,
     CorootVector,
@@ -39,7 +42,7 @@ from affsch.schubert import (
     root_tangent_bound,
 )
 from affsch.twist import _vec_add, sigma_affine_to_relative, twisted_datum
-from affsch.verify import DIRECTION_LABELS, LOOP_LABELS, vector_rows
+from affsch.verify import DIRECTION_LABELS, LOOP_LABELS
 
 AffineRoot = tuple[Root, int]
 
@@ -485,6 +488,15 @@ def sl2_values(seed: int) -> list[Fraction]:
         if x != 0:
             xs.append(x)
     return xs
+
+
+def loopcheck_degree_row(datum, n: int) -> dict:
+    """The degree row of a loopcheck document as a dict, from the root lines at u-degree n."""
+    vectors = [
+        {"root": list(root), "sigma_level": level, "case": rel.case, "terms": vector_rows(vec)}
+        for root, level, rel, vec in root_line_vectors(datum, n)
+    ]
+    return {"degree": n, "lines": len(vectors), "vectors": vectors}
 
 
 def _loop_basis_rows(window: int) -> tuple[list[dict], list[dict]]:

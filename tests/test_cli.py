@@ -17,7 +17,7 @@ from benchdata import clear_request_memos
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from affsch import cli, schubert, verify
+from affsch import cli, jsontext, schubert, verify
 from affsch.cli import (
     MAX_DOMINANT,
     _dominant_count,
@@ -535,6 +535,37 @@ def test_rendered_fragment_placed_at_any_depth_matches_json_dumps(value, depth):
     assert _json_text(_placed(fragment, depth)) == expected
     # the same text as a plain str is a JSON string, not a fragment
     assert _json_text(str(fragment)) == json.dumps(str(fragment))
+
+
+@settings(max_examples=300, deadline=None, database=None)
+@given(st.recursive(_SCALARS, _containers, max_leaves=30), st.integers(0, 3), st.integers(0, 3))
+def test_fragment_written_at_one_depth_placed_at_any_matches_json_dumps(value, written, placed):
+    # placed where it was written it goes in as it is, anywhere else re-indented
+    fragment = jsontext._kept(value, "  " * written)
+    assert fragment.newline in ("", "\n" + "  " * written)  # "" for a one-line text
+    expected = json.dumps(_placed(value, placed), indent=2, sort_keys=True)
+    assert _json_text(_placed(fragment, placed)) == expected
+
+
+def test_kept_text_goes_in_as_it_is_where_the_document_puts_it(capsys, monkeypatch):
+    """Every fragment of every command's document was written at the place it sits."""
+
+    def refuse(self, *args):
+        raise AssertionError(f"kept text re-indented from {self.newline!r}")
+
+    monkeypatch.setattr(jsontext._Fragment, "replace", refuse)
+    requests = [("loopcheck", "--type", label, "--window", "2") for label in LOOP_TYPES]
+    requests += [
+        ("verify", "--suite", suite, "--max-pairing", "6", "--window", "2") for suite in verify.SUITES
+    ]
+    requests += [
+        ("analyze", "--type", "2A2", "--mu", "2", "--lambda", "0"),
+        ("poset", "--type", "C2", "--mu", "1,1"),
+    ]
+    for argv in requests:
+        code, out, err = run(capsys, *argv, "--json")
+        assert (code, err) == (0, ""), argv
+        assert out == json.dumps(json.loads(out), indent=2, sort_keys=True) + "\n", argv
 
 
 @pytest.mark.parametrize(

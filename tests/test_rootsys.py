@@ -14,6 +14,7 @@ import pytest
 
 from affsch import rootsys
 from affsch.rootsys import (
+    CorootVector,
     Coweight,
     build_root_system,
     cartan_matrix,
@@ -407,3 +408,17 @@ def test_coweight_validation():
             Coweight(a2, pairings)
     with pytest.raises(ValueError):
         dominance_leq(Coweight(a2, (0, 0)), Coweight(build_root_system("A1"), (0,)))
+
+
+def test_coroot_vector_validation():
+    # unchecked, (1,) would zip away to the pairings (2, -1), and (True, 1.5)
+    # would give the float pairings (0.5, 2.0) in an exact engine
+    a2 = build_root_system("A2")
+    for coefficients in ((1,), (1, 0, 0), ()):
+        with pytest.raises(ValueError, match="must have 2 entries"):
+            CorootVector(a2, coefficients)
+    for coefficients in ((True, 1.5), (1, False), [1, 1], (1.0, 1)):
+        with pytest.raises(ValueError, match="a tuple of integers"):
+            CorootVector(a2, coefficients)
+    assert CorootVector(a2, (1, 0)).pairings == (2, -1)
+    assert CorootVector(a2, (1, 1)).pairings == (1, 1)

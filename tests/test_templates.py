@@ -1,4 +1,4 @@
-"""The two row templates of the closure documents, against json.dumps.
+"""The fixed-shape row templates of the closure and loopcheck documents, against json.dumps.
 
 analyze writes the strata list of its document, and poset the edges list of
 its own, with a fixed-shape template (jsontext._stratum_rows_text and
@@ -8,11 +8,18 @@ exactly json.dumps(indent=2, sort_keys=True) of the dict rows of
 tests/oracles.py, which are built from the public report and edge objects:
 at the top of every closures request the benchmark can draw, with both
 templates at each, and on synthetic rows of shapes those requests never
-produce.  The raw rows are also the one source of the public objects:
+produce; at depth 0 and at the indent of the place the document puts them.
+The raw rows are also the one source of the public objects:
 smooth_locus_report, certificate, minimal_degenerations and dominant_below
 must give what the rows give.  The --lambda focus certificate, which no
 benchmark request writes, is held to json.dumps of oracles.certificate_row
 on requests of its own, with its text-mode line pinned.
+
+The loop templates write LoopVector.terms with no dict per term
+(jsontext._terms_text): every loopcheck degree row (nine loop types x |n| <=
+MAX_WINDOW), every Cartan-direction block, and every vector of the
+cartan-direction suite, each against json.dumps of the dict rows of
+cli.vector_rows.
 """
 
 import contextlib
@@ -21,11 +28,27 @@ import json
 
 import pytest
 from benchdata import load_workloads
-from oracles import analyze_strata_rows, certificate_row, poset_edge_rows
+from oracles import analyze_strata_rows, certificate_row, loopcheck_degree_row, poset_edge_rows
 
 from affsch import schubert
-from affsch.cli import main
-from affsch.jsontext import _edge_rows_text, _stratum_rows_text
+from affsch.cli import _directions, main, vector_rows
+from affsch.jsontext import (
+    RESULT_ITEM,
+    RESULT_VALUE,
+    _degree_row_text,
+    _directions_text,
+    _edge_rows_text,
+    _stratum_rows_text,
+    _terms_text,
+)
+from affsch.loopalg import (
+    MAX_WINDOW,
+    LoopVector,
+    cartan_direction,
+    cartan_recipe_roots,
+    loop_context,
+    root_line_vectors,
+)
 from affsch.rootsys import Coweight, CorootVector, build_root_system
 from affsch.schubert import (
     DegenerationEdge,
@@ -37,10 +60,16 @@ from affsch.schubert import (
     smooth_locus_report,
 )
 from affsch.twist import twisted_datum
+from affsch.verify import DIRECTION_LABELS
 
 
 def _dumps(value) -> str:
     return json.dumps(value, indent=2, sort_keys=True)
+
+
+def _at(text: str, indent: str) -> str:
+    """json.dumps text as it reads on a line indented by indent."""
+    return text.replace("\n", "\n" + indent)
 
 
 def _closure_tops() -> list[tuple[str, tuple[int, ...]]]:
@@ -89,9 +118,12 @@ def test_stratum_template_matches_json_dumps_on_every_closure():
     for label, p in _closure_tops():
         datum = twisted_datum(label)
         mu = Coweight(datum.echelonnage, p)
-        text = _stratum_rows_text(schubert._stratum_rows(mu, datum), mu.system.two_rho_coefficients)
-        if text != _dumps(analyze_strata_rows(smooth_locus_report(mu, datum).strata)):
-            mismatches.append((label, p))
+        rows, two_rho = schubert._stratum_rows(mu, datum), mu.system.two_rho_coefficients
+        expected = _dumps(analyze_strata_rows(smooth_locus_report(mu, datum).strata))
+        for indent in ("", RESULT_VALUE):
+            text = _stratum_rows_text(rows, two_rho, indent)
+            if text != _at(expected, indent):
+                mismatches.append((label, p, indent))
     assert mismatches == []
 
 
@@ -99,9 +131,12 @@ def test_edge_template_matches_json_dumps_on_every_closure():
     mismatches = []
     for label, p in _closure_tops():
         mu = Coweight(twisted_datum(label).echelonnage, p)
-        text = _edge_rows_text(schubert._edges_below(mu))
-        if text != _dumps(poset_edge_rows(minimal_degenerations(mu))):
-            mismatches.append((label, p))
+        edges_below = schubert._edges_below(mu)
+        expected = _dumps(poset_edge_rows(minimal_degenerations(mu)))
+        for indent in ("", RESULT_VALUE):
+            text = _edge_rows_text(edges_below, indent)
+            if text != _at(expected, indent):
+                mismatches.append((label, p, indent))
     assert mismatches == []
 
 
@@ -166,6 +201,7 @@ def test_stratum_template_matches_json_dumps_on_synthetic_rows(name):
     strata = _strata_from_rows(Coweight(system, top), rows)
     expected = _dumps(analyze_strata_rows(strata))
     assert _stratum_rows_text(rows, system.two_rho_coefficients) == expected
+    assert _stratum_rows_text(rows, system.two_rho_coefficients, "   ") == _at(expected, "   ")
 
 
 SYNTHETIC_EDGES = {
@@ -199,6 +235,55 @@ def test_edge_template_matches_json_dumps_on_synthetic_rows(name):
     system, edges_below = SYNTHETIC_EDGES[name]
     expected = _dumps(poset_edge_rows(_edges_from_rows(system, edges_below)))
     assert _edge_rows_text(edges_below) == expected
+    assert _edge_rows_text(edges_below, "   ") == _at(expected, "   ")
+
+
+# -- the loop templates ----------------------------------------------------------------
+
+LOOP_TYPES = load_workloads().LOOP_TYPES
+
+
+def test_degree_template_matches_json_dumps_at_every_loop_type_and_degree():
+    rows = 0
+    for label in LOOP_TYPES:
+        datum = twisted_datum(label)
+        for n in range(-MAX_WINDOW, MAX_WINDOW + 1):
+            expected = _dumps(loopcheck_degree_row(datum, n))
+            lines = root_line_vectors(datum, n)
+            for indent in ("", RESULT_ITEM):
+                text = _degree_row_text(n, lines, indent)
+                assert text == _at(expected, indent), (label, n)
+            rows += 1
+    assert rows == 153
+    # no degree of a loop type is empty; an empty row is written as json.dumps writes it
+    empty = _dumps({"degree": 0, "lines": 0, "vectors": []})
+    assert _degree_row_text(0, (), RESULT_ITEM) == _at(empty, RESULT_ITEM)
+    assert _directions_text([], RESULT_VALUE) == "[]"
+
+
+@pytest.mark.parametrize("label", LOOP_TYPES)
+def test_directions_template_matches_json_dumps(label):
+    datum = twisted_datum(label)
+    directions = [(a[0], a[1], cartan_direction(datum, a)) for a in cartan_recipe_roots(datum, 1)]
+    expected = _dumps(_directions(datum))
+    for indent in ("", RESULT_VALUE):
+        text = _directions_text(directions, indent)
+        assert text == _at(expected, indent)
+
+
+def test_terms_template_matches_json_dumps_on_every_cartan_direction():
+    vectors = [
+        cartan_direction(twisted_datum(label), a)
+        for label in DIRECTION_LABELS
+        for a in cartan_recipe_roots(twisted_datum(label), 6)
+    ]
+    assert len(vectors) == 138
+    # their coefficients have Fraction and zeta parts; the zero vector is the one
+    # shape they never take
+    vectors.append(LoopVector.zero(loop_context(twisted_datum("3D4")).algebra, 3))
+    for vec in vectors:
+        for indent in ("", RESULT_ITEM + "  "):
+            assert _terms_text(vec.terms, indent) == _at(_dumps(vector_rows(vec)), indent)
 
 
 # -- the focus certificate of analyze --lambda --------------------------------------

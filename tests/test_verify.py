@@ -109,6 +109,34 @@ def test_full_grid_requests_evict_nothing_and_memos_stay_bounded(monkeypatch):
         assert _serve(["verify", "--suite", "k-symmetry", "--seed", str(seed), *full])[0] == 0
         assert pairs().currsize <= pairs().maxsize
     assert pairs().currsize == pairs().maxsize < pairs().misses
+    # one covering-pair set per type, and the down-set of each top drawn, built once
+    draws, down_sets = verify._k_symmetry_draws.cache_info(), verify._down_set.cache_info()
+    assert draws.currsize == draws.misses == len(verify.SWEEP_TYPES)
+    assert down_sets.currsize == down_sets.misses <= TOPS_AT_MAX - len(verify.SWEEP_TYPES)
+    assert down_sets.maxsize == TOPS_AT_MAX
+
+
+def test_warm_k_symmetry_draws_walk_nothing_again(monkeypatch):
+    _cold(monkeypatch)
+    argv = ["verify", "--suite", "k-symmetry", "--max-pairing", "12", "--seed", "2", "--json"]
+    code, text = _serve(argv)
+    assert code == 0
+    walks = []
+    monkeypatch.setattr(schubert.DominancePoset, "below", lambda self, mu: walks.append(mu))
+    monkeypatch.setattr(schubert.DominancePoset, "edges", lambda self, p: walks.append(p))
+    assert _serve(argv) == (0, text)
+    assert walks == []
+
+
+def test_instance_rows_read_back_as_the_dict_rows_of_every_suite():
+    for suite in SWEEP_SUITES:
+        outcome = verify.run_suite(suite, max_rank=3, max_pairing=8, seed=1)
+        rows = [json.loads(row) for row in outcome.instances]
+        assert rows == sweep_result(suite, verify.sweep_type_labels(3), 8, 1)["instances"], suite
+    for suite in ("loop-basis", "cartan-direction", "sl2-factorization"):
+        outcome = verify.run_suite(suite, window=3, seed=1)
+        rows = [json.loads(row) for row in outcome.instances]
+        assert rows == loop_suite_result(suite, 3, 1)["instances"], suite
 
 
 def _flag(argv, flag: str, default: int) -> int:
@@ -167,6 +195,30 @@ def test_loop_suite_memos_hold_their_counted_grids():
     for memo, count in counted.items():
         info = memo.cache_info()
         assert info.maxsize == info.currsize == info.misses == count, memo.__name__
+
+
+def test_each_e_a_is_built_once_for_the_loop_windows_and_directions(monkeypatch):
+    workloads = load_workloads()
+    clear_request_memos()
+    real, built = loopalg.make_e_a, Counter()
+
+    def counting(datum, rel):
+        built[datum.label, rel] += 1
+        return real(datum, rel)
+
+    monkeypatch.setattr(loopalg, "make_e_a", counting)
+    for label in workloads.LOOP_TYPES:
+        for window in workloads.LOOP_WINDOWS:
+            assert _serve(["loopcheck", "--type", label, "--window", str(window), "--json"])[0] == 0
+    for window in workloads.LOOP_WINDOWS:
+        argv = ["verify", "--suite", "cartan-direction", "--window", str(window), "--json"]
+        assert _serve(argv)[0] == 0
+    # root_line_vectors, cartan_direction and the 2A2 block read one memo, so a
+    # vector one of them built is never built again for another
+    assert set(built.values()) == {1}
+    info = loopalg._e_a.cache_info()
+    assert len(built) == info.misses == info.currsize == 1986 <= info.maxsize
+    assert info.hits == 472
 
 
 # -- failure paths ------------------------------------------------------------
