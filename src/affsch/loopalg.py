@@ -54,7 +54,8 @@ class CycScalar:
 
     For e <= 2 the zeta part is folded away (zeta = 1 or -1), so b == 0.
     For e == 3 products reduce through zeta^2 = -1 - zeta.  Coefficients stay
-    int until a division makes a Fraction; only inverse divides.
+    int until a division makes a Fraction; only inverse divides.  of refuses
+    any other coefficient type, bool and float included.
     """
 
     e: int
@@ -63,6 +64,8 @@ class CycScalar:
 
     @staticmethod
     def of(e: int, a: Rational, b: Rational = 0) -> "CycScalar":
+        if type(a) not in (int, Fraction) or type(b) not in (int, Fraction):
+            raise ValueError(f"coefficients {a!r}, {b!r} are not ints or Fractions")
         if e == 1:
             a, b = a + b, 0
         elif e == 2:
@@ -137,12 +140,7 @@ class CycScalar:
 def _oriented_edges(system: FiniteRootSystem, letter: str) -> frozenset[tuple[int, int]]:
     """Orient the Dynkin diagram; chosen symmetric under the standard folds."""
     rank = system.rank
-    edges = [
-        (i, j)
-        for i in range(rank)
-        for j in range(i + 1, rank)
-        if system.cartan[i][j] != 0
-    ]
+    edges = [(i, j) for i in range(rank) for j in range(i + 1, rank) if system.cartan[i][j] != 0]
     oriented: set[tuple[int, int]] = set()
     if letter == "A":
         # toward the center; the middle edge of even A breaks the symmetry,
@@ -434,9 +432,7 @@ class LoopVector:
                 c = CycScalar.of(e, c)
             key = (sym, n)
             acc[key] = acc[key] + c if key in acc else c
-        terms = tuple(
-            (sym, n, c) for (sym, n), c in sorted(acc.items()) if c
-        )
+        terms = tuple((sym, n, c) for (sym, n), c in sorted(acc.items()) if c)
         return LoopVector(algebra, e, terms)
 
     @staticmethod
@@ -460,9 +456,7 @@ class LoopVector:
     def scale(self, factor) -> "LoopVector":
         if not isinstance(factor, CycScalar):
             factor = CycScalar.of(self.e, factor)
-        return LoopVector.make(
-            self.algebra, self.e, [(s, n, c * factor) for s, n, c in self.terms]
-        )
+        return LoopVector.make(self.algebra, self.e, [(s, n, c * factor) for s, n, c in self.terms])
 
     def bracket(self, other: "LoopVector") -> "LoopVector":
         self._check(other)
@@ -475,10 +469,7 @@ class LoopVector:
         return LoopVector.make(self.algebra, self.e, items)
 
     def coefficient(self, sym: Symbol, n: int) -> CycScalar:
-        for s, m, c in self.terms:
-            if s == sym and m == n:
-                return c
-        return CycScalar.of(self.e, 0)
+        return next((c for s, m, c in self.terms if s == sym and m == n), CycScalar.of(self.e, 0))
 
 
 # -- twisted context ----------------------------------------------------------
@@ -531,9 +522,7 @@ def make_e_a(datum: TwistedDatum, rel: RelativeAffineRoot) -> LoopVector:
     """
     validate_relative_root(datum, rel)  # ValueError off the correspondence
     ctx = loop_context(datum)
-    e = datum.e
-    n = rel.degree
-    d = len(rel.orbit)
+    e, n, d = datum.e, rel.degree, len(rel.orbit)
     start: Symbol = ("X", rel.orbit[-1])
     sym, sign, items = start, 1, []
     for i in range(1, d + 1):
@@ -562,49 +551,65 @@ def ad_exp(x: LoopVector, y: LoopVector) -> LoopVector:
     x._check(y)
     if any(sym[0] == "H" for sym, _, _ in x.terms):
         raise ValueError("exp argument must be supported on root directions")
-    total, term, n = y, y, 0
-    while True:
+    total, term = y, y
+    for n in range(1, 11):
         term = x.bracket(term)
         if term.is_zero():
             return total
-        n += 1
-        if n >= 10:
-            raise RuntimeError("adjoint series failed to terminate")
         total = total + term.scale(Fraction(1, math.factorial(n)))
+    raise RuntimeError("adjoint series failed to terminate")
 
 
 def cartan_component(v: LoopVector) -> LoopVector:
     """Projection onto the span of the H symbols, all u-degrees."""
-    return LoopVector(
-        v.algebra, v.e, tuple(t for t in v.terms if t[0][0] == "H")
-    )
+    return LoopVector(v.algebra, v.e, tuple(t for t in v.terms if t[0][0] == "H"))
 
 
-@lru_cache(maxsize=512)  # every loopcheck window and loop suite ask for 262 inputs
+# The one order n of ad(e_b) whose Cartan part is nonzero, by the case of a: see cartan_direction.
+_CARTAN_ORDER = {"case1": 1, "case2b": 2}
+
+
 def cartan_direction(datum: TwistedDatum, a) -> LoopVector:
     """Cartan-valued tangent vector conjugated out of a negative root line.
 
-    For a = (beta, -k) with k >= 1, the opposite line is taken at the level
-    one step shallower (b = -beta - m - 1/d), h = exp(e_b), and the result is
-    the Cartan component of Ad(h) e_a: nonzero and sigma-invariant, by
-    construction of the correspondence.  Even levels over a multipliable root
-    have no such recipe and are rejected.  Results are memoised (a LoopVector
-    is immutable); rejections are not, so they raise on every call.
+    For a = (beta, -k) with k >= 1, the opposite line b over -beta is taken one
+    step shallower (b = -beta - m - 1/d), and the result is the Cartan part of
+    Ad(exp e_b) e_a = sum of ad(e_b)^n e_a / n!: nonzero and sigma-invariant,
+    by construction of the correspondence.  Even levels over a multipliable
+    root have no such recipe and are rejected.
+
+    Only the order n that is the height ratio of a to b reaches the Cartan,
+    and only it is computed: sigma0 keeps height, so an orbit has one height,
+    and a term of ad(e_b)^n e_a is Cartan only where a root of a's orbit is
+    minus a sum of n roots of b's.  In case 1 the orbits are opposite: n = 1.
+    In case 2b e_a sits on one divisible root alpha' + sigma0 alpha'
+    (twist._CASES: orbit size 1) and e_b on the case-2a pair over -alpha': n = 2.
+
+    The root and level must be exact ints: 1.0 or True would read the memo
+    of the int it equals.  Results are memoised; rejections raise every call.
     """
+    root, level = a
+    if type(root) is not tuple or any(type(x) is not int for x in (*root, level)):
+        raise ValueError("an affine root is a tuple of ints and an int level")
+    return _cartan_direction(datum, (root, level))
+
+
+@lru_cache(maxsize=512)  # every loopcheck window and loop suite ask for 262 inputs
+def _cartan_direction(datum: TwistedDatum, a: AffineRoot) -> LoopVector:
     beta, level = a
     if level >= 0:
         raise ValueError("need a strictly negative level")
-    k = -level
     rel_a = sigma_affine_to_relative(datum, a)
-    if rel_a.case == "case2a":
+    order = _CARTAN_ORDER.get(rel_a.case)
+    if order is None:
         raise ValueError("no Cartan recipe at even levels over a multipliable root")
-    neg = tuple(-x for x in beta)
-    if rel_a.case == "case1":
-        rel_b = sigma_affine_to_relative(datum, (neg, k - 1))
-    else:
-        rel_b = sigma_affine_to_relative(datum, (neg, 2 * (k - 1)))
-    conjugated = ad_exp(_e_a(datum, rel_b), _e_a(datum, rel_a))
-    cartan = cartan_component(conjugated)
+    rel_b = sigma_affine_to_relative(datum, (tuple(-x for x in beta), order * (-level - 1)))
+    e_b, term = _e_a(datum, rel_b), _e_a(datum, rel_a)
+    for _ in range(order):
+        term = e_b.bracket(term)
+    cartan = cartan_component(term)
+    if order > 1:  # the 1/n! of the series; at n = 1 the coefficients stay int
+        cartan = cartan.scale(Fraction(1, math.factorial(order)))
     if cartan.is_zero():
         raise RuntimeError("vanishing Cartan component contradicts the recipe")
     if sigma_action(datum, cartan) != cartan:
@@ -619,7 +624,7 @@ def cartan_recipe_roots(datum: TwistedDatum, depth: int) -> tuple[AffineRoot, ..
     multipliable root, in the order of affine_roots_negative_at_vertex.
     """
     sigma_roots = affine_roots_negative_at_vertex(datum, depth)
-    return tuple(a for a in sigma_roots if sigma_affine_to_relative(datum, a).case != "case2a")
+    return tuple(a for a in sigma_roots if sigma_affine_to_relative(datum, a).case in _CARTAN_ORDER)
 
 
 # -- invariant-basis verification ----------------------------------------------
@@ -650,13 +655,8 @@ class InvariantBasisReport:
 
 def root_lines_at_degree(datum: TwistedDatum, n: int) -> tuple[tuple[Root, int], ...]:
     """(sigma_root, sigma_level) pairs whose root line sits at u-degree n, sorted."""
-    return tuple(
-        sorted(
-            (root, k)
-            for root in datum.echelonnage.roots
-            for k in sigma_levels_at_degree(datum, root, n)
-        )
-    )
+    roots = datum.echelonnage.roots
+    return tuple(sorted((r, k) for r in roots for k in sigma_levels_at_degree(datum, r, n)))
 
 
 @lru_cache(maxsize=9 * (2 * MAX_WINDOW + 1))  # nine loop types x |n| <= MAX_WINDOW: 153 keys

@@ -24,7 +24,7 @@ REQUEST_MEMOS = (
     verify._direction_row,
     verify._sl2_row,
     loopalg._e_a,
-    loopalg.cartan_direction,
+    loopalg._cartan_direction,
     loopalg.root_line_vectors,
     loopalg.verify_sl2_factorization,
     cli._degree_text,

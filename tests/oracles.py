@@ -5,14 +5,14 @@ computes another way (the dominance order by a lattice solve, dominant
 representatives by a Weyl-orbit scan, Stembridge steps subtracted in full,
 covers and down-sets walked over them, root-curve targets and case tags from
 a pair's endpoints, the level correspondence by Fraction progressions, the
-bracket by adding root tuples, the Jacobi and sigma0 build checks over that
-bracket, the rank-one factorization by its values at rational points, the
-sweep suites' rows as dicts, built from the public schubert functions, the
-loop suites' rows as dicts, all sorted by their items, the stratum and
-edge rows of the closure documents as dicts, built from the public report
-and edge objects, and the degree rows of a loopcheck document as dicts, their
-terms from cli.vector_rows), so the tests can check the fast paths against
-them.
+Cartan direction by the whole adjoint series, the bracket by adding root
+tuples, the Jacobi and sigma0 build checks over that bracket, the rank-one
+factorization by its values at rational points, the sweep suites' rows as
+dicts, built from the public schubert functions, the loop suites' rows as
+dicts, all sorted by their items, the stratum and edge rows of the closure
+documents as dicts, built from the public report and edge objects, and the
+degree rows of a loopcheck document as dicts, their terms from
+cli.vector_rows), so the tests can check the fast paths against them.
 """
 
 from __future__ import annotations
@@ -21,7 +21,14 @@ import random
 from fractions import Fraction
 
 from affsch.cli import vector_rows
-from affsch.loopalg import cartan_direction, root_line_vectors, verify_invariant_basis
+from affsch.loopalg import (
+    ad_exp,
+    cartan_component,
+    cartan_direction,
+    make_e_a,
+    root_line_vectors,
+    verify_invariant_basis,
+)
 from affsch.rootsys import (
     Coweight,
     CorootVector,
@@ -220,6 +227,20 @@ def progression_sigma_levels(datum, sigma_root: Root, n: int) -> tuple[int, ...]
         for _, offset, step, scale in level_progressions(datum, sigma_root)
         if (m - offset) % step == 0
     )
+
+
+def cartan_direction_by_series(datum, a: AffineRoot):
+    """The Cartan part of the whole series Ad(exp e_b) e_a = sum of ad(e_b)^n e_a / n!.
+
+    b is -beta one step shallower: level k - 1 in case 1 and 2(k - 1) in
+    case 2b, for a = (beta, -k).  Every order is summed until it vanishes, and
+    the vectors are built afresh, not read from the memo.
+    """
+    beta, level = a
+    rel_a = sigma_affine_to_relative(datum, a)
+    shallower = -level - 1 if rel_a.case == "case1" else 2 * (-level - 1)
+    rel_b = sigma_affine_to_relative(datum, (tuple(-x for x in beta), shallower))
+    return cartan_component(ad_exp(make_e_a(datum, rel_b), make_e_a(datum, rel_a)))
 
 
 def jacobi_triples(algebra) -> list[tuple[Root, Root, Root]]:

@@ -234,6 +234,19 @@ def test_closure_text_output_is_pinned():
     assert transcript(TEXT_REQUESTS) == PINNED_TEXT.read_text()
 
 
+# Text-mode loopcheck of every loop type at window 2, whose whole stdout
+# tests/pinned/loopcheck_text.txt pins: the degree table, the Cartan-direction
+# block written through vector_rows(cartan_direction(...)), and the special
+# blocks of A1, 2A2 and 3D4.
+LOOPCHECK_TEXT_REQUESTS = tuple(("loopcheck", "--type", t, "--window", "2") for t in LOOP_TYPES)
+PINNED_LOOPCHECK_TEXT = ROOT / "tests" / "pinned" / "loopcheck_text.txt"
+
+
+def test_loopcheck_text_output_is_pinned():
+    clear_request_memos()  # the kept blocks would otherwise stand in for the vectors
+    assert transcript(LOOPCHECK_TEXT_REQUESTS) == PINNED_LOOPCHECK_TEXT.read_text()
+
+
 @pytest.mark.parametrize(
     "suite,flags",
     [

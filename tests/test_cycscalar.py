@@ -15,7 +15,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from affsch.loopalg import CycScalar, LoopVector, root_line_vectors
+from affsch.loopalg import CycScalar, LaurentMatrix, LoopVector, build_chevalley, root_line_vectors
 from affsch.twist import twisted_datum
 
 
@@ -132,3 +132,23 @@ def test_slotted_loop_values_pickle_hash_and_compare_as_values():
             twin = LoopVector(algebra, vec.e, vec.terms)
             assert copy.terms == vec.terms
         assert copy == twin and hash(copy) == hash(twin)
+
+
+@pytest.mark.parametrize("e", [1, 2, 3])
+@pytest.mark.parametrize("a,b", [(1.5, 0.25), (1.0, 0), (0, 2.0), (True, 0), (1, False), (None, 0)])
+def test_of_refuses_coefficients_that_are_not_exact(e, a, b):
+    with pytest.raises(ValueError, match="not ints or Fractions"):
+        CycScalar.of(e, a, b)
+
+
+def test_inexact_coefficients_do_not_reach_a_loop_vector():
+    algebra = build_chevalley("A2")
+    for c in (0.5, 1.0, True):
+        with pytest.raises(ValueError, match="not ints or Fractions"):
+            LoopVector.make(algebra, 1, [(("X", (1, 0)), 0, c)])
+        with pytest.raises(ValueError, match="not ints or Fractions"):
+            LoopVector.make(algebra, 1, [(("X", (1, 0)), 0, 1)]).scale(c)
+        with pytest.raises(ValueError, match="not ints or Fractions"):
+            LaurentMatrix(1, 2).add_term(0, 1, 0, c)
+    vec = LoopVector.make(algebra, 1, [(("X", (1, 0)), 0, Fraction(1, 2)), (("X", (1, 0)), 0, 1)])
+    assert vec.terms == ((("X", (1, 0)), 0, CycScalar.of(1, Fraction(3, 2))),)

@@ -16,6 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from oracles import (
     bracket_by_roots,
+    cartan_direction_by_series,
     check_jacobi,
     check_sigma0,
     jacobi_sum,
@@ -48,6 +49,7 @@ from affsch.loopalg import (
 )
 from affsch.rootsys import _gauss_jordan
 from affsch.twist import (
+    _CASES,
     RelativeAffineRoot,
     _eigenspace_dim,
     affine_roots_negative_at_vertex,
@@ -139,8 +141,9 @@ def direction_inventory():
 def fresh_directions():
     """Tests that patch loop internals must not read or leave memoised loop vectors.
 
-    That is the Cartan directions, the root-line inventory, and the rows and
-    blocks rendered from them: every request-path memo is emptied.
+    That is the Cartan directions (loopalg._cartan_direction, the memo behind
+    cartan_direction), the root-line inventory, and the rows and blocks
+    rendered from them: every request-path memo is emptied.
     """
     clear_request_memos()
     yield
@@ -769,7 +772,7 @@ def test_inventory_coefficients_are_ints_or_fractions():
     assert all(type(rel.degree) is int and type(rel.level) is int for _, rel in inventory)
     lines = [make_e_a(datum, rel) for datum, rel in inventory]
     directions = [cartan_direction(datum, a) for datum, a in direction_inventory()]
-    # signs and zeta powers stay ints; ad_exp divides by n!, which makes Fractions
+    # signs and zeta powers stay ints; the 1/2 of case 2b makes Fractions
     assert all(type(x) is int for x in coeffs(lines))
     assert all(type(x) in (int, Fraction) for x in coeffs(directions))
     assert any(type(x) is Fraction for x in coeffs(directions))
@@ -915,13 +918,13 @@ def test_cartan_direction_cache_holds_the_loop_inventory(fresh_directions):
     inventory = direction_inventory()
     assert len(set(inventory)) == len(inventory) == 262
     first = [cartan_direction(datum, a) for datum, a in inventory]
-    info = cartan_direction.cache_info()
+    info = loopalg._cartan_direction.cache_info()
     assert info.maxsize is not None and info.maxsize >= len(inventory)
     assert info.misses == info.currsize == len(inventory)
     # a second pass is served whole from the cache, the same objects
     again = [cartan_direction(datum, a) for datum, a in inventory]
     assert all(x is y for x, y in zip(first, again))
-    assert cartan_direction.cache_info().hits == len(inventory)
+    assert loopalg._cartan_direction.cache_info().hits == len(inventory)
 
 
 def test_a_raising_cartan_direction_fails_every_request(monkeypatch, fresh_directions):
@@ -964,7 +967,79 @@ def test_cartan_direction_rejections_are_not_memoised(fresh_directions):
     for _ in range(2):
         with pytest.raises(ValueError, match="even levels over a multipliable root"):
             cartan_direction(datum, ((1,), -2))
-    assert cartan_direction.cache_info().currsize == 0
+    assert loopalg._cartan_direction.cache_info().currsize == 0
+
+
+def recipe_inventory():
+    """(datum, a) of every root with a Cartan recipe, to depth 6 on all nine loop types: 870.
+
+    A superset of direction_inventory, which goes to depth 6 only over DIRECTION_LABELS.
+    """
+    out = []
+    for label in LOOP_TYPES:
+        datum = twisted_datum(label)
+        roots = affine_roots_negative_at_vertex(datum, 6)
+        out += [(datum, a) for a in roots if sigma_affine_to_relative(datum, a).case != "case2a"]
+    return out
+
+
+def test_cartan_direction_matches_the_whole_series(fresh_directions):
+    inventory = recipe_inventory()
+    assert len(inventory) == 870 and set(direction_inventory()) <= set(inventory)
+    cases = {sigma_affine_to_relative(datum, a).case for datum, a in inventory}
+    assert cases == {"case1", "case2b"}
+    for datum, a in inventory:
+        assert cartan_direction(datum, a) == cartan_direction_by_series(datum, a), (datum.label, a)
+
+
+def test_only_the_height_ratio_order_reaches_the_cartan():
+    # the cases with a recipe are the cases of twist._CASES but 2a
+    assert set(loopalg._CARTAN_ORDER) == set(_CASES) - {"case2a"}
+    for datum, a in recipe_inventory():
+        beta, level = a
+        rel_a = sigma_affine_to_relative(datum, a)
+        order = loopalg._CARTAN_ORDER[rel_a.case]
+        shallower = -level - 1 if rel_a.case == "case1" else 2 * (-level - 1)
+        rel_b = sigma_affine_to_relative(datum, (tuple(-x for x in beta), shallower))
+        if order == 1:  # opposite orbits
+            assert {tuple(-x for x in r) for r in rel_a.orbit} == set(rel_b.orbit)
+        else:  # one divisible root, minus the sum of the case-2a pair
+            assert (len(rel_a.orbit), rel_b.case, len(rel_b.orbit)) == (1, "case2a", 2)
+            assert rel_a.orbit[0] == tuple(-x - y for x, y in zip(*rel_b.orbit))
+        # sigma0 keeps height: one height per orbit, and a's is -n times b's
+        (height_a,) = {sum(root) for root in rel_a.orbit}
+        (height_b,) = {sum(root) for root in rel_b.orbit}
+        assert height_a == -order * height_b != 0, (datum.label, a)
+        # and of the whole series only ad(e_b)^order e_a has a Cartan part
+        e_b, term, reaching = make_e_a(datum, rel_b), make_e_a(datum, rel_a), []
+        for n in range(1, 10):
+            term = e_b.bracket(term)
+            if term.is_zero():
+                break
+            if not cartan_component(term).is_zero():
+                reaching.append(n)
+        assert reaching == [order], (datum.label, a)
+
+
+@pytest.mark.parametrize(
+    "a",
+    [((1,), -1.0), ((1.0,), -1), ((True,), -1), ((1,), Fraction(-1)), ([1], -1), ((1,), True)],
+)
+def test_cartan_direction_refuses_inexact_roots_on_cold_and_warm_memos(fresh_directions, a):
+    datum = twisted_datum("2A2")
+    message = "a tuple of ints and an int level"
+    with pytest.raises(ValueError, match=message):
+        cartan_direction(datum, a)  # cold
+    # warm e_a memo, cold direction memo: a RelativeAffineRoot of degree -1.0 equals the int key
+    cartan_direction(datum, ((1,), -1))
+    loopalg._cartan_direction.cache_clear()
+    with pytest.raises(ValueError, match=message):
+        cartan_direction(datum, a)
+    # both memos warm
+    cartan_direction(datum, ((1,), -1))
+    with pytest.raises(ValueError, match=message):
+        cartan_direction(datum, a)
+    assert loopalg._cartan_direction.cache_info().currsize == 1
 
 
 # -- graded dimension audit -------------------------------------------------------
