@@ -14,20 +14,16 @@ a bad argument, an empty sweep or an oversized closure), 3 internal failure
 closes stdout early, as `| head` does, with nothing on stderr.
 
 JSON is written byte for byte as json.dumps(indent=2, sort_keys=True) writes
-it, by one generic writer, jsontext._json_text, which joins each document
-once, plus templates held to json.dumps: analyze and poset read schubert's
-raw stratum and edge tuples, in text mode and with --json alike, and the
-templates write the strata and the certificates of an analyze document and
-the edges of a poset document from them.  Pairing vectors go in as the
-engine's tuples, written as arrays.  Text rendered once is placed as a
-_Fragment, written at the indent of its place in the document, so it goes in
-as it is.  verify keeps the rows of its sweep and loop suites rendered.
-loopcheck --json writes each degree row once per (datum, u-degree), and the
-Cartan-direction and special blocks once per datum, in bounded memos; the
-degree rows and the directions come straight from the vectors' terms.  A
-wider window places the rows of the narrower ones instead of building and
-writing them again.  Text mode prints the same rows from dicts (vector_rows,
-_directions).
+it, by jsontext: one generic writer, _json_text, which joins each document
+once, and fixed-shape templates for the strata, certificates and edges that
+analyze and poset read as schubert's raw tuples, in text mode and with --json
+alike.  Text rendered once is a _Fragment written at its place in the
+document, and goes in there as it is.  verify keeps the rows of its suites
+rendered.  loopcheck keeps each degree row once per (datum, u-degree), and per
+datum the Cartan directions with the directions and special blocks as text,
+in bounded memos; a wider window places the rows of the narrower ones.  Text
+mode reads the same per-datum memo: the Cartan directions from the vectors'
+terms, the special block from its kept text.
 """
 
 from __future__ import annotations
@@ -46,12 +42,14 @@ from affsch.jsontext import (
     RESULT_VALUE,
     _Fragment,
     _certificate_text,
+    _coeff_text,
     _degree_row_text,
     _directions_text,
     _edge_rows_text,
     _json_text,
     _kept,
     _stratum_rows_text,
+    _terms_text,
 )
 from affsch.loopalg import (
     MAX_WINDOW,
@@ -270,56 +268,34 @@ def _cmd_loopcheck(args) -> int:
     loop_context(datum)  # raises for types without a symbolic model
     window = args.window
     degrees = range(-window, window + 1)
+    directions, directions_text, special = _loopcheck_blocks(datum)
     if args.json:
-        directions, special = _loopcheck_blocks(datum)
         result = {
             "datum": _describe_datum(datum),
             "window": window,
             "degrees": [_degree_text(datum, n) for n in degrees],
-            "cartan_directions": directions,
+            "cartan_directions": directions_text,
             "special": special,
         }
         _emit_json("loopcheck", _request_fields(args), result)
         return 0
     # every check runs before the first line, so a failing one leaves stdout empty
     lines = [len(root_line_vectors(datum, n)) for n in degrees]
-    directions, special = _directions(datum), _loopcheck_special(datum)
     print(f"datum {datum.label}: root lines by u-degree (window {window})")
     for n, count in zip(degrees, lines):
         print(f"  degree {n:>3}: {count} lines")
     print(f"cartan directions at level -1: {len(directions)}")
-    for row in directions:
+    for root, _, vec in directions:  # a Cartan direction has H terms only
         terms = "; ".join(
-            f"H_{t['index']} u^{t['degree']} * {t['coeff']}" for t in row["terms"]
+            f"H_{index} u^{degree} * {_coeff_text(coeff)}" for (_, index), degree, coeff in vec.terms
         )
-        print(f"  root {tuple(row['root'])}: {terms}")
-    for key, value in special.items():
+        print(f"  root {root}: {terms}")
+    for key, value in json.loads(special).items():
         print(f"{key}: {json.dumps(value, sort_keys=True)}")
     return 0
 
 
-def vector_rows(vec) -> list[dict]:
-    """A LoopVector's terms as dicts, for text mode and the special block."""
-    return [
-        {
-            "kind": kind,
-            "index": list(payload) if kind == "X" else payload,
-            "degree": degree,
-            "coeff": str(coeff.a) if coeff.b == 0 else f"{coeff.a}+({coeff.b})z",
-        }
-        for (kind, payload), degree, coeff in vec.terms
-    ]
-
-
-def _directions(datum) -> list[dict]:
-    """The Cartan directions at level -1, one row per root with a recipe."""
-    return [
-        {"root": list(a[0]), "level": a[1], "terms": vector_rows(cartan_direction(datum, a))}
-        for a in cartan_recipe_roots(datum, 1)
-    ]
-
-
-# The loopcheck --json blocks, rendered once, each at its place in the document:
+# The loopcheck blocks, rendered once, each at its place in the --json document:
 # a window-w document repeats every degree row of the windows below it, and
 # every window repeats the directions and the special block.
 @lru_cache(maxsize=9 * (2 * MAX_WINDOW + 1))  # nine loop types x |n| <= MAX_WINDOW: 153 rows
@@ -328,19 +304,23 @@ def _degree_text(datum, n: int) -> _Fragment:
 
 
 @lru_cache(maxsize=9)  # the directions and special blocks of each loop type: 9
-def _loopcheck_blocks(datum) -> tuple[_Fragment, _Fragment]:
-    directions = [(a[0], a[1], cartan_direction(datum, a)) for a in cartan_recipe_roots(datum, 1)]
+def _loopcheck_blocks(datum) -> tuple[tuple, _Fragment, _Fragment]:
+    """The Cartan directions at level -1 as (root, level, vector), then the two blocks' text."""
+    directions = tuple(
+        (a[0], a[1], cartan_direction(datum, a)) for a in cartan_recipe_roots(datum, 1)
+    )
     special = _kept(_loopcheck_special(datum), RESULT_VALUE)
-    return _directions_text(directions, RESULT_VALUE), special
+    return directions, _directions_text(directions, RESULT_VALUE), special
 
 
 def _loopcheck_special(datum) -> dict:
+    # its vectors are written at their place in the block, kept at RESULT_VALUE
     special: dict = {}
     if datum.label == "A1":
         ctx = loop_context(datum)
         x = LoopVector.make(ctx.algebra, 1, [(("X", (-1,)), -1, 1)])
         y = LoopVector.make(ctx.algebra, 1, [(("X", (1,)), 0, 1)])
-        special["sl2_expansion"] = vector_rows(ad_exp(x, y))
+        special["sl2_expansion"] = _terms_text(ad_exp(x, y).terms, RESULT_VALUE + "  ")
     elif datum.label == "2A2":
         e_a = _e_a(datum, sigma_affine_to_relative(datum, ((1,), -1)))
         e_b = _e_a(datum, sigma_affine_to_relative(datum, ((-1,), 0)))
@@ -352,14 +332,14 @@ def _loopcheck_special(datum) -> dict:
         for i in range(3):
             cell = conjugated.entry(i, i)
             value = cell.get(-1)
-            diagonal.append(str(value.a) if value else "0")
+            diagonal.append(_coeff_text(value) if value else "0")
         special["su3_diagonal_at_degree_minus_one"] = diagonal
         special["su3_trace_zero"] = conjugated.trace() == {}
     elif datum.label == "3D4":
         vec = cartan_direction(datum, ((0, 1), -1))
         special["triality_line"] = {
             "invariant_cartan_dim": cartan_sigma_dim(datum, 1),
-            "vector": vector_rows(vec),
+            "vector": _terms_text(vec.terms, RESULT_VALUE + "    "),
         }
     return special
 

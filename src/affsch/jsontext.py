@@ -2,11 +2,10 @@
 
 _json_text is the one generic writer: it writes every value of every
 document, appending its pieces to one list that it joins once.  Text kept
-from request to request is a _Fragment, whose last line break is the one it
-was written at.  Each producer of kept text writes it at the place the
-document puts it (RESULT_VALUE, a value of the document's result, or
-RESULT_ITEM, an item of a list there), so _json_text places it there as it
-is.
+from request to request is a _Fragment.  Each producer of kept text writes it
+at the place the document puts it (RESULT_VALUE, a value of the document's
+result, or RESULT_ITEM, an item of a list there), and _json_text places it
+there as it is; it refuses kept text at any other place.
 
 Fixed-shape writers sit beside it and write straight from the engine's raw
 tuples, with no dict per row: _stratum_rows_text the strata of an analyze
@@ -14,10 +13,11 @@ document and _edge_rows_text the edges of a poset document, _certificate_text
 every certificate of an analyze document, in its strata and as its --lambda
 focus, and _terms_text the terms of a loop vector, which _degree_row_text
 and _directions_text write into the degree rows and the Cartan directions of
-a loopcheck document.  Each is held to json.dumps(indent=2, sort_keys=True)
-of the dict rows it replaces (tests/oracles.py): the closure lists over every
-closures request of the benchmark, the loop rows over every loop type and
-u-degree, the focus in tests of its own.
+a loopcheck document, and cli into its special block.  _coeff_text is the one
+text of a loop coefficient.  Each writer is held to json.dumps(indent=2,
+sort_keys=True) of the dict rows of tests/oracles.py: the closure lists over
+every closures request of the benchmark, the loop rows over every loop type
+and u-degree, the focus in tests of its own.
 """
 
 from __future__ import annotations
@@ -48,26 +48,16 @@ def _json_key(key) -> str:
 
 
 class _Fragment(str):
-    """The text of one JSON value as these writers write it; _json_text places it at any indent.
+    """The text of one JSON value as these writers write it, placed where it was written.
 
     A container's text ends with its closing bracket on a line of its own,
-    so the line break before that bracket is the one the text was written
-    at, its newline.  Where the writer's line break is newline, the text
-    goes in as it is; anywhere else as text.replace(newline, other).  That
-    is exact: every raw newline in the text is a line break of the writer,
-    as strings escape "\\n", and each is followed by at least the indent of
-    newline, so the replace moves every line after the first by the same
-    indent.  A scalar or an empty container is one line, placed anywhere as
-    it is.
+    after the line break (and indent) the text was written at.  _json_text
+    places the text as it is where its line break is that one, and raises
+    RuntimeError anywhere else.  A scalar or an empty container is one line,
+    placed anywhere.
     """
 
     __slots__ = ()
-
-    @property
-    def newline(self) -> str:
-        """The line break (and indent) the text was written at; "" for one line."""
-        at = self.rfind("\n")
-        return self[at:-1] if at >= 0 else ""
 
 
 def _kept(value, indent: str) -> _Fragment:
@@ -84,7 +74,8 @@ def _json_text(value, newline: str = "\n") -> str:
     Fraction, a set) raises RuntimeError, which cli.main reports as an
     internal failure, exit 3.  newline is the line break plus the indent of
     the line value starts on.  A _Fragment stands for the value whose text it
-    holds.  The pieces go into one list, joined once.
+    holds, placed only where it was written.  The pieces go into one list,
+    joined once.
     """
     scalar = _JSON_SCALARS.get(type(value))
     if scalar is not None:
@@ -101,8 +92,9 @@ def _write(value, newline: str, out: list[str]) -> None:
     their own.
     """
     if isinstance(value, _Fragment):
-        own = value.newline
-        out.append(value.replace(own, newline) if own and own != newline else value)
+        if not value.endswith(newline, 0, -1) and "\n" in value:
+            raise RuntimeError(f"kept text not written for indent {len(newline) - 1}")
+        out.append(value)
         return
     inner = newline + "  "
     if isinstance(value, dict):
@@ -220,11 +212,17 @@ def _edge_rows_text(edges_below, indent: str = "") -> _Fragment:
     return _Fragment(_list_text(items, indent))
 
 
-def _terms_text(terms, indent: str) -> str:
-    """LoopVector.terms as json.dumps(indent=2) writes cli.vector_rows of them, indented by indent.
+def _coeff_text(coeff) -> str:
+    """A loop coefficient a + b*zeta (a loopalg.CycScalar) as text: "a", or "a+(b)z" when b is not 0."""
+    return str(coeff.a) if coeff.b == 0 else f"{coeff.a}+({coeff.b})z"
+
+
+def _terms_text(terms, indent: str) -> _Fragment:
+    """LoopVector.terms as a list of term dicts, indented by indent.
 
     A term ((kind, payload), degree, coeff), kind "X" or "H", is the dict
-    {"coeff", "degree", "index", "kind"}; its coeff text "a" or "a+(b)z" has
+    {"coeff", "degree", "index", "kind"}, its index the root of an X (an
+    array) or the coroot index of an H; its coeff text, _coeff_text's, has
     no character a JSON string escapes.
     """
     item = "\n  " + indent
@@ -232,12 +230,11 @@ def _terms_text(terms, indent: str) -> str:
     rows = []
     for (kind, payload), degree, coeff in terms:
         index = _int_array(payload, indent + "    ") if kind == "X" else payload
-        value = str(coeff.a) if coeff.b == 0 else f"{coeff.a}+({coeff.b})z"
         rows.append(
-            f'{item}{{{field}"coeff": "{value}",{field}"degree": {degree},'
+            f'{item}{{{field}"coeff": "{_coeff_text(coeff)}",{field}"degree": {degree},'
             f'{field}"index": {index},{field}"kind": "{kind}"{item}}}'
         )
-    return _list_text(rows, indent)
+    return _Fragment(_list_text(rows, indent))
 
 
 def _degree_row_text(n: int, lines, indent: str) -> _Fragment:

@@ -76,14 +76,11 @@ class CycScalar:
 
     @staticmethod
     def zeta_power(e: int, n: int) -> "CycScalar":
-        n %= e
-        if n == 0:
-            return CycScalar.of(e, 1)
-        if e == 2:
-            return CycScalar.of(e, -1)
-        if n == 1:
-            return CycScalar.of(e, 0, 1)
-        return CycScalar.of(e, -1, -1)  # zeta^2 for e = 3
+        """zeta^n, one value shared per (e, n mod e); a CycScalar is frozen."""
+        powers = _ZETA_POWERS.get(e)
+        if powers is None:
+            raise ValueError("cyclotomic order must be 1, 2, or 3")
+        return powers[n % e]
 
     def __bool__(self) -> bool:
         return bool(self.a) or bool(self.b)
@@ -132,6 +129,14 @@ class CycScalar:
 
     def scale(self, r: Rational) -> "CycScalar":
         return CycScalar(self.e, self.a * r, self.b * r)
+
+
+# zeta^0, ..., zeta^(e-1) for each cyclotomic order e: zeta^2 = -1 - zeta for e = 3
+_ZETA_POWERS = {
+    1: (CycScalar.of(1, 1),),
+    2: (CycScalar.of(2, 1), CycScalar.of(2, -1)),
+    3: (CycScalar.of(3, 1), CycScalar.of(3, 0, 1), CycScalar.of(3, -1, -1)),
+}
 
 
 # -- Chevalley basis ----------------------------------------------------------

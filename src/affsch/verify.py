@@ -9,7 +9,8 @@ One rule orders every suite: its rows share one key set, so a row sorts by
 its values in sorted-key order.  _row makes a row's (key, text,
 counterexamples carried), and _result sorts a request's rows and
 counterexamples by that rule.  The stembridge case histogram is counted from
-those keys.  run_suite refuses, for every suite, a max_pairing outside
+those keys.  run_suite refuses, for every suite, a max_rank, max_pairing,
+window or seed that is not an exact int, a max_pairing outside
 0..MAX_PAIRING, a window outside 0..loopalg.MAX_WINDOW and a request that
 leaves nothing to check.
 
@@ -200,9 +201,14 @@ def run_suite(
     window: int = 4,
     seed: int = 0,
 ) -> SuiteResult:
-    """One suite's result; ValueError for an unknown suite, a bound out of range or no instance."""
+    """One suite's result; ValueError for an unknown suite, an inexact or out-of-range bound, or no instance."""
     if name not in SUITES:
         raise ValueError(f"unknown suite {name!r}; expected one of {', '.join(SUITES)}")
+    # exact types, before any memo is read: 2.5 or True would pass the range checks
+    exact = {"max_rank": max_rank, "max_pairing": max_pairing, "window": window, "seed": seed}
+    for arg, value in exact.items():
+        if type(value) is not int:
+            raise ValueError(f"{arg}: expected an int, got {value!r}")
     bounds = ("max_pairing", max_pairing, MAX_PAIRING), ("window", window, MAX_WINDOW)
     for arg, value, high in bounds:
         if not 0 <= value <= high:
@@ -237,7 +243,7 @@ def _loop_basis_row(degree: int, fixed_dim: int, lines: int, rank: int, label: s
 def _direction_row(label: str, root, k: int) -> tuple:
     terms = cartan_direction(twisted_datum(label), (root, -k)).terms
     # as text at its place in the row, so the kept key holds no dicts
-    vector = _Fragment(_terms_text(terms, RESULT_ITEM + "  "))
+    vector = _terms_text(terms, RESULT_ITEM + "  ")
     return _row({"type": label, "root": root, "level": -k, "vector": vector})
 
 

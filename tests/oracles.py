@@ -11,8 +11,8 @@ factorization by its values at rational points, the sweep suites' rows as
 dicts, built from the public schubert functions, the loop suites' rows as
 dicts, all sorted by their items, the stratum and edge rows of the closure
 documents as dicts, built from the public report and edge objects, and the
-degree rows of a loopcheck document as dicts, their terms from
-cli.vector_rows), so the tests can check the fast paths against them.
+degree rows and Cartan directions of a loopcheck document as dicts, their
+terms from vector_rows), so the tests can check the fast paths against them.
 """
 
 from __future__ import annotations
@@ -20,11 +20,11 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 
-from affsch.cli import vector_rows
 from affsch.loopalg import (
     ad_exp,
     cartan_component,
     cartan_direction,
+    cartan_recipe_roots,
     make_e_a,
     root_line_vectors,
     verify_invariant_basis,
@@ -509,6 +509,27 @@ def sl2_values(seed: int) -> list[Fraction]:
         if x != 0:
             xs.append(x)
     return xs
+
+
+def vector_rows(vec) -> list[dict]:
+    """A LoopVector's terms as the dicts a loopcheck or verify document holds."""
+    return [
+        {
+            "kind": kind,
+            "index": list(payload) if kind == "X" else payload,
+            "degree": degree,
+            "coeff": str(coeff.a) if coeff.b == 0 else f"{coeff.a}+({coeff.b})z",
+        }
+        for (kind, payload), degree, coeff in vec.terms
+    ]
+
+
+def loopcheck_directions(datum) -> list[dict]:
+    """The Cartan directions of a loopcheck document as dicts, one per root with a recipe."""
+    return [
+        {"root": list(a[0]), "level": a[1], "terms": vector_rows(cartan_direction(datum, a))}
+        for a in cartan_recipe_roots(datum, 1)
+    ]
 
 
 def loopcheck_degree_row(datum, n: int) -> dict:

@@ -236,15 +236,25 @@ def test_closure_text_output_is_pinned():
 
 # Text-mode loopcheck of every loop type at window 2, whose whole stdout
 # tests/pinned/loopcheck_text.txt pins: the degree table, the Cartan-direction
-# block written through vector_rows(cartan_direction(...)), and the special
-# blocks of A1, 2A2 and 3D4.
+# block printed from the kept directions' terms, and the special blocks of A1,
+# 2A2 and 3D4 printed from their kept --json text.
 LOOPCHECK_TEXT_REQUESTS = tuple(("loopcheck", "--type", t, "--window", "2") for t in LOOP_TYPES)
 PINNED_LOOPCHECK_TEXT = ROOT / "tests" / "pinned" / "loopcheck_text.txt"
 
 
 def test_loopcheck_text_output_is_pinned():
-    clear_request_memos()  # the kept blocks would otherwise stand in for the vectors
+    clear_request_memos()  # text mode builds the per-datum blocks itself
     assert transcript(LOOPCHECK_TEXT_REQUESTS) == PINNED_LOOPCHECK_TEXT.read_text()
+
+
+def test_loopcheck_text_output_is_pinned_on_memos_filled_by_json_requests():
+    clear_request_memos()
+    for label in LOOP_TYPES:
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert main(["loopcheck", "--type", label, "--window", "8", "--json"]) == 0
+    assert cli._loopcheck_blocks.cache_info().currsize == len(LOOP_TYPES)
+    assert transcript(LOOPCHECK_TEXT_REQUESTS) == PINNED_LOOPCHECK_TEXT.read_text()
+    assert cli._loopcheck_blocks.cache_info().misses == len(LOOP_TYPES)  # text mode read the kept blocks
 
 
 @pytest.mark.parametrize(
@@ -540,12 +550,21 @@ def _placed(value, depth):
     return value
 
 
+def _assert_placed(fragment, value, written, placed):
+    """A fragment goes in as it is where it was written, or anywhere as one line; else it raises."""
+    if written == placed or "\n" not in fragment:
+        expected = json.dumps(_placed(value, placed), indent=2, sort_keys=True)
+        assert _json_text(_placed(fragment, placed)) == expected
+    else:
+        with pytest.raises(RuntimeError, match=f"kept text not written for indent {2 * placed}"):
+            _json_text(_placed(fragment, placed))
+
+
 @pytest.mark.parametrize("depth", range(4))
 @pytest.mark.parametrize("value", _FRAGMENT_VALUES, ids=["dict", "list", "empty", "string"])
 def test_rendered_fragment_placed_at_any_depth_matches_json_dumps(value, depth):
     fragment = cli._Fragment(_json_text(value))
-    expected = json.dumps(_placed(value, depth), indent=2, sort_keys=True)
-    assert _json_text(_placed(fragment, depth)) == expected
+    _assert_placed(fragment, value, 0, depth)
     # the same text as a plain str is a JSON string, not a fragment
     assert _json_text(str(fragment)) == json.dumps(str(fragment))
 
@@ -553,20 +572,21 @@ def test_rendered_fragment_placed_at_any_depth_matches_json_dumps(value, depth):
 @settings(max_examples=300, deadline=None, database=None)
 @given(st.recursive(_SCALARS, _containers, max_leaves=30), st.integers(0, 3), st.integers(0, 3))
 def test_fragment_written_at_one_depth_placed_at_any_matches_json_dumps(value, written, placed):
-    # placed where it was written it goes in as it is, anywhere else re-indented
-    fragment = jsontext._kept(value, "  " * written)
-    assert fragment.newline in ("", "\n" + "  " * written)  # "" for a one-line text
-    expected = json.dumps(_placed(value, placed), indent=2, sort_keys=True)
-    assert _json_text(_placed(fragment, placed)) == expected
+    _assert_placed(jsontext._kept(value, "  " * written), value, written, placed)
 
 
-def test_kept_text_goes_in_as_it_is_where_the_document_puts_it(capsys, monkeypatch):
+def test_a_misplaced_fragment_is_an_internal_failure(capsys, monkeypatch):
+    def at_depth_zero(rows, two_rho, indent):
+        return jsontext._stratum_rows_text(rows, two_rho)
+
+    monkeypatch.setattr(cli, "_stratum_rows_text", at_depth_zero)
+    code, out, err = run(capsys, "analyze", "--type", "A1", "--mu", "4", "--json")
+    assert (code, out) == (3, "")
+    assert err == f"internal error: kept text not written for indent {len(jsontext.RESULT_VALUE)}\n"
+
+
+def test_kept_text_goes_in_as_it_is_where_the_document_puts_it(capsys):
     """Every fragment of every command's document was written at the place it sits."""
-
-    def refuse(self, *args):
-        raise AssertionError(f"kept text re-indented from {self.newline!r}")
-
-    monkeypatch.setattr(jsontext._Fragment, "replace", refuse)
     requests = [("loopcheck", "--type", label, "--window", "2") for label in LOOP_TYPES]
     requests += [
         ("verify", "--suite", suite, "--max-pairing", "6", "--window", "2") for suite in verify.SUITES

@@ -98,6 +98,27 @@ def test_zeta_powers_match_the_fraction_reference(e, n):
     assert same(CycScalar.zeta_power(e, n), RefCyc.zeta_power(e, n))
 
 
+@pytest.mark.parametrize("e", [1, 2, 3])
+def test_zeta_powers_are_shared_values_equal_to_built_ones(e):
+    zeta = CycScalar.of(e, 0, 1)
+    built = CycScalar.of(e, 1)
+    powers = [built]
+    for _ in range(e - 1):
+        built = built * zeta
+        powers.append(built)
+    for n in range(-12, 13):
+        value = CycScalar.zeta_power(e, n)
+        assert value == powers[n % e] and type(value.a) is int and type(value.b) is int
+        assert value is CycScalar.zeta_power(e, n % e)  # one value per (e, n mod e)
+
+
+@pytest.mark.parametrize("e", [0, 4, -1, 6])
+def test_zeta_power_refuses_a_bad_order(e):
+    for n in (0, 1, 5):
+        with pytest.raises(ValueError, match="cyclotomic order must be 1, 2, or 3"):
+            CycScalar.zeta_power(e, n)
+
+
 @fast
 @given(orders, integers, integers, integers, integers, st.integers(-20, 20))
 def test_integer_inputs_stay_integers_until_a_division(e, a, b, c, d, n):

@@ -19,7 +19,7 @@ The loop templates write LoopVector.terms with no dict per term
 (jsontext._terms_text): every loopcheck degree row (nine loop types x |n| <=
 MAX_WINDOW), every Cartan-direction block, and every vector of the
 cartan-direction suite, each against json.dumps of the dict rows of
-cli.vector_rows.
+oracles.vector_rows.
 """
 
 import contextlib
@@ -28,10 +28,17 @@ import json
 
 import pytest
 from benchdata import load_workloads
-from oracles import analyze_strata_rows, certificate_row, loopcheck_degree_row, poset_edge_rows
+from oracles import (
+    analyze_strata_rows,
+    certificate_row,
+    loopcheck_degree_row,
+    loopcheck_directions,
+    poset_edge_rows,
+    vector_rows,
+)
 
 from affsch import schubert
-from affsch.cli import _directions, main, vector_rows
+from affsch.cli import main
 from affsch.jsontext import (
     RESULT_ITEM,
     RESULT_VALUE,
@@ -265,7 +272,7 @@ def test_degree_template_matches_json_dumps_at_every_loop_type_and_degree():
 def test_directions_template_matches_json_dumps(label):
     datum = twisted_datum(label)
     directions = [(a[0], a[1], cartan_direction(datum, a)) for a in cartan_recipe_roots(datum, 1)]
-    expected = _dumps(_directions(datum))
+    expected = _dumps(loopcheck_directions(datum))
     for indent in ("", RESULT_VALUE):
         text = _directions_text(directions, indent)
         assert text == _at(expected, indent)

@@ -18,7 +18,7 @@ import pytest
 
 from affsch import cli, loopalg, schubert, verify
 from affsch.rootsys import build_root_system
-from benchdata import PERFBENCH, clear_request_memos, load_workloads
+from benchdata import PERFBENCH, REQUEST_MEMOS, clear_request_memos, load_workloads
 from oracles import loop_suite_result, sl2_values, sweep_box, sweep_result
 
 SWEEP_SUITES = ("stembridge", "mindeg-inequality", "k-symmetry")
@@ -381,6 +381,20 @@ def test_run_suite_and_the_cli_refuse_the_same_bounds(suite):
         with pytest.raises(ValueError, match=message):
             verify.run_suite(suite, **{name: value})
         assert _serve(["verify", "--suite", suite, flag, str(value)]) == (2, "")
+
+
+INEXACT = (2.5, True, "4", None)
+
+
+@pytest.mark.parametrize("suite", verify.SUITES)
+@pytest.mark.parametrize("name", ["max_rank", "max_pairing", "window", "seed"])
+def test_run_suite_refuses_inexact_bounds_before_any_memo(monkeypatch, suite, name):
+    _cold(monkeypatch)
+    for value in INEXACT:
+        with pytest.raises(ValueError, match=f"^{name}: expected an int, got {value!r}$"):
+            verify.run_suite(suite, **{name: value})
+    assert not any(memo.cache_info().misses for memo in REQUEST_MEMOS)
+    assert schubert._posets == {}
 
 
 def _no_sl2_rows(window, seed):
