@@ -17,13 +17,14 @@ JSON is written byte for byte as json.dumps(indent=2, sort_keys=True) writes
 it, by jsontext: one generic writer, _json_text, which joins each document
 once, and fixed-shape templates for the strata, certificates and edges that
 analyze and poset read as schubert's raw tuples, in text mode and with --json
-alike.  Text rendered once is a _Fragment written at its place in the
-document, and goes in there as it is.  verify keeps the rows of its suites
-rendered.  loopcheck keeps each degree row once per (datum, u-degree), and per
-datum the Cartan directions with the directions and special blocks as text,
-in bounded memos; a wider window places the rows of the narrower ones.  Text
-mode reads the same per-datum memo: the Cartan directions from the vectors'
-terms, the special block from its kept text.
+alike.  verify keeps each suite row as json.dumps writes it alone, and
+places a suite's rows with one _rows_text join.  loopcheck keeps its text as
+_Fragments written at their place in the document, which go in there as they
+are: each degree row once per (datum, u-degree), and per datum the directions
+and special blocks beside the raw Cartan directions, in bounded memos; a wider
+window places the rows of the narrower ones.  Text mode reads the same
+per-datum memo: the Cartan directions from the vectors' terms, the special
+block from its kept text.
 """
 
 from __future__ import annotations
@@ -47,7 +48,7 @@ from affsch.jsontext import (
     _directions_text,
     _edge_rows_text,
     _json_text,
-    _kept,
+    _rows_text,
     _stratum_rows_text,
     _terms_text,
 )
@@ -243,8 +244,9 @@ def _cmd_verify(args) -> int:
         seed=args.seed,
     )
     if args.json:
-        # _json_text writes the tuples of a SuiteResult as arrays, so no copy is needed
-        _emit_json("verify", _request_fields(args), vars(outcome))
+        # _json_text writes the other tuples of a SuiteResult as arrays
+        result = {**vars(outcome), "instances": _rows_text(outcome.instances, RESULT_VALUE)}
+        _emit_json("verify", _request_fields(args), result)
     else:
         status = "PASS" if outcome.passed else "FAIL"
         print(f"suite {outcome.suite}: {status} ({outcome.instances_checked} instances)")
@@ -309,7 +311,7 @@ def _loopcheck_blocks(datum) -> tuple[tuple, _Fragment, _Fragment]:
     directions = tuple(
         (a[0], a[1], cartan_direction(datum, a)) for a in cartan_recipe_roots(datum, 1)
     )
-    special = _kept(_loopcheck_special(datum), RESULT_VALUE)
+    special = _Fragment(_json_text(_loopcheck_special(datum), "\n" + RESULT_VALUE))
     return directions, _directions_text(directions, RESULT_VALUE), special
 
 

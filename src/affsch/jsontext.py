@@ -1,19 +1,21 @@
 """The JSON writers of cli's documents and verify's rendered rows.
 
 _json_text is the one generic writer: it writes every value of every
-document, appending its pieces to one list that it joins once.  Text kept
-from request to request is a _Fragment.  Each producer of kept text writes it
-at the place the document puts it (RESULT_VALUE, a value of the document's
-result, or RESULT_ITEM, an item of a list there), and _json_text places it
-there as it is; it refuses kept text at any other place.
+document, appending its pieces to one list that it joins once.  Kept text is
+a _Fragment, written and placed at one place of a document, refused at any
+other.  cli's places are RESULT_VALUE, a value of the document's result, and
+RESULT_ITEM, an item of a list there, now only for loopcheck's degree rows.
+_rows_text places a list of rows each written alone at depth 0, verify's and
+loopcheck's Cartan directions, with one join and one replace of their line
+breaks.
 
 Fixed-shape writers sit beside it and write straight from the engine's raw
 tuples, with no dict per row: _stratum_rows_text the strata of an analyze
 document and _edge_rows_text the edges of a poset document, _certificate_text
 every certificate of an analyze document, in its strata and as its --lambda
 focus, and _terms_text the terms of a loop vector, which _degree_row_text
-and _directions_text write into the degree rows and the Cartan directions of
-a loopcheck document, and cli into its special block.  _coeff_text is the one
+writes into the degree rows of a loopcheck document, cli into its special
+block, and _directions_text into its Cartan directions, a dict each.  _coeff_text is the one
 text of a loop coefficient.  Each writer is held to json.dumps(indent=2,
 sort_keys=True) of the dict rows of tests/oracles.py: the closure lists over
 every closures request of the benchmark, the loop rows over every loop type
@@ -50,19 +52,12 @@ def _json_key(key) -> str:
 class _Fragment(str):
     """The text of one JSON value as these writers write it, placed where it was written.
 
-    A container's text ends with its closing bracket on a line of its own,
-    after the line break (and indent) the text was written at.  _json_text
-    places the text as it is where its line break is that one, and raises
-    RuntimeError anywhere else.  A scalar or an empty container is one line,
-    placed anywhere.
+    A container's text ends with its closing bracket after the line break it
+    was written at; _json_text raises RuntimeError where the place's line
+    break is another.  A scalar or an empty container is one line, placed anywhere.
     """
 
     __slots__ = ()
-
-
-def _kept(value, indent: str) -> _Fragment:
-    """value as _json_text writes it on a line indented by indent, kept to be placed there."""
-    return _Fragment(_json_text(value, "\n" + indent))
 
 
 def _json_text(value, newline: str = "\n") -> str:
@@ -73,9 +68,7 @@ def _json_text(value, newline: str = "\n") -> str:
     bool, None, dict, list and tuple are written; anything else (a float, a
     Fraction, a set) raises RuntimeError, which cli.main reports as an
     internal failure, exit 3.  newline is the line break plus the indent of
-    the line value starts on.  A _Fragment stands for the value whose text it
-    holds, placed only where it was written.  The pieces go into one list,
-    joined once.
+    the line value starts on.  A _Fragment stands for the value whose text it holds.
     """
     scalar = _JSON_SCALARS.get(type(value))
     if scalar is not None:
@@ -262,16 +255,19 @@ def _degree_row_text(n: int, lines, indent: str) -> _Fragment:
 def _directions_text(directions, indent: str) -> _Fragment:
     """The Cartan directions of a loopcheck document, from (root, level, vector) triples.
 
-    Each is the dict {"level", "root", "terms"}.
+    Each is the dict {"level", "root", "terms"}, written alone and placed by _rows_text.
     """
-    item = "\n  " + indent
-    field = item + "  "
-    deep = indent + "    "
     rows = [
-        f'{item}{{{field}"level": {level},{field}"root": {_int_array(root, deep)},'
-        f'{field}"terms": {_terms_text(vec.terms, deep)}{item}}}'
+        _json_text({"level": level, "root": root, "terms": _terms_text(vec.terms, "  ")})
         for root, level, vec in directions
     ]
+    return _rows_text(rows, indent)
+
+
+def _rows_text(texts, indent: str) -> _Fragment:
+    """The list of texts, each json.dumps(indent=2) of a value at depth 0, indented by indent."""
+    item = "\n  " + indent  # every line break of the texts is the layout's: strings escape theirs
+    rows = [item + ",\n".join(texts).replace("\n", item)] if texts else []
     return _Fragment(_list_text(rows, indent))
 
 

@@ -12,13 +12,13 @@ counterexamples by that rule.  The stembridge case histogram is counted from
 those keys.  run_suite refuses, for every suite, a max_rank, max_pairing,
 window or seed that is not an exact int, a max_pairing outside
 0..MAX_PAIRING, a window outside 0..loopalg.MAX_WINDOW and a request that
-leaves nothing to check.
+leaves nothing to check; sweep_coweights refuses a max_pairing by that rule.
 
 The sweeps range over boxes of dominant mu, and the loop suites over
 --window values, that overlap from request to request, so bounded memos keep
 each box as raw pairing vectors, each k-symmetry draw pool as tuples, and
-each row as _row makes it, its text written where a verify document puts
-it.  A sweep row depends only on its top's down-set (Stembridge 1998), which
+each row as _row makes it, its text json.dumps(row, indent=2, sort_keys=True)
+writes.  A sweep row depends only on its top's down-set (Stembridge 1998), which
 the kept DominancePoset holds.  Each loop check runs again on every request, its
 verdicts memoised in loopalg; a raising Cartan direction or a false rank-one
 verdict gets no row, only a counterexample built afresh.
@@ -35,7 +35,7 @@ from functools import lru_cache
 from itertools import product
 from operator import itemgetter
 
-from affsch.jsontext import RESULT_ITEM, _Fragment, _kept, _terms_text
+from affsch.jsontext import _json_text, _terms_text
 from affsch.loopalg import (
     MAX_WINDOW,
     cartan_direction,
@@ -66,11 +66,10 @@ MAX_PAIRING = 40
 class SuiteResult:
     """One suite's outcome.
 
-    instances holds the instance rows, each as the JSON text of its dict (a
-    jsontext._Fragment written at its place in a verify document, so the
-    writer places it as it is: json.loads(row) gives the dict); counterexamples
-    holds the failing instances as the dicts json.loads gives back, vectors
-    as lists.  Both are sorted by their values in sorted-key order.
+    instances holds the instance rows, each as json.dumps(row, indent=2,
+    sort_keys=True) writes its dict; counterexamples holds the failing
+    instances as the dicts json.loads gives back, vectors as lists.  Both are
+    sorted by their values in sorted-key order.
     """
 
     suite: str
@@ -102,7 +101,8 @@ def _box(system, max_pairing: int) -> tuple[IntVec, ...]:
 
 
 def sweep_coweights(system, max_pairing: int) -> list[Coweight]:
-    """Dominant coweights in the coroot lattice with <mu, 2rho> <= max_pairing."""
+    """Dominant coroot-lattice coweights with <mu, 2rho> <= max_pairing, refused as run_suite does."""
+    _check_request({"max_pairing": max_pairing})
     return [Coweight(system, p) for p in _box(system, max_pairing)]
 
 
@@ -111,13 +111,9 @@ def _key(row: dict) -> tuple:
     return tuple([row[name] for name in sorted(row)])
 
 
-def _row(row: dict, failures: tuple[dict, ...] = ()) -> tuple[tuple, _Fragment, tuple[dict, ...]]:
-    """A row's sort key, its text, and its counterexamples, with lists as json.loads gives back.
-
-    The text is written where a verify document puts it, as an item of the
-    result's instances.
-    """
-    return _key(row), _kept(row, RESULT_ITEM), failures
+def _row(row: dict, failures: tuple[dict, ...] = ()) -> tuple[tuple, str, tuple[dict, ...]]:
+    """A row's sort key, json.dumps(row, indent=2, sort_keys=True), and its counterexamples."""
+    return _key(row), _json_text(row), failures
 
 
 @lru_cache(maxsize=1144)  # one per (suite, type, top): 2 x 572 tops at MAX_PAIRING 40
@@ -193,6 +189,16 @@ def _result(suite: str, seed, rows: list[tuple], unrendered=(), details=None) ->
     return SuiteResult(suite, not failures, seed, checked, texts, tuple(failures), details or {})
 
 
+def _check_request(args: dict) -> None:
+    """ValueError before any memo is read: an inexact int (2.5, True) or a bound out of range."""
+    for arg, value in args.items():
+        if type(value) is not int:
+            raise ValueError(f"{arg}: expected an int, got {value!r}")
+    for arg, high in ("max_pairing", MAX_PAIRING), ("window", MAX_WINDOW):
+        if not 0 <= args.get(arg, 0) <= high:
+            raise ValueError(f"{arg}: expected an integer from 0 to {high}, got {args[arg]!r}")
+
+
 def run_suite(
     name: str,
     *,
@@ -204,15 +210,7 @@ def run_suite(
     """One suite's result; ValueError for an unknown suite, an inexact or out-of-range bound, or no instance."""
     if name not in SUITES:
         raise ValueError(f"unknown suite {name!r}; expected one of {', '.join(SUITES)}")
-    # exact types, before any memo is read: 2.5 or True would pass the range checks
-    exact = {"max_rank": max_rank, "max_pairing": max_pairing, "window": window, "seed": seed}
-    for arg, value in exact.items():
-        if type(value) is not int:
-            raise ValueError(f"{arg}: expected an int, got {value!r}")
-    bounds = ("max_pairing", max_pairing, MAX_PAIRING), ("window", window, MAX_WINDOW)
-    for arg, value, high in bounds:
-        if not 0 <= value <= high:
-            raise ValueError(f"{arg}: expected an integer from 0 to {high}, got {value!r}")
+    _check_request({"max_rank": max_rank, "max_pairing": max_pairing, "window": window, "seed": seed})
     if name == "loop-basis":
         outcome = _suite_loop_basis(window)
     elif name == "cartan-direction":
@@ -243,7 +241,7 @@ def _loop_basis_row(degree: int, fixed_dim: int, lines: int, rank: int, label: s
 def _direction_row(label: str, root, k: int) -> tuple:
     terms = cartan_direction(twisted_datum(label), (root, -k)).terms
     # as text at its place in the row, so the kept key holds no dicts
-    vector = _terms_text(terms, RESULT_ITEM + "  ")
+    vector = _terms_text(terms, "  ")
     return _row({"type": label, "root": root, "level": -k, "vector": vector})
 
 

@@ -13,8 +13,8 @@ from pathlib import Path
 
 import jsonschema
 import pytest
-from benchdata import clear_request_memos
-from hypothesis import given, settings
+from benchdata import REQUEST_MEMOS, clear_request_memos
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from affsch import cli, jsontext, schubert, verify
@@ -255,6 +255,37 @@ def test_loopcheck_text_output_is_pinned_on_memos_filled_by_json_requests():
     assert cli._loopcheck_blocks.cache_info().currsize == len(LOOP_TYPES)
     assert transcript(LOOPCHECK_TEXT_REQUESTS) == PINNED_LOOPCHECK_TEXT.read_text()
     assert cli._loopcheck_blocks.cache_info().misses == len(LOOP_TYPES)  # text mode read the kept blocks
+
+
+# Text-mode verify requests whose whole stdout tests/pinned/verify_text.txt
+# pins: the PASS line, the seed line of the seeded suites, and the full case
+# histogram of stembridge at its defaults.
+VERIFY_TEXT_REQUESTS = (
+    ("verify", "--suite", "stembridge"),
+    ("verify", "--suite", "mindeg-inequality", "--max-rank", "2", "--max-pairing", "6"),
+    ("verify", "--suite", "k-symmetry", "--max-rank", "2", "--max-pairing", "6", "--seed", "3"),
+    ("verify", "--suite", "loop-basis", "--window", "1"),
+    ("verify", "--suite", "cartan-direction", "--window", "1"),
+    ("verify", "--suite", "sl2-factorization", "--window", "0", "--seed", "2"),
+)
+PINNED_VERIFY_TEXT = ROOT / "tests" / "pinned" / "verify_text.txt"
+
+
+def test_verify_text_output_is_pinned(monkeypatch):
+    clear_request_memos()
+    monkeypatch.setattr(schubert, "_posets", {})
+    assert transcript(VERIFY_TEXT_REQUESTS) == PINNED_VERIFY_TEXT.read_text()
+
+
+def test_verify_text_output_is_pinned_on_memos_filled_by_json_requests(monkeypatch):
+    clear_request_memos()
+    monkeypatch.setattr(schubert, "_posets", {})
+    for argv in VERIFY_TEXT_REQUESTS:
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert main([*argv, "--json"]) == 0
+    misses = [memo.cache_info().misses for memo in REQUEST_MEMOS]
+    assert transcript(VERIFY_TEXT_REQUESTS) == PINNED_VERIFY_TEXT.read_text()
+    assert [memo.cache_info().misses for memo in REQUEST_MEMOS] == misses  # all read from the memos
 
 
 @pytest.mark.parametrize(
@@ -572,7 +603,19 @@ def test_rendered_fragment_placed_at_any_depth_matches_json_dumps(value, depth):
 @settings(max_examples=300, deadline=None, database=None)
 @given(st.recursive(_SCALARS, _containers, max_leaves=30), st.integers(0, 3), st.integers(0, 3))
 def test_fragment_written_at_one_depth_placed_at_any_matches_json_dumps(value, written, placed):
-    _assert_placed(jsontext._kept(value, "  " * written), value, written, placed)
+    fragment = jsontext._Fragment(_json_text(value, "\n" + "  " * written))
+    _assert_placed(fragment, value, written, placed)
+
+
+@settings(max_examples=300, deadline=None, database=None)
+@given(st.lists(st.recursive(_SCALARS, _containers, max_leaves=12), max_size=5), st.integers(0, 3))
+@example([], 0)
+@example([], 2)
+@example([1, "one line", None, [], {}], 3)
+def test_rows_written_alone_placed_in_one_join_match_json_dumps(values, depth):
+    rows = jsontext._rows_text([_json_text(value) for value in values], "  " * depth)
+    expected = json.dumps(_placed(values, depth), indent=2, sort_keys=True)
+    assert _json_text(_placed(rows, depth)) == expected
 
 
 def test_a_misplaced_fragment_is_an_internal_failure(capsys, monkeypatch):

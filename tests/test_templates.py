@@ -289,7 +289,7 @@ def test_terms_template_matches_json_dumps_on_every_cartan_direction():
     # shape they never take
     vectors.append(LoopVector.zero(loop_context(twisted_datum("3D4")).algebra, 3))
     for vec in vectors:
-        for indent in ("", RESULT_ITEM + "  "):
+        for indent in ("", "  "):  # a cartan-direction row's vector sits at "  "
             assert _terms_text(vec.terms, indent) == _at(_dumps(vector_rows(vec)), indent)
 
 

@@ -139,6 +139,27 @@ def test_instance_rows_read_back_as_the_dict_rows_of_every_suite():
         assert rows == loop_suite_result(suite, 3, 1)["instances"], suite
 
 
+# Small bounds for each suite: every row kind, the nested vector of a
+# cartan-direction row among them.
+SMALL_BOUNDS = {
+    "loop-basis": {"window": 2},
+    "cartan-direction": {"window": 2},
+    "k-symmetry": {"max_rank": 3, "max_pairing": 8, "seed": 1},
+    "stembridge": {"max_rank": 3, "max_pairing": 8},
+    "mindeg-inequality": {"max_rank": 3, "max_pairing": 8},
+    "sl2-factorization": {"window": 3, "seed": 2},
+}
+
+
+@pytest.mark.parametrize("suite", verify.SUITES)
+def test_instance_rows_are_written_alone_as_json_dumps_writes_them(suite):
+    outcome = verify.run_suite(suite, **SMALL_BOUNDS[suite])
+    assert outcome.instances
+    for row in outcome.instances:
+        assert type(row) is str  # not text kept for a place in a document
+        assert row == json.dumps(json.loads(row), indent=2, sort_keys=True)
+
+
 def _flag(argv, flag: str, default: int) -> int:
     return int(argv[argv.index(flag) + 1]) if flag in argv else default
 
@@ -395,6 +416,32 @@ def test_run_suite_refuses_inexact_bounds_before_any_memo(monkeypatch, suite, na
             verify.run_suite(suite, **{name: value})
     assert not any(memo.cache_info().misses for memo in REQUEST_MEMOS)
     assert schubert._posets == {}
+
+
+HIGH = verify.MAX_PAIRING
+BAD_PAIRINGS = {
+    2.5: "expected an int, got 2.5",
+    True: "expected an int, got True",
+    "4": "expected an int, got '4'",
+    None: "expected an int, got None",
+    -1: f"expected an integer from 0 to {HIGH}, got -1",
+    HIGH + 1: f"expected an integer from 0 to {HIGH}, got {HIGH + 1}",
+}
+
+
+@pytest.mark.parametrize("value", BAD_PAIRINGS, ids=repr)
+def test_sweep_coweights_refuses_what_run_suite_refuses_before_its_box(value):
+    system = build_root_system("A1")
+    verify.sweep_coweights(system, 1)  # True would share this entry
+    boxes = verify._box.cache_info()
+    message = f"max_pairing: {BAD_PAIRINGS[value]}"
+    with pytest.raises(ValueError) as from_sweep:
+        verify.sweep_coweights(system, value)
+    with pytest.raises(ValueError) as from_suite:
+        verify.run_suite("stembridge", max_pairing=value)
+    assert str(from_sweep.value) == str(from_suite.value) == message
+    after = verify._box.cache_info()
+    assert (after.currsize, after.misses) == (boxes.currsize, boxes.misses)
 
 
 def _no_sl2_rows(window, seed):
