@@ -21,7 +21,7 @@ import operator
 from collections.abc import Iterator
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, reduce
 
 from affsch.rootsys import FiniteRootSystem, IntVec, Root, build_root_system
 from affsch.twist import (
@@ -179,9 +179,10 @@ class ChevalleyAlgebra:
 
     Everything is tabulated once, over symbol indices: X_(roots[i]) is i and
     H_j is zero + j, with zero = len(roots).  add[i][j] is the index of
-    roots[i] + roots[j], zero when the sum vanishes and None off the roots;
-    n[i][j] is the structure constant, 0 off the root sums; pairing[c][j] is
-    <roots[c], alpha_j^vee>.  Both build-time checks and every bracket read them.
+    roots[i] + roots[j], zero when the sum vanishes and None off the roots,
+    looked up by one int code per root; n[i][j] is the structure constant, 0
+    off the root sums; pairing[c][j] is <roots[c], alpha_j^vee>.  Both
+    build-time checks and every bracket read them, as flat integer tables.
     """
 
     def __init__(self, system: FiniteRootSystem, letter: str) -> None:
@@ -195,9 +196,11 @@ class ChevalleyAlgebra:
             ("H", i) for i in range(system.rank)
         )
         self.index = {sym: i for i, sym in enumerate(self.symbols)}
-        sums = {r: i for i, r in enumerate(roots)}
-        sums[(0,) * system.rank] = zero
-        self.add = [[sums.get(tuple(map(operator.add, g, d))) for d in roots] for g in roots]
+        # each root as one int of signed digits wide enough for any sum of two; 0 codes zero
+        shift = (4 * max((abs(c) for r in roots for c in r), default=0)).bit_length()
+        codes = [sum(c << shift * k for k, c in enumerate(r)) for r in roots]
+        sums = dict(zip([*codes, 0], range(zero + 1)))
+        self.add = [[sums.get(g + d) for d in codes] for g in codes]
         self.pairing = [
             [system.pairing_with_coroot(r, j) for j in range(system.rank)] for r in roots
         ]
@@ -208,16 +211,21 @@ class ChevalleyAlgebra:
         return f"ChevalleyAlgebra({self.system.label})"
 
     def _structure_constants(self) -> list[list[int]]:
-        """N(g, d) by the closed form where g + d is a root, 0 elsewhere; roots[i] < 0 iff i >= |R+|."""
-        positive = len(self.system.positive_roots)
-        table = [[0] * self.zero for _ in self.roots]
-        for i, g in enumerate(self.roots):
-            for j, d in enumerate(self.roots):
-                s = self.add[i][j]
-                if s is not None and s != self.zero:
-                    odd = sum(map(operator.mul, g, d)) + sum(g[a] * d[b] for a, b in self.oriented)
-                    odd += (i >= positive) + (j >= positive) + (s >= positive)
-                    table[i][j] = -1 if odd & 1 else 1
+        """N(g, d) where g + d is a root, 0 elsewhere; roots[i] < 0 iff i >= |R+|.
+
+        eps(g, d) = (-1)^(g Q d), Q the identity plus the oriented edges; the
+        parity is a bit count of g's row of Q mod 2 AND d mod 2.
+        """
+        positive, zero, roots = len(self.system.positive_roots), self.zero, self.roots
+        bits = [sum((c & 1) << k for k, c in enumerate(r)) for r in roots]
+        form = self.oriented | {(k, k) for k in range(self.system.rank)}
+        rows = [reduce(operator.xor, ((g[a] & 1) << b for a, b in form), 0) for g in roots]
+        table = [[0] * zero for _ in roots]
+        for i, sums in enumerate(self.add):
+            for j, s in enumerate(sums):
+                if s is not None and s != zero:
+                    odd = (rows[i] & bits[j]).bit_count() + (i >= positive) + (j >= positive)
+                    table[i][j] = -1 if (odd + (s >= positive)) & 1 else 1
         return table
 
     def n_constant(self, g: Root, d: Root) -> int:
@@ -249,35 +257,32 @@ class ChevalleyAlgebra:
         return [(n, self.symbols[s]) for n, s in self.bracket(ix, iy)]
 
     def _triples(self) -> Iterator[tuple[int, int, int]]:
-        """Index triples i < j < k, in root order, whose Jacobi sum can be nonzero.
+        """Index triples i < j < k whose Jacobi sum can be nonzero, each once, in no set order.
 
         [[X_a, X_b], X_c] vanishes unless a + b is zero, or a root with a + b + c
         zero or a root; a triple needs a check only when one of its pairs
-        passes.  For each pair (i, j) the third indices come from three short
-        lists: the roots that pass with the pair's sum, and the roots k whose
-        pair with i, or with j, is zero or passes with the other one.
+        passes.  Each pair (p, q) whose sum s is zero or a root proposes the
+        thirds that pass with it, every root for s = 0, and a triple comes from
+        its first passing pair in the order (i, j), (i, k), (j, k).
         """
         add, zero = self.add, self.zero
-        live = [{k for k, s in enumerate(row) if s is not None} for row in add]
-        sums = [[(k, s) for k, s in enumerate(row) if s is not None and s != zero] for row in add]
-        neg = [row.index(zero) for row in add]
-        for i in range(zero):
-            for j in range(i + 1, zero):
-                s = add[i][j]
-                if s == zero:
-                    yield from ((i, j, k) for k in range(j + 1, zero))
-                    continue
-                third = set(live[s]) if s is not None else set()
-                third.add(neg[i])
-                third.add(neg[j])
-                third.update(k for k, t in sums[i] if add[t][j] is not None)
-                third.update(k for k, t in sums[j] if add[t][i] is not None)
-                yield from ((i, j, k) for k in sorted(third) if k > j)
+        # live[s]: the r with s + r zero or a root; every root for s = 0, none off the roots
+        live = {s: {r for r, t in enumerate(row) if t is not None} for s, row in enumerate(add)}
+        live[zero], live[None] = set(range(zero)), set()
+        for p in range(zero):
+            for q in range(p + 1, zero):
+                for r in live[add[p][q]]:
+                    if r > q:
+                        yield p, q, r
+                    elif p < r < q and q not in live[add[p][r]]:
+                        yield p, r, q
+                    elif r < p and q not in live[add[r][p]] and p not in live[add[r][q]]:
+                        yield r, p, q
 
     def _jacobi_triples(self) -> list[tuple[Root, Root, Root]]:
         """Root triples, in root order, that the Jacobi check visits."""
         roots = self.roots
-        return [(roots[i], roots[j], roots[k]) for i, j, k in self._triples()]
+        return [(roots[i], roots[j], roots[k]) for i, j, k in sorted(self._triples())]
 
     def _jacobi_sum(self, g: int, d: int, m: int) -> dict[int, int]:
         """The three cyclic double brackets [[X_a, X_b], X_c] of a triple, by symbol index."""
@@ -305,7 +310,7 @@ class ChevalleyAlgebra:
     def _verify(self) -> int:
         """Antisymmetry, then Jacobi on every triple that can fail it; returns the triples checked."""
         n = self.n
-        if any(n[j][i] != -c for i, row in enumerate(n) for j, c in enumerate(row)):
+        if any(list(map(operator.neg, column)) != row for row, column in zip(n, zip(*n))):
             raise AssertionError("antisymmetry failure in structure constants")
         # with the bracket antisymmetric the Jacobi sum is alternating: one order per triple
         checked = 0
@@ -381,22 +386,31 @@ class Sigma0Map:
     def _verify(self) -> int:
         """The extension must respect every bracket, else the orientation lies.
 
-        Returns the number of symbol pairs checked.
+        Every symbol pair is read off the tables, with (cx, ix) the image of x.
+        For X symbols x, y: a root sum s needs ix + iy to be the image of s and
+        the signed constants to agree, a zero sum cx cy = 1 and H images that
+        carry x's coefficients to ix's, no bracket none between the images.
+        [H_j, X_x], either way round, is read against the H image in _image,
+        and H symbols must map to H symbols.  Returns the pairs checked.
         """
-        bracket, image = self.algebra.bracket, self._image
-        for x, (cx, ix) in enumerate(image):
-            for y, (cy, iy) in enumerate(image):
-                left: dict[int, int] = {}
-                for n, s in bracket(x, y):
-                    cs, img = image[s]
-                    left[img] = left.get(img, 0) + n * cs
-                right: dict[int, int] = {}
-                for n, s in bracket(ix, iy):
-                    right[s] = right.get(s, 0) + n * cx * cy
-                left = {k: v for k, v in left.items() if v}
-                right = {k: v for k, v in right.items() if v}
-                if left != right:
-                    raise AssertionError("sigma0 extension breaks a bracket")
+        algebra, image = self.algebra, self._image
+        add, n, zero = algebra.add, algebra.n, algebra.zero
+        h_image = [(c, h - zero) for c, h in image[zero:]]
+        ok = all(j >= 0 for _, j in h_image)
+        for x, (cx, ix) in enumerate(image[:zero]):
+            coefficients, pairings = algebra.roots[ix], algebra.pairing[ix]
+            for m, p, (c, j) in zip(algebra.roots[x], algebra.pairing[x], h_image):
+                ok = ok and p == c * pairings[j] and c * m == coefficients[j]
+            for y, s in enumerate(add[x]):
+                cy, iy = image[y]
+                t = add[ix][iy]
+                if s is None or s == zero:
+                    ok = ok and t == s and (s is None or cx * cy == 1)
+                else:
+                    cs, i_s = image[s]
+                    ok = ok and t == i_s and n[x][y] * cs == cx * cy * n[ix][iy]
+            if not ok:
+                raise AssertionError("sigma0 extension breaks a bracket")
         return len(image) ** 2
 
     def image(self, gamma: Root) -> tuple[int, Root]:

@@ -5,8 +5,10 @@ computes another way (the dominance order by a lattice solve, dominant
 representatives by a Weyl-orbit scan, Stembridge steps subtracted in full,
 covers and down-sets walked over them, root-curve targets and case tags from
 a pair's endpoints, the level correspondence by Fraction progressions, the
-Cartan direction by the whole adjoint series, the bracket by adding root
-tuples, the Jacobi and sigma0 build checks over that bracket, the rank-one
+Cartan direction by the whole adjoint series, the root-sum and
+structure-constant tables by adding root tuples and by the closed form, the
+bracket by adding root tuples, the Jacobi and sigma0 build checks over that
+bracket, the rank-one
 factorization by its values at rational points, the sweep suites' rows as
 dicts, built from the public schubert functions, the loop suites' rows as
 dicts, all sorted by their items, the stratum and edge rows of the closure
@@ -17,6 +19,7 @@ terms from vector_rows), so the tests can check the fast paths against them.
 
 from __future__ import annotations
 
+import operator
 import random
 from fractions import Fraction
 
@@ -241,6 +244,32 @@ def cartan_direction_by_series(datum, a: AffineRoot):
     shallower = -level - 1 if rel_a.case == "case1" else 2 * (-level - 1)
     rel_b = sigma_affine_to_relative(datum, (tuple(-x for x in beta), shallower))
     return cartan_component(ad_exp(make_e_a(datum, rel_b), make_e_a(datum, rel_a)))
+
+
+def root_sum_table(roots: list[Root]) -> list[list[int | None]]:
+    """add by tuple sums: the index of roots[i] + roots[j], len(roots) for a zero sum, None off the roots."""
+    sums = {r: i for i, r in enumerate(roots)}
+    sums[tuple(0 for _ in roots[0])] = len(roots)
+    return [[sums.get(_vec_add(g, d)) for d in roots] for g in roots]
+
+
+def structure_constant_table(algebra) -> list[list[int]]:
+    """N(g, d) by the closed form over root tuples where g + d is a root, 0 elsewhere.
+
+    eps(g, d) = (-1)^(g.d + sum over oriented edges (a, b) of g_a d_b), times the
+    signs of g, d and g + d; roots[i] < 0 iff i >= |R+|.
+    """
+    roots, positive = algebra.system.roots, len(algebra.system.positive_roots)
+    add = root_sum_table(roots)
+    table = [[0] * len(roots) for _ in roots]
+    for i, g in enumerate(roots):
+        for j, d in enumerate(roots):
+            s = add[i][j]
+            if s is not None and s != len(roots):
+                odd = sum(map(operator.mul, g, d)) + sum(g[a] * d[b] for a, b in algebra.oriented)
+                odd += (i >= positive) + (j >= positive) + (s >= positive)
+                table[i][j] = -1 if odd & 1 else 1
+    return table
 
 
 def jacobi_triples(algebra) -> list[tuple[Root, Root, Root]]:

@@ -5,10 +5,13 @@ abstract brackets, exponential conjugations, and Cartan projections must
 reproduce honest 2x2 and 3x3 Laurent-matrix arithmetic entry for entry.
 """
 
+import copy
 import math
 import re
+from collections import Counter
 from fractions import Fraction
 from itertools import combinations, permutations, product
+from types import SimpleNamespace
 
 import pytest
 from benchdata import clear_request_memos
@@ -21,8 +24,10 @@ from oracles import (
     check_sigma0,
     jacobi_sum,
     jacobi_triples,
+    root_sum_table,
     sl2_factorization_by_values,
     sl2_values,
+    structure_constant_table,
 )
 
 from affsch import loopalg, verify
@@ -47,7 +52,7 @@ from affsch.loopalg import (
     verify_invariant_basis,
     verify_sl2_factorization,
 )
-from affsch.rootsys import _gauss_jordan
+from affsch.rootsys import _gauss_jordan, build_root_system
 from affsch.twist import (
     _CASES,
     RelativeAffineRoot,
@@ -312,6 +317,44 @@ def test_indexed_jacobi_sums_match_the_oracle_on_flipped_constants(label, g, d):
         FlippedPairAlgebra(label, (g, d), (d, g))
 
 
+def _rejects(check, message: str) -> bool:
+    """Whether check() raises an AssertionError; its message must start with message."""
+    try:
+        check()
+    except AssertionError as exc:
+        assert str(exc).startswith(message), exc
+        return True
+    return False
+
+
+@pytest.mark.parametrize("label", ["A4", "D4"])
+def test_jacobi_check_rejects_a_flipped_pair_exactly_when_the_oracle_does(label):
+    algebra = build_chevalley(label)
+    roots, rejected = algebra.roots, 0
+    for i, j in combinations(range(algebra.zero), 2):
+        if algebra.add[i][j] not in (None, algebra.zero):
+            # every root-sum pair, negated in both orders so that N stays antisymmetric
+            pairs = (roots[i], roots[j]), (roots[j], roots[i])
+            built = _rejects(lambda: FlippedPairAlgebra(label, *pairs), "Jacobi failure at ")
+            unchecked = UncheckedFlippedPair(label, *pairs)
+            assert built == _rejects(lambda: check_jacobi(unchecked), "Jacobi failure at "), pairs
+            rejected += built
+    assert rejected
+
+
+# E7 and E8 pinned: the root-tuple oracle would take seconds on them
+ALL_JACOBI_TRIPLES = {**JACOBI_TRIPLES, "E7": 38724, "E8": 212240}
+
+
+@pytest.mark.parametrize("label", sorted(ALL_JACOBI_TRIPLES))
+def test_jacobi_check_visits_each_triple_once_in_index_order(label):
+    algebra = build_chevalley(label)
+    triples = list(algebra._triples())
+    assert all(i < j < k for i, j, k in triples)
+    assert len(set(triples)) == len(triples) == ALL_JACOBI_TRIPLES[label]
+    assert algebra._verify() == ALL_JACOBI_TRIPLES[label]
+
+
 # |R| (2h - 4): each root g has 2h - 4 roots d with g + d a root
 TABLE_SIZES = {"A1": 0, "A2": 12, "A3": 48, "A4": 120, "A5": 240, "D4": 192, "D5": 480, "E6": 1440}
 
@@ -357,6 +400,38 @@ def test_structure_constants_a2():
     assert algebra.bracket_symbols(("X", (1, 0)), ("X", (-1, 0))) == [(1, ("H", 0))]
     assert algebra.bracket_symbols(("H", 0), ("X", (1, 0))) == [(2, ("X", (1, 0)))]
     assert algebra.bracket_symbols(("H", 0), ("X", (0, 1))) == [(-1, ("X", (0, 1)))]
+
+
+@pytest.mark.parametrize("label", ["A1", "A2", "A3", "A4", "A5", "D4", "D5", "E6", "E7"])
+def test_tables_match_the_tuple_sums_and_the_closed_form_entry_for_entry(label):
+    algebra = build_chevalley(label)
+    assert algebra.add == root_sum_table(algebra.roots)
+    assert algebra.n == structure_constant_table(algebra)
+
+
+class UncheckedRootSums(ChevalleyAlgebra):
+    """The root-sum table alone, over a stand-in for a root system: no constants, no checks."""
+
+    def _structure_constants(self):
+        return []
+
+    def _verify(self):
+        return 0
+
+
+@pytest.mark.parametrize("scale", [1, 3, 2**64 + 1])
+@pytest.mark.parametrize("bound", [1, 6, 7])
+def test_root_codes_keep_add_exact_whatever_the_coefficients(bound, scale):
+    # every nonzero vector of a grid, closed under negation like a root system: a
+    # digit too narrow for the sums would code some sum off the grid as a vector on it
+    a2 = build_root_system("A2")
+    grid = [tuple(scale * c for c in v) for v in product(range(-bound, bound + 1), repeat=2)]
+    grid.remove((0, 0))
+    stand_in = SimpleNamespace(
+        half_norms=(1, 1), roots=grid, rank=2, cartan=a2.cartan,
+        pairing_with_coroot=a2.pairing_with_coroot,
+    )
+    assert UncheckedRootSums(stand_in, "A").add == root_sum_table(grid)
 
 
 @pytest.mark.parametrize("label", sorted(JACOBI_TRIPLES))
@@ -580,6 +655,44 @@ def test_indexed_sigma0_check_matches_the_oracle_on_every_symbol_pair(label):
     sigma = loop_context(twisted_datum(label)).sigma0
     system = sigma.algebra.system
     assert sigma._verify() == check_sigma0(sigma) == (len(system.roots) + system.rank) ** 2
+
+
+def _sigma0_mutants(sigma):
+    """(kind, image table) of each mutation of sigma0's images, one kind per branch of its check.
+
+    "pair" negates a positive non-simple root with its negative, as
+    TwistedSignSigma0 does; "one" negates one root alone, breaking its zero-sum
+    pair; "h" moves the H symbols by another permutation than perm.
+    """
+    algebra, image = sigma.algebra, sigma._image
+    positive, zero = len(algebra.system.positive_roots), algebra.zero
+
+    def negated(*indices):
+        return [(-c, i) if k in indices else (c, i) for k, (c, i) in enumerate(image)]
+
+    for k, root in enumerate(algebra.system.positive_roots):
+        if sum(root) > 1:
+            yield "pair", negated(k, k + positive)
+    for k in range(zero):
+        yield "one", negated(k)
+    for perm in permutations(range(algebra.system.rank)):
+        if perm != sigma.perm:
+            yield "h", image[:zero] + [(1, zero + p) for p in perm]
+
+
+@pytest.mark.parametrize("label", ["2A3", "2A4", "2D4", "3D4"])
+def test_sigma0_table_check_rejects_a_mutation_exactly_when_the_oracle_does(label):
+    sigma = loop_context(twisted_datum(label)).sigma0
+    message = "sigma0 extension breaks a bracket"
+    rejected = Counter()
+    for kind, table in _sigma0_mutants(sigma):
+        mutant = copy.copy(sigma)
+        mutant._image = table
+        rejects = _rejects(mutant._verify, message)
+        assert rejects == _rejects(lambda: check_sigma0(mutant), message), (kind, table)
+        rejected[kind] += rejects
+    # every kind is met, and rejected at least once
+    assert set(rejected) == {"pair", "one", "h"} and all(rejected.values())
 
 
 @pytest.mark.parametrize("label", LOOP_TYPES)
