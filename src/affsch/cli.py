@@ -33,6 +33,7 @@ import argparse
 import json
 import math
 import os
+import re
 import sys
 from functools import lru_cache
 from operator import mul
@@ -91,11 +92,21 @@ def _document(command: str, request: dict, result: dict) -> dict:
     }
 
 
+# The one rule for the text of an integer argument: ASCII digits with an
+# optional sign, ASCII blanks around allowed.  int() alone would also read
+# digits of other scripts ("\u0662") and underscores ("0_6").
+_INTEGER = re.compile(r"\s*[+-]?[0-9]+\s*", re.ASCII)
+
+
+def _integer(text: str) -> int | None:
+    """text as an integer under _INTEGER, or None."""
+    return int(text) if _INTEGER.fullmatch(text) else None
+
+
 def _parse_vector(text: str, rank: int, name: str) -> tuple[int, ...]:
-    try:
-        values = tuple(int(part.strip()) for part in text.split(","))
-    except ValueError:
-        raise ValueError(f"{name} must be a comma-separated integer vector") from None
+    values = tuple(map(_integer, text.split(",")))
+    if None in values:
+        raise ValueError(f"{name} must be a comma-separated integer vector")
     if len(values) != rank:
         raise ValueError(f"{name} must have {rank} entries for this type, got {len(values)}")
     return values
@@ -182,7 +193,7 @@ def _cmd_analyze(args) -> int:
                 _certificate_text(lam.pairings, focus, RESULT_VALUE)
             ),
         }
-        _emit_json("analyze", _request_fields(args), result)
+        _emit_json("analyze", _request_fields(args, mu, lam), result)
         return 0
     print(f"datum {d['label']}: absolute {d['absolute']}, order {d['order']}, vertex {d['vertex']}")
     rel = d["relative"]
@@ -219,7 +230,7 @@ def _cmd_poset(args) -> int:
             "strata": strata,
             "edges": _edge_rows_text(edges_below, RESULT_VALUE),
         }
-        _emit_json("poset", _request_fields(args), result)
+        _emit_json("poset", _request_fields(args, mu), result)
         return 0
     print(f"strata below mu = {mu.pairings} in {system.label}: {len(strata)}")
     two_rho = system.two_rho_coefficients
@@ -349,14 +360,13 @@ def _loopcheck_special(datum) -> dict:
 # -- plumbing ----------------------------------------------------------------------
 
 
-def _request_fields(args) -> dict:
+def _request_fields(args, mu: Coweight | None = None, lam: Coweight | None = None) -> dict:
+    """The request block: the arguments as parsed, mu and lambda as the coweights read from them."""
     fields = {}
-    for key in ("type", "mu", "suite", "window", "max_rank", "max_pairing", "seed", "jobs"):
+    for key in ("type", "suite", "window", "max_rank", "max_pairing", "seed", "jobs"):
         fields[key] = getattr(args, key, None)
-    fields["lambda"] = getattr(args, "lam", None)
-    for key in ("mu", "lambda"):
-        if isinstance(fields[key], str):
-            fields[key] = [int(part) for part in fields[key].split(",")]
+    fields["mu"] = None if mu is None else list(mu.pairings)
+    fields["lambda"] = None if lam is None else list(lam.pairings)
     return fields
 
 
@@ -364,17 +374,17 @@ def _emit_json(command: str, request: dict, result: dict) -> None:
     print(_json_text(_document(command, request, result)))
 
 
-def _bounded(low: int, high: int | None = None):
-    """An argparse type: an integer of at least low, and of at most high if given."""
-    span = f"of at least {low}" if high is None else f"from {low} to {high}"
+def _bounded(low: int | None = None, high: int | None = None):
+    """An argparse type: an integer under _INTEGER, of at least low and of at most high where given."""
+    if low is None:
+        span = ""
+    else:
+        span = f" of at least {low}" if high is None else f" from {low} to {high}"
 
     def parse(text: str) -> int:
-        try:
-            value = int(text)
-        except ValueError:
-            value = low - 1
-        if value < low or (high is not None and value > high):
-            raise argparse.ArgumentTypeError(f"expected an integer {span}, got {text!r}")
+        value = _integer(text)
+        if value is None or (low is not None and value < low) or (high is not None and value > high):
+            raise argparse.ArgumentTypeError(f"expected an integer{span}, got {text!r}")
         return value
 
     return parse
@@ -411,7 +421,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     verify = sub.add_parser("verify", help="run a named property sweep")
     verify.add_argument("--suite", required=True, choices=SUITES)
-    verify.add_argument("--max-rank", dest="max_rank", type=int, default=4)
+    verify.add_argument("--max-rank", dest="max_rank", type=_bounded(), default=4)
     verify.add_argument(
         "--max-pairing",
         dest="max_pairing",
@@ -426,7 +436,7 @@ def build_parser() -> argparse.ArgumentParser:
         help=f"0 to {MAX_WINDOW}; loop-basis checks u-degrees -window..window, cartan-direction "
         "depths 1..max(1, min(window, 6)), sl2-factorization windings 1..max(3, min(window, 5))",
     )
-    verify.add_argument("--seed", type=int, default=0)
+    verify.add_argument("--seed", type=_bounded(), default=0)
     # argparse runs the type on this string default too: a bad AFFSCH_JOBS exits 2.
     # main resets the default before each parse of the parser it reuses.
     parser.jobs_action = verify.add_argument(

@@ -441,9 +441,15 @@ def pairing(nu: Coweight, root_index: int) -> int:
     return nu.pairing_with_root(nu.system.roots[root_index])
 
 
-def _dominant_rep_raw(p: IntVec, columns: tuple[IntVec, ...]) -> IntVec:
-    cur = list(p)
-    rank = len(cur)
+def dominant_rep(nu: Coweight) -> Coweight:
+    """The dominant Weyl-chamber representative of nu's orbit.
+
+    Reflects in the first simple root nu pairs negatively with, until there is none.
+    """
+    if nu.is_dominant():
+        return nu
+    cur = list(nu.pairings)
+    rank, columns = len(cur), nu.system.columns
     for _ in range(_DOMINANT_REP_GUARD):
         for i in range(rank):
             pi = cur[i]
@@ -453,15 +459,8 @@ def _dominant_rep_raw(p: IntVec, columns: tuple[IntVec, ...]) -> IntVec:
                     cur[j] -= pi * col[j]
                 break
         else:
-            return tuple(cur)
+            return Coweight(nu.system, tuple(cur))
     raise RuntimeError("dominant representative did not stabilize")
-
-
-def dominant_rep(nu: Coweight) -> Coweight:
-    """The dominant Weyl-chamber representative of nu's orbit."""
-    if nu.is_dominant():
-        return nu
-    return Coweight(nu.system, _dominant_rep_raw(nu.pairings, nu.system.columns))
 
 
 def two_rho_pairing(mu: Coweight) -> int:

@@ -16,14 +16,21 @@ None of this depends on the closure top mu beyond its down-set, so one
 DominancePoset per root system memoises it, each fact once: the down-set
 with gaps of every top, the covers of every upper end asked about (kept only
 as classified edges), the k-vector of every pair asked about over all roots,
-and the dominant representatives its k_alpha walks land on, with one tuple
-per distinct dominant point.  The memos hold raw tuples only.  The stratum
+and the points its walks met.  The walks run on integer codes (_Layout): a
+point's pairing vector packed into one int, a field per coordinate,
+coordinate 0 most significant, each field offset by a guard bit.  A
+Stembridge step or a k_alpha move is one int addition, dominance is one mask
+test, a reflection toward the dominant chamber is one multiply-add read off
+the most significant cleared guard bit, and int order is the lexicographic
+order that breaks ties in the stratum order.  The field width follows from
+<mu,2rho> and the largest coefficient sum of a positive coroot, so nothing
+is refused (the argument is in DominancePoset).  The memos keyed by points
+hold raw tuples, one per distinct dominant point walked.  The stratum
 rows of a closure (_stratum_rows) and its edges (_edges_below) are raw
 tuples too: the public functions wrap them in the Coweight, StratumReport
 and DegenerationEdge objects they hand out, and cli writes its documents
 from them directly.  Every entrance checks its call once, in _closure.  The
-Stembridge steps are recomputed, not kept, and the walk builds only those
-that stay dominant.
+Stembridge steps are recomputed, not kept.
 The steps and the k_alpha walks read one table of positive coroots: the walk
 of a negative root adds what the walk of its positive root subtracts.
 The public functions keep one poset per root system from call to call, so
@@ -47,7 +54,6 @@ from affsch.rootsys import (
     FiniteRootSystem,
     IntVec,
     Root,
-    _dominant_rep_raw,
     build_root_system,
     recognize_components,
     short_dominant_coroot,
@@ -59,14 +65,15 @@ SINGULAR = "singular"
 INCONCLUSIVE = "inconclusive"
 # Bound on the entries of all kept posets together (see DominancePoset.entries
 # and _poset).  Measured in a fresh process with stdout to /dev/null, among
-# the largest closures cli admits: analyze fills 21,651 entries for G2 64,74
-# with --lambda 0,0 and 16,600 for 2E6 14,1,5,2 (peak RSS +7.1 and +5.7 MB);
-# one type of verify --max-pairing 40 fills at most 9,622 (A3, the
-# mindeg-inequality suite).  poset --json, which also classifies the edges
-# below every stratum, fills 28,044 and 22,752 for those two tops (peak RSS
-# +30.7 and +38.1 MB, mostly transient: the edge objects and the document;
-# the kept posets hold 4.4 and 4.7 MiB, 0.2 KB per entry).  A long run holds
-# at most this plus one request's worth.
+# the largest closures cli admits, peak RSS as growth over the process after
+# import and the datum's build: analyze fills 21,639 entries for G2 64,74
+# with --lambda 0,0 and 16,545 for 2E6 14,1,5,2 (peak RSS +2.9 and +2.8 MB;
+# the kept posets hold 2.4 and 2.2 MiB); one type of verify --max-pairing 40
+# fills at most 9,576 (A3, the mindeg-inequality suite).  poset --json, which
+# also classifies the edges below every stratum, fills 28,044 and 22,752 for
+# those two tops (peak RSS +19.8 and +26.5 MB, mostly transient: the edge
+# objects and the document; the kept posets hold 4.1 and 4.2 MiB, 0.2 KB per
+# entry).  A long run holds at most this plus one request's worth.
 MAX_POSET_ENTRIES = 30_000
 
 
@@ -148,6 +155,103 @@ def _positive_coroots(
     return tuple(table)
 
 
+@lru_cache(maxsize=32)
+def _cover_table(system: FiniteRootSystem) -> tuple[IntVec, tuple[IntVec, ...], IntVec]:
+    """(order, supports, undercuts) of the positive coroots, by index in _positive_coroots.
+
+    order lists the indices by pairing vector, largest first: the order of
+    the steps' targets, smallest first.  supports[j] holds the indices where
+    coroot j's coefficients are nonzero, and bit k of undercuts[j] is set when
+    coroot k's coefficients are componentwise below coroot j's.  That test
+    runs on the coefficients packed one field per coordinate, each with a
+    guard bit above the largest coefficient: c >= d componentwise exactly
+    when (c | guard) - d keeps every guard bit.
+    """
+    table = _positive_coroots(system)
+    order = tuple(sorted(range(len(table)), key=lambda j: table[j][0], reverse=True))
+    supports = tuple(tuple(i for i, x in enumerate(c) if x) for _, c, _ in table)
+    width = max(max(c) for _, c, _ in table).bit_length() + 1
+    guard = sum(1 << (width * i + width - 1) for i in range(system.rank))
+    codes = [sum(x << width * i for i, x in enumerate(c)) for _, c, _ in table]
+    undercuts = tuple(
+        sum(1 << k for k, d in enumerate(codes) if k != j and ((c | guard) - d) & guard == guard)
+        for j, c in enumerate(codes)
+    )
+    return order, supports, undercuts
+
+
+class _Layout:
+    """Point codes of one field width for one root system.
+
+    The code of a vector p is the sum of (p_i + 2^(w-1)) << w*(rank-1-i): a
+    field of w bits per coordinate, coordinate 0 most significant, each
+    offset by its guard bit 2^(w-1).  While every coordinate lies in
+    [-2^(w-1), 2^(w-1)), each field holds its own coordinate, so a code names
+    one vector, int order is the lexicographic order of the vectors, and a
+    vector is dominant exactly when code & guard == guard.  Coding is linear:
+    the step p - beta^vee is one subtraction of the offset of beta^vee.
+    """
+
+    __slots__ = ("width", "half", "guard", "shifts", "steps", "moves", "walk", "columns")
+
+    def __init__(self, system: FiniteRootSystem, width: int) -> None:
+        rank = system.rank
+        self.width = width
+        self.half = 1 << (width - 1)
+        self.shifts = tuple(width * (rank - 1 - i) for i in range(rank))
+        self.guard = sum(self.half << s for s in self.shifts)
+        table = _positive_coroots(system)
+        # the offset of each positive coroot, in the order of _positive_coroots
+        self.steps = tuple(self.offset(step) for step, _, _ in table)
+        # what each root's k_alpha walk adds, in root order: system.roots lists
+        # the negative roots after the positive ones, in the same order
+        self.moves = tuple(-s for s in self.steps) + self.steps
+        self.walk = tuple(
+            (s, step, coeffs, sum(coeffs)) for s, (step, coeffs, _) in zip(self.steps, table)
+        )
+        # columns[k] is the offset of alpha_i^vee for the field k from the bottom,
+        # k = rank - i: the bit length of that field's guard is w * k
+        self.columns = (0,) + tuple(self.offset(col) for col in reversed(system.columns))
+
+    def offset(self, v: IntVec) -> int:
+        """What adding v does to a code."""
+        return sum(x << s for x, s in zip(v, self.shifts))
+
+    def code(self, p: IntVec) -> int:
+        return self.guard + self.offset(p)
+
+    def taken(self, code: int) -> int:
+        """Bit j set for each positive coroot j whose step from the coded point stays dominant."""
+        guard, taken = self.guard, 0
+        for j, step in enumerate(self.steps):
+            if (code - step) & guard == guard:
+                taken |= 1 << j
+        return taken
+
+    def dominant_rep(self, code: int) -> int:
+        """The code of the dominant representative of a coded vector's orbit.
+
+        The most significant cleared guard bit names the first negative
+        coordinate x_i, and adding -x_i times the offset of alpha_i^vee
+        reflects in alpha_i; each such reflection shortens the Weyl element
+        still to apply, so there are at most as many as positive roots.
+        """
+        guard, width, mask = self.guard, self.width, (1 << self.width) - 1
+        for _ in range(len(self.steps) + 1):
+            cleared = guard & ~code
+            if not cleared:
+                return code
+            top = cleared.bit_length()
+            x = ((code >> (top - width)) & mask) - self.half
+            code -= x * self.columns[top // width]
+        raise RuntimeError("dominant representative did not stabilize")
+
+
+@lru_cache(maxsize=64)
+def _layout(system: FiniteRootSystem, width: int) -> _Layout:
+    return _Layout(system, width)
+
+
 def _stratum_key(system: FiniteRootSystem, p: IntVec) -> tuple[int, IntVec]:
     """Stratum order: larger <lam,2rho> first, ties by pairing vector."""
     return -sum(map(mul, system.two_rho_coefficients, p)), p
@@ -169,66 +273,105 @@ class DominancePoset:
     nu -> nu - beta^vee reaches every stratum below mu, and every cover of nu
     is such a step, one whose coroot coefficients are minimal among them.
 
-    Points are raw pairing vectors.  The classified edges below a point
-    depend only on it, so every top above the point shares them.
+    The walks run on one int per point, its code in the poset's _Layout,
+    which is widened before a walk from a top that needs more.  Take mu
+    dominant with <mu,2rho> = D, and h the largest coefficient sum of a
+    positive coroot.  For dominant d, 2rho minus a positive root is a sum of
+    positive roots, so every point of d's Weyl orbit has coordinates of
+    absolute value at most <d,2rho>.  Every point a walk from mu visits is a
+    point of the orbit of some dominant d <= mu, whose <d,2rho> is at most D,
+    moved by one coroot, and its dominant representative pairs with 2rho to
+    at most D + 2h: <alpha_i^vee,2rho> = 2 makes <beta^vee,2rho> twice
+    beta^vee's coefficient sum.  So the points a walk visits, and every
+    reflection on the way to a representative, stay within fields of width
+    (D + 2h).bit_length() + 1.  h is not read off highest_root, which a
+    reducible system does not have.
+
+    Within that range int order is the lexicographic order of the pairing
+    vectors, which is how the stratum order breaks ties; and as
+    <lam,2rho> = <mu,2rho> - 2 ht(mu - lam), the stratum order of a down-set
+    sorts on (height of the gap, code).
+
+    Points keep their pairing vectors as the memos' keys, one tuple per
+    distinct dominant point walked.  The classified edges below a point
+    depend only on it, so every top above it shares them.
     """
 
     def __init__(self, system: FiniteRootSystem) -> None:
         self.system = system
+        self._coroot_height = max(sum(coeffs) for _, coeffs, _ in _positive_coroots(system))
+        self._layout: _Layout | None = None
         self._below: dict[IntVec, dict[IntVec, IntVec]] = {}
         # (lower, gap, support, case) of each classified edge below an upper end
         self._edges: dict[IntVec, tuple[tuple[IntVec, IntVec, IntVec, int], ...]] = {}
-        # dominant representative of every point a walk met; a dominant point
-        # maps to itself, and the other memos share that one tuple
-        self._dom: dict[IntVec, IntVec] = {}
         self._k_vectors: dict[tuple[IntVec, IntVec], tuple[int, ...]] = {}
+        # the code of every dominant point a walk met, mapped to its pairing
+        # vector, the one tuple the other memos share; and the code of the
+        # dominant representative of every other point a k_alpha walk met
+        self._points: dict[int, IntVec] = {}
+        self._reps: dict[int, int] = {}
         self._members = 0  # down-set members over every top in _below
 
     @property
     def entries(self) -> int:
         """Memo size: one per key of every memo, one per member of every down-set."""
-        memos = (self._edges, self._dom, self._k_vectors)
+        memos = (self._edges, self._k_vectors, self._points, self._reps)
         return self._members + sum(map(len, memos))
 
-    def steps(self, p: IntVec) -> list[tuple[IntVec, IntVec]]:
-        """(p - beta^vee, coefficients of beta^vee) for each dominant step from p.
+    def _fit(self, top: IntVec) -> _Layout:
+        """The poset's layout, first widened if walks from the dominant top need it.
 
-        p must be dominant, as every point the poset walks is: then only the
-        coordinates where beta^vee pairs positively can drop below zero, so
-        only they are tested, and only a step that stays dominant is built.
+        Widening codes the kept points afresh and drops the representatives.
+        """
+        bound = sum(map(mul, self.system.two_rho_coefficients, top)) + 2 * self._coroot_height
+        layout = self._layout
+        if layout is None or bound >= layout.half:
+            layout = self._layout = _layout(self.system, bound.bit_length() + 1)
+            self._points = {layout.code(p): p for p in self._points.values()}
+            self._reps = {}
+        return layout
+
+    def steps(self, p: IntVec) -> list[tuple[IntVec, IntVec]]:
+        """(p - beta^vee, coefficients of beta^vee) for each dominant step from the dominant p.
+
         Not memoised: a memo of the steps held about half of a kept poset.
         """
-        steps = []
-        for step, coeffs, positive in _positive_coroots(self.system):
-            for i in positive:
-                if p[i] < step[i]:
-                    break
-            else:
-                steps.append((tuple(map(sub, p, step)), coeffs))
-        return steps
+        layout = self._fit(p)
+        taken = layout.taken(layout.code(p))
+        return [
+            (tuple(map(sub, p, step)), coeffs)
+            for j, (step, coeffs, _) in enumerate(_positive_coroots(self.system))
+            if taken >> j & 1
+        ]
 
     def below(self, mu: IntVec) -> dict[IntVec, IntVec]:
         """Each dominant lam <= mu, mapped to the coroot coefficients of mu - lam.
 
-        The keys come in stratum order.  Only the coset of mu is reached, so
-        membership is the dominance test for any dominant lam in that coset.
-        mu must be dominant: every point walked enters _dom as its own
-        representative.
+        The keys come in stratum order, sorted on (height of the gap, code).
+        Only the coset of mu is reached, so membership is the
+        dominance test for any dominant lam in that coset.  mu must be
+        dominant.  A point's tuple is built the first time any walk meets
+        it, its gap the first time this walk does.
         """
         below = self._below.get(mu)
         if below is None:
-            intern = self._dom.setdefault
-            mu = intern(mu, mu)
-            gaps = {mu: (0,) * self.system.rank}
-            queue = [mu]
-            for p in queue:  # the queue grows while it is walked: breadth first
-                for q, coeffs in self.steps(p):
-                    if q not in gaps:
-                        q = intern(q, q)
-                        gaps[q] = tuple(map(add, gaps[p], coeffs))
-                        queue.append(q)
-            queue.sort(key=lambda p: _stratum_key(self.system, p))
-            below = self._below[mu] = {p: gaps[p] for p in queue}
+            layout = self._fit(mu)
+            guard, points = layout.guard, self._points
+            top = layout.code(mu)
+            mu = points.setdefault(top, mu)
+            seen = {top}
+            queue = [(0, top, mu, (0,) * self.system.rank)]
+            for height, code, p, gap in queue:  # grows while it is walked: breadth first
+                for step, pairings, coeffs, rise in layout.walk:
+                    q = code - step
+                    if q & guard == guard and q not in seen:
+                        seen.add(q)
+                        lam = points.get(q)
+                        if lam is None:
+                            lam = points[q] = tuple(map(sub, p, pairings))
+                        queue.append((height + rise, q, lam, tuple(map(add, gap, coeffs))))
+            queue.sort()  # codes are distinct, so no two points are compared
+            below = self._below[mu] = {p: gap for _, _, p, gap in queue}
             self._members += len(below)
         return below
 
@@ -242,14 +385,19 @@ class DominancePoset:
         """
         edges = self._edges.get(p)
         if edges is None:
-            steps, dom = self.steps(p), self._dom
+            layout = self._fit(p)
+            code = layout.code(p)
+            taken = layout.taken(code)
+            table, points = _positive_coroots(self.system), self._points
+            order, supports, undercuts = _cover_table(self.system)
             found = []
-            for q, gap in sorted(steps):
-                if any(_componentwise_lt(other, gap) for _, other in steps):
-                    continue
-                q = dom.get(q, q)  # the down-set's tuple, once walked
-                support = tuple(i for i, x in enumerate(gap) if x)
-                found.append((q, gap, support, _classify(self.system, p, q, gap, support)))
+            for j in order:
+                if taken >> j & 1 and not undercuts[j] & taken:
+                    step, gap, _ = table[j]
+                    # the down-set's tuple, once walked
+                    q = points.get(code - layout.steps[j]) or tuple(map(sub, p, step))
+                    support = supports[j]
+                    found.append((q, gap, support, _classify(self.system, p, q, gap, support)))
             edges = self._edges[p] = tuple(found)
         return edges
 
@@ -261,33 +409,34 @@ class DominancePoset:
         down-set membership is the dominance test: no lattice solve.  The
         admissible set is an initial interval of the integers, so the first
         failure ends a walk; the cap turns any broken monotonicity into a
-        loud error instead of a wrong answer.  system.roots lists the
-        negative roots after the positive ones, in the same order, so a
-        positive root's walk subtracts its coroot's pairing vector and the
-        matching negative root's walk adds it.
+        loud error instead of a wrong answer.  Each candidate is one addition
+        to the code of the one before.
         """
         counts = self._k_vectors.get((lam, mu))
         if counts is None:
             below = self.below(mu)
-            cap = sum(h * x for h, x in zip(self.system.two_rho_coefficients, mu)) + 1
-            dom, columns = self._dom, self.system.columns
+            layout = self._fit(mu)
+            guard, rep_of = layout.guard, layout.dominant_rep
+            points, reps = self._points, self._reps
+            cap = sum(map(mul, self.system.two_rho_coefficients, mu)) + 1
+            start = layout.code(lam)
             walks = []
-            for move in (sub, add):
-                for step, _, _ in _positive_coroots(self.system):
-                    cand = lam
-                    k = 0
-                    while True:
-                        cand = tuple(map(move, cand, step))
-                        rep = dom.get(cand)
+            for move in layout.moves:
+                cand = start
+                k = 0
+                while True:
+                    cand += move
+                    rep = cand
+                    if cand & guard != guard:
+                        rep = reps.get(cand)
                         if rep is None:
-                            rep = _dominant_rep_raw(cand, columns)
-                            rep = dom[cand] = dom.setdefault(rep, rep)
-                        if rep not in below:
-                            break
-                        k += 1
-                        if k > cap:
-                            raise RuntimeError("root-curve count exceeded the dimension cap")
-                    walks.append(k)
+                            rep = reps[cand] = rep_of(cand)
+                    if points.get(rep) not in below:
+                        break
+                    k += 1
+                    if k > cap:
+                        raise RuntimeError("root-curve count exceeded the dimension cap")
+                walks.append(k)
             counts = self._k_vectors[lam, mu] = tuple(walks)
         return counts
 

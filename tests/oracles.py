@@ -2,8 +2,9 @@
 
 None of these has a caller in the package: each restates a fact the library
 computes another way (the dominance order by a lattice solve, dominant
-representatives by a Weyl-orbit scan, Stembridge steps subtracted in full,
-covers and down-sets walked over them, root-curve targets and case tags from
+representatives by a Weyl-orbit scan and by reflecting tuples, Stembridge
+steps subtracted in full, covers, down-sets and k_alpha walks over them on
+pairing tuples, root-curve targets and case tags from
 a pair's endpoints, the level correspondence by Fraction progressions, the
 Cartan direction by the whole adjoint series, the root-sum and
 structure-constant tables by adding root tuples and by the closed form, the
@@ -22,6 +23,7 @@ from __future__ import annotations
 import operator
 import random
 from fractions import Fraction
+from functools import lru_cache
 
 from affsch.loopalg import (
     ad_exp,
@@ -113,16 +115,25 @@ def root_curve_target(
     return dominant_rep(Coweight(lam.system, cand))
 
 
+@lru_cache(maxsize=None)
+def positive_coroots(system) -> tuple[tuple[IntVec, IntVec], ...]:
+    """(pairing vector, coefficients) of beta^vee for each positive root beta, in root order."""
+    return tuple(
+        (system.coroot_pairings(beta), system.coroot_coefficients(beta))
+        for beta in system.positive_roots
+    )
+
+
 def stembridge_steps(system, p: IntVec) -> list[tuple[IntVec, IntVec]]:
     """(p - beta^vee, coefficients of beta^vee) for each positive root beta leaving p - beta^vee dominant.
 
     Every step is subtracted in full and kept when its least entry is nonnegative.
     """
     steps = []
-    for beta in system.positive_roots:
-        q = tuple(a - b for a, b in zip(p, system.coroot_pairings(beta)))
+    for pairings, coefficients in positive_coroots(system):
+        q = tuple(a - b for a, b in zip(p, pairings))
         if min(q) >= 0:
-            steps.append((q, system.coroot_coefficients(beta)))
+            steps.append((q, coefficients))
     return steps
 
 
@@ -151,6 +162,54 @@ def stembridge_below(system, mu: IntVec) -> dict[IntVec, IntVec]:
                 gaps[q] = tuple(a + b for a, b in zip(gaps[p], c))
                 queue.append(q)
     return {p: gaps[p] for p in sorted(queue, key=lambda p: _stratum_order(system, p))}
+
+
+def _dominant_rep_raw(p: IntVec, columns: tuple[IntVec, ...]) -> IntVec:
+    """The dominant representative of p's orbit, reflecting in the first negative coordinate on tuples."""
+    cur = list(p)
+    rank = len(cur)
+    while True:
+        for i in range(rank):
+            pi = cur[i]
+            if pi < 0:
+                col = columns[i]
+                for j in range(rank):
+                    cur[j] -= pi * col[j]
+                break
+        else:
+            return tuple(cur)
+
+
+def tuple_k_vector(system, lam: IntVec, below: dict[IntVec, IntVec], dom: dict) -> tuple[int, ...]:
+    """k_alpha(lam, mu) for every root, in root order, walked on pairing tuples.
+
+    below is stembridge_below(system, mu), whose first key is mu.  dom
+    memoises the dominant representative of every candidate, a dominant one
+    mapped to itself, and may be shared between calls on one system.  A
+    positive root's walk subtracts its coroot's pairing vector and the
+    matching negative root's walk adds it; the first candidate whose
+    representative leaves the down-set ends a walk.
+    """
+    mu = next(iter(below))
+    cap = two_rho_pairing(Coweight(system, mu)) + 1
+    walks = []
+    for move in (operator.sub, operator.add):
+        for step, _ in positive_coroots(system):
+            cand = lam
+            k = 0
+            while True:
+                cand = tuple(map(move, cand, step))
+                rep = dom.get(cand)
+                if rep is None:
+                    rep = _dominant_rep_raw(cand, system.columns)
+                    rep = dom[cand] = dom.setdefault(rep, rep)
+                if rep not in below:
+                    break
+                k += 1
+                if k > cap:
+                    raise RuntimeError("root-curve count exceeded the dimension cap")
+            walks.append(k)
+    return tuple(walks)
 
 
 def classify_degeneration(edge: DegenerationEdge) -> int:

@@ -95,7 +95,7 @@ def test_analyze_focus_certificate(capsys):
     assert focus["total"] >= focus["dim"] + 1
 
 
-def test_usage_errors_exit_two(capsys):
+def test_usage_errors_exit_two(capsys, monkeypatch):
     for argv in (
         ["analyze", "--type", "5Z9", "--mu", "1"],
         ["analyze", "--type", "3D4", "--mu", "1"],
@@ -115,9 +115,20 @@ def test_usage_errors_exit_two(capsys):
         ["verify", "--suite", "stembridge", "--max-pairing", "41"],
         ["verify", "--suite", "k-symmetry", "--max-rank", "0"],
         ["analyze"],
+        # integers are ASCII digits with an optional sign: no other script's
+        # digits, no underscores
+        ["analyze", "--type", "3D4", "--mu", "\u0662,1"],
+        ["analyze", "--type", "3D4", "--mu", "1,1", "--lambda", "0_1,1"],
+        ["verify", "--suite", "stembridge", "--max-pairing", "0_6"],
+        ["verify", "--suite", "stembridge", "--jobs", "1_0"],
+        ["verify", "--suite", "k-symmetry", "--seed", "\u0663"],
+        ["verify", "--suite", "k-symmetry", "--max-rank", "0_4"],
     ):
         code, out, err = run(capsys, *argv)
         assert code == 2 and out == "" and "error:" in err, (argv, err)
+    monkeypatch.setenv("AFFSCH_JOBS", "1_0")
+    code, out, err = run(capsys, "verify", "--suite", "stembridge")
+    assert code == 2 and out == "" and "error:" in err, err
 
 
 def test_non_dominant_lambda_names_its_flag(capsys):
