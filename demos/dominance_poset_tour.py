@@ -8,13 +8,8 @@ across a sweep of tops in a few ambient types.
 
 from collections import Counter
 
-from affsch.rootsys import Coweight, build_root_system
-from affsch.schubert import (
-    dominant_below,
-    k_vector,
-    minimal_degenerations,
-    two_rho_pairing,
-)
+from affsch.rootsys import Coweight, build_root_system, two_rho_pairing
+from affsch.schubert import dominant_below, k_vector, minimal_degenerations
 
 CASE_NAMES = {
     1: "single simple coroot gap",

@@ -8,13 +8,12 @@ the bound over the dimension and certifies the singularity.
 """
 
 from affsch.loopalg import cartan_direction
-from affsch.rootsys import Coweight, short_dominant_coroot
+from affsch.rootsys import Coweight, short_dominant_coroot, two_rho_pairing
 from affsch.schubert import (
     certificate,
     k_vector,
     root_tangent_bound,
     smooth_locus_report,
-    two_rho_pairing,
 )
 from affsch.twist import cartan_sigma_dim, twisted_datum
 

@@ -49,6 +49,7 @@ from affsch.jsontext import (
     _directions_text,
     _edge_rows_text,
     _json_text,
+    _points_text,
     _rows_text,
     _stratum_rows_text,
     _terms_text,
@@ -227,7 +228,7 @@ def _cmd_poset(args) -> int:
         result = {
             "datum": _describe_datum(datum),
             "mu": mu.pairings,
-            "strata": strata,
+            "strata": _points_text(strata, RESULT_VALUE),
             "edges": _edge_rows_text(edges_below, RESULT_VALUE),
         }
         _emit_json("poset", _request_fields(args, mu), result)

@@ -13,17 +13,22 @@ Fixed-shape writers sit beside it and write straight from the engine's raw
 tuples, with no dict per row: _stratum_rows_text the strata of an analyze
 document and _edge_rows_text the edges of a poset document, _certificate_text
 every certificate of an analyze document, in its strata and as its --lambda
-focus, and _terms_text the terms of a loop vector, which _degree_row_text
-writes into the degree rows of a loopcheck document, cli into its special
-block, and _directions_text into its Cartan directions, a dict each.  _coeff_text is the one
-text of a loop coefficient.  Each writer is held to json.dumps(indent=2,
-sort_keys=True) of the dict rows of tests/oracles.py: the closure lists over
-every closures request of the benchmark, the loop rows over every loop type
-and u-degree, the focus in tests of its own.
+focus, _points_text the strata of a poset document, and _terms_text the
+terms of a loop vector, which _degree_row_text writes into the degree rows
+of a loopcheck document, cli into its special block, and _directions_text
+into its Cartan directions, a dict each.  _coeff_text is the one text of a
+loop coefficient.  Every int array these templates write is kept text, in
+one memo of _int_array bounded at 8,192 texts; it lives here and not in the
+poset's memos, since the indents it is keyed on are this module's layout.
+Each writer is held to json.dumps(indent=2, sort_keys=True) of the dict rows
+of tests/oracles.py: the closure lists over every closures request of the
+benchmark, the loop rows over every loop type and u-degree, the focus in
+tests of its own.
 """
 
 from __future__ import annotations
 
+from functools import lru_cache
 from json.encoder import encode_basestring_ascii
 from operator import mul
 
@@ -130,7 +135,10 @@ def _write(value, newline: str, out: list[str]) -> None:
 # -- fixed-shape row templates ---------------------------------------------------
 
 
-def _int_array(values, indent: str) -> str:
+# Points, roots and supports repeat across the documents of one system: a
+# closures pass writes each (values, indent) pair about six times over.
+@lru_cache(maxsize=8192)
+def _int_array(values: tuple[int, ...], indent: str) -> str:
     """A tuple of ints as json.dumps(indent=2) writes it on a line indented by indent."""
     if not values:
         return "[]"
@@ -203,6 +211,13 @@ def _edge_rows_text(edges_below, indent: str = "") -> _Fragment:
                 f'{field}"upper": {upper_text}{item}}}'
             )
     return _Fragment(_list_text(items, indent))
+
+
+def _points_text(points, indent: str = "") -> _Fragment:
+    """The strata list of a poset document, a tuple of ints each, indented by indent."""
+    item = "\n  " + indent
+    deep = indent + "  "
+    return _Fragment(_list_text([item + _int_array(p, deep) for p in points], indent))
 
 
 def _coeff_text(coeff) -> str:

@@ -57,7 +57,6 @@ from affsch.rootsys import (
     build_root_system,
     recognize_components,
     short_dominant_coroot,
-    two_rho_pairing,  # no use here; the demos and tests import it from this module
 )
 from affsch.twist import ABSOLUTELY_SPECIAL, TwistedDatum, cartan_sigma_dim
 
@@ -139,20 +138,12 @@ class SmoothLocusReport:
 
 
 @lru_cache(maxsize=32)
-def _positive_coroots(
-    system: FiniteRootSystem,
-) -> tuple[tuple[IntVec, IntVec, IntVec], ...]:
-    """(pairings, coefficients, positive) of beta^vee for every positive root beta.
-
-    positive lists the coordinates i with <alpha_i, beta^vee> > 0, the only
-    ones a step by beta^vee can take below zero from a dominant point.
-    """
-    table = []
-    for beta in system.positive_roots:
-        step = system.coroot_pairings(beta)
-        positive = tuple(i for i, x in enumerate(step) if x > 0)
-        table.append((step, system.coroot_coefficients(beta), positive))
-    return tuple(table)
+def _positive_coroots(system: FiniteRootSystem) -> tuple[tuple[IntVec, IntVec], ...]:
+    """(pairings, coefficients) of beta^vee for every positive root beta."""
+    return tuple(
+        (system.coroot_pairings(beta), system.coroot_coefficients(beta))
+        for beta in system.positive_roots
+    )
 
 
 @lru_cache(maxsize=32)
@@ -169,10 +160,10 @@ def _cover_table(system: FiniteRootSystem) -> tuple[IntVec, tuple[IntVec, ...], 
     """
     table = _positive_coroots(system)
     order = tuple(sorted(range(len(table)), key=lambda j: table[j][0], reverse=True))
-    supports = tuple(tuple(i for i, x in enumerate(c) if x) for _, c, _ in table)
-    width = max(max(c) for _, c, _ in table).bit_length() + 1
+    supports = tuple(tuple(i for i, x in enumerate(c) if x) for _, c in table)
+    width = max(max(c) for _, c in table).bit_length() + 1
     guard = sum(1 << (width * i + width - 1) for i in range(system.rank))
-    codes = [sum(x << width * i for i, x in enumerate(c)) for _, c, _ in table]
+    codes = [sum(x << width * i for i, x in enumerate(c)) for _, c in table]
     undercuts = tuple(
         sum(1 << k for k, d in enumerate(codes) if k != j and ((c | guard) - d) & guard == guard)
         for j, c in enumerate(codes)
@@ -202,12 +193,12 @@ class _Layout:
         self.guard = sum(self.half << s for s in self.shifts)
         table = _positive_coroots(system)
         # the offset of each positive coroot, in the order of _positive_coroots
-        self.steps = tuple(self.offset(step) for step, _, _ in table)
+        self.steps = tuple(self.offset(step) for step, _ in table)
         # what each root's k_alpha walk adds, in root order: system.roots lists
         # the negative roots after the positive ones, in the same order
         self.moves = tuple(-s for s in self.steps) + self.steps
         self.walk = tuple(
-            (s, step, coeffs, sum(coeffs)) for s, (step, coeffs, _) in zip(self.steps, table)
+            (s, step, coeffs, sum(coeffs)) for s, (step, coeffs) in zip(self.steps, table)
         )
         # columns[k] is the offset of alpha_i^vee for the field k from the bottom,
         # k = rank - i: the bit length of that field's guard is w * k
@@ -257,10 +248,6 @@ def _stratum_key(system: FiniteRootSystem, p: IntVec) -> tuple[int, IntVec]:
     return -sum(map(mul, system.two_rho_coefficients, p)), p
 
 
-def _componentwise_lt(a: IntVec, b: IntVec) -> bool:
-    return a != b and all(map(le, a, b))
-
-
 # -- the memoised poset -------------------------------------------------------
 
 
@@ -299,7 +286,7 @@ class DominancePoset:
 
     def __init__(self, system: FiniteRootSystem) -> None:
         self.system = system
-        self._coroot_height = max(sum(coeffs) for _, coeffs, _ in _positive_coroots(system))
+        self._coroot_height = max(sum(coeffs) for _, coeffs in _positive_coroots(system))
         self._layout: _Layout | None = None
         self._below: dict[IntVec, dict[IntVec, IntVec]] = {}
         # (lower, gap, support, case) of each classified edge below an upper end
@@ -330,19 +317,6 @@ class DominancePoset:
             self._points = {layout.code(p): p for p in self._points.values()}
             self._reps = {}
         return layout
-
-    def steps(self, p: IntVec) -> list[tuple[IntVec, IntVec]]:
-        """(p - beta^vee, coefficients of beta^vee) for each dominant step from the dominant p.
-
-        Not memoised: a memo of the steps held about half of a kept poset.
-        """
-        layout = self._fit(p)
-        taken = layout.taken(layout.code(p))
-        return [
-            (tuple(map(sub, p, step)), coeffs)
-            for j, (step, coeffs, _) in enumerate(_positive_coroots(self.system))
-            if taken >> j & 1
-        ]
 
     def below(self, mu: IntVec) -> dict[IntVec, IntVec]:
         """Each dominant lam <= mu, mapped to the coroot coefficients of mu - lam.
@@ -393,7 +367,7 @@ class DominancePoset:
             found = []
             for j in order:
                 if taken >> j & 1 and not undercuts[j] & taken:
-                    step, gap, _ = table[j]
+                    step, gap = table[j]
                     # the down-set's tuple, once walked
                     q = points.get(code - layout.steps[j]) or tuple(map(sub, p, step))
                     support = supports[j]
@@ -686,8 +660,13 @@ def _stratum_rows(
         elif not any(gap):
             rows.append((p, "smooth", "open-orbit", None, None))
         else:
-            # the first cover above p, in stratum order, with a singular certificate
-            via = next((cover for cover, c in singular if _componentwise_lt(c, gap)), None)
-            status = "unresolved" if via is None else "singular"
+            # the first cover above p, in stratum order, with a singular
+            # certificate: its gap is componentwise at most p's, and never equal,
+            # as the stratum with a cover's gap is that cover, taken above
+            status, via = "unresolved", None
+            for cover, c in singular:
+                if all(map(le, c, gap)):
+                    status, via = "singular", cover
+                    break
             rows.append((p, status, "openness-propagation", None, via))
     return rows

@@ -13,8 +13,9 @@ bracket, the rank-one
 factorization by its values at rational points, the sweep suites' rows as
 dicts, built from the public schubert functions, the loop suites' rows as
 dicts, all sorted by their items, the stratum and edge rows of the closure
-documents as dicts, built from the public report and edge objects, and the
-degree rows and Cartan directions of a loopcheck document as dicts, their
+documents as dicts, built from the public report and edge objects, the
+openness-propagation column of a closure by lattice solves against its
+covers, and the degree rows and Cartan directions of a loopcheck document as dicts, their
 terms from vector_rows), so the tests can check the fast paths against them.
 """
 
@@ -47,6 +48,7 @@ from affsch.schubert import (
     DegenerationEdge,
     SmoothnessCertificate,
     _classify,
+    certificate,
     dominant_below,
     k_alpha,
     k_vector,
@@ -260,6 +262,27 @@ def poset_edge_rows(edges) -> list[dict]:
         }
         for edge in edges
     ]
+
+
+def propagation_rows(mu: Coweight, datum) -> list[tuple[IntVec, str, IntVec | None]]:
+    """(lam, status, via) of each stratum of the mu closure that is neither mu nor a cover.
+
+    In stratum order.  The covers are stembridge_covers of mu, and via is the
+    first of them, in stratum order, whose certificate is singular and that
+    lies above lam by dominance_leq, a lattice solve: no gaps and no codes.
+    status is "singular" with a via and "unresolved" without.
+    """
+    system, top = mu.system, mu.pairings
+    covers = [Coweight(system, q) for q, _ in stembridge_covers(system, top)]
+    singular = [q for q in covers if certificate(mu, q, datum).verdict == "singular"]
+    rows = []
+    for p in stembridge_below(system, top):
+        lam = Coweight(system, p)
+        if p == top or lam in covers:
+            continue
+        via = next((q for q in singular if dominance_leq(lam, q)), None)
+        rows.append((p, "unresolved", None) if via is None else (p, "singular", via.pairings))
+    return rows
 
 
 def translate_affine_root(a: AffineRoot, lam: Coweight) -> AffineRoot:

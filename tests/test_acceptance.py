@@ -26,7 +26,7 @@ from affsch.loopalg import (
     verify_invariant_basis,
     verify_sl2_factorization,
 )
-from affsch.rootsys import Coweight, build_root_system
+from affsch.rootsys import Coweight, build_root_system, two_rho_pairing
 from affsch.schubert import (
     certificate,
     dominant_below,
@@ -34,7 +34,6 @@ from affsch.schubert import (
     minimal_degenerations,
     root_tangent_bound,
     smooth_locus_report,
-    two_rho_pairing,
 )
 from affsch.twist import (
     build_twisted,

@@ -35,10 +35,10 @@ from oracles import (
     classify_degeneration,
     difference_coroot,
     dominance_leq,
+    propagation_rows,
     root_curve_target,
     stembridge_below,
     stembridge_covers,
-    stembridge_steps,
 )
 
 
@@ -243,14 +243,12 @@ WALK_PAIRING = 24
 
 @pytest.mark.parametrize("label", WALK_LABELS)
 def test_pruned_walk_matches_full_subtraction(label):
-    """steps, edges and below (keys, order and gaps) as subtracting every coroot in full gives them."""
+    """edges and below (keys, order and gaps) as subtracting every coroot in full gives them."""
     system = twisted_datum(label).echelonnage
-    for (step, coeffs, positive), beta in zip(_positive_coroots(system), system.positive_roots):
+    for (step, coeffs), beta in zip(_positive_coroots(system), system.positive_roots):
         assert (step, coeffs) == (system.coroot_pairings(beta), system.coroot_coefficients(beta))
-        assert positive == tuple(i for i, x in enumerate(step) if x > 0), beta
     poset = DominancePoset(system)
     for p in dominant_up_to(system, WALK_PAIRING):
-        assert poset.steps(p) == stembridge_steps(system, p), p
         assert [e[:2] for e in poset.edges(p)] == sorted(stembridge_covers(system, p)), p
         below = poset.below(p)
         expected = stembridge_below(system, p)
@@ -865,6 +863,68 @@ def test_smooth_locus_via_is_first_singular_cover_in_stratum_order():
     origin = report.strata[-1]
     assert origin.lam.pairings == (0, 0, 0) and origin.mechanism == "openness-propagation"
     assert origin.via.pairings == (1, 2, 1)
+
+
+def _propagation_tops(with_sweeps: bool) -> list:
+    """(datum, mu) of every closures top of the benchmark, and of every sweep top up to REUSE_PAIRING."""
+    workloads = load_workloads()
+    tops = [(label, mu) for _, label, choices in workloads.closure_slots() for mu in choices]
+    tops += [(label, mu) for _, label, mu in workloads.PINNED_CLOSURES]
+    pairs = []
+    for label, p in dict.fromkeys(tops):
+        datum = twisted_datum(label)
+        pairs.append((datum, Coweight(datum.echelonnage, p)))
+    for label in SWEEP_TYPES if with_sweeps else ():
+        datum = twisted_datum(label)
+        pairs += [(datum, mu) for mu in sweep_coweights(datum.echelonnage, REUSE_PAIRING)]
+    return pairs
+
+
+def _propagation_column(mu: Coweight, datum) -> list:
+    """(lam, status, via) of the openness-propagation rows of _stratum_rows."""
+    rows = schubert._stratum_rows(mu, datum)
+    return [(p, status, via) for p, status, mechanism, _, via in rows if mechanism == "openness-propagation"]
+
+
+def test_openness_propagation_matches_the_lattice_oracle():
+    tops = _propagation_tops(with_sweeps=True)
+    mismatches = [
+        (datum.label, mu.pairings)
+        for datum, mu in tops
+        if _propagation_column(mu, datum) != propagation_rows(mu, datum)
+    ]
+    assert mismatches == []
+    assert len(tops) == 374  # 300 closures tops and 74 sweep tops
+
+
+def test_openness_propagation_skips_an_inconclusive_cover(monkeypatch):
+    """With the first cover of each closures top forced inconclusive, via skips it, as the oracle does.
+
+    The engine finds every cover singular, so only a forced verdict shows
+    which covers the scan reads.
+    """
+    forced = set()
+    original = schubert._certificate_row
+
+    def forced_row(poset, mu, lam, datum):
+        dim, bound, extra, verdict = original(poset, mu, lam, datum)
+        return dim, bound, extra, schubert.INCONCLUSIVE if (mu, lam) in forced else verdict
+
+    skipped = unresolved = 0
+    for datum, mu in _propagation_tops(with_sweeps=False):
+        covers = stembridge_covers(mu.system, mu.pairings)
+        if not covers:
+            continue
+        before = _propagation_column(mu, datum)
+        forced.add((mu.pairings, covers[0][0]))
+        with monkeypatch.context() as patch:
+            patch.setattr(schubert, "_certificate_row", forced_row)
+            after = _propagation_column(mu, datum)
+            assert after == propagation_rows(mu, datum), (datum.label, mu.pairings)
+        for (_, _, old), (_, status, new) in zip(before, after):
+            skipped += old == covers[0][0] and new is not None
+            unresolved += status == "unresolved"
+    assert skipped and unresolved
 
 
 def test_smooth_locus_c2_case3():

@@ -13,7 +13,11 @@ The raw rows are also the one source of the public objects:
 smooth_locus_report, certificate, minimal_degenerations and dominant_below
 must give what the rows give.  The --lambda focus certificate, which no
 benchmark request writes, is held to json.dumps of oracles.certificate_row
-on requests of its own, with its text-mode line pinned.
+on requests of its own, with its text-mode line pinned.  The strata list of
+a poset document, one kept _Fragment, is held to the generic writer at its
+place.  Every template writes its int arrays through one bounded memo of
+kept text (jsontext._int_array): the texts are the same cold, warm and after
+the memo has evicted them, and the memo never holds more than its bound.
 
 The loop templates write LoopVector.terms with no dict per term
 (jsontext._terms_text): every loopcheck degree row (nine loop types x |n| <=
@@ -42,9 +46,13 @@ from affsch.cli import main
 from affsch.jsontext import (
     RESULT_ITEM,
     RESULT_VALUE,
+    _certificate_text,
     _degree_row_text,
     _directions_text,
     _edge_rows_text,
+    _int_array,
+    _json_text,
+    _points_text,
     _stratum_rows_text,
     _terms_text,
 )
@@ -163,6 +171,64 @@ def test_public_objects_are_what_the_raw_rows_give():
         assert minimal_degenerations(mu) == _edges_from_rows(system, edges_below), (label, p)
         assert dominant_below(mu) == [Coweight(system, upper) for upper, _ in edges_below]
         assert [row[0] for row in rows] == [upper for upper, _ in edges_below], (label, p)
+
+
+def test_points_fragment_matches_the_generic_writer_on_every_closure():
+    """The strata list of a poset document, kept text, as _json_text writes the tuples at RESULT_VALUE."""
+    for label, p in _closure_tops():
+        points = [lam.pairings for lam in dominant_below(Coweight(twisted_datum(label).echelonnage, p))]
+        assert _points_text(points, RESULT_VALUE) == _json_text(points, "\n" + RESULT_VALUE), (label, p)
+    for points in ([], [()], [(0,)], [(10**20, -1, 0)]):
+        assert _points_text(points, RESULT_VALUE) == _json_text(points, "\n" + RESULT_VALUE)
+        assert _points_text(points) == _dumps(points)
+
+
+# -- the kept array text --------------------------------------------------------------
+
+# every tenth closures top, so both templates meet arrays of every rank
+MEMO_TOPS = _closure_tops()[::10]
+
+
+def _memo_texts() -> list[tuple[str, str]]:
+    """(template text, json.dumps text) of the strata, edges, certificates and terms at two indents each."""
+    pairs = []
+    for label, p in MEMO_TOPS:
+        datum = twisted_datum(label)
+        mu = Coweight(datum.echelonnage, p)
+        rows, two_rho = schubert._stratum_rows(mu, datum), mu.system.two_rho_coefficients
+        report = smooth_locus_report(mu, datum)
+        strata = _dumps(analyze_strata_rows(report.strata))
+        edges_below = schubert._edges_below(mu)
+        edges = _dumps(poset_edge_rows(minimal_degenerations(mu)))
+        for indent in ("", RESULT_VALUE):
+            pairs.append((_stratum_rows_text(rows, two_rho, indent), _at(strata, indent)))
+            pairs.append((_edge_rows_text(edges_below, indent), _at(edges, indent)))
+            for (lam, _, _, cert, _), stratum in zip(rows, report.strata):
+                if cert is not None:
+                    expected = _at(_dumps(certificate_row(stratum.certificate)), indent)
+                    pairs.append((_certificate_text(lam, cert, indent), expected))
+    datum = twisted_datum("3D4")
+    for a in cartan_recipe_roots(datum, 2):
+        vec = cartan_direction(datum, a)
+        for indent in ("", RESULT_VALUE):
+            pairs.append((_terms_text(vec.terms, indent), _at(_dumps(vector_rows(vec)), indent)))
+    return pairs
+
+
+def test_kept_arrays_write_the_same_text_cold_warm_and_evicted():
+    bound = _int_array.cache_info().maxsize
+    _int_array.cache_clear()
+    cold = _memo_texts()
+    assert cold and all(text == expected for text, expected in cold)
+    assert 0 < _int_array.cache_info().currsize <= bound
+    warm = _memo_texts()
+    assert warm == cold and _int_array.cache_info().hits > 0
+    # distinct arrays past the bound evict every text the templates kept
+    for k in range(bound + 1):
+        _int_array((k,), "")
+    assert _int_array.cache_info().currsize == bound
+    assert _memo_texts() == cold
+    assert _int_array.cache_info().currsize <= bound
 
 
 # -- shapes the benchmark's closures never produce ---------------------------------
