@@ -1,29 +1,11 @@
 """The JSON writers of cli's documents and verify's rendered rows.
 
-_json_text is the one generic writer: it writes every value of every
-document, appending its pieces to one list that it joins once.  Kept text is
-a _Fragment, written and placed at one place of a document, refused at any
-other.  cli's places are RESULT_VALUE, a value of the document's result, and
-RESULT_ITEM, an item of a list there, now only for loopcheck's degree rows.
-_rows_text places a list of rows each written alone at depth 0, verify's and
-loopcheck's Cartan directions, with one join and one replace of their line
-breaks.
-
-Fixed-shape writers sit beside it and write straight from the engine's raw
-tuples, with no dict per row: _stratum_rows_text the strata of an analyze
-document and _edge_rows_text the edges of a poset document, _certificate_text
-every certificate of an analyze document, in its strata and as its --lambda
-focus, _points_text the strata of a poset document, and _terms_text the
-terms of a loop vector, which _degree_row_text writes into the degree rows
-of a loopcheck document, cli into its special block, and _directions_text
-into its Cartan directions, a dict each.  _coeff_text is the one text of a
-loop coefficient.  Every int array these templates write is kept text, in
-one memo of _int_array bounded at 8,192 texts; it lives here and not in the
-poset's memos, since the indents it is keyed on are this module's layout.
-Each writer is held to json.dumps(indent=2, sort_keys=True) of the dict rows
-of tests/oracles.py: the closure lists over every closures request of the
-benchmark, the loop rows over every loop type and u-degree, the focus in
-tests of its own.
+_json_text is the one generic writer.  Kept text is a _Fragment, placed as
+it is at the place of a document it was written for (RESULT_VALUE or
+RESULT_ITEM) and refused at any other; _rows_text places rows each written
+alone at depth 0.  Beside them, fixed-shape templates write straight from
+the engine's raw tuples, with no dict per row.  The tests hold every writer
+to json.dumps(indent=2, sort_keys=True) of the dict rows of tests/oracles.py.
 """
 
 from __future__ import annotations
@@ -68,12 +50,11 @@ class _Fragment(str):
 def _json_text(value, newline: str = "\n") -> str:
     """value as json.dumps(value, indent=2, sort_keys=True) writes it.
 
-    json.dumps falls back to its pure-Python encoder when given an indent;
-    this writer does the same job in about half the time.  Only str, int,
-    bool, None, dict, list and tuple are written; anything else (a float, a
-    Fraction, a set) raises RuntimeError, which cli.main reports as an
-    internal failure, exit 3.  newline is the line break plus the indent of
-    the line value starts on.  A _Fragment stands for the value whose text it holds.
+    Only str, int, bool, None, dict, list and tuple are written; anything
+    else (a float, a Fraction, a set) raises RuntimeError, which cli.main
+    reports as an internal failure, exit 3.  newline is the line break plus
+    the indent of the line value starts on.  A _Fragment stands for the value
+    whose text it holds.
     """
     scalar = _JSON_SCALARS.get(type(value))
     if scalar is not None:
@@ -135,8 +116,8 @@ def _write(value, newline: str, out: list[str]) -> None:
 # -- fixed-shape row templates ---------------------------------------------------
 
 
-# Points, roots and supports repeat across the documents of one system: a
-# closures pass writes each (values, indent) pair about six times over.
+# Points, roots and supports repeat across the documents of one system.  The
+# memo lives here, not in the poset, as its key holds this module's indent.
 @lru_cache(maxsize=8192)
 def _int_array(values: tuple[int, ...], indent: str) -> str:
     """A tuple of ints as json.dumps(indent=2) writes it on a line indented by indent."""

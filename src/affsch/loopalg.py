@@ -1,17 +1,12 @@
 """Exact symbolic loop algebra over a Chevalley basis, with a twist.
 
 Scalars live in Q(zeta) for zeta a primitive e-th root of unity, e <= 3.
-The Chevalley basis consists of X_gamma for every root gamma and H_i for the
-simple coroots; structure constants come from a bimultiplicative asymmetry
-function on the root lattice determined by a diagram orientation, so they
-are exact integers and the Jacobi identity is checked at construction.
-
-A diagram automorphism extends to the algebra through the pinning: simple
-generators map without signs, everything else picks up a forced +-1.  The
-loop extension acts by sigma(X times u^n) = zeta^n sigma0(X) times u^n; the
-invariant vectors e_a attached to relative affine roots, their conjugates
-under exp(ad), and the Cartan components extracted from those conjugates are
-all computed term by term with no floating point anywhere.
+ChevalleyAlgebra holds the basis X_gamma, H_i with exact integer structure
+constants, and Sigma0Map extends a diagram automorphism to it through the
+pinning.  The loop extension acts by sigma(X u^n) = zeta^n sigma0(X) u^n;
+the invariant vectors e_a attached to relative affine roots, their
+conjugates under exp(ad), and the Cartan components extracted from those
+conjugates are all computed term by term with no floating point anywhere.
 """
 
 from __future__ import annotations
@@ -278,11 +273,6 @@ class ChevalleyAlgebra:
                         yield p, r, q
                     elif r < p and q not in live[add[r][p]] and p not in live[add[r][q]]:
                         yield r, p, q
-
-    def _jacobi_triples(self) -> list[tuple[Root, Root, Root]]:
-        """Root triples, in root order, that the Jacobi check visits."""
-        roots = self.roots
-        return [(roots[i], roots[j], roots[k]) for i, j, k in sorted(self._triples())]
 
     def _jacobi_sum(self, g: int, d: int, m: int) -> dict[int, int]:
         """The three cyclic double brackets [[X_a, X_b], X_c] of a triple, by symbol index."""

@@ -24,17 +24,17 @@ Matrix = tuple[tuple[int, ...], ...]
 
 _LABEL_RE = re.compile(r"^([A-G])([1-9])$")
 
+# _recognize_irreducible tries the letters in this order: C before B, so that
+# a rank-2 double bond is C2, and A before D, so that D3 is A3.
 _RANK_RANGE = {
     "A": (1, 8),
-    "B": (2, 8),
     "C": (2, 8),
+    "B": (2, 8),
     "D": (3, 8),
     "E": (6, 8),
     "F": (4, 4),
     "G": (2, 2),
 }
-
-_DOMINANT_REP_GUARD = 1_000_000
 
 
 def cartan_matrix(letter: str, rank: int) -> Matrix:
@@ -320,17 +320,8 @@ def _recognize_irreducible(cartan: Matrix) -> tuple[str, IntVec]:
     canonically labeled C2, and D3-shaped input is labeled A3.
     """
     rank = len(cartan)
-    letters = {
-        1: ("A",),
-        2: ("A", "C", "G"),
-        3: ("A", "B", "C"),
-        4: ("A", "B", "C", "D", "F"),
-        5: ("A", "B", "C", "D"),
-        6: ("A", "B", "C", "D", "E"),
-        7: ("A", "B", "C", "D", "E"),
-        8: ("A", "B", "C", "D", "E"),
-    }.get(rank)
-    if letters is None:
+    letters = [letter for letter, (lo, hi) in _RANK_RANGE.items() if lo <= rank <= hi]
+    if not letters:
         raise ValueError(f"rank {rank} out of supported range")
     for letter in letters:
         target = cartan_matrix(letter, rank)
@@ -444,13 +435,14 @@ def pairing(nu: Coweight, root_index: int) -> int:
 def dominant_rep(nu: Coweight) -> Coweight:
     """The dominant Weyl-chamber representative of nu's orbit.
 
-    Reflects in the first simple root nu pairs negatively with, until there is none.
+    Reflects in the first simple root nu pairs negatively with until there is
+    none, at most once per positive root: each shortens the Weyl element left.
     """
     if nu.is_dominant():
         return nu
     cur = list(nu.pairings)
     rank, columns = len(cur), nu.system.columns
-    for _ in range(_DOMINANT_REP_GUARD):
+    for _ in range(len(nu.system.positive_roots) + 1):
         for i in range(rank):
             pi = cur[i]
             if pi < 0:

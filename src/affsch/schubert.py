@@ -12,34 +12,12 @@ from below.  Adding one Cartan direction when some k over a negative root is
 positive yields the singularity certificate: the closure is singular along
 the lam stratum whenever the total strictly exceeds <mu, 2rho>.
 
-None of this depends on the closure top mu beyond its down-set, so one
-DominancePoset per root system memoises it, each fact once: the down-set
-with gaps of every top, the covers of every upper end asked about (kept only
-as classified edges), the k-vector of every pair asked about over all roots,
-and the points its walks met.  The walks run on integer codes (_Layout): a
-point's pairing vector packed into one int, a field per coordinate,
-coordinate 0 most significant, each field offset by a guard bit.  A
-Stembridge step or a k_alpha move is one int addition, dominance is one mask
-test, a reflection toward the dominant chamber is one multiply-add read off
-the most significant cleared guard bit, and int order is the lexicographic
-order that breaks ties in the stratum order.  The field width follows from
-<mu,2rho> and the largest coefficient sum of a positive coroot, so nothing
-is refused (the argument is in DominancePoset).  The memos keyed by points
-hold raw tuples, one per distinct dominant point walked.  The stratum
-rows of a closure (_stratum_rows) and its edges (_edges_below) are raw
-tuples too: the public functions wrap them in the Coweight, StratumReport
-and DegenerationEdge objects they hand out, and cli writes its documents
-from them directly.  Every entrance checks its call once, in _closure.  The
-Stembridge steps are recomputed, not kept.
-The steps and the k_alpha walks read one table of positive coroots: the walk
-of a negative root adds what the walk of its positive root subtracts.
-The public functions keep one poset per root system from call to call, so
-the calls of one closure, and every sweep that comes back to a type, walk
-each down-set once.  MAX_POSET_ENTRIES bounds the total over all of them:
-before a call walks a new top past it, the posets of the other
-systems are dropped, and the poset in use starts afresh only if it alone is
-past the bound.  So a closure is never served by two posets, and a long run
-holds at most the bound plus one request's worth.
+The public functions share one DominancePoset per root system, kept from
+call to call (see _poset), whose walks run on the point codes of _Layout.
+The stratum rows (_stratum_rows) and edges (_edges_below) of a closure are
+raw tuples: the public functions wrap them in the objects they hand out, and
+cli writes its documents from them directly.  Every entrance checks its call
+once, in _closure.
 """
 
 from __future__ import annotations
@@ -62,17 +40,7 @@ from affsch.twist import ABSOLUTELY_SPECIAL, TwistedDatum, cartan_sigma_dim
 
 SINGULAR = "singular"
 INCONCLUSIVE = "inconclusive"
-# Bound on the entries of all kept posets together (see DominancePoset.entries
-# and _poset).  Measured in a fresh process with stdout to /dev/null, among
-# the largest closures cli admits, peak RSS as growth over the process after
-# import and the datum's build: analyze fills 21,639 entries for G2 64,74
-# with --lambda 0,0 and 16,545 for 2E6 14,1,5,2 (peak RSS +2.9 and +2.8 MB;
-# the kept posets hold 2.4 and 2.2 MiB); one type of verify --max-pairing 40
-# fills at most 9,576 (A3, the mindeg-inequality suite).  poset --json, which
-# also classifies the edges below every stratum, fills 28,044 and 22,752 for
-# those two tops (peak RSS +19.8 and +26.5 MB, mostly transient: the edge
-# objects and the document; the kept posets hold 4.1 and 4.2 MiB, 0.2 KB per
-# entry).  A long run holds at most this plus one request's worth.
+# Bound on the entries of all kept posets together (see DominancePoset.entries and _poset)
 MAX_POSET_ENTRIES = 30_000
 
 
@@ -153,20 +121,16 @@ def _cover_table(system: FiniteRootSystem) -> tuple[IntVec, tuple[IntVec, ...], 
     order lists the indices by pairing vector, largest first: the order of
     the steps' targets, smallest first.  supports[j] holds the indices where
     coroot j's coefficients are nonzero, and bit k of undercuts[j] is set when
-    coroot k's coefficients are componentwise below coroot j's.  That test
-    runs on the coefficients packed one field per coordinate, each with a
-    guard bit above the largest coefficient: c >= d componentwise exactly
-    when (c | guard) - d keeps every guard bit.
+    coroot k's coefficients are componentwise below coroot j's, and not equal.
     """
     table = _positive_coroots(system)
     order = tuple(sorted(range(len(table)), key=lambda j: table[j][0], reverse=True))
     supports = tuple(tuple(i for i, x in enumerate(c) if x) for _, c in table)
-    width = max(max(c) for _, c in table).bit_length() + 1
-    guard = sum(1 << (width * i + width - 1) for i in range(system.rank))
-    codes = [sum(x << width * i for i, x in enumerate(c)) for _, c in table]
+    # componentwise below and not equal is componentwise below at a smaller height
+    heights = [sum(c) for _, c in table]
     undercuts = tuple(
-        sum(1 << k for k, d in enumerate(codes) if k != j and ((c | guard) - d) & guard == guard)
-        for j, c in enumerate(codes)
+        sum(1 << k for k, (_, d) in enumerate(table) if heights[k] < h and all(map(le, d, c)))
+        for (_, c), h in zip(table, heights)
     )
     return order, supports, undercuts
 
@@ -224,8 +188,8 @@ class _Layout:
 
         The most significant cleared guard bit names the first negative
         coordinate x_i, and adding -x_i times the offset of alpha_i^vee
-        reflects in alpha_i; each such reflection shortens the Weyl element
-        still to apply, so there are at most as many as positive roots.
+        reflects in alpha_i, at most once per positive root, as in
+        rootsys.dominant_rep.
         """
         guard, width, mask = self.guard, self.width, (1 << self.width) - 1
         for _ in range(len(self.steps) + 1):
@@ -236,16 +200,6 @@ class _Layout:
             x = ((code >> (top - width)) & mask) - self.half
             code -= x * self.columns[top // width]
         raise RuntimeError("dominant representative did not stabilize")
-
-
-@lru_cache(maxsize=64)
-def _layout(system: FiniteRootSystem, width: int) -> _Layout:
-    return _Layout(system, width)
-
-
-def _stratum_key(system: FiniteRootSystem, p: IntVec) -> tuple[int, IntVec]:
-    """Stratum order: larger <lam,2rho> first, ties by pairing vector."""
-    return -sum(map(mul, system.two_rho_coefficients, p)), p
 
 
 # -- the memoised poset -------------------------------------------------------
@@ -273,21 +227,12 @@ class DominancePoset:
     reflection on the way to a representative, stay within fields of width
     (D + 2h).bit_length() + 1.  h is not read off highest_root, which a
     reducible system does not have.
-
-    Within that range int order is the lexicographic order of the pairing
-    vectors, which is how the stratum order breaks ties; and as
-    <lam,2rho> = <mu,2rho> - 2 ht(mu - lam), the stratum order of a down-set
-    sorts on (height of the gap, code).
-
-    Points keep their pairing vectors as the memos' keys, one tuple per
-    distinct dominant point walked.  The classified edges below a point
-    depend only on it, so every top above it shares them.
     """
 
     def __init__(self, system: FiniteRootSystem) -> None:
         self.system = system
         self._coroot_height = max(sum(coeffs) for _, coeffs in _positive_coroots(system))
-        self._layout: _Layout | None = None
+        self._format: _Layout | None = None
         self._below: dict[IntVec, dict[IntVec, IntVec]] = {}
         # (lower, gap, support, case) of each classified edge below an upper end
         self._edges: dict[IntVec, tuple[tuple[IntVec, IntVec, IntVec, int], ...]] = {}
@@ -311,9 +256,9 @@ class DominancePoset:
         Widening codes the kept points afresh and drops the representatives.
         """
         bound = sum(map(mul, self.system.two_rho_coefficients, top)) + 2 * self._coroot_height
-        layout = self._layout
+        layout = self._format
         if layout is None or bound >= layout.half:
-            layout = self._layout = _layout(self.system, bound.bit_length() + 1)
+            layout = self._format = _Layout(self.system, bound.bit_length() + 1)
             self._points = {layout.code(p): p for p in self._points.values()}
             self._reps = {}
         return layout
@@ -321,7 +266,9 @@ class DominancePoset:
     def below(self, mu: IntVec) -> dict[IntVec, IntVec]:
         """Each dominant lam <= mu, mapped to the coroot coefficients of mu - lam.
 
-        The keys come in stratum order, sorted on (height of the gap, code).
+        The keys come in stratum order, sorted on (height of the gap, code):
+        <lam,2rho> = <mu,2rho> - 2 ht(mu - lam), and code order is the
+        lexicographic order that breaks ties in the stratum order.
         Only the coset of mu is reached, so membership is the
         dominance test for any dominant lam in that coset.  mu must be
         dominant.  A point's tuple is built the first time any walk meets
@@ -355,7 +302,8 @@ class DominancePoset:
         gap holds the coroot coefficients of p - lower, support the indices
         where it is nonzero, and case the Stembridge case tag.  A dominant
         step is a cover unless another one drops by componentwise less: that
-        step's target lies strictly between p and this one's.
+        step's target lies strictly between p and this one's.  The edges
+        depend only on p, so every top above p shares them.
         """
         edges = self._edges.get(p)
         if edges is None:
@@ -425,7 +373,8 @@ def _poset(system: FiniteRootSystem, top: IntVec) -> DominancePoset:
     A call about a top the poset has walked takes it as it is, so the calls
     of one closure share one poset.  Before a new top, past MAX_POSET_ENTRIES
     in total, the posets of the other systems are dropped, and this one is
-    started afresh if it alone is still past the bound.
+    started afresh if it alone is still past the bound.  So a long run holds
+    at most the bound plus one request's worth.
     """
     poset = _posets.get(system)
     if poset is not None and top in poset._below:
@@ -643,26 +592,22 @@ def _stratum_rows(
     cover, None for every other stratum.
     """
     poset = _closure(mu, datum=datum)
-    system, top = mu.system, mu.pairings
-    below = poset.below(top)
-    certificates, singular = {}, []
-    covers = sorted(poset.edges(top), key=lambda edge: _stratum_key(system, edge[0]))
-    for q, gap, _, _ in covers:
-        cert = certificates[q] = _certificate_row(poset, top, q, datum)
-        if cert[3] == SINGULAR:
-            singular.append((q, gap))
-    rows = []
-    for p, gap in below.items():
-        cert = certificates.get(p)
-        if cert is not None:
+    top = mu.pairings
+    covers = {q for q, _, _, _ in poset.edges(top)}
+    rows, singular = [], []
+    for p, gap in poset.below(top).items():
+        if p in covers:
+            cert = _certificate_row(poset, top, p, datum)
+            if cert[3] == SINGULAR:
+                singular.append((p, gap))
             status = "singular" if cert[3] == SINGULAR else "unresolved"
             rows.append((p, status, "certificate", cert, None))
         elif not any(gap):
             rows.append((p, "smooth", "open-orbit", None, None))
         else:
-            # the first cover above p, in stratum order, with a singular
-            # certificate: its gap is componentwise at most p's, and never equal,
-            # as the stratum with a cover's gap is that cover, taken above
+            # the first singular cover, in stratum order, whose gap is
+            # componentwise at most p's: a cover of smaller gap comes before p,
+            # and none has p's gap, since the stratum with a cover's gap is that cover
             status, via = "unresolved", None
             for cover, c in singular:
                 if all(map(le, c, gap)):

@@ -4,6 +4,7 @@ import contextlib
 import io
 import json
 import os
+import shlex
 import subprocess
 import sys
 import time
@@ -129,6 +130,31 @@ def test_usage_errors_exit_two(capsys, monkeypatch):
     monkeypatch.setenv("AFFSCH_JOBS", "1_0")
     code, out, err = run(capsys, "verify", "--suite", "stembridge")
     assert code == 2 and out == "" and "error:" in err, err
+
+
+def readme_commands() -> list[str]:
+    """Each `affsch ...` line of the README's "Command line" block."""
+    section = (ROOT / "README.md").read_text().split("\n## Command line\n", 1)[1]
+    block = section.split("```sh\n", 1)[1].split("```", 1)[0]
+    return [line for line in block.splitlines() if line.startswith("affsch ")]
+
+
+# the README says this line exits 2: --lambda must be dominant
+README_USAGE_ERRORS = {"affsch analyze --type A2 --mu 2,2 --lambda=-1,0"}
+
+
+def test_readme_command_block_is_read():
+    assert len(readme_commands()) == 8
+    assert README_USAGE_ERRORS <= set(readme_commands())
+
+
+@pytest.mark.parametrize("line", readme_commands())
+def test_readme_command_lines_run_as_documented(capsys, line):
+    code, out, err = run(capsys, *shlex.split(line)[1:])
+    if line in README_USAGE_ERRORS:
+        assert (code, out) == (2, "") and err.startswith("error:"), err
+    else:
+        assert code == 0 and out and err == "", err
 
 
 def test_non_dominant_lambda_names_its_flag(capsys):

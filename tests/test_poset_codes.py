@@ -150,7 +150,7 @@ def test_boundary_tops_reach_the_width_bound_and_stay_within_it():
             dom = _check_against_oracles(poset, top, list, set())
             reach = max(_two_rho(system, rep) for rep in dom.values())
             assert reach == _two_rho(system, top) + 2 * height, (label, top)
-            assert reach < poset._layout.half, (label, top)
+            assert reach < poset._format.half, (label, top)
 
 
 RANDOM_SYSTEMS = ("A1", "A2", "C3", "G2", "B3", "A4", "D4", "F4")

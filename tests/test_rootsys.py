@@ -25,8 +25,13 @@ from affsch.rootsys import (
     two_rho_pairing,
     FiniteRootSystem,
 )
-from affsch.schubert import _support_components
+from affsch.schubert import DominancePoset, _support_components
 from oracles import difference_coroot, dominance_leq, reflect_coweight, weyl_orbit
+
+# every label cartan_matrix accepts, 33 in all
+RANGE_LABELS = [
+    f"{letter}{rank}" for letter, (lo, hi) in rootsys._RANK_RANGE.items() for rank in range(lo, hi + 1)
+]
 
 ROOT_COUNTS = {
     **{f"A{n}": n * (n + 1) for n in range(1, 9)},
@@ -136,6 +141,16 @@ def test_dominant_rep_examples():
     assert dominant_rep(Coweight(a1, (3,))).pairings == (3,)
     g2 = build_root_system("G2")
     assert dominant_rep(Coweight(g2, (0, 0))).pairings == (0, 0)
+
+
+def test_dominant_rep_bound_is_tight_on_the_antidominant_regular_vector():
+    """-rho goes to rho by exactly |R+| reflections, the bound of both dominant_rep loops."""
+    for label in RANGE_LABELS:
+        system = build_root_system(label)
+        minus_rho, rho = (-1,) * system.rank, (1,) * system.rank
+        assert dominant_rep(Coweight(system, minus_rho)).pairings == rho, label
+        layout = DominancePoset(system)._fit(rho)
+        assert layout.dominant_rep(layout.code(minus_rho)) == layout.code(rho), label
 
 
 def test_dominant_rep_matches_orbit_scan():
@@ -286,11 +301,16 @@ def test_recognition_canonicalizes_rank_two_and_d3():
     assert recognize_components(b2_cartan)[0][0] == "C2"
     d3 = cartan_matrix("D", 3)
     assert recognize_components(d3)[0][0] == "A3"
-    for label in ("A4", "B4", "C4", "D4", "F4", "E6", "G2"):
-        system = build_root_system(label)
-        comps = recognize_components(system.cartan)
-        assert len(comps) == 1
-        assert comps[0][0] == label
+    # every label, and a copy with its nodes rotated, is recognised as itself
+    assert len(RANGE_LABELS) == 33
+    for label in RANGE_LABELS:
+        expected = {"B2": "C2", "D3": "A3"}.get(label, label)
+        cartan = build_root_system(label).cartan
+        perm = [*range(1, len(cartan)), 0]  # node k moves to node k - 1
+        rotated = tuple(tuple(cartan[i][j] for j in perm) for i in perm)
+        for matrix in cartan, rotated:
+            comps = recognize_components(matrix)
+            assert [name for name, _ in comps] == [expected], (label, matrix)
 
 
 def test_malformed_labels_and_matrices():
