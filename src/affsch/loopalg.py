@@ -844,18 +844,25 @@ def _matmul(a, b):
     ]
 
 
-@lru_cache(maxsize=170)  # verify's sl2-factorization draws 170 (k, x) over --seed 0-3 at k = 1-5
 def verify_sl2_factorization(k: int, x) -> bool:
     """Check the rank-one curve value splits off its translation part.
 
     The 2x2 identity: a unipotent with entry x u^-k equals (opposite
     unipotent) times diag(u^-k, u^k) times a matrix with nonnegative
     u-exponents and determinant one.  Zero x has no such splitting.  The
-    entries are Laurent polynomials {exponent: coefficient}; verdicts are
-    memoised, rejections raise on every call.
+    entries are Laurent polynomials {exponent: coefficient}.
+
+    The winding k must be an exact int and x an int or a Fraction: 2.0 or
+    True would read the memo of the int it equals, and 1.5 is no winding.
+    Verdicts are memoised; rejections raise every call.
     """
-    if k < 1:
-        raise ValueError("winding k must be at least 1")
+    if type(k) is not int or k < 1 or (type(x) is not int and type(x) is not Fraction):
+        raise ValueError("need an int winding k >= 1 and an int or Fraction curve value x")
+    return _verify_sl2_factorization(k, x)
+
+
+@lru_cache(maxsize=170)  # verify's sl2-factorization draws 170 (k, x) over --seed 0-3 at k = 1-5
+def _verify_sl2_factorization(k: int, x) -> bool:
     x = Fraction(x)
     if x == 0:
         raise ValueError("the zero curve value stays at the base point")

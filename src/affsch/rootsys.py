@@ -22,7 +22,7 @@ Root = tuple[int, ...]
 IntVec = tuple[int, ...]
 Matrix = tuple[tuple[int, ...], ...]
 
-_LABEL_RE = re.compile(r"^([A-G])([1-9])$")
+_LABEL_RE = re.compile(r"([A-G])([1-9])")
 
 # _recognize_irreducible tries the letters in this order: C before B, so that
 # a rank-2 double bond is C2, and A before D, so that D3 is A3.
@@ -373,7 +373,7 @@ def recognize_components(cartan: Matrix) -> tuple[tuple[str, IntVec], ...]:
 @lru_cache(maxsize=None)
 def build_root_system(type_label: str) -> FiniteRootSystem:
     """Construct the root system named by a Bourbaki label such as "C3"."""
-    m = _LABEL_RE.match(type_label)
+    m = _LABEL_RE.fullmatch(type_label)
     if m is None:
         raise ValueError(f"malformed type label {type_label!r}")
     return FiniteRootSystem(cartan_matrix(m.group(1), int(m.group(2))), label=type_label)

@@ -35,7 +35,7 @@ from affsch.rootsys import (
     cartan_matrix,
 )
 
-_TWISTED_RE = re.compile(r"^([123]?)([A-G])([1-9])$")
+_TWISTED_RE = re.compile(r"([123]?)([A-G])([1-9])")
 
 ABSOLUTELY_SPECIAL = "absolutely-special"
 OTHER_SPECIAL = "special-non-absolutely"
@@ -67,7 +67,7 @@ class _OrbitData:
 
 def parse_type_label(label: str) -> tuple[int, str, int]:
     """Split a twisted label like "3D4" into (e, letter, rank)."""
-    m = _TWISTED_RE.match(label)
+    m = _TWISTED_RE.fullmatch(label)
     if m is None:
         raise ValueError(f"malformed twisted type label {label!r}")
     e = int(m.group(1)) if m.group(1) else 1

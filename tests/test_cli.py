@@ -99,6 +99,7 @@ def test_analyze_focus_certificate(capsys):
 def test_usage_errors_exit_two(capsys, monkeypatch):
     for argv in (
         ["analyze", "--type", "5Z9", "--mu", "1"],
+        ["analyze", "--type", "A2\n", "--mu", "1,1"],
         ["analyze", "--type", "3D4", "--mu", "1"],
         ["analyze", "--type", "3D4", "--mu", "-1,0"],
         ["analyze", "--type", "3D4", "--mu", "0,1", "--lambda", "1,0"],

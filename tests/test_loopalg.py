@@ -1258,7 +1258,7 @@ def test_sl2_factorization_identity(k, x):
 def test_sl2_factorization_matches_the_matrix_oracle_on_the_suite_draws():
     pairs = {(k, x) for seed in range(4) for x in sl2_values(seed) for k in range(1, 6)}
     assert len(pairs) == 170
-    verify_sl2_factorization.cache_clear()
+    loopalg._verify_sl2_factorization.cache_clear()
     for k, x in sorted(pairs):
         assert verify_sl2_factorization(k, x) is sl2_factorization_by_values(k, x) is True
 
@@ -1268,3 +1268,16 @@ def test_sl2_factorization_rejects_degenerate_input():
         verify_sl2_factorization(0, 1)
     with pytest.raises(ValueError):
         verify_sl2_factorization(2, 0)
+    # inexact input is refused before the memo, cold or warm: 1.5 is no
+    # winding, True and 2.0 would read the memo of the int they equal, and
+    # Fraction would read 0.5 or "1/3" as a curve value
+    assert verify_sl2_factorization(1, 1) and verify_sl2_factorization(2, 1)
+    for k, x in ((1.5, 1), (True, 1), (2.0, 1), (2, 0.5), (2, "1/3"), (2, True), (-1, 1)):
+        for _ in range(2):
+            with pytest.raises(ValueError):
+                verify_sl2_factorization(k, x)
+    memo = loopalg._verify_sl2_factorization
+    memo.cache_clear()
+    with pytest.raises(ValueError):
+        verify_sl2_factorization(2.0, 1)
+    assert memo.cache_info().currsize == memo.cache_info().misses == 0

@@ -322,6 +322,8 @@ def test_malformed_labels_and_matrices():
         build_root_system("A9")
     with pytest.raises(ValueError):
         build_root_system("D2")
+    with pytest.raises(ValueError):  # not even with a trailing newline
+        build_root_system("A2\n")
     with pytest.raises(ValueError):
         FiniteRootSystem(((2, 1), (1, 2)))
     with pytest.raises(ValueError):

@@ -30,7 +30,7 @@ from affsch.schubert import (
 )
 from affsch.twist import twisted_datum
 from affsch.verify import SWEEP_TYPES, sweep_coweights
-from benchdata import load_workloads
+from benchdata import CLOSURE_TOPS, WORKLOADS, closure
 from oracles import (
     classify_degeneration,
     difference_coroot,
@@ -235,7 +235,7 @@ def test_below_with_gaps_vs_simplex_scan(label):
 
 
 # The types analyze and poset are benchmarked on, and the sweep types.
-WALK_LABELS = tuple(dict.fromkeys(load_workloads().CLOSURE_TYPES + SWEEP_TYPES))
+WALK_LABELS = tuple(dict.fromkeys(WORKLOADS.CLOSURE_TYPES + SWEEP_TYPES))
 # Every dominant point with <p,2rho> up to this, in or off the coroot lattice:
 # 681 points, from 3 for 2E6 to 119 for A3.
 WALK_PAIRING = 24
@@ -865,36 +865,28 @@ def test_smooth_locus_via_is_first_singular_cover_in_stratum_order():
     assert origin.via.pairings == (1, 2, 1)
 
 
-def _propagation_tops(with_sweeps: bool) -> list:
-    """(datum, mu) of every closures top of the benchmark, and of every sweep top up to REUSE_PAIRING."""
-    workloads = load_workloads()
-    tops = [(label, mu) for _, label, choices in workloads.closure_slots() for mu in choices]
-    tops += [(label, mu) for _, label, mu in workloads.PINNED_CLOSURES]
-    pairs = []
-    for label, p in dict.fromkeys(tops):
-        datum = twisted_datum(label)
-        pairs.append((datum, Coweight(datum.echelonnage, p)))
-    for label in SWEEP_TYPES if with_sweeps else ():
-        datum = twisted_datum(label)
-        pairs += [(datum, mu) for mu in sweep_coweights(datum.echelonnage, REUSE_PAIRING)]
-    return pairs
-
-
-def _propagation_column(mu: Coweight, datum) -> list:
-    """(lam, status, via) of the openness-propagation rows of _stratum_rows."""
-    rows = schubert._stratum_rows(mu, datum)
+def _propagation_column(rows) -> list:
+    """(lam, status, via) of the openness-propagation rows among rows of _stratum_rows."""
     return [(p, status, via) for p, status, mechanism, _, via in rows if mechanism == "openness-propagation"]
 
 
 def test_openness_propagation_matches_the_lattice_oracle():
-    tops = _propagation_tops(with_sweeps=True)
+    """Every closures top of the benchmark, as served, and every sweep top up to REUSE_PAIRING."""
+    columns = []
+    for top in CLOSURE_TOPS:
+        served = closure(top)
+        columns.append((served.datum, served.mu, _propagation_column(served.rows)))
+    for label in SWEEP_TYPES:
+        datum = twisted_datum(label)
+        for mu in sweep_coweights(datum.echelonnage, REUSE_PAIRING):
+            columns.append((datum, mu, _propagation_column(schubert._stratum_rows(mu, datum))))
     mismatches = [
         (datum.label, mu.pairings)
-        for datum, mu in tops
-        if _propagation_column(mu, datum) != propagation_rows(mu, datum)
+        for datum, mu, column in columns
+        if column != propagation_rows(mu, datum)
     ]
     assert mismatches == []
-    assert len(tops) == 374  # 300 closures tops and 74 sweep tops
+    assert len(columns) == 374  # 300 closures tops and 74 sweep tops
 
 
 def test_openness_propagation_skips_an_inconclusive_cover(monkeypatch):
@@ -911,15 +903,17 @@ def test_openness_propagation_skips_an_inconclusive_cover(monkeypatch):
         return dim, bound, extra, schubert.INCONCLUSIVE if (mu, lam) in forced else verdict
 
     skipped = unresolved = 0
-    for datum, mu in _propagation_tops(with_sweeps=False):
+    for top in CLOSURE_TOPS:
+        served = closure(top)  # read before the patch, so the corpus holds unpatched rows
+        datum, mu = served.datum, served.mu
         covers = stembridge_covers(mu.system, mu.pairings)
         if not covers:
             continue
-        before = _propagation_column(mu, datum)
+        before = _propagation_column(served.rows)
         forced.add((mu.pairings, covers[0][0]))
         with monkeypatch.context() as patch:
             patch.setattr(schubert, "_certificate_row", forced_row)
-            after = _propagation_column(mu, datum)
+            after = _propagation_column(schubert._stratum_rows(mu, datum))
             assert after == propagation_rows(mu, datum), (datum.label, mu.pairings)
         for (_, _, old), (_, status, new) in zip(before, after):
             skipped += old == covers[0][0] and new is not None

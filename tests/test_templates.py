@@ -7,7 +7,8 @@ jsontext._edge_rows_text) straight from schubert's raw rows
 exactly json.dumps(indent=2, sort_keys=True) of the dict rows of
 tests/oracles.py, which are built from the public report and edge objects:
 at the top of every closures request the benchmark can draw, with both
-templates at each, and on synthetic rows of shapes those requests never
+templates at each (the rows, objects and texts of the served corpus,
+benchdata.closure), and on synthetic rows of shapes those requests never
 produce; at depth 0 and at the indent of the place the document puts them.
 The raw rows are also the one source of the public objects:
 smooth_locus_report, certificate, minimal_degenerations and dominant_below
@@ -26,12 +27,10 @@ cartan-direction suite, each against json.dumps of the dict rows of
 oracles.vector_rows.
 """
 
-import contextlib
-import io
 import json
 
 import pytest
-from benchdata import load_workloads
+from benchdata import CLOSURE_TOPS, WORKLOADS, closure, serve
 from oracles import (
     analyze_strata_rows,
     certificate_row,
@@ -42,7 +41,6 @@ from oracles import (
 )
 
 from affsch import schubert
-from affsch.cli import main
 from affsch.jsontext import (
     RESULT_ITEM,
     RESULT_VALUE,
@@ -70,7 +68,6 @@ from affsch.schubert import (
     SmoothnessCertificate,
     StratumReport,
     certificate,
-    dominant_below,
     minimal_degenerations,
     smooth_locus_report,
 )
@@ -85,14 +82,6 @@ def _dumps(value) -> str:
 def _at(text: str, indent: str) -> str:
     """json.dumps text as it reads on a line indented by indent."""
     return text.replace("\n", "\n" + indent)
-
-
-def _closure_tops() -> list[tuple[str, tuple[int, ...]]]:
-    """(type, mu) of every closures request any seed can draw, each once."""
-    requests = [argv for argv in load_workloads().all_requests() if argv[0] in ("analyze", "poset")]
-    assert len(requests) == 300
-    tops = [(argv[2], tuple(int(x) for x in argv[4].split(","))) for argv in requests]
-    return list(dict.fromkeys(tops))
 
 
 def _strata_from_rows(mu: Coweight, rows) -> tuple[StratumReport, ...]:
@@ -130,54 +119,48 @@ def _edges_from_rows(system, edges_below) -> list[DegenerationEdge]:
 
 def test_stratum_template_matches_json_dumps_on_every_closure():
     mismatches = []
-    for label, p in _closure_tops():
-        datum = twisted_datum(label)
-        mu = Coweight(datum.echelonnage, p)
-        rows, two_rho = schubert._stratum_rows(mu, datum), mu.system.two_rho_coefficients
-        expected = _dumps(analyze_strata_rows(smooth_locus_report(mu, datum).strata))
+    for top in CLOSURE_TOPS:
+        served = closure(top)
+        two_rho = served.mu.system.two_rho_coefficients
         for indent in ("", RESULT_VALUE):
-            text = _stratum_rows_text(rows, two_rho, indent)
-            if text != _at(expected, indent):
-                mismatches.append((label, p, indent))
+            text = _stratum_rows_text(served.rows, two_rho, indent)
+            if text != _at(served.strata_json, indent):
+                mismatches.append((*top, indent))
     assert mismatches == []
 
 
 def test_edge_template_matches_json_dumps_on_every_closure():
     mismatches = []
-    for label, p in _closure_tops():
-        mu = Coweight(twisted_datum(label).echelonnage, p)
-        edges_below = schubert._edges_below(mu)
-        expected = _dumps(poset_edge_rows(minimal_degenerations(mu)))
+    for top in CLOSURE_TOPS:
+        served = closure(top)
         for indent in ("", RESULT_VALUE):
-            text = _edge_rows_text(edges_below, indent)
-            if text != _at(expected, indent):
-                mismatches.append((label, p, indent))
+            text = _edge_rows_text(served.edges_below, indent)
+            if text != _at(served.edges_json, indent):
+                mismatches.append((*top, indent))
     assert mismatches == []
 
 
 def test_public_objects_are_what_the_raw_rows_give():
     """One source: the report, the certificates, the edges and the strata of every closure."""
-    for label, p in _closure_tops():
-        datum = twisted_datum(label)
-        system = datum.echelonnage
-        mu = Coweight(system, p)
-        rows = schubert._stratum_rows(mu, datum)
+    for top in CLOSURE_TOPS:
+        served = closure(top)
+        datum, mu, rows, edges_below = served.datum, served.mu, served.rows, served.edges_below
+        system = mu.system
         strata = _strata_from_rows(mu, rows)
-        assert smooth_locus_report(mu, datum).strata == strata, (label, p)
+        assert served.report.strata == strata, top
         for stratum in strata:
             if stratum.certificate is not None:
-                assert certificate(mu, stratum.lam, datum) == stratum.certificate, (label, p)
-        edges_below = schubert._edges_below(mu)
-        assert minimal_degenerations(mu) == _edges_from_rows(system, edges_below), (label, p)
-        assert dominant_below(mu) == [Coweight(system, upper) for upper, _ in edges_below]
-        assert [row[0] for row in rows] == [upper for upper, _ in edges_below], (label, p)
+                assert certificate(mu, stratum.lam, datum) == stratum.certificate, top
+        assert served.edges == _edges_from_rows(system, edges_below), top
+        assert served.below == [Coweight(system, upper) for upper, _ in edges_below]
+        assert [row[0] for row in rows] == [upper for upper, _ in edges_below], top
 
 
 def test_points_fragment_matches_the_generic_writer_on_every_closure():
     """The strata list of a poset document, kept text, as _json_text writes the tuples at RESULT_VALUE."""
-    for label, p in _closure_tops():
-        points = [lam.pairings for lam in dominant_below(Coweight(twisted_datum(label).echelonnage, p))]
-        assert _points_text(points, RESULT_VALUE) == _json_text(points, "\n" + RESULT_VALUE), (label, p)
+    for top in CLOSURE_TOPS:
+        points = [lam.pairings for lam in closure(top).below]
+        assert _points_text(points, RESULT_VALUE) == _json_text(points, "\n" + RESULT_VALUE), top
     for points in ([], [()], [(0,)], [(10**20, -1, 0)]):
         assert _points_text(points, RESULT_VALUE) == _json_text(points, "\n" + RESULT_VALUE)
         assert _points_text(points) == _dumps(points)
@@ -186,7 +169,7 @@ def test_points_fragment_matches_the_generic_writer_on_every_closure():
 # -- the kept array text --------------------------------------------------------------
 
 # every tenth closures top, so both templates meet arrays of every rank
-MEMO_TOPS = _closure_tops()[::10]
+MEMO_TOPS = CLOSURE_TOPS[::10]
 
 
 def _memo_texts() -> list[tuple[str, str]]:
@@ -313,7 +296,7 @@ def test_edge_template_matches_json_dumps_on_synthetic_rows(name):
 
 # -- the loop templates ----------------------------------------------------------------
 
-LOOP_TYPES = load_workloads().LOOP_TYPES
+LOOP_TYPES = WORKLOADS.LOOP_TYPES
 
 
 def test_degree_template_matches_json_dumps_at_every_loop_type_and_degree():
@@ -398,36 +381,29 @@ FOCUS_REQUESTS = (
 )
 
 
-def _cli(*argv) -> tuple[int, str, str]:
-    out, err = io.StringIO(), io.StringIO()
-    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        code = main(list(argv))
-    return code, out.getvalue(), err.getvalue()
-
-
 @pytest.mark.parametrize("label,mu_text,lam_text,line", FOCUS_REQUESTS)
 def test_focus_certificate_matches_json_dumps(label, mu_text, lam_text, line):
     datum = twisted_datum(label)
     system = datum.echelonnage
     mu, lam = (Coweight(system, tuple(map(int, t.split(",")))) for t in (mu_text, lam_text))
     argv = ("analyze", "--type", label, "--mu", mu_text, "--lambda", lam_text)
-    code, out, _ = _cli(*argv, "--json")
+    code, out, _ = serve((*argv, "--json"))
     assert code == 0
     doc = json.loads(out)
     focus = _dumps(certificate_row(certificate(mu, lam, datum)))
     assert f'"focus": {focus.replace(chr(10), chr(10) + "    ")},' in out
     # the whole document, focus included, is json.dumps of what it holds
     assert out == _dumps(doc) + "\n"
-    code, out, _ = _cli(*argv)
+    code, out, _ = serve(argv)
     assert code == 0 and out.splitlines()[-1] == line
 
 
 @pytest.mark.parametrize("label", ["A1", "C2", "3D4", "2A3", "2E6"])
 def test_focus_at_mu_zero(label):
     zero = ",".join("0" * twisted_datum(label).echelonnage.rank)
-    code, out, _ = _cli("analyze", "--type", label, "--mu", zero, "--json")
+    code, out, _ = serve(("analyze", "--type", label, "--mu", zero, "--json"))
     assert code == 0 and json.loads(out)["result"]["focus"] is None
     assert '"focus": null,' in out
     # the zero stratum is the open orbit: no strict degeneration to certify
-    code, out, err = _cli("analyze", "--type", label, "--mu", zero, "--lambda", zero, "--json")
+    code, out, err = serve(("analyze", "--type", label, "--mu", zero, "--lambda", zero, "--json"))
     assert (code, out, err) == (2, "", "error: need a strict degeneration, got lam == mu\n")

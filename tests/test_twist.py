@@ -286,7 +286,7 @@ def test_parse_labels():
     assert parse_type_label("3D4") == (3, "D", 4)
     assert parse_type_label("2A5") == (2, "A", 5)
     assert parse_type_label("C3") == (1, "C", 3)
-    for bad in ["5D4", "2a3", "D", "A10", "A0", ""]:
+    for bad in ["5D4", "2a3", "D", "A10", "A0", "", "3D4\n"]:
         with pytest.raises(ValueError):
             parse_type_label(bad)
 

@@ -6,30 +6,25 @@ in tests/oracles.py build the same rows as dicts, from the public schubert
 functions and the loop-algebra checks, and sort them by their items.
 """
 
-import contextlib
 import dataclasses
+import functools
 import hashlib
-import io
+import importlib
 import json
+import pkgutil
 import random
 from collections import Counter
 
 import pytest
 
+import affsch
 from affsch import cli, loopalg, schubert, verify
 from affsch.rootsys import build_root_system
-from benchdata import PERFBENCH, REQUEST_MEMOS, clear_request_memos, load_workloads
+from benchdata import DIGESTS, REQUEST_MEMOS, TYPE_MEMOS, WORKLOADS, clear_request_memos, serve
 from oracles import loop_suite_result, sl2_values, sweep_box, sweep_result
 
 SWEEP_SUITES = ("stembridge", "mindeg-inequality", "k-symmetry")
 TOPS_AT_MAX = 572  # dominant tops of the 12 sweep types at MAX_PAIRING 40
-
-
-def _serve(argv) -> tuple[int, str]:
-    out = io.StringIO()
-    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
-        code = cli.main(list(argv))
-    return code, out.getvalue()
 
 
 def _cold(monkeypatch):
@@ -53,7 +48,7 @@ def test_memoised_sweeps_match_the_dict_row_oracle(monkeypatch):
     for suite, rank, pairing, seed in requests:
         argv = ["verify", "--suite", suite, "--max-rank", str(rank), "--max-pairing", str(pairing)]
         argv += ["--seed", str(seed), "--jobs", "1", "--json"]
-        code, text = _serve(argv)
+        code, text, _ = serve(argv)
         labels = verify.sweep_type_labels(rank)
         result = sweep_result(suite, labels, pairing, seed)
         request = {"type": None, "mu": None, "lambda": None, "suite": suite, "window": 4,
@@ -76,6 +71,26 @@ def test_instance_rows_are_rendered_dicts():
     assert outcome.instances_checked == len(set(outcome.instances)) == len(rows)
 
 
+def _package_memos() -> set:
+    """Every lru_cache of affsch's modules, at module level or in a class."""
+    memos = set()
+    for info in pkgutil.iter_modules(affsch.__path__):
+        if info.name == "__main__":  # it runs the command line on import
+            continue
+        for value in vars(importlib.import_module(f"affsch.{info.name}")).values():
+            for member in [value, *vars(value).values()] if isinstance(value, type) else [value]:
+                if isinstance(member, functools._lru_cache_wrapper):
+                    memos.add(member)
+    return memos
+
+
+def test_every_memo_is_a_request_memo_or_keyed_by_type_data():
+    """A memo in neither tuple would be read warm by every test that asks for cold memos."""
+    listed = REQUEST_MEMOS + TYPE_MEMOS
+    assert len(set(listed)) == len(listed)
+    assert _package_memos() == set(listed)
+
+
 def test_boxes_are_the_lattice_solve_boxes_and_stay_within_their_bound(monkeypatch):
     _cold(monkeypatch)
     assert verify._box.cache_info().maxsize == len(verify.SWEEP_TYPES) * (verify.MAX_PAIRING + 1)
@@ -96,17 +111,17 @@ def test_full_grid_requests_evict_nothing_and_memos_stay_bounded(monkeypatch):
     assert edge().maxsize == 2 * TOPS_AT_MAX
     full = ["--max-rank", "4", "--max-pairing", str(verify.MAX_PAIRING), "--jobs", "1", "--json"]
     for suite in ("stembridge", "mindeg-inequality"):
-        assert _serve(["verify", "--suite", suite, *full])[0] == 0
+        assert serve(["verify", "--suite", suite, *full])[0] == 0
     assert edge().currsize == edge().misses == 2 * TOPS_AT_MAX
     # a smaller box after the full grid is served from the memo alone
-    assert _serve(["verify", "--suite", "stembridge", "--max-pairing", "20", "--json"])[0] == 0
+    assert serve(["verify", "--suite", "stembridge", "--max-pairing", "20", "--json"])[0] == 0
     assert edge().misses == 2 * TOPS_AT_MAX
 
     pairs = verify._k_symmetry_row.cache_info
-    assert _serve(["verify", "--suite", "k-symmetry", "--seed", "0", *full])[0] == 0
+    assert serve(["verify", "--suite", "k-symmetry", "--seed", "0", *full])[0] == 0
     assert pairs().currsize == pairs().misses <= 924 + 12 * 25 <= pairs().maxsize
     for seed in range(1, 12):  # new random pairs each seed: the oldest go first
-        assert _serve(["verify", "--suite", "k-symmetry", "--seed", str(seed), *full])[0] == 0
+        assert serve(["verify", "--suite", "k-symmetry", "--seed", str(seed), *full])[0] == 0
         assert pairs().currsize <= pairs().maxsize
     assert pairs().currsize == pairs().maxsize < pairs().misses
     # one covering-pair set per type, and the down-set of each top drawn, built once
@@ -119,12 +134,12 @@ def test_full_grid_requests_evict_nothing_and_memos_stay_bounded(monkeypatch):
 def test_warm_k_symmetry_draws_walk_nothing_again(monkeypatch):
     _cold(monkeypatch)
     argv = ["verify", "--suite", "k-symmetry", "--max-pairing", "12", "--seed", "2", "--json"]
-    code, text = _serve(argv)
+    code, text, _ = serve(argv)
     assert code == 0
     walks = []
     monkeypatch.setattr(schubert.DominancePoset, "below", lambda self, mu: walks.append(mu))
     monkeypatch.setattr(schubert.DominancePoset, "edges", lambda self, p: walks.append(p))
-    assert _serve(argv) == (0, text)
+    assert serve(argv)[:2] == (0, text)
     assert walks == []
 
 
@@ -164,20 +179,18 @@ def _flag(argv, flag: str, default: int) -> int:
     return int(argv[argv.index(flag) + 1]) if flag in argv else default
 
 
-def _loop_suite_requests(workloads) -> list[tuple[str, ...]]:
+def _loop_suite_requests() -> list[tuple[str, ...]]:
     """Every loop-suite request the benchmark can draw, by --window ascending."""
-    requests = [argv for argv in workloads.loop_requests(None) if argv[0] == "verify"]
-    assert len(requests) == len(workloads.LOOP_WINDOWS) * (2 + len(workloads.SUITE_SEEDS))
-    return sorted(requests, key=lambda argv: _flag(argv, "--window", workloads.DEFAULT_WINDOW))
+    requests = [argv for argv in WORKLOADS.loop_requests(None) if argv[0] == "verify"]
+    assert len(requests) == len(WORKLOADS.LOOP_WINDOWS) * (2 + len(WORKLOADS.SUITE_SEEDS))
+    return sorted(requests, key=lambda argv: _flag(argv, "--window", WORKLOADS.DEFAULT_WINDOW))
 
 
 def test_loop_suites_on_warm_memos_match_digests_and_the_dict_row_oracle():
     # ascending and then descending in one process: each request after the
     # first reads the verdicts and rendered rows the ones before it left
-    workloads = load_workloads()
-    digests = json.loads((PERFBENCH / "digests.json").read_text())
     clear_request_memos()
-    requests = _loop_suite_requests(workloads)
+    requests = _loop_suite_requests()
     expected = {}
     for argv in requests:
         suite, window, seed = argv[2], _flag(argv, "--window", 4), _flag(argv, "--seed", 0)
@@ -188,29 +201,28 @@ def test_loop_suites_on_warm_memos_match_digests_and_the_dict_row_oracle():
         expected[argv] = json.dumps(document, indent=2, sort_keys=True) + "\n"
     mismatches = []
     for argv in requests + requests[::-1]:
-        code, text = _serve(argv)
+        code, text, _ = serve(argv)
         digest = hashlib.sha256(text.encode()).hexdigest()
-        if (code, text) != (0, expected[argv]) or digest != digests[" ".join(argv)]:
+        if (code, text) != (0, expected[argv]) or digest != DIGESTS[" ".join(argv)]:
             mismatches.append(" ".join(argv))
     assert mismatches == []
 
 
 def test_loop_suite_memos_hold_their_counted_grids():
-    workloads = load_workloads()
     clear_request_memos()
-    for argv in _loop_suite_requests(workloads):
-        assert _serve(argv)[0] == 0
-    for label in workloads.LOOP_TYPES:
-        assert _serve(["loopcheck", "--type", label, "--window", "0", "--json"])[0] == 0
-    sl2_pairs = {(k, x) for seed in workloads.SUITE_SEEDS for x in sl2_values(seed) for k in range(1, 6)}
+    for argv in _loop_suite_requests():
+        assert serve(argv)[0] == 0
+    for label in WORKLOADS.LOOP_TYPES:
+        assert serve(["loopcheck", "--type", label, "--window", "0", "--json"])[0] == 0
+    sl2_pairs = {(k, x) for seed in WORKLOADS.SUITE_SEEDS for x in sl2_values(seed) for k in range(1, 6)}
     loop_basis = loop_suite_result("loop-basis", 8, 0)["instances"]
     directions = loop_suite_result("cartan-direction", 6, 0)["instances"]
     counted = {
         verify._loop_basis_row: len(loop_basis),
         verify._direction_row: len(directions),
         verify._sl2_row: len(sl2_pairs),
-        loopalg.verify_sl2_factorization: len(sl2_pairs),
-        cli._loopcheck_blocks: len(workloads.LOOP_TYPES),
+        loopalg._verify_sl2_factorization: len(sl2_pairs),
+        cli._loopcheck_blocks: len(WORKLOADS.LOOP_TYPES),
     }
     assert list(counted.values()) == [68, 138, 170, 170, 9]
     for memo, count in counted.items():
@@ -219,7 +231,6 @@ def test_loop_suite_memos_hold_their_counted_grids():
 
 
 def test_each_e_a_is_built_once_for_the_loop_windows_and_directions(monkeypatch):
-    workloads = load_workloads()
     clear_request_memos()
     real, built = loopalg.make_e_a, Counter()
 
@@ -228,12 +239,12 @@ def test_each_e_a_is_built_once_for_the_loop_windows_and_directions(monkeypatch)
         return real(datum, rel)
 
     monkeypatch.setattr(loopalg, "make_e_a", counting)
-    for label in workloads.LOOP_TYPES:
-        for window in workloads.LOOP_WINDOWS:
-            assert _serve(["loopcheck", "--type", label, "--window", str(window), "--json"])[0] == 0
-    for window in workloads.LOOP_WINDOWS:
+    for label in WORKLOADS.LOOP_TYPES:
+        for window in WORKLOADS.LOOP_WINDOWS:
+            assert serve(["loopcheck", "--type", label, "--window", str(window), "--json"])[0] == 0
+    for window in WORKLOADS.LOOP_WINDOWS:
         argv = ["verify", "--suite", "cartan-direction", "--window", str(window), "--json"]
-        assert _serve(argv)[0] == 0
+        assert serve(argv)[0] == 0
     # root_line_vectors, cartan_direction and the 2A2 block read one memo, so a
     # vector one of them built is never built again for another
     assert set(built.values()) == {1}
@@ -352,14 +363,14 @@ def cold_memos(monkeypatch):
 def test_a_broken_check_fails_its_suite_end_to_end(monkeypatch, cold_memos, suite):
     flags, (owner, name, broken), checked, expected = FAILURES[suite]
     monkeypatch.setattr(owner, name, broken)
-    code, text = _serve(["verify", "--suite", suite, *flags])
+    code, text, _ = serve(["verify", "--suite", suite, *flags])
     assert code == 1
     lines = text.splitlines()
     assert lines[0] == f"suite {suite}: FAIL ({checked} instances)"
     shown = [line for line in lines if line.startswith("  counterexample: ")]
     assert shown == [f"  counterexample: {json.dumps(row, sort_keys=True)}" for row in expected]
 
-    code, text = _serve(["verify", "--suite", suite, *flags, "--json"])
+    code, text, _ = serve(["verify", "--suite", suite, *flags, "--json"])
     assert code == 1
     document = json.loads(text)["result"]
     assert (document["passed"], document["instances_checked"]) == (False, checked)
@@ -381,7 +392,7 @@ def test_a_broken_check_fails_its_suite_end_to_end(monkeypatch, cold_memos, suit
     # a caller's edit of a counterexample reaches no kept row
     for row in outcome.counterexamples:
         row.clear()
-    assert _serve(["verify", "--suite", suite, *flags, "--json"])[1] == text
+    assert serve(["verify", "--suite", suite, *flags, "--json"])[1] == text
 
 
 # -- the request rules run_suite owns ----------------------------------------
@@ -401,7 +412,7 @@ def test_run_suite_and_the_cli_refuse_the_same_bounds(suite):
         message = f"{name}: expected an integer from 0 to {high}, got {value}"
         with pytest.raises(ValueError, match=message):
             verify.run_suite(suite, **{name: value})
-        assert _serve(["verify", "--suite", suite, flag, str(value)]) == (2, "")
+        assert serve(["verify", "--suite", suite, flag, str(value)])[:2] == (2, "")
 
 
 INEXACT = (2.5, True, "4", None)
@@ -464,18 +475,15 @@ def test_run_suite_and_the_cli_refuse_an_empty_sweep(monkeypatch, suite):
     message = f"suite {suite} has no instance to check within these bounds"
     with pytest.raises(ValueError, match=message):
         verify.run_suite(suite, max_rank=0)
-    err = io.StringIO()
-    with contextlib.redirect_stdout(io.StringIO()) as out, contextlib.redirect_stderr(err):
-        code = cli.main(["verify", "--suite", suite, "--max-rank", "0"])
-    assert (code, out.getvalue(), err.getvalue()) == (2, "", f"error: {message}\n")
+    assert serve(["verify", "--suite", suite, "--max-rank", "0"]) == (2, "", f"error: {message}\n")
 
 
 def test_stembridge_histogram_counts_the_cases_of_its_instances():
     stembridge = ("verify", "--suite", "stembridge")
-    requests = [argv for argv in load_workloads().all_requests() if argv[:3] == stembridge]
+    requests = [argv for argv in WORKLOADS.all_requests() if argv[:3] == stembridge]
     assert len(requests) == 45
     for argv in requests:
-        code, text = _serve(argv)
+        code, text, _ = serve(argv)
         result = json.loads(text)["result"]
         counts = Counter((row["type"], str(row["case"])) for row in result["instances"])
         histogram = {}
