@@ -1,4 +1,11 @@
-"""Exact combinatorics of Schubert-variety singularities in twisted affine Grassmannians."""
+"""Exact combinatorics of Schubert-variety singularities in twisted affine Grassmannians.
+
+affsch.loopalg, the largest module and read only by loopcheck and the loop
+suites of verify, is imported on first use: affsch.loopalg, or a name below
+re-exported from it, loads it then, so analyze and poset never compile it.
+"""
+
+import importlib
 
 from affsch.rootsys import (
     Coweight,
@@ -38,26 +45,36 @@ from affsch.schubert import (
     smooth_locus_report,
 )
 
-from affsch.loopalg import (
-    ChevalleyAlgebra,
-    CycScalar,
-    InvariantBasisReport,
-    LaurentMatrix,
-    LoopVector,
-    Sigma0Map,
-    TwistedLoopAlgebra,
-    ad_exp,
-    build_chevalley,
-    cartan_component,
-    cartan_direction,
-    loop_context,
-    make_e_a,
-    matrix_realization,
-    realize,
-    sigma0_automorphism,
-    sigma_action,
-    verify_invariant_basis,
-    verify_sl2_factorization,
+# served from affsch.loopalg by __getattr__
+_LOOPALG_NAMES = (
+    "ChevalleyAlgebra",
+    "CycScalar",
+    "InvariantBasisReport",
+    "LaurentMatrix",
+    "LoopVector",
+    "Sigma0Map",
+    "TwistedLoopAlgebra",
+    "ad_exp",
+    "build_chevalley",
+    "cartan_component",
+    "cartan_direction",
+    "loop_context",
+    "make_e_a",
+    "matrix_realization",
+    "realize",
+    "sigma0_automorphism",
+    "sigma_action",
+    "verify_invariant_basis",
+    "verify_sl2_factorization",
 )
 
 __version__ = "0.1.0"
+
+
+def __getattr__(name: str):
+    """affsch.loopalg and its re-exported names, importing the module on first use (PEP 562)."""
+    if name == "loopalg" or name in _LOOPALG_NAMES:
+        # importlib, not "from affsch import loopalg", which would call this again
+        loopalg = importlib.import_module("affsch.loopalg")
+        return loopalg if name == "loopalg" else getattr(loopalg, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -46,21 +46,10 @@ from affsch.jsontext import (
     _stratum_rows_text,
     _terms_text,
 )
-from affsch.loopalg import (
-    MAX_WINDOW,
-    LoopVector,
-    _e_a,
-    ad_exp,
-    cartan_direction,
-    cartan_recipe_roots,
-    loop_context,
-    matrix_realization,
-    realize,
-    root_line_vectors,
-)
 from affsch.rootsys import Coweight, two_rho_pairing
 from affsch.schubert import _edges_below, _stratum_rows, certificate
 from affsch.twist import (
+    MAX_WINDOW,
     cartan_sigma_dim,
     sigma_affine_to_relative,
     twisted_datum,
@@ -270,8 +259,10 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_loopcheck(args) -> int:
+    from affsch import loopalg  # on first use: see affsch/__init__.py
+
     datum = twisted_datum(args.type)
-    loop_context(datum)  # raises for types without a symbolic model
+    loopalg.loop_context(datum)  # raises for types without a symbolic model
     window = args.window
     degrees = range(-window, window + 1)
     directions, directions_text, special = _loopcheck_blocks(datum)
@@ -286,7 +277,7 @@ def _cmd_loopcheck(args) -> int:
         _emit_json("loopcheck", _request_fields(args), result)
         return 0
     # every check runs before the first line, so a failing one leaves stdout empty
-    lines = [len(root_line_vectors(datum, n)) for n in degrees]
+    lines = [len(loopalg.root_line_vectors(datum, n)) for n in degrees]
     print(f"datum {datum.label}: root lines by u-degree (window {window})")
     for n, count in zip(degrees, lines):
         print(f"  degree {n:>3}: {count} lines")
@@ -306,34 +297,41 @@ def _cmd_loopcheck(args) -> int:
 # every window repeats the directions and the special block.
 @lru_cache(maxsize=9 * (2 * MAX_WINDOW + 1))  # nine loop types x |n| <= MAX_WINDOW: 153 rows
 def _degree_text(datum, n: int) -> _Fragment:
-    return _degree_row_text(n, root_line_vectors(datum, n), RESULT_ITEM)
+    from affsch import loopalg
+
+    return _degree_row_text(n, loopalg.root_line_vectors(datum, n), RESULT_ITEM)
 
 
 @lru_cache(maxsize=9)  # the directions and special blocks of each loop type: 9
 def _loopcheck_blocks(datum) -> tuple[tuple, _Fragment, _Fragment]:
     """The Cartan directions at level -1 as (root, level, vector), then the two blocks' text."""
+    from affsch import loopalg
+
     directions = tuple(
-        (a[0], a[1], cartan_direction(datum, a)) for a in cartan_recipe_roots(datum, 1)
+        (a[0], a[1], loopalg.cartan_direction(datum, a))
+        for a in loopalg.cartan_recipe_roots(datum, 1)
     )
     special = _Fragment(_json_text(_loopcheck_special(datum), "\n" + RESULT_VALUE))
     return directions, _directions_text(directions, RESULT_VALUE), special
 
 
 def _loopcheck_special(datum) -> dict:
+    from affsch import loopalg
+
     # its vectors are written at their place in the block, kept at RESULT_VALUE
     special: dict = {}
     if datum.label == "A1":
-        ctx = loop_context(datum)
-        x = LoopVector.make(ctx.algebra, 1, [(("X", (-1,)), -1, 1)])
-        y = LoopVector.make(ctx.algebra, 1, [(("X", (1,)), 0, 1)])
-        special["sl2_expansion"] = _terms_text(ad_exp(x, y).terms, RESULT_VALUE + "  ")
+        ctx = loopalg.loop_context(datum)
+        x = loopalg.LoopVector.make(ctx.algebra, 1, [(("X", (-1,)), -1, 1)])
+        y = loopalg.LoopVector.make(ctx.algebra, 1, [(("X", (1,)), 0, 1)])
+        special["sl2_expansion"] = _terms_text(loopalg.ad_exp(x, y).terms, RESULT_VALUE + "  ")
     elif datum.label == "2A2":
-        e_a = _e_a(datum, sigma_affine_to_relative(datum, ((1,), -1)))
-        e_b = _e_a(datum, sigma_affine_to_relative(datum, ((-1,), 0)))
-        table = matrix_realization("A2", 2)
-        h = realize(e_b, table).exp_nilpotent()
-        h_inv = realize(e_b.scale(-1), table).exp_nilpotent()
-        conjugated = h @ realize(e_a, table) @ h_inv
+        e_a = loopalg._e_a(datum, sigma_affine_to_relative(datum, ((1,), -1)))
+        e_b = loopalg._e_a(datum, sigma_affine_to_relative(datum, ((-1,), 0)))
+        table = loopalg.matrix_realization("A2", 2)
+        h = loopalg.realize(e_b, table).exp_nilpotent()
+        h_inv = loopalg.realize(e_b.scale(-1), table).exp_nilpotent()
+        conjugated = h @ loopalg.realize(e_a, table) @ h_inv
         diagonal = []
         for i in range(3):
             cell = conjugated.entry(i, i)
@@ -342,7 +340,7 @@ def _loopcheck_special(datum) -> dict:
         special["su3_diagonal_at_degree_minus_one"] = diagonal
         special["su3_trace_zero"] = conjugated.trace() == {}
     elif datum.label == "3D4":
-        vec = cartan_direction(datum, ((0, 1), -1))
+        vec = loopalg.cartan_direction(datum, ((0, 1), -1))
         special["triality_line"] = {
             "invariant_cartan_dim": cartan_sigma_dim(datum, 1),
             "vector": _terms_text(vec.terms, RESULT_VALUE + "    "),

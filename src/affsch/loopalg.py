@@ -20,6 +20,7 @@ from functools import lru_cache, reduce
 
 from affsch.rootsys import FiniteRootSystem, IntVec, Root, build_root_system
 from affsch.twist import (
+    MAX_WINDOW,
     AffineRoot,
     RelativeAffineRoot,
     TwistedDatum,
@@ -36,8 +37,6 @@ from affsch.twist import (
 
 Symbol = tuple
 Rational = int | Fraction
-# The widest u-degree window, -MAX_WINDOW..MAX_WINDOW, graded checks and loop requests take.
-MAX_WINDOW = 8
 
 
 # -- cyclotomic scalars -------------------------------------------------------

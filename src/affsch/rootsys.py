@@ -12,7 +12,6 @@ coefficients c has pairing vector cartan . c.
 
 from __future__ import annotations
 
-import math
 import re
 from dataclasses import dataclass
 from fractions import Fraction
@@ -158,32 +157,6 @@ def _root_closure(cartan: Matrix) -> tuple[Root, ...]:
     return tuple(sorted(pos, key=lambda m: (sum(m), m)))
 
 
-def _gauss_jordan(rows: list[list], ncols: int) -> list:
-    """Reduce rows in place to reduced row-echelon form on their first ncols columns.
-
-    Works over any exact field with a truth value and a reciprocal 1 / x:
-    Fraction here, loopalg.CycScalar only in the rank oracle of the tests.  Each
-    pivot row is scaled by one inverse and cleared out of every other row.
-    Returns the pivots in the order found, before scaling; their number is the rank.
-    """
-    pivots = []
-    for col in range(ncols):
-        rank = len(pivots)
-        piv = next((r for r in range(rank, len(rows)) if rows[r][col]), None)
-        if piv is None:
-            continue
-        rows[rank], rows[piv] = rows[piv], rows[rank]
-        pivot = rows[rank][col]
-        pivots.append(pivot)
-        inv = 1 / pivot
-        rows[rank] = [x * inv for x in rows[rank]]
-        for r in range(len(rows)):
-            if r != rank and rows[r][col]:
-                f = rows[r][col]
-                rows[r] = [x - f * y for x, y in zip(rows[r], rows[rank])]
-    return pivots
-
-
 class FiniteRootSystem:
     """Reduced finite root system presented by an integer Cartan matrix.
 
@@ -195,7 +168,11 @@ class FiniteRootSystem:
       two_rho_coefficients: 2*rho expanded on the simple roots, so
         <nu, 2rho> = dot(two_rho_coefficients, nu.pairings).
       adjugate/det: adjugate . p = det * c solves cartan . c = p exactly in
-        integers.
+        integers.  Both come from fraction-free (Bareiss) Gauss-Jordan
+        elimination of [cartan | I] in ints, with no row swaps: the k-th
+        pivot is the k-th leading minor of cartan, each division by the previous pivot
+        is exact, and at the end the last pivot is det and the right half is
+        adjugate.
     """
 
     def __init__(self, cartan: Matrix, label: str | None = None) -> None:
@@ -220,23 +197,22 @@ class FiniteRootSystem:
         # Sylvester's criterion, before the reflection closure, which never
         # ends on a non-finite type.  The leading minors of cartan are those of
         # the symmetric bilinear = cartan . diag(half_norms) up to positive
-        # factors, and the k-th is the product of the first k pivots unless a
-        # row swap came first.  Elimination keeps the off-diagonal entries
-        # nonpositive while the pivots are positive, so a swap brings in a
-        # negative pivot: rank many positive pivots is the criterion.
-        aug = [
-            [Fraction(x) for x in row] + [Fraction(int(i == k)) for k in range(rank)]
-            for i, row in enumerate(cartan)
-        ]
-        pivots = _gauss_jordan(aug, rank)
-        if len(pivots) < rank or any(p <= 0 for p in pivots):
-            raise ValueError("Cartan matrix is not positive definite")
-        det = math.prod(pivots)
-        adj = [[x * det for x in row[rank:]] for row in aug]
-        if any(x.denominator != 1 for row in adj for x in row):
-            raise AssertionError("adjugate must be integral")
-        self.det = int(det)
-        self.adjugate = tuple(tuple(int(x) for x in row) for row in adj)
+        # factors, and the k-th pivot is the k-th of them, so every pivot
+        # positive is the criterion, and a refused pivot is never divided by.
+        aug = [list(row) + [int(i == k) for k in range(rank)] for i, row in enumerate(cartan)]
+        prev = 1
+        for k in range(rank):
+            pivot_row = aug[k]
+            pivot = pivot_row[k]
+            if pivot <= 0:
+                raise ValueError("Cartan matrix is not positive definite")
+            for i in range(rank):
+                if i != k:
+                    f = aug[i][k]
+                    aug[i] = [(pivot * x - f * y) // prev for x, y in zip(aug[i], pivot_row)]
+            prev = pivot
+        self.det = prev
+        self.adjugate = tuple(tuple(row[rank:]) for row in aug)
         self.positive_roots = _root_closure(cartan)
         negatives = tuple(tuple(-c for c in m) for m in self.positive_roots)
         self.roots = self.positive_roots + negatives

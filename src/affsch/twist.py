@@ -36,6 +36,8 @@ from affsch.rootsys import (
 )
 
 _TWISTED_RE = re.compile(r"([123]?)([A-G])([1-9])")
+# The widest u-degree window, -MAX_WINDOW..MAX_WINDOW, graded checks and loop requests take.
+MAX_WINDOW = 8
 
 ABSOLUTELY_SPECIAL = "absolutely-special"
 OTHER_SPECIAL = "special-non-absolutely"
@@ -330,8 +332,17 @@ def build_twisted(
 
 @lru_cache(maxsize=None)
 def twisted_datum(label: str) -> TwistedDatum:
-    """Build a datum from a twisted label such as "A3", "2A4", or "3D4"."""
-    e, letter, rank = parse_type_label(label)
+    """The datum of a twisted label such as "A3", "2A4", or "3D4".
+
+    One object per parsed (e, letter, rank): "1A1" and "A1" give the same
+    datum, as the loop memos, keyed on the datum and sized per type, need.
+    This memo, on the label, keeps the parse off the request path.
+    """
+    return _twisted_datum(*parse_type_label(label))
+
+
+@lru_cache(maxsize=None)
+def _twisted_datum(e: int, letter: str, rank: int) -> TwistedDatum:
     return build_twisted(f"{letter}{rank}", e)
 
 

@@ -31,16 +31,9 @@ from itertools import product
 from operator import itemgetter
 
 from affsch.jsontext import _json_text, _terms_text
-from affsch.loopalg import (
-    MAX_WINDOW,
-    cartan_direction,
-    cartan_recipe_roots,
-    verify_invariant_basis,
-    verify_sl2_factorization,
-)
 from affsch.rootsys import Coweight, IntVec, build_root_system
 from affsch.schubert import _poset
-from affsch.twist import twisted_datum
+from affsch.twist import MAX_WINDOW, twisted_datum
 
 SWEEP_TYPES = ("A1", "A2", "A3", "A4", "B2", "B3", "B4", "C2", "C3", "C4", "D4", "G2")
 LOOP_LABELS = ("2A2", "2A3", "2D4", "3D4")
@@ -231,7 +224,9 @@ def _loop_basis_row(degree: int, fixed_dim: int, lines: int, rank: int, label: s
 
 @lru_cache(maxsize=138)  # the (type, root, k) of DIRECTION_LABELS at depths 1-6 with a recipe: 138
 def _direction_row(label: str, root, k: int) -> tuple:
-    terms = cartan_direction(twisted_datum(label), (root, -k)).terms
+    from affsch import loopalg
+
+    terms = loopalg.cartan_direction(twisted_datum(label), (root, -k)).terms
     # as text at its place in the row, so the kept key holds no dicts
     vector = _terms_text(terms, "  ")
     return _row({"type": label, "root": root, "level": -k, "vector": vector})
@@ -243,22 +238,26 @@ def _sl2_row(k: int, x: str) -> tuple:
 
 
 def _suite_loop_basis(window: int) -> SuiteResult:
+    from affsch import loopalg  # on first use: see affsch/__init__.py
+
     rows = []
     for label in LOOP_LABELS:
-        for line in verify_invariant_basis(twisted_datum(label), window).lines:
+        for line in loopalg.verify_invariant_basis(twisted_datum(label), window).lines:
             values = (line.degree, line.fixed_dim, line.progression_count, line.vector_rank)
             rows.append(_loop_basis_row(*values, label, line.ok))
     return _result("loop-basis", None, rows)
 
 
 def _suite_cartan_direction(window: int) -> SuiteResult:
+    from affsch import loopalg
+
     depth = max(1, min(window, 6))
     rows, bad = [], []
     for label in DIRECTION_LABELS:
         datum = twisted_datum(label)
-        for root, level in cartan_recipe_roots(datum, depth):
+        for root, level in loopalg.cartan_recipe_roots(datum, depth):
             try:
-                cartan_direction(datum, (root, level))
+                loopalg.cartan_direction(datum, (root, level))
             except (ValueError, RuntimeError, AssertionError) as exc:
                 bad.append({"type": label, "root": list(root), "level": level, "error": str(exc)})
             else:
@@ -301,6 +300,8 @@ def _suite_edge_sweep(kind: str, max_rank: int, max_pairing: int) -> SuiteResult
 
 
 def _suite_sl2(window: int, seed: int) -> SuiteResult:
+    from affsch import loopalg
+
     rng = random.Random(seed)
     xs = [Fraction(1), Fraction(-2), Fraction(3, 2)]
     while len(xs) < 13:
@@ -310,7 +311,7 @@ def _suite_sl2(window: int, seed: int) -> SuiteResult:
     rows, bad = [], []
     for k in range(1, max(3, min(window, 5)) + 1):
         for x in xs:
-            if verify_sl2_factorization(k, x):
+            if loopalg.verify_sl2_factorization(k, x):
                 rows.append(_sl2_row(k, str(x)))
             else:
                 bad.append({"k": k, "x": str(x)})

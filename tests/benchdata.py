@@ -56,6 +56,7 @@ TYPE_MEMOS = (
     rootsys.recognize_components,
     rootsys.build_root_system,
     twist.twisted_datum,
+    twist._twisted_datum,
     schubert._positive_coroots,
     schubert._cover_table,
     schubert._canonical_sdc,

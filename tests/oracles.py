@@ -16,7 +16,9 @@ dicts, all sorted by their items, the stratum and edge rows of the closure
 documents as dicts, built from the public report and edge objects, the
 openness-propagation column of a closure by lattice solves against its
 covers, and the degree rows and Cartan directions of a loopcheck document as dicts, their
-terms from vector_rows), so the tests can check the fast paths against them.
+terms from vector_rows, and the Cartan inverse and exact ranks by
+Gauss-Jordan elimination over a field), so the tests can check the fast
+paths against them.
 """
 
 from __future__ import annotations
@@ -60,6 +62,50 @@ from affsch.verify import DIRECTION_LABELS, LOOP_LABELS
 
 AffineRoot = tuple[Root, int]
 
+
+def gauss_jordan(rows: list[list], ncols: int) -> list:
+    """Reduce rows in place to reduced row-echelon form on their first ncols columns.
+
+    Works over any exact field with a truth value and a reciprocal 1 / x:
+    Fraction for the Cartan inverse, loopalg.CycScalar for ranks over Q(zeta).
+    Each pivot row is scaled by one inverse and cleared out of every other row.
+    Returns the pivots in the order found, before scaling; their number is the rank.
+    """
+    pivots = []
+    for col in range(ncols):
+        rank = len(pivots)
+        piv = next((r for r in range(rank, len(rows)) if rows[r][col]), None)
+        if piv is None:
+            continue
+        rows[rank], rows[piv] = rows[piv], rows[rank]
+        pivot = rows[rank][col]
+        pivots.append(pivot)
+        inv = 1 / pivot
+        rows[rank] = [x * inv for x in rows[rank]]
+        for r in range(len(rows)):
+            if r != rank and rows[r][col]:
+                f = rows[r][col]
+                rows[r] = [x - f * y for x, y in zip(rows[r], rows[rank])]
+    return pivots
+
+
+def fraction_inverse(cartan) -> tuple[int, tuple[tuple[int, ...], ...]]:
+    """(det, adjugate) of a positive definite integer matrix, by Gauss-Jordan on [cartan | I] in Fractions.
+
+    With every pivot positive no row swap came first, so det is the pivot
+    product, and adjugate is det times the inverse in the right half.
+    """
+    n = len(cartan)
+    aug = [[Fraction(x) for x in row] + [Fraction(int(i == k)) for k in range(n)]
+           for i, row in enumerate(cartan)]
+    pivots = gauss_jordan(aug, n)
+    assert len(pivots) == n and all(p > 0 for p in pivots), "not positive definite"
+    det = 1
+    for pivot in pivots:
+        det *= pivot
+    adjugate = tuple(tuple(x * det for x in row[n:]) for row in aug)
+    assert det.denominator == 1 and all(x.denominator == 1 for row in adjugate for x in row)
+    return int(det), tuple(tuple(int(x) for x in row) for row in adjugate)
 
 def reflect_coweight(nu: Coweight, i: int) -> Coweight:
     pi = nu.pairings[i]

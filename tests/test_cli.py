@@ -18,7 +18,7 @@ from benchdata import REQUEST_MEMOS, clear_request_memos
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from affsch import cli, jsontext, schubert, verify
+from affsch import cli, jsontext, loopalg, schubert, verify
 from affsch.cli import (
     MAX_DOMINANT,
     _dominant_count,
@@ -178,7 +178,7 @@ def test_internal_failures_exit_three(capsys, monkeypatch, error):
         code, out, err = run(capsys, "analyze", "--type", "A1", "--mu", "2", *flags)
         assert (code, out, err) == (3, "", "internal error: invariant broken on purpose\n")
     # raised inside a suite, not a counterexample
-    monkeypatch.setattr(verify, "verify_sl2_factorization", broken)
+    monkeypatch.setattr(loopalg, "verify_sl2_factorization", broken)
     code, out, err = run(capsys, "verify", "--suite", "sl2-factorization")
     assert (code, out, err) == (3, "", "internal error: invariant broken on purpose\n")
 
@@ -195,7 +195,7 @@ def test_a_key_error_is_an_internal_failure_not_a_usage_error(capsys, monkeypatc
 def test_a_raising_recipe_root_fails_loopcheck(capsys, monkeypatch):
     """loopcheck asks for every root with a Cartan recipe: a raising one is an error, not a skip."""
     datum, broken = twisted_datum("2A3"), ((1, 1), -1)
-    real = cli.cartan_direction
+    real = loopalg.cartan_direction
 
     def raising(d, a):
         if (d, a) == (datum, broken):
@@ -203,7 +203,7 @@ def test_a_raising_recipe_root_fails_loopcheck(capsys, monkeypatch):
         return real(d, a)
 
     clear_request_memos()  # a memoised directions block would hide the raise
-    monkeypatch.setattr(cli, "cartan_direction", raising)
+    monkeypatch.setattr(loopalg, "cartan_direction", raising)
     try:
         for flags in ([], ["--json"]):
             code, out, err = run(capsys, "loopcheck", "--type", "2A3", *flags)
@@ -213,7 +213,7 @@ def test_a_raising_recipe_root_fails_loopcheck(capsys, monkeypatch):
 
 
 def test_failing_suite_still_exits_one(capsys, monkeypatch):
-    monkeypatch.setattr(verify, "verify_sl2_factorization", lambda k, x: False)
+    monkeypatch.setattr(loopalg, "verify_sl2_factorization", lambda k, x: False)
     code, out, err = run(capsys, "verify", "--suite", "sl2-factorization")
     assert code == 1 and err == ""
     assert out.startswith("suite sl2-factorization: FAIL") and "counterexample" in out
@@ -388,6 +388,16 @@ def test_loopcheck_reports(capsys):
         ("H", -1, "-1"),
         ("X", -2, "-1"),
     }
+
+
+def test_loopcheck_of_1a1_is_that_of_a1(capsys):
+    """One datum for both labels: the same result and no second entry in a loop memo."""
+    plain = run_json(capsys, "loopcheck", "--type", "A1", "--window", "1", "--json")[1]
+    kept = cli._loopcheck_blocks.cache_info().currsize
+    code, prefixed = run_json(capsys, "loopcheck", "--type", "1A1", "--window", "1", "--json")
+    assert code == 0 and prefixed["result"] == plain["result"]
+    assert prefixed["request"] == {**plain["request"], "type": "1A1"}  # echoed as typed
+    assert cli._loopcheck_blocks.cache_info().currsize == kept
 
 
 def _coeff_strings(node):

@@ -22,6 +22,7 @@ from oracles import (
     cartan_direction_by_series,
     check_jacobi,
     check_sigma0,
+    gauss_jordan,
     jacobi_sum,
     jacobi_triples,
     root_sum_table,
@@ -30,7 +31,7 @@ from oracles import (
     structure_constant_table,
 )
 
-from affsch import loopalg, verify
+from affsch import loopalg
 from affsch.loopalg import (
     ChevalleyAlgebra,
     CycScalar,
@@ -52,7 +53,7 @@ from affsch.loopalg import (
     verify_invariant_basis,
     verify_sl2_factorization,
 )
-from affsch.rootsys import _gauss_jordan, build_root_system
+from affsch.rootsys import build_root_system
 from affsch.twist import (
     _CASES,
     RelativeAffineRoot,
@@ -83,7 +84,7 @@ def _rank(rows):
     """Exact rank over Q(zeta) by elimination: the oracle for the support count."""
     if not rows:
         return 0
-    return len(_gauss_jordan([row[:] for row in rows], len(rows[0])))
+    return len(gauss_jordan([row[:] for row in rows], len(rows[0])))
 
 
 def dense_fixed_dim(ctx, n, kind="X"):
@@ -1057,7 +1058,7 @@ def test_a_raising_cartan_direction_fails_every_request(monkeypatch, fresh_direc
             raise RuntimeError("vanishing Cartan component contradicts the recipe")
         return cartan_direction(datum, a)
 
-    monkeypatch.setattr(verify, "cartan_direction", raising)
+    monkeypatch.setattr(loopalg, "cartan_direction", raising)
     bad = {"type": "2A2", "root": [1], "level": -1,
            "error": "vanishing Cartan component contradicts the recipe"}
     for _ in range(2):

@@ -26,7 +26,7 @@ from affsch.rootsys import (
     FiniteRootSystem,
 )
 from affsch.schubert import DominancePoset, _support_components
-from oracles import difference_coroot, dominance_leq, reflect_coweight, weyl_orbit
+from oracles import difference_coroot, dominance_leq, fraction_inverse, reflect_coweight, weyl_orbit
 
 # every label cartan_matrix accepts, 33 in all
 RANGE_LABELS = [
@@ -418,6 +418,21 @@ def test_adjugate_times_cartan_is_det_identity():
             for j in range(n):
                 entry = sum(adj[i][k] * a[k][j] for k in range(n))
                 assert entry == (system.det if i == j else 0), label
+
+
+@pytest.mark.parametrize(
+    "cartan",
+    [cartan_matrix(letter, rank) for letter, (lo, hi) in rootsys._RANK_RANGE.items()
+     for rank in range(lo, hi + 1)]
+    + [_blocks(cartan_matrix("G", 2), cartan_matrix("B", 3)),
+       _blocks(cartan_matrix("A", 1), cartan_matrix("F", 4), cartan_matrix("C", 2))],
+    ids=[f"{letter}{rank}" for letter, (lo, hi) in rootsys._RANK_RANGE.items()
+         for rank in range(lo, hi + 1)] + ["G2+B3", "A1+F4+C2"],
+)
+def test_integer_elimination_matches_the_fraction_elimination(cartan):
+    """det and adjugate from the fraction-free ints equal those of Gauss-Jordan in Fractions."""
+    system = FiniteRootSystem(cartan)
+    assert (system.det, system.adjugate) == fraction_inverse(cartan)
 
 
 def test_coweight_validation():

@@ -291,6 +291,13 @@ def test_parse_labels():
             parse_type_label(bad)
 
 
+def test_one_datum_per_parsed_label():
+    """A leading 1 parses as no prefix, so both labels give one datum: the loop memos key on it."""
+    assert parse_type_label("1A1") == parse_type_label("A1")
+    for label in ("A1", "C3", "D4", "E8"):
+        assert twisted_datum(f"1{label}") is twisted_datum(label)
+
+
 def test_rejected_data():
     for label in ["2A1", "2E7", "2E8", "3A3", "3D5", "3E6"]:
         with pytest.raises(ValueError):

@@ -256,9 +256,9 @@ def test_each_e_a_is_built_once_for_the_loop_windows_and_directions(monkeypatch)
 # -- failure paths ------------------------------------------------------------
 
 _real_k_vector = schubert.DominancePoset.k_vector
-_real_invariant_basis = verify.verify_invariant_basis
-_real_cartan_direction = verify.cartan_direction
-_real_sl2 = verify.verify_sl2_factorization
+_real_invariant_basis = loopalg.verify_invariant_basis
+_real_cartan_direction = loopalg.cartan_direction
+_real_sl2 = loopalg.verify_sl2_factorization
 RAISED = "vanishing Cartan component contradicts the recipe"
 
 
@@ -325,7 +325,7 @@ FAILURES = {
     ),
     "loop-basis": (
         ("--window", "1"),
-        (verify, "verify_invariant_basis", _short_fixed_dims),
+        (loopalg, "verify_invariant_basis", _short_fixed_dims),
         12,
         [
             {"degree": -1, "fixed_dim": 7, "lines": 6, "rank": 6, "type": "2D4"},
@@ -335,7 +335,7 @@ FAILURES = {
     ),
     "cartan-direction": (
         ("--window", "1"),
-        (verify, "cartan_direction", _raising_directions),
+        (loopalg, "cartan_direction", _raising_directions),
         24,
         [
             {"error": RAISED, "level": -1, "root": [-3, -2], "type": "3D4"},
@@ -344,7 +344,7 @@ FAILURES = {
     ),
     "sl2-factorization": (
         ("--window", "3", "--seed", "0"),
-        (verify, "verify_sl2_factorization", _false_at_three_draws),
+        (loopalg, "verify_sl2_factorization", _false_at_three_draws),
         39,
         [{"k": 1, "x": "3/2"}, {"k": 2, "x": "-2"}, {"k": 2, "x": "1"}, {"k": 2, "x": "1"}],
     ),
