@@ -513,6 +513,20 @@ def sigma_action(datum: TwistedDatum, v: LoopVector) -> LoopVector:
 def make_e_a(datum: TwistedDatum, rel: RelativeAffineRoot) -> LoopVector:
     """The invariant vector spanning the root line of a relative affine root.
 
+    The public entry: it checks rel once by validate_relative_root (ValueError
+    for a root the datum's correspondence does not make), then _e_a builds it.
+    """
+    validate_relative_root(datum, rel)
+    return _e_a(datum, rel)
+
+
+@lru_cache(maxsize=2048)  # the nine loop types' root lines and Cartan recipes need 1,986
+def _e_a(datum: TwistedDatum, rel: RelativeAffineRoot) -> LoopVector:
+    """Build e_a, unchecked, once per (datum, relative root); make_e_a is the checked entry.
+
+    root_line_vectors, cartan_direction and loopcheck's 2A2 block pass roots
+    sigma_affine_to_relative just made, and share one immutable LoopVector each.
+
     Uniform over the three cases: with n the u-degree, d orbit members and
     representative alpha', e_a = sum over i = 1..d of
     t_i = zeta^(i n) sigma0^i(X_{alpha'}) u^n = zeta^(i n) c_i X_{sigma0^i alpha'} u^n,
@@ -528,7 +542,6 @@ def make_e_a(datum: TwistedDatum, rel: RelativeAffineRoot) -> LoopVector:
     closing scalar zeta^(d n) c_d is 1: the eigenspace rule for one cycle of
     length d and sign c_d at degree n.
     """
-    validate_relative_root(datum, rel)  # ValueError off the correspondence
     ctx = loop_context(datum)
     e, n, d = datum.e, rel.degree, len(rel.orbit)
     start: Symbol = ("X", rel.orbit[-1])
@@ -542,16 +555,6 @@ def make_e_a(datum: TwistedDatum, rel: RelativeAffineRoot) -> LoopVector:
     if not _eigenspace_dim(((d, sign),), e, n):
         raise AssertionError("closing scalar of a root-line vector is not 1: not sigma-fixed")
     return LoopVector.make(ctx.algebra, e, items)
-
-
-@lru_cache(maxsize=2048)  # the nine loop types' root lines and Cartan recipes need 1,986
-def _e_a(datum: TwistedDatum, rel: RelativeAffineRoot) -> LoopVector:
-    """make_e_a(datum, rel), built once per (datum, relative root).
-
-    root_line_vectors, cartan_direction and loopcheck's 2A2 block read the
-    same vectors, and a LoopVector is immutable, so all of them share one.
-    """
-    return make_e_a(datum, rel)
 
 
 def ad_exp(x: LoopVector, y: LoopVector) -> LoopVector:
@@ -590,8 +593,8 @@ def cartan_direction(datum: TwistedDatum, a) -> LoopVector:
     and only it is computed: sigma0 keeps height, so an orbit has one height,
     and a term of ad(e_b)^n e_a is Cartan only where a root of a's orbit is
     minus a sum of n roots of b's.  In case 1 the orbits are opposite: n = 1.
-    In case 2b e_a sits on one divisible root alpha' + sigma0 alpha'
-    (twist._CASES: orbit size 1) and e_b on the case-2a pair over -alpha': n = 2.
+    In case 2b e_a sits on one divisible root alpha' + sigma0 alpha' and e_b
+    on the case-2a pair over -alpha': n = 2.
 
     The root and level must be exact ints: 1.0 or True would read the memo
     of the int it equals.  Results are memoised; rejections raise every call.
@@ -695,8 +698,8 @@ def verify_invariant_basis(datum: TwistedDatum, degree_window: int) -> Invariant
     vector_rank counts the e_a with a nonempty support disjoint from those
     before: never above their rank, and equal to it for disjoint supports.
     """
-    if not 0 <= degree_window <= MAX_WINDOW:
-        raise ValueError(f"degree window must be between 0 and {MAX_WINDOW}")
+    if type(degree_window) is not int or not 0 <= degree_window <= MAX_WINDOW:
+        raise ValueError(f"degree window must be an int between 0 and {MAX_WINDOW}")
     ctx = loop_context(datum)
     lines = []
     for n in range(-degree_window, degree_window + 1):

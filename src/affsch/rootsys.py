@@ -287,7 +287,7 @@ class FiniteRootSystem:
         return tuple(out)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=64)  # callers' matrices, any node order; a workload pass misses 18 at most
 def _recognize_irreducible(cartan: Matrix) -> tuple[str, IntVec]:
     """Name a connected finite-type Cartan matrix and order its nodes.
 
@@ -335,7 +335,7 @@ def _match_permutation(cartan: Matrix, target: Matrix) -> IntVec | None:
     return tuple(perm) if rec(0) else None
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=64)  # callers' matrices, any node order; a workload pass misses 16 at most
 def recognize_components(cartan: Matrix) -> tuple[tuple[str, IntVec], ...]:
     """Irreducible type decomposition: ((label, node order), ...) in ambient indices."""
     out = []

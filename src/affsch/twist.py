@@ -16,6 +16,8 @@ line it spans at u-degree n (relative level n/e):
            k = n, a line at odd degrees n only.
 
 Only the doubled orbits of A_{2n} with the flip (e = 2) produce cases 2a/2b.
+sigma_affine_to_relative computes this correspondence, and a relative root is
+valid exactly when it makes it: see validate_relative_root.
 """
 
 from __future__ import annotations
@@ -294,7 +296,7 @@ class TwistedDatum:
         """Orbit data for any root of Sigma; negatives mirror the positives."""
         try:
             return self._meta[sigma_root]
-        except KeyError:
+        except (KeyError, TypeError):  # TypeError: an unhashable list for a tuple
             raise ValueError(f"{sigma_root} is not a root of {self.echelonnage.label}") from None
 
     def with_other_special_vertex(self) -> "TwistedDatum":
@@ -346,12 +348,19 @@ def _twisted_datum(e: int, letter: str, rank: int) -> TwistedDatum:
     return build_twisted(f"{letter}{rank}", e)
 
 
+def _check_int(value, what: str) -> None:
+    """ValueError unless value is an exact int: 1.0, True and Fraction(3) each equal an int."""
+    if type(value) is not int:
+        raise ValueError(f"{what} {value!r} is not an int")
+
+
 def sigma_levels_at_degree(datum: TwistedDatum, sigma_root: Root, n: int) -> tuple[int, ...]:
     """The Sigma-levels k whose affine root (sigma_root, k) has its root line at u-degree n.
 
     Over a non-multipliable root with orbit size d: k = n*d/e when e | n*d.
     Over a multipliable root (e = 2): 2n (case 2a), then n when n is odd (case 2b).
     """
+    _check_int(n, "u-degree")
     data = datum.orbit_data(sigma_root)
     if data.multipliable:
         return (2 * n, n) if n % 2 else (2 * n,)
@@ -363,9 +372,11 @@ def sigma_affine_to_relative(datum: TwistedDatum, a: AffineRoot) -> RelativeAffi
     """Translate a Sigma-affine root (root, level) across the level correspondence.
 
     The u-degree is e*k/d in case 1 (d divides e), k/2 in case 2a (k even)
-    and k in case 2b (k odd), so it is always an integer.
+    and k in case 2b (k odd), so it is always an integer.  The level must be
+    an exact int.
     """
     sigma_root, k = a
+    _check_int(k, "level")
     data = datum.orbit_data(sigma_root)
     if not data.multipliable:
         return RelativeAffineRoot("case1", data.orbit, datum.e * k // data.d, sigma_root, k)
@@ -374,41 +385,25 @@ def sigma_affine_to_relative(datum: TwistedDatum, a: AffineRoot) -> RelativeAffi
     return RelativeAffineRoot("case2a", data.orbit, k // 2, sigma_root, k)
 
 
-# case: (its orbit size, None for any; whether u-degree n is on its
-# progression over an orbit of d roots at order e)
-_CASES = {
-    "case1": (None, lambda n, d, e: n * d % e == 0),  # relative levels (1/d)Z
-    "case2a": (2, lambda n, d, e: 2 * n % e == 0),  # (1/2)Z
-    "case2b": (1, lambda n, d, e: (2 * n - e) % (2 * e) == 0),  # 1/2 + Z
-}
-
-
 def validate_relative_root(datum: TwistedDatum, rel: RelativeAffineRoot) -> None:
-    """Check that a relative root's case, orbit size and u-degree fit together.
+    """The one rule for a relative affine root: the correspondence makes it.
 
-    Raises ValueError for a non-int degree, an orbit whose size does not
-    divide e, an unknown case, an orbit whose size does not fit the case, or
-    a degree whose relative level n/e is off the case's progression.
+    rel is valid exactly when its degree and level are exact ints and
+    sigma_affine_to_relative(datum, (rel.sigma_root, rel.level)) == rel, so
+    its case, orbit and u-degree are those of its own Sigma-root and level.
+    Raises ValueError otherwise.
     """
-    n, d, e = rel.degree, len(rel.orbit), datum.e
-    if type(n) is not int:
-        raise ValueError(f"u-degree {n!r} is not an int")
-    if d == 0 or e % d:
-        raise ValueError(f"an orbit of {d} roots does not divide the order {e}")
-    if rel.case not in _CASES:
-        raise ValueError(f"unknown case {rel.case!r}")
-    size, admissible = _CASES[rel.case]
-    if size not in (None, d):
-        raise ValueError(f"{rel.case} needs an orbit of {size} roots, not {d}")
-    if not admissible(n, d, e):
-        raise ValueError(f"u-degree {n} is outside the {rel.case} progression")
+    _check_int(rel.degree, "u-degree")
+    if sigma_affine_to_relative(datum, (rel.sigma_root, rel.level)) != rel:
+        raise ValueError(f"{datum.label} does not make {rel} from its Sigma-root and level")
 
 
 def cartan_sigma_dim(datum: TwistedDatum, m: int) -> int:
     """Dimension of the zeta^m eigenspace of sigma0 on the Cartan subalgebra.
 
-    sigma0 permutes the simple coroots without signs.
+    sigma0 permutes the simple coroots without signs.  m must be an exact int.
     """
+    _check_int(m, "eigenvalue exponent")
     cycles = _cycles(datum.sigma0.__getitem__, range(len(datum.sigma0)))
     return _eigenspace_dim([(len(cycle), 1) for cycle in cycles], datum.e, m)
 

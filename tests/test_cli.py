@@ -451,7 +451,7 @@ def test_cli_import_loads_only_affsch_and_the_standard_library():
     script = (
         "import sys\n"
         "before = set(sys.modules)\n"
-        "import affsch.cli\n"
+        "import affsch.cli, affsch.loopalg\n"
         "added = {name.partition('.')[0] for name in set(sys.modules) - before}\n"
         "print(*sorted(added - set(sys.stdlib_module_names)))\n"
     )

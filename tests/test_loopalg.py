@@ -55,13 +55,13 @@ from affsch.loopalg import (
 )
 from affsch.rootsys import build_root_system
 from affsch.twist import (
-    _CASES,
     RelativeAffineRoot,
     _eigenspace_dim,
     affine_roots_negative_at_vertex,
     build_twisted,
     cartan_sigma_dim,
     sigma_affine_to_relative,
+    sigma_levels_at_degree,
     twisted_datum,
 )
 from affsch.verify import DIRECTION_LABELS, run_suite
@@ -869,20 +869,46 @@ def test_flipped_closing_sign_fails_the_check_and_the_oracle(monkeypatch, fresh_
 
 
 def test_closing_check_rejects_misread_orbits():
+    # the correspondence makes neither root, so make_e_a refuses both; the
+    # unchecked builder behind it still catches each by its closing check
+    build = loopalg._e_a.__wrapped__
     # 3D4 moves X_(1,0,0,0): a one-member orbit does not return to its start
     datum = twisted_datum("3D4")
     rel = RelativeAffineRoot("case1", ((1, 0, 0, 0),), 0, (0, 1), 0)
-    with pytest.raises(AssertionError, match="did not return"):
+    with pytest.raises(ValueError):
         make_e_a(datum, rel)
+    with pytest.raises(AssertionError, match="did not return"):
+        build(datum, rel)
     vec = walk_vector(datum, rel)
     assert sigma_action(datum, vec) != vec
     # 2A2 fixes X_(1,1) with sign -1: at an even degree its closing scalar is -1
     datum = twisted_datum("2A2")
     rel = RelativeAffineRoot("case1", ((1, 1),), 0, (1,), 0)
-    with pytest.raises(AssertionError, match="closing scalar"):
+    with pytest.raises(ValueError):
         make_e_a(datum, rel)
+    with pytest.raises(AssertionError, match="closing scalar"):
+        build(datum, rel)
     vec = walk_vector(datum, rel)
     assert sigma_action(datum, vec) != vec
+
+
+@pytest.mark.parametrize(
+    "label,rel",
+    [
+        # the 3D4 orbit over (0, 1) with the fixed central node for one member: the zero vector
+        ("3D4", RelativeAffineRoot("case1", ((1, 0, 0, 0), (0, 0, 1, 0), (0, 1, 0, 0)), -1, (0, 1), -1)),
+        # the orbit of another root line: that line's invariant vector
+        ("3D4", RelativeAffineRoot("case1", ((0, 1, 0, 1), (0, 1, 1, 0), (1, 1, 0, 0)), -1, (0, 1), -1)),
+        # case 1 over the multipliable root: the closing check's AssertionError
+        ("2A2", RelativeAffineRoot("case1", ((1, 0),), 0, (1,), 0)),
+    ],
+)
+def test_make_e_a_refuses_roots_the_correspondence_does_not_make(label, rel):
+    # each fits its case, orbit size and degree, but names another root's orbit
+    datum = twisted_datum(label)
+    assert sigma_affine_to_relative(datum, (rel.sigma_root, rel.level)) != rel
+    with pytest.raises(ValueError, match="does not make"):
+        make_e_a(datum, rel)
 
 
 def test_inventory_coefficients_are_ints_or_fractions():
@@ -1114,8 +1140,9 @@ def test_cartan_direction_matches_the_whole_series(fresh_directions):
 
 
 def test_only_the_height_ratio_order_reaches_the_cartan():
-    # the cases with a recipe are the cases of twist._CASES but 2a
-    assert set(loopalg._CARTAN_ORDER) == set(_CASES) - {"case2a"}
+    # the cases with a recipe are the cases the correspondence makes but 2a
+    cases = {rel.case for label in LOOP_TYPES for _, rel in window_inventory(label, 1)}
+    assert set(loopalg._CARTAN_ORDER) == cases - {"case2a"}
     for datum, a in recipe_inventory():
         beta, level = a
         rel_a = sigma_affine_to_relative(datum, a)
@@ -1226,17 +1253,38 @@ def test_root_line_rank_from_supports_matches_elimination(label):
 
 def test_root_line_rank_deficit_fails_the_report(monkeypatch, fresh_directions):
     # every root line at a degree gets that degree's first vector: rank 1, not the count
-    real, first = loopalg.make_e_a, {}
+    real, first = loopalg._e_a, {}
 
     def repeated(datum, rel):
         vec = real(datum, rel)
         return first.setdefault((datum.label, vec.terms[0][1]), vec)
 
-    monkeypatch.setattr(loopalg, "make_e_a", repeated)
+    monkeypatch.setattr(loopalg, "_e_a", repeated)
     report = verify_invariant_basis(twisted_datum("3D4"), 2)
     assert [line.vector_rank for line in report.lines] == [1] * 5
     assert not report.ok
     assert not run_suite("loop-basis", window=1).passed
+
+
+@pytest.mark.parametrize("value", [1.5, 1.0, True, Fraction(3)], ids=repr)
+@pytest.mark.parametrize(
+    "entry",
+    [
+        lambda datum, n: sigma_levels_at_degree(datum, (1, 0), n),
+        lambda datum, n: cartan_sigma_dim(datum, n),
+        lambda datum, n: verify_invariant_basis(datum, n),
+        lambda datum, n: sigma_affine_to_relative(datum, ((0, 1), n)),
+    ],
+    ids=["sigma_levels_at_degree", "cartan_sigma_dim", "verify_invariant_basis", "sigma_affine_to_relative"],
+)
+def test_inexact_degrees_are_refused_before_any_memo(entry, value):
+    # each value equals an int, or passes for one, and used to read as one
+    datum = twisted_datum("3D4")
+    memos = (loop_context, root_line_vectors, loopalg._e_a)
+    before = [memo.cache_info() for memo in memos]
+    with pytest.raises(ValueError, match="int"):
+        entry(datum, value)
+    assert [memo.cache_info() for memo in memos] == before
 
 
 def test_invariant_basis_window_bounds():

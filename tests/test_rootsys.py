@@ -8,7 +8,7 @@ brute-force enumeration of coroot combinations for the dominance order.
 import random
 import signal
 from contextlib import contextmanager
-from itertools import permutations, product
+from itertools import islice, permutations, product
 
 import pytest
 
@@ -311,6 +311,25 @@ def test_recognition_canonicalizes_rank_two_and_d3():
         for matrix in cartan, rotated:
             comps = recognize_components(matrix)
             assert [name for name, _ in comps] == [expected], (label, matrix)
+
+
+def test_recognition_memos_stay_at_their_bound():
+    # more D6 node orderings than either memo holds, each a new key of both
+    memos = (rootsys._recognize_irreducible, rootsys.recognize_components)
+    bounds = [memo.cache_info().maxsize for memo in memos]
+    assert None not in bounds
+    bound = max(bounds)
+    d6 = cartan_matrix("D", 6)
+    orderings = dict.fromkeys(tuple(tuple(d6[i][j] for j in p) for i in p) for p in permutations(range(6)))
+    assert len(orderings) == 360  # 720 orderings, paired by D6's one non-trivial diagram automorphism
+    for matrix in islice(orderings, bound + 8):
+        system = FiniteRootSystem(matrix)
+        ((label, order),) = system.components
+        # order[k] is the input node playing Bourbaki node k: back to D6 itself
+        assert label == system.label == "D6"
+        assert tuple(tuple(matrix[i][j] for j in order) for i in order) == d6
+    for memo in memos:
+        assert memo.cache_info().currsize == memo.cache_info().maxsize, memo.__name__
 
 
 def test_malformed_labels_and_matrices():

@@ -1,5 +1,6 @@
 """Folded (twisted) data: recognition, orbit matching, level arithmetic."""
 
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -199,6 +200,36 @@ def test_sigma_levels_match_the_fraction_progressions():
     assert triples == 8600  # (label, root, degree) triples: 344 roots, 25 degrees
 
 
+def test_validate_relative_root_is_the_correspondence_round_trip():
+    refused = 0
+    for label in ALL_LABELS + MORE_SPLIT_LABELS:
+        datum = twisted_datum(label)
+        roots = datum.echelonnage.roots
+        for i, root in enumerate(roots):
+            other = roots[(i + 1) % len(roots)]
+            for k in range(-12, 13):
+                rel = sigma_affine_to_relative(datum, (root, k))
+                validate_relative_root(datum, rel)
+                bad = [
+                    replace(rel, orbit=sigma_affine_to_relative(datum, (other, k)).orbit),
+                    *(replace(rel, case=case) for case in ("case1", "case2a", "case2b") if case != rel.case),
+                    replace(rel, degree=rel.degree + 1),
+                    replace(rel, degree=rel.degree - 1),
+                    replace(rel, degree=float(rel.degree)),
+                    replace(rel, level=rel.level + 1),
+                    replace(rel, level=rel.level - 1),
+                    replace(rel, level=float(rel.level)),
+                    replace(rel, sigma_root=other),
+                ]
+                if len(rel.orbit) > 1:  # a one-root orbit reversed is itself
+                    bad.append(replace(rel, orbit=rel.orbit[::-1]))
+                for changed in bad:
+                    with pytest.raises(ValueError):
+                        validate_relative_root(datum, changed)
+                refused += len(bad)
+    assert refused == 88756  # ten changes of each of 8,600 made roots, and 2,756 orbits reversed
+
+
 def test_validate_relative_root_rejects_inadmissible_input():
     a2 = twisted_datum("2A2")
     pair = sigma_affine_to_relative(a2, ((1,), 2)).orbit
@@ -211,6 +242,7 @@ def test_validate_relative_root_rejects_inadmissible_input():
         RelativeAffineRoot("case2a", fixed, 1, (1,), 2),  # pair case, one root
         RelativeAffineRoot("case2b", pair, 1, (1,), 1),  # fixed case, two roots
         RelativeAffineRoot("case1", (), 0, (1,), 0),  # empty orbit
+        RelativeAffineRoot("case2a", pair, 1, [1], 2),  # a list for the Sigma-root tuple
     ]
     for rel in bad:
         with pytest.raises(ValueError):

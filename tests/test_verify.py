@@ -232,13 +232,14 @@ def test_loop_suite_memos_hold_their_counted_grids():
 
 def test_each_e_a_is_built_once_for_the_loop_windows_and_directions(monkeypatch):
     clear_request_memos()
-    real, built = loopalg.make_e_a, Counter()
+    real, built = loopalg._e_a, Counter()
 
     def counting(datum, rel):
         built[datum.label, rel] += 1
-        return real(datum, rel)
+        return real.__wrapped__(datum, rel)
 
-    monkeypatch.setattr(loopalg, "make_e_a", counting)
+    # the same memo over a counting builder, so a count is one build
+    monkeypatch.setattr(loopalg, "_e_a", functools.lru_cache(maxsize=real.cache_info().maxsize)(counting))
     for label in WORKLOADS.LOOP_TYPES:
         for window in WORKLOADS.LOOP_WINDOWS:
             assert serve(["loopcheck", "--type", label, "--window", str(window), "--json"])[0] == 0
